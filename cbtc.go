@@ -44,10 +44,11 @@
 //
 // Engine.NewSession maintains a long-lived, evolving topology under the
 // paper's §4 reconfiguration semantics: Join, Leave and Move events
-// repair the topology incrementally — only nodes whose neighborhood the
-// event could have changed are recomputed — and Snapshot returns the
-// live Result at any point. The maintained state always equals what a
-// fresh Engine.Run over the current live placement would produce.
+// repair the topology incrementally — only the event node and the nodes
+// whose beacon reaches the event site are recomputed — and Snapshot
+// returns the live Result at any point. The maintained state always
+// equals what a fresh Engine.Run over the current live placement would
+// produce.
 //
 // # Legacy API
 //

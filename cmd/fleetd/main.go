@@ -80,8 +80,8 @@
 //
 //	POST /events      ingest newline-framed events (202 = durable;
 //	                  429 + Retry-After when the queue is full;
-//	                  400 when the stream is malformed or a line
-//	                  exceeds 1 MiB)
+//	                  400 when the stream is malformed, a line
+//	                  exceeds 1 MiB or the body exceeds 16 MiB)
 //	GET  /healthz     liveness, counters, watermarks, checkpoint age;
 //	                  503 when degraded
 //	GET  /report      the aggregated FleetReport as JSON
@@ -176,7 +176,7 @@ func main() {
 
 	var srv *http.Server
 	if *httpAddr != "" {
-		srv = &http.Server{Addr: *httpAddr, Handler: d.routes()}
+		srv = newServer(*httpAddr, d.routes())
 		go func() {
 			if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				d.fail(err)
@@ -407,6 +407,29 @@ const (
 	ckptRetryMin = 500 * time.Millisecond
 	ckptRetryMax = 15 * time.Second
 )
+
+// HTTP limits. A client that never finishes its request headers, or an
+// idle keep-alive connection, is disconnected instead of holding its
+// connection forever. One POST /events body is capped far above the
+// 1 MiB line cap; a body over it fails the stream as an oversized line
+// does, with a 400 that still reports the events accepted before the
+// cap.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxEventsBody     = 16 << 20
+)
+
+// newServer returns the daemon's HTTP server with its connection
+// timeouts set.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
 
 // loop is the daemon's single mutation path. Interval checkpoint
 // failures schedule a jittered-backoff retry instead of waiting a full
@@ -651,9 +674,10 @@ type ingestResult struct {
 // readEvents decodes newline-framed JSON events from r and enqueues
 // them. When block is true a full queue exerts backpressure on the
 // producer; otherwise the event is counted as dropped. A scanner
-// failure — a line over the 1 MiB limit, or the reader erroring — is
-// surfaced in the result and counted, never silently swallowed: the
-// caller must be able to tell "stream consumed" from "stream died".
+// failure — a line over the 1 MiB limit, or the reader erroring, as a
+// POST body over maxEventsBody does — is surfaced in the result and
+// counted, never silently swallowed: the caller must be able to tell
+// "stream consumed" from "stream died".
 func (d *daemon) readEvents(r io.Reader, block bool) ingestResult {
 	var res ingestResult
 	sc := bufio.NewScanner(r)
@@ -713,7 +737,7 @@ func (d *daemon) awaitDurable(ctx context.Context) error {
 func (d *daemon) routes() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /events", func(w http.ResponseWriter, r *http.Request) {
-		res := d.readEvents(r.Body, false)
+		res := d.readEvents(http.MaxBytesReader(w, r.Body, maxEventsBody), false)
 		if res.accepted > 0 {
 			// Hold the response until the accepted events are fsynced to
 			// the log and applied: the reported counts are durable facts.

@@ -259,6 +259,77 @@ func TestEventsDurableAckAndRetryAfter(t *testing.T) {
 	}
 }
 
+// The daemon's HTTP server carries its connection timeouts, so a client
+// that never finishes its headers, or an idle keep-alive connection,
+// cannot hold a connection forever.
+func TestServerTimeouts(t *testing.T) {
+	srv := newServer("127.0.0.1:0", http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout %v, want %v > 0", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if srv.IdleTimeout != idleTimeout || idleTimeout <= 0 {
+		t.Errorf("IdleTimeout %v, want %v > 0", srv.IdleTimeout, idleTimeout)
+	}
+}
+
+// endlessBody is a request body that never ends: blank-free lines of
+// spaces, each a malformed event.
+type endlessBody struct{}
+
+func (endlessBody) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+		if i%(64<<10) == 0 {
+			p[i] = '\n'
+		}
+	}
+	return len(p), nil
+}
+
+// A POST /events body is cut off at maxEventsBody: a client streaming an
+// endless body gets a prompt 400 that reports the event accepted before
+// the cap (made durable first, like any accepted event), not a handler
+// reading forever.
+func TestEventsBodyCap(t *testing.T) {
+	d := testDaemon(t, 1, 10, 64, "")
+	srv := httptest.NewServer(d.routes())
+	defer srv.Close()
+	stop := make(chan struct{})
+	pumped := make(chan struct{})
+	go func() {
+		defer close(pumped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				d.tickOnce()
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}()
+	defer func() { close(stop); <-pumped }()
+
+	body := io.MultiReader(strings.NewReader("{\"op\":\"join\",\"net\":0,\"x\":7,\"y\":7}\n"), endlessBody{})
+	client := &http.Client{Timeout: 30 * time.Second}
+	resp, err := client.Post(srv.URL+"/events", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ack map[string]any
+	json.NewDecoder(resp.Body).Decode(&ack)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || ack["error"] == nil {
+		t.Fatalf("over-cap body: status %d body %v, want 400 with an error", resp.StatusCode, ack)
+	}
+	if ack["accepted"] != 1.0 {
+		t.Errorf("over-cap body: accepted %v, want 1", ack["accepted"])
+	}
+	if got := d.applied.Load(); got != 1 {
+		t.Errorf("applied %d events, want the 1 accepted before the cap", got)
+	}
+}
+
 // Injected checkpoint-write failures surface in /healthz as degraded
 // status with a failure count, and clear on the next success.
 func TestCheckpointFaultDegradesHealth(t *testing.T) {

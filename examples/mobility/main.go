@@ -4,8 +4,8 @@
 // a relay, then scripts a scenario: the relay crashes, a distant
 // wanderer moves in to take its place, and the network heals itself
 // through the §4 join/leave/aChange events — with incremental repair
-// (only nodes near each event recompute) and the connectivity guarantee
-// holding at every step.
+// (only nodes whose beacon reaches an event recompute) and the
+// connectivity guarantee holding at every step.
 //
 // For the same scenario at the message-passing level — beacons, leave
 // timeouts, lossy channels — see `go run ./cmd/dynsim -demo` and the
@@ -80,7 +80,7 @@ func main() {
 
 	// A mobility tick: the whole east town drifts north together. Bursts
 	// of correlated moves are the batch API's shape — ApplyBatch applies
-	// every event, unions the affected regions, and repairs the union
+	// every event, unions the recompute sets, and repairs the union
 	// with one recompute instead of one per move.
 	batch, err := sess.ApplyBatch([]cbtc.Event{
 		cbtc.MoveEvent(4, cbtc.Pt(950, 60)),

@@ -18,16 +18,18 @@ var ErrBadEvent = errors.New("cbtc: invalid session event")
 
 // Session maintains a long-lived, evolving CBTC(α) topology under the
 // paper's §4 reconfiguration semantics. Join, Leave and Move events
-// repair the topology incrementally: only the nodes whose candidate
-// neighborhood the event could have changed — those within maximum
-// radius R of the event site — are touched. Every other node keeps its
-// state untouched. Each affected observer's event is first classified
-// through its §4 state machine (a leaveᵤ/aChangeᵤ that opens an α-gap
-// means the node must regrow; anything else is an in-place repair),
-// and the affected region is then recomputed to the exact minimal-
-// power fixed point. When the affected region is large, the per-node
-// recomputations are fanned across the engine's worker pool
-// (WithWorkers); the repaired state is identical at every worker count.
+// repair the topology incrementally. Every live node within maximum
+// radius R of an event site observes the event: its §4 state machine
+// classifies it (a leaveᵤ/aChangeᵤ that opens an α-gap means the node
+// must regrow; anything else is an in-place repair). Only the event
+// nodes and the observers whose installed beacon p_{u,α} reaches a site
+// are then recomputed to the exact minimal-power fixed point — as in
+// §4, a node reacts only to changes it can hear. Every other node keeps
+// its state untouched: its growing phase stopped at a cone-covering
+// prefix of nearer candidates, which the event did not change. When the
+// recompute set is large, the per-node recomputations are fanned across
+// the engine's worker pool (WithWorkers); the repaired state is
+// identical at every worker count.
 //
 // The maintained fixed point is exact: at any moment the live topology
 // equals what a fresh Engine.Run over the current live placement would
@@ -76,12 +78,13 @@ type Session struct {
 	// comps tracks live connectivity across repairs (union-find with
 	// rebuild-on-split), and radius caches each live node's NodeRadius
 	// over g, recomputed only for nodes whose adjacency rows a repair
-	// touched. The pend* slices accumulate one repair's delta — filled by
-	// depart and patchArcs, drained by applyObserveDelta at the end of
-	// recompute.
+	// touched or whose neighbors moved. The pend* slices accumulate one
+	// repair's delta — filled by depart, relocate and patchArcs, drained
+	// by applyObserveDelta at the end of recompute.
 	comps      *graph.LiveComponents
 	radius     []float64
 	pendDepart []int
+	pendMoved  []int
 	pendAdd    []graph.Edge
 	pendRemove []graph.Edge
 
@@ -124,7 +127,8 @@ type EventReport struct {
 	// the session statistics.
 	AngleChanges, Regrows, Repairs int
 	// Recomputed lists the nodes whose neighbor state was rebuilt —
-	// the event node plus every live node within R of the event site.
+	// the event node plus every live node whose installed beacon reaches
+	// an event site (a join or leave position, either end of a move).
 	Recomputed []int
 }
 
@@ -153,11 +157,16 @@ func (e *Engine) newSession(ctx context.Context, nodes []Point, workers int) (*S
 // (Engine.Simulate's execution path) instead of the exact minimal-power
 // oracle. Nodes start from the power levels and discovery rows the
 // protocol run actually produced — including the effects of lossy
-// channels and AoA noise configured in sim — and all subsequent §4
-// reconfiguration events repair that protocol-built state with the
-// session's exact oracle machinery. The simulator is deterministic in
-// sim.Seed, so the session's whole lifetime is reproducible at any
-// worker count. Fleets use this constructor for MemberProtocol members.
+// channels and AoA noise configured in sim. Subsequent §4 events repair
+// that state with the session's exact oracle machinery, under the same
+// rule as every session: a node is recomputed when an event site lies
+// within reach of its beacon, so a protocol-built node keeps its
+// protocol state until an event it can hear. Such a node's neighbors
+// are unchanged and still cover the cones they covered, so a
+// connectivity-preserving protocol run stays connectivity-preserving
+// under repair. The simulator is deterministic in sim.Seed, so the
+// session's whole lifetime is reproducible at any worker count. Fleets
+// use this constructor for MemberProtocol members.
 func (e *Engine) NewProtocolSession(ctx context.Context, nodes []Point, sim SimOptions) (*Session, error) {
 	return e.newProtocolSession(ctx, nodes, sim, e.workers)
 }
@@ -249,66 +258,35 @@ func (e *Engine) pruneNeighbors(nbrs []core.Discovery) []core.Discovery {
 
 // Join introduces a new node at p — the §4 join scenario. It returns
 // the node's ID (stable for the session's lifetime) and a report of the
-// repair the event triggered.
+// repair the event triggered. It is a one-event ApplyBatch.
 func (s *Session) Join(p Point) (int, EventReport) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	id := s.admit(p)
-
-	// The newcomer's beacon is a joinᵤ(id) event at every node that can
-	// hear it; §4 always repairs a join in place (insert, then shrink
-	// back), so no per-observer classification is needed before the
-	// recompute below rebuilds the affected region.
-	var rep EventReport
-	observers := s.withinRange(id, p)
-	rep.Repairs = len(observers)
-	s.applyStats(&rep)
-	rep.Recomputed = s.recompute(append(observers, id))
-	return id, rep
+	rep, _ := s.applyBatchLocked([]Event{JoinEvent(p)}) // a join always validates
+	return rep.JoinIDs[0], rep.EventReport
 }
 
 // Leave removes a node — the §4 leave scenario (a crash or departure;
 // in the protocol, detected by missed beacons). Neighbors whose cone
 // coverage loses its last member in some direction regrow; the rest
-// repair in place.
+// repair in place. It is a one-event ApplyBatch.
 func (s *Session) Leave(id int) (EventReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.checkLive(id); err != nil {
-		return EventReport{}, err
-	}
-	site := s.pos[id]
-	s.depart(id)
-
-	var rep EventReport
-	observers := s.withinRange(id, site)
-	s.observeLeave(id, observers, &rep)
-	s.applyStats(&rep)
-	rep.Recomputed = s.recompute(append(observers, id))
-	return rep, nil
+	rep, err := s.applyBatchLocked([]Event{LeaveEvent(id)})
+	return rep.EventReport, err
 }
 
 // Move relocates a live node to p. Observers that still reach the node
 // see an aChangeᵤ event (bearing moved), nodes it left behind see a
 // leaveᵤ, nodes it approached see a joinᵤ; the moved node itself regrows
 // from its new position. Gaps opened by any of these trigger regrows,
-// exactly as §4 prescribes.
+// exactly as §4 prescribes. It is a one-event ApplyBatch.
 func (s *Session) Move(id int, p Point) (EventReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.checkLive(id); err != nil {
-		return EventReport{}, err
-	}
-	old := s.relocate(id, p)
-
-	var rep EventReport
-	// Observers around either position; the moved node itself regrows.
-	observers := s.union(s.withinRange(id, old), s.withinRange(id, p))
-	s.observeMove(id, p, observers, &rep)
-	rep.Regrows++ // the moved node reruns its growing phase
-	s.applyStats(&rep)
-	rep.Recomputed = s.recompute(append(observers, id))
-	return rep, nil
+	rep, err := s.applyBatchLocked([]Event{MoveEvent(id, p)})
+	return rep.EventReport, err
 }
 
 // admit performs the structural half of a join: it allocates the next
@@ -365,6 +343,7 @@ func (s *Session) relocate(id int, p Point) Point {
 	if s.incremental {
 		s.gr.IsolateNode(id)
 		s.patchGR(id)
+		s.pendMoved = append(s.pendMoved, id)
 	}
 	s.stats.Moves++
 	return old
@@ -835,7 +814,7 @@ func (s *Session) Position(id int) Point {
 // Engine returns the engine whose configuration the session maintains.
 func (s *Session) Engine() *Engine { return s.eng }
 
-// rangeSlack widens the affected-region test slightly beyond R so that
+// rangeSlack widens the observer test slightly beyond R so that
 // borderline candidates (admitted by the oracle's own distance
 // tolerance) are never missed. Over-inclusion only costs a recompute;
 // under-inclusion would let stale state survive.
@@ -846,9 +825,8 @@ const rangeSlack = 1e-9
 // spatial index — which holds exactly the live nodes — answers the
 // radius query; the slightly widened query radius plus the exact
 // distance re-check reproduce the full-scan predicate. The bound is the
-// affected-region radius: no link — even a favorably-shadowed one — can
-// exceed it, so every node whose neighborhood an event could change is
-// included.
+// observer radius: no link — even a favorably-shadowed one — can exceed
+// it, so every node that could hear an event at p is included.
 func (s *Session) withinRange(self int, p Point) []int {
 	r := s.eng.prop.MaxLinkRadius() * (1 + rangeSlack)
 	out := make([]int, 0, 16)
@@ -863,9 +841,48 @@ func (s *Session) withinRange(self int, p Point) []int {
 	return out
 }
 
-// repairParallelMin is the affected-region size below which a repair
+// reachSlack widens a node's beacon reach in appendReached. It must
+// dominate two tolerances: the oracle's distTieTol grouping (a candidate
+// within 1e-12·(1+d) of the stopping group's distance — or, on a
+// link-dependent radio, its power — joins that group) and the rounding
+// of the PowerFor→RangeFor round trip that turns GrowPower back into a
+// distance. Over-inclusion only costs a recompute; under-inclusion would
+// let stale state survive.
+const reachSlack = 1e-9
+
+// appendReached appends to dst the observers of site q of event node id
+// whose installed beacon reaches q: on the power law, those within
+// RangeBound(GrowPower) of q; on a link-dependent radio, those whose
+// link to id at q needs at most GrowPower. Only they can change. The
+// growing phase admits candidates in needed-power order and stops at
+// the first group that leaves no α-gap, whose power is GrowPower; a
+// candidate beyond it appearing, vanishing or moving leaves that prefix,
+// and so the node's discoveries, its §4 state machine and its pruned
+// arcs, exactly as they were. A boundary node has GrowPower = P and so
+// hears every site within range. GrowPower is read as it stood before
+// the batch: repairs install new state only after the structural pass.
+func (s *Session) appendReached(dst []int, id int, q Point, observers []int) []int {
+	prop := s.eng.prop
+	pure := prop.DistancePure()
+	for _, u := range observers {
+		grow := s.nodes[u].GrowPower
+		d := s.pos[u].Dist(q)
+		var reached bool
+		if pure {
+			reached = d <= prop.RangeBound(grow)*(1+reachSlack)+reachSlack
+		} else {
+			reached = prop.LinkPower(u, id, d) <= grow*(1+reachSlack)+reachSlack
+		}
+		if reached {
+			dst = append(dst, u)
+		}
+	}
+	return dst
+}
+
+// repairParallelMin is the recompute-set size below which a repair
 // stays serial: each recomputation costs tens of microseconds, so small
-// regions would lose more to goroutine startup than they win.
+// sets would lose more to goroutine startup than they win.
 const repairParallelMin = 16
 
 // recomputed is one node's phase-1 output: everything derivable from the
@@ -885,8 +902,8 @@ type recomputed struct {
 // The rebuild runs in two phases. Phase 1 computes each node's new
 // state — the RunNode cone test, its §4 state machine, and the pruned
 // neighbor list — against read-only session state, fanned across the
-// engine's worker pool when the affected region is large (a Move at
-// n=10k touches every node within R of two sites). Phase 2 serially
+// engine's worker pool when the recompute set is large (a drift tick
+// of dozens of moves reaches hundreds of beacons). Phase 2 serially
 // installs the results and patches the recomputed nodes' arcs into the
 // incrementally-maintained topology graphs.
 func (s *Session) recompute(ids []int) []int {
@@ -954,10 +971,13 @@ func (s *Session) recompute(ids []int) []int {
 // applyObserveDelta folds one finished repair into the O(changed)
 // Observe state: the pending departures and the exact edge diff the arc
 // patches recorded go into the maintained component structure, and the
-// per-node radius cache is refreshed for exactly the nodes whose
-// adjacency rows changed — the recomputed live nodes plus the live
-// endpoints of diffed edges (an edge patch can touch a neighbor outside
-// the recompute set through the symmetric closure).
+// per-node radius cache is refreshed for exactly the nodes whose radius
+// can have changed — the recomputed live nodes, the live endpoints of
+// diffed edges (an edge patch can touch a neighbor outside the
+// recompute set through the symmetric closure), and the live neighbors
+// of moved nodes. The last covers an unchanged closure edge {u,w} kept
+// by w's own arc w→u: w moved out of reach of u's beacon, so u was not
+// recomputed and the edge shows no diff, yet u's radius reads pos[w].
 func (s *Session) applyObserveDelta(recomputed []int) {
 	s.comps.Apply(s.g, graph.Delta{
 		Departed: s.pendDepart,
@@ -982,10 +1002,16 @@ func (s *Session) applyObserveDelta(recomputed []int) {
 		refresh(e.U)
 		refresh(e.V)
 	}
+	for _, w := range s.pendMoved {
+		for _, v := range s.g.Row(w) {
+			refresh(int(v))
+		}
+	}
 	for _, u := range s.pendDepart {
 		s.radius[u] = 0
 	}
 	s.pendDepart = s.pendDepart[:0]
+	s.pendMoved = s.pendMoved[:0]
 	s.pendAdd = s.pendAdd[:0]
 	s.pendRemove = s.pendRemove[:0]
 }
@@ -1033,16 +1059,6 @@ func (s *Session) patchArcs(u int, pruned []core.Discovery) {
 		}
 	}
 	s.pruned[u] = pruned
-}
-
-func (s *Session) checkLive(id int) error {
-	if id < 0 || id >= len(s.pos) {
-		return fmt.Errorf("%w: node %d does not exist", ErrBadEvent, id)
-	}
-	if !s.alive[id] {
-		return fmt.Errorf("%w: node %d already departed", ErrBadEvent, id)
-	}
-	return nil
 }
 
 // newMarkEpoch starts a fresh membership set over the session's current

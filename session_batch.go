@@ -65,12 +65,14 @@ type BatchReport struct {
 // ApplyBatch applies a burst of Join/Leave/Move events as one repair:
 // the structural changes (positions, liveness, the spatial index, the
 // incremental ground-truth G_R) are applied strictly in event order,
-// the affected regions of all events are unioned, and a single
+// the recompute sets of all events — the event nodes and the nodes
+// whose beacon reaches one of their sites — are unioned, and a single
 // recompute rebuilds the union to the exact minimal-power fixed point —
 // one region pass and one snapshot invalidation instead of one per
 // event. This is the natural shape of mobility traces (many nodes
-// drifting per tick), where the per-event affected regions overlap
-// heavily and the shared recompute does the work once.
+// drifting per tick), where the per-event recompute sets overlap
+// heavily and the shared recompute does the work once. Join, Leave and
+// Move are one-event batches.
 //
 // The resulting topology — N_α, G and the ground-truth G_R — is
 // identical, edge for edge, to applying the same events singly through
@@ -127,45 +129,39 @@ func (s *Session) applyBatchLocked(events []Event) (BatchReport, error) {
 		return BatchReport{}, err
 	}
 
-	// Apply the structural changes in event order, classifying each
-	// event's observers as the single-event paths do, and record every
-	// site whose R-neighborhood the batch disturbed: join positions,
-	// leave positions, and both endpoints of each move.
-	ids := make([]int, 0, len(events))
-	sites := make([]Point, 0, 2*len(events))
+	// Apply the structural changes in event order. Each site — a join or
+	// leave position, either end of a move — is heard by the live nodes
+	// within R of it: their §4 state machines classify the event, and
+	// those whose installed beacon reaches the site join the recompute
+	// set, as the event node always does. Non-event nodes never move or
+	// leave within a batch, so both tests give the same answer at any
+	// point of it.
+	affected := make([]int, 0, 16*len(events))
 	for _, ev := range events {
 		switch ev.Kind {
 		case EventJoin:
 			id := s.admit(ev.Pos)
 			rep.JoinIDs = append(rep.JoinIDs, id)
-			rep.Repairs += len(s.withinRange(id, ev.Pos))
-			ids = append(ids, id)
-			sites = append(sites, ev.Pos)
+			observers := s.withinRange(id, ev.Pos)
+			// §4 repairs every joinᵤ in place (insert, then shrink back).
+			rep.Repairs += len(observers)
+			affected = s.appendReached(append(affected, id), id, ev.Pos, observers)
 		case EventLeave:
 			site := s.pos[ev.ID]
 			s.depart(ev.ID)
-			s.observeLeave(ev.ID, s.withinRange(ev.ID, site), &rep.EventReport)
-			ids = append(ids, ev.ID)
-			sites = append(sites, site)
+			observers := s.withinRange(ev.ID, site)
+			s.observeLeave(ev.ID, observers, &rep.EventReport)
+			affected = s.appendReached(append(affected, ev.ID), ev.ID, site, observers)
 		case EventMove:
 			old := s.relocate(ev.ID, ev.Pos)
-			observers := s.union(s.withinRange(ev.ID, old), s.withinRange(ev.ID, ev.Pos))
-			s.observeMove(ev.ID, ev.Pos, observers, &rep.EventReport)
+			atOld, atNew := s.withinRange(ev.ID, old), s.withinRange(ev.ID, ev.Pos)
+			s.observeMove(ev.ID, ev.Pos, s.union(atOld, atNew), &rep.EventReport)
 			rep.Regrows++ // the moved node reruns its growing phase
-			ids = append(ids, ev.ID)
-			sites = append(sites, old, ev.Pos)
+			affected = s.appendReached(append(affected, ev.ID), ev.ID, old, atOld)
+			affected = s.appendReached(affected, ev.ID, ev.Pos, atNew)
 		}
 	}
 	s.applyStats(&rep.EventReport)
-
-	// One recompute over the union of affected regions. Non-event nodes
-	// never move, so "within R of a disturbed site" is time-invariant
-	// for them and the final spatial index answers it exactly; event
-	// nodes are recomputed unconditionally.
-	affected := ids
-	for _, p := range sites {
-		affected = append(affected, s.withinRange(-1, p)...)
-	}
 	rep.Recomputed = s.recompute(affected)
 	return rep, nil
 }
