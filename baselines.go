@@ -122,7 +122,7 @@ func (e *Engine) BetaSkeleton(beta float64, nodes []Point) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
-	return baselineResult(nodes, e.model, g), nil
+	return baselineResultWithGR(nodes, e.model, g, core.MaxPowerGraph(nodes, e.prop)), nil
 }
 
 // RunBaseline builds the selected position-based topology using a
@@ -146,10 +146,6 @@ func RunBetaSkeleton(beta float64, nodes []Point, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	return eng.BetaSkeleton(beta, nodes)
-}
-
-func baselineResult(nodes []Point, m radio.Model, g *graph.Graph) *Result {
-	return baselineResultWithGR(nodes, m, g, core.MaxPowerGraph(nodes, m))
 }
 
 func baselineResultWithGR(nodes []Point, m radio.Model, g, gr *graph.Graph) *Result {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"cbtc"
 )
@@ -15,6 +16,23 @@ import (
 // checkpoint-write failures exercising the retry/backoff path) and is
 // nil in production.
 var ckptFaultHook func(seq uint64) error
+
+// syncDir fsyncs directory dir. A rename reaches stable storage only
+// once its parent directory is synced: without it, checkpoint rotation
+// and WAL compaction survive kill -9 but not power loss. Both route the
+// sync through this variable so tests can observe it and inject its
+// failure.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
 
 // ckptStore writes and restores fleet checkpoints with generational
 // rotation: the newest checkpoint lives at path, the previous one at
@@ -44,8 +62,9 @@ func (s *ckptStore) gen(i int) string {
 
 // Write checkpoints the fleet as the new newest generation: encode to
 // memory, verify by decoding, write and fsync a temp file, rotate the
-// existing generations down, and rename the temp file into place. A
-// failure at any step leaves the previous generations untouched.
+// existing generations down, rename the temp file into place, and fsync
+// the directory so the renames survive power loss. A failure before the
+// rotation leaves the previous generations untouched.
 func (s *ckptStore) Write(fleet *cbtc.Fleet) error {
 	seq := s.seq
 	s.seq++
@@ -87,7 +106,10 @@ func (s *ckptStore) Write(fleet *cbtc.Fleet) error {
 			return err
 		}
 	}
-	return os.Rename(tmp, s.path)
+	if err := os.Rename(tmp, s.path); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(s.path))
 }
 
 // Restore tries each generation newest to oldest and returns the first

@@ -414,8 +414,17 @@ const (
 // 1 MiB line cap; a body over it fails the stream as an oversized line
 // does, with a 400 that still reports the events accepted before the
 // cap.
+//
+// readTimeout bounds the read of a whole request, body included, so a
+// client cannot trickle a body below the cap for as long as it likes;
+// the body read fails and the stream ends in the same 400. The deadline
+// stays armed while the handler runs, and when it fires during
+// net/http's background read it cancels r.Context() — which POST
+// /events waits on for its durable ack. It therefore sits far above any
+// durable-ack wait, one tick plus a WAL fsync.
 const (
 	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
 	idleTimeout       = 2 * time.Minute
 	maxEventsBody     = 16 << 20
 )
@@ -427,6 +436,7 @@ func newServer(addr string, h http.Handler) *http.Server {
 		Addr:              addr,
 		Handler:           h,
 		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
 		IdleTimeout:       idleTimeout,
 	}
 }

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -260,15 +262,85 @@ func TestEventsDurableAckAndRetryAfter(t *testing.T) {
 }
 
 // The daemon's HTTP server carries its connection timeouts, so a client
-// that never finishes its headers, or an idle keep-alive connection,
-// cannot hold a connection forever.
+// that never finishes its headers or its body, or an idle keep-alive
+// connection, cannot hold a connection forever.
 func TestServerTimeouts(t *testing.T) {
 	srv := newServer("127.0.0.1:0", http.NotFoundHandler())
 	if srv.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
 		t.Errorf("ReadHeaderTimeout %v, want %v > 0", srv.ReadHeaderTimeout, readHeaderTimeout)
 	}
+	if srv.ReadTimeout != readTimeout || readTimeout <= 0 {
+		t.Errorf("ReadTimeout %v, want %v > 0", srv.ReadTimeout, readTimeout)
+	}
 	if srv.IdleTimeout != idleTimeout || idleTimeout <= 0 {
 		t.Errorf("IdleTimeout %v, want %v > 0", srv.IdleTimeout, idleTimeout)
+	}
+	// The read deadline cancels r.Context() when it fires, so it must
+	// leave the durable-ack wait of POST /events ample room.
+	if readTimeout < 30*time.Second {
+		t.Errorf("ReadTimeout %v leaves too little room for a durable ack", readTimeout)
+	}
+}
+
+// A client trickling a POST /events body is cut off when the server's
+// read timeout expires, instead of holding the handler for as long as it
+// keeps sending: the body read fails and the stream ends in a 400.
+func TestEventsTrickleCutOff(t *testing.T) {
+	d := testDaemon(t, 1, 10, 64, "")
+	srv := newServer("127.0.0.1:0", d.routes())
+	srv.ReadTimeout = 200 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.Serve(ln)
+	}()
+	defer func() { srv.Close(); <-served }()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := fmt.Fprintf(conn, "POST /events HTTP/1.1\r\nHost: fleetd\r\nContent-Length: 1000000\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	// One byte every 10 ms, well under the body cap: only the read
+	// timeout can end the request.
+	stop := make(chan struct{})
+	trickled := make(chan struct{})
+	go func() {
+		defer close(trickled)
+		tick := time.NewTicker(10 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				if _, err := conn.Write([]byte{' '}); err != nil {
+					return
+				}
+			}
+		}
+	}()
+	defer func() { close(stop); <-trickled }()
+
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(10 * time.Second))
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("no response to a trickled body after %v: %v", time.Since(start), err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("trickled body: status %d, want 400", resp.StatusCode)
+	}
+	if el := time.Since(start); el > 5*time.Second {
+		t.Errorf("trickled body cut off after %v, want about the 200ms read timeout", el)
 	}
 }
 
@@ -327,6 +399,39 @@ func TestEventsBodyCap(t *testing.T) {
 	}
 	if got := d.applied.Load(); got != 1 {
 		t.Errorf("applied %d events, want the 1 accepted before the cap", got)
+	}
+}
+
+// Checkpoint rotation fsyncs the store's directory after the final
+// rename, and a failed directory sync fails the write.
+func TestCheckpointSyncsDirectory(t *testing.T) {
+	dir := t.TempDir()
+	d := testDaemon(t, 1, 10, 16, dir)
+	path := d.store.path
+	calls := stubSyncDir(t, func(synced string) {
+		if synced != dir {
+			t.Errorf("synced %s, want the checkpoint directory %s", synced, dir)
+		}
+		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+			t.Errorf("directory synced before the final rename: temp file stat %v", err)
+		}
+		for _, p := range []string{path, d.store.gen(1)} {
+			if _, err := os.Stat(p); err != nil {
+				t.Errorf("directory synced before rotation finished: %v", err)
+			}
+		}
+	}, nil)
+	if err := d.store.Write(d.fleet); err != nil {
+		t.Fatal(err)
+	}
+	if *calls != 1 {
+		t.Fatalf("checkpoint synced the directory %d times, want 1", *calls)
+	}
+
+	errSync := errors.New("injected directory sync failure")
+	stubSyncDir(t, func(string) {}, errSync)
+	if err := d.store.Write(d.fleet); !errors.Is(err, errSync) {
+		t.Fatalf("checkpoint with a failing directory sync: got %v, want %v", err, errSync)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 )
 
 // The write-ahead log closes fleetd's durability gap between
@@ -179,7 +180,8 @@ func (w *wal) Append(rec walRecord) error {
 
 // compact rewrites the log to hold only the records keep selects,
 // replacing w: it writes a fresh file, fsyncs, renames it over the
-// log, and reopens. The caller must not use w afterwards. The keep
+// log, fsyncs the directory so the rename survives power loss, and
+// reopens. The caller must not use w afterwards. The keep
 // predicate encodes the retention invariant — a record may only be
 // dropped once every retained checkpoint generation covers it, or a
 // generation-fallback restore would find a hole where its missing
@@ -212,6 +214,9 @@ func (w *wal) compact(recs []walRecord, keep func(walRecord) bool) (*wal, error)
 	}
 	w.f.Close()
 	if err := os.Rename(tmp, w.path); err != nil {
+		return nil, err
+	}
+	if err := syncDir(filepath.Dir(w.path)); err != nil {
 		return nil, err
 	}
 	re, _, err := openWAL(w.path)

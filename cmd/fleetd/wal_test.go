@@ -207,3 +207,69 @@ func TestWALChaosFlip(t *testing.T) {
 		t.Fatalf("corrupted single-record log yielded %d records", len(got))
 	}
 }
+
+// stubSyncDir replaces syncDir for one test. Each call runs check, then
+// returns fail.
+func stubSyncDir(t *testing.T, check func(dir string), fail error) *int {
+	t.Helper()
+	calls := new(int)
+	prev := syncDir
+	syncDir = func(dir string) error {
+		*calls++
+		check(dir)
+		return fail
+	}
+	t.Cleanup(func() { syncDir = prev })
+	return calls
+}
+
+// Compaction fsyncs the log's directory after renaming the rewritten
+// log into place, and a failed directory sync fails the compaction.
+func TestWALCompactSyncsDirectory(t *testing.T) {
+	path := walPath(t)
+	recs := walRecs(4)
+	keep := func(rec walRecord) bool { return rec.Nets[0].Tick > 2 }
+	calls := stubSyncDir(t, func(dir string) {
+		if dir != filepath.Dir(path) {
+			t.Errorf("synced %s, want the log's directory %s", dir, filepath.Dir(path))
+		}
+		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+			t.Errorf("directory synced before the final rename: temp file stat %v", err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if got, _, _ := scanWAL(f); len(got) != 2 {
+			t.Errorf("directory synced before the compacted log was in place: %d records", len(got))
+		}
+	}, nil)
+	w, _, err := openWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w, err = w.compact(recs, keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	if *calls != 1 {
+		t.Fatalf("compaction synced the directory %d times, want 1", *calls)
+	}
+
+	errSync := errors.New("injected directory sync failure")
+	stubSyncDir(t, func(string) {}, errSync)
+	w, _, err = openWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.compact(recs, keep); !errors.Is(err, errSync) {
+		t.Fatalf("compact with a failing directory sync: got %v, want %v", err, errSync)
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"cbtc/internal/codec"
+	"cbtc/internal/core"
 	"cbtc/internal/graph"
 	"cbtc/internal/radio"
 	"cbtc/internal/workload"
@@ -630,4 +631,60 @@ func TestEnergyMSTBaseline(t *testing.T) {
 	if _, err := eng.EnergyBaseline(nodes, uniform[:10]); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("short residual vector: got %v, want ErrBadConfig", err)
 	}
+}
+
+// TestShadowedResultsCarryShadowedGR: on a WithShadowing engine every
+// Result's G_R is the maximum-power graph of the shadowed radio G was
+// grown under, not the nominal power law's — for Run, Simulate, the
+// pairwise stack's session snapshot and BetaSkeleton alike. Shadowing
+// widens some links past R and cuts others, so the nominal graph both
+// misses edges of G and keeps edges the radio does not realize.
+func TestShadowedResultsCarryShadowedGR(t *testing.T) {
+	ctx := context.Background()
+	pos := workload.Uniform(workload.Rand(1), 200, 2000, 2000)
+	eng, err := New(WithMaxRadius(500), WithShadowing(4, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := core.MaxPowerGraph(pos, eng.Propagation())
+	if core.MaxPowerGraph(pos, eng.RadioModel()).Equal(want) {
+		t.Fatal("placement too sparse: shadowing changed no max-power link")
+	}
+
+	requireGR := func(what string, res *Result) {
+		t.Helper()
+		if !res.GR.Equal(want) {
+			t.Errorf("%s: GR has %d edges, want the shadowed max-power graph's %d",
+				what, res.GR.EdgeCount(), want.EdgeCount())
+		}
+	}
+	run, err := eng.Run(ctx, pos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireGR("Run", run)
+	sim, err := eng.Simulate(ctx, pos, SimOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireGR("Simulate", sim)
+	beta, err := eng.BetaSkeleton(2, pos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireGR("BetaSkeleton", beta)
+
+	pairwise, err := New(WithMaxRadius(500), WithShadowing(4, 1), WithAllOptimizations())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := pairwise.NewSession(ctx, pos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := sess.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireGR("pairwise session snapshot", snap)
 }

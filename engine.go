@@ -211,7 +211,7 @@ func (e *Engine) run(ctx context.Context, nodes []Point, workers int) (*Result, 
 	if err != nil {
 		return nil, err
 	}
-	return newResult(nodes, e.model, topo, workers), nil
+	return e.newResult(nodes, topo, workers), nil
 }
 
 // Simulate runs the distributed Hello/Ack protocol of the paper's
@@ -228,7 +228,7 @@ func (e *Engine) Simulate(ctx context.Context, nodes []Point, sim SimOptions) (*
 	if err != nil {
 		return nil, err
 	}
-	return newResult(nodes, e.model, topo, e.workers), nil
+	return e.newResult(nodes, topo, e.workers), nil
 }
 
 // protoExec runs the distributed Figure 1 protocol on the discrete-event

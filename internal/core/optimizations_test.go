@@ -62,11 +62,16 @@ func TestShrinkBackPreservesCoverage(t *testing.T) {
 		pos := workload.Uniform(workload.Rand(seed), 70, 1500, 1500)
 		e := mustRun(t, pos, m, AlphaConnectivity)
 		shrunk := ShrinkBack(e)
+		var c geom.Cover
 		for u := range pos {
-			before := geom.Coverage(e.Nodes[u].Directions(), e.Alpha)
-			after := geom.Coverage(shrunk.Nodes[u].Directions(), e.Alpha)
-			if !before.Equal(after, 1e-6) {
-				t.Errorf("seed=%d node=%d: coverage changed: %v -> %v", seed, u, before, after)
+			c.Reset(e.Nodes[u].Directions(), e.Alpha)
+			c.Clear()
+			for _, d := range shrunk.Nodes[u].Directions() {
+				c.Add(d)
+			}
+			if !c.Same() {
+				t.Errorf("seed=%d node=%d: coverage changed: %v -> %v", seed, u,
+					e.Nodes[u].Directions(), shrunk.Nodes[u].Directions())
 			}
 		}
 	}

@@ -109,19 +109,33 @@ func runContext(ctx context.Context, pos []geom.Point, m radio.Propagation, alph
 	return exec, nil
 }
 
-// NodeRunner is a reusable RunNode executor: it owns the gather scratch
-// buffers a bare RunNode call would allocate fresh, so callers that
-// recompute many nodes (session batch repair, the parallel oracle's
-// workers) amortize the buffers across calls. A NodeRunner is not safe
-// for concurrent use — give each worker its own.
+// NodeRunner is a reusable per-node executor: it owns the gather and
+// coverage scratch buffers that bare RunNode, ShrinkNeighbors and
+// RemoveNonContributingNeighbors calls would allocate fresh, so callers
+// that recompute many nodes (session batch repair, the parallel
+// oracle's workers) amortize the buffers across calls. A NodeRunner is
+// not safe for concurrent use — give each worker its own.
 type NodeRunner struct {
 	scr gatherScratch
+	cov coverScratch
 }
 
 // RunNode computes N_α(u) exactly as the package-level RunNode does,
 // reusing the runner's scratch buffers.
 func (r *NodeRunner) RunNode(pos []geom.Point, alive []bool, m radio.Propagation, alpha float64, u int, idx Index) NodeResult {
 	return runNode(pos, alive, m, alpha, u, idx, &r.scr)
+}
+
+// ShrinkNeighbors is the package-level ShrinkNeighbors on the runner's
+// coverage scratch.
+func (r *NodeRunner) ShrinkNeighbors(neighbors []Discovery, alpha float64) []Discovery {
+	return r.cov.shrinkNeighbors(neighbors, alpha)
+}
+
+// RemoveNonContributingNeighbors is the package-level
+// RemoveNonContributingNeighbors on the runner's coverage scratch.
+func (r *NodeRunner) RemoveNonContributingNeighbors(neighbors []Discovery, alpha float64) []Discovery {
+	return r.cov.removeNonContributing(neighbors, alpha)
 }
 
 // gatherScratch holds the per-node gather buffers RunContext reuses

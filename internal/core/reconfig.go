@@ -49,6 +49,7 @@ type Reconfigurator struct {
 	nbrs  []Discovery // current neighbor set, ascending ID
 	dirs  []float64   // scratch: sorted direction set for gap tests
 	dist  []Discovery // scratch: shrink's farthest-first order
+	cover geom.Cover  // scratch: shrink's coverage kernel
 }
 
 // NewReconfigurator builds the state machine from the node's CBTC
@@ -145,6 +146,13 @@ func (r *Reconfigurator) AngleChange(id int, newDir float64) Action {
 // stopping at the first neighbor whose removal would reduce coverage.
 // Candidates are ordered by (distance descending, id ascending) — a
 // total order, so removal decisions are deterministic.
+//
+// The coverage kernel starts from the normalized direction set, and
+// each candidate's direction leaves its query set. After AngleChange
+// the set covers the whole circle (a gap would have regrown instead),
+// so each test is one delete from the sorted directions plus one gap
+// scan. The kernel is reset on every call, so stopping one direction
+// short of r.nbrs carries nothing over.
 func (r *Reconfigurator) shrink() {
 	r.dist = append(r.dist[:0], r.nbrs...)
 	slices.SortFunc(r.dist, func(a, b Discovery) int {
@@ -156,14 +164,15 @@ func (r *Reconfigurator) shrink() {
 		}
 		return a.ID - b.ID
 	})
-	full := geom.Coverage(r.sortedDirs(), r.alpha)
+	r.cover.Reset(r.sortedDirs(), r.alpha)
 	for _, d := range r.dist {
 		i, ok := r.find(d.ID)
 		if !ok {
 			continue
 		}
 		r.nbrs = slices.Delete(r.nbrs, i, i+1)
-		if !geom.Coverage(r.sortedDirs(), r.alpha).Equal(full, 10*geom.Eps) {
+		r.cover.Remove(geom.Normalize(d.Dir))
+		if !r.cover.Same() {
 			r.set(d) // removal changed coverage: keep and stop
 			return
 		}

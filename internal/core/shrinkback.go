@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"cbtc/internal/geom"
@@ -19,8 +21,9 @@ import (
 // the basic algorithm's power (§4).
 func ShrinkBack(e *Execution) *Execution {
 	out := e.Clone()
+	var cs coverScratch
 	for u := range out.Nodes {
-		out.Nodes[u].Neighbors = ShrinkNeighbors(out.Nodes[u].Neighbors, e.Alpha)
+		out.Nodes[u].Neighbors = cs.shrinkNeighbors(out.Nodes[u].Neighbors, e.Alpha)
 	}
 	return out
 }
@@ -30,40 +33,68 @@ func ShrinkBack(e *Execution) *Execution {
 // equals the coverage of the full set. The distributed protocol uses it
 // directly when computing (possibly incorrectly reduced) beacon powers.
 func ShrinkNeighbors(neighbors []Discovery, alpha float64) []Discovery {
+	var cs coverScratch
+	return cs.shrinkNeighbors(neighbors, alpha)
+}
+
+// coverScratch is the reusable state of the per-node coverage
+// optimizations: the coverage kernel and the direction list it is reset
+// from. Nothing stored in it outlives a single call.
+type coverScratch struct {
+	cover geom.Cover
+	dirs  []float64
+}
+
+// reset makes the directions of list, as given, the kernel's reference
+// and query set.
+func (cs *coverScratch) reset(list []Discovery, alpha float64) *geom.Cover {
+	cs.dirs = cs.dirs[:0]
+	for _, nb := range list {
+		cs.dirs = append(cs.dirs, nb.Dir)
+	}
+	cs.cover.Reset(cs.dirs, alpha)
+	return &cs.cover
+}
+
+func (cs *coverScratch) shrinkNeighbors(neighbors []Discovery, alpha float64) []Discovery {
 	if len(neighbors) == 0 {
 		return neighbors
 	}
 	sorted := append([]Discovery(nil), neighbors...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Power != sorted[j].Power {
-			return sorted[i].Power < sorted[j].Power
+	slices.SortFunc(sorted, func(a, b Discovery) int {
+		if c := cmp.Compare(a.Power, b.Power); c != 0 {
+			return c
 		}
-		if sorted[i].Dist != sorted[j].Dist {
-			return sorted[i].Dist < sorted[j].Dist
+		if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
+			return c
 		}
-		return sorted[i].ID < sorted[j].ID
+		return a.ID - b.ID
 	})
 
-	allDirs := make([]float64, len(sorted))
-	for i, nb := range sorted {
-		allDirs[i] = nb.Dir
-	}
-	full := geom.Coverage(allDirs, alpha)
-
-	// Find the minimal power-level prefix with identical coverage. Levels
-	// are contiguous runs of equal Power; binary search does not apply
-	// because coverage equality is not monotone in arbitrary prefixes,
-	// but it is monotone in whole levels: walk levels from the front.
+	// Walk the power levels (contiguous runs of equal Power) from the
+	// front: each level's directions join the kernel's query set, and
+	// the first prefix whose coverage equals the full set's is kept.
+	// When the full set covers the circle, as it does for every interior
+	// node, each test is one gap scan over the sorted prefix; otherwise
+	// the prefix's arcs are merged in the kernel's scratch. The last
+	// level is the full set itself, so it needs no test.
+	c := cs.reset(sorted, alpha)
+	c.Clear()
 	i := 0
 	for i < len(sorted) {
 		levelEnd := i + 1
 		for levelEnd < len(sorted) && samePower(sorted[levelEnd].Power, sorted[i].Power) {
 			levelEnd++
 		}
-		if geom.Coverage(allDirs[:levelEnd], alpha).Equal(full, 10*geom.Eps) {
+		if levelEnd == len(sorted) {
+			break
+		}
+		for ; i < levelEnd; i++ {
+			c.Add(sorted[i].Dir)
+		}
+		if c.Same() {
 			return sorted[:levelEnd]
 		}
-		i = levelEnd
 	}
 	return sorted
 }
@@ -133,8 +164,9 @@ func samePower(a, b float64) bool {
 // degree-minimization ablation.
 func RemoveNonContributing(e *Execution) *Execution {
 	out := e.Clone()
+	var cs coverScratch
 	for u := range out.Nodes {
-		out.Nodes[u].Neighbors = removeNonContributing(out.Nodes[u].Neighbors, e.Alpha)
+		out.Nodes[u].Neighbors = cs.removeNonContributing(out.Nodes[u].Neighbors, e.Alpha)
 	}
 	return out
 }
@@ -143,37 +175,31 @@ func RemoveNonContributing(e *Execution) *Execution {
 // RemoveNonContributing, for callers (incremental session snapshots)
 // that maintain pruned neighbor sets one node at a time.
 func RemoveNonContributingNeighbors(neighbors []Discovery, alpha float64) []Discovery {
-	return removeNonContributing(neighbors, alpha)
+	var cs coverScratch
+	return cs.removeNonContributing(neighbors, alpha)
 }
 
-func removeNonContributing(neighbors []Discovery, alpha float64) []Discovery {
+func (cs *coverScratch) removeNonContributing(neighbors []Discovery, alpha float64) []Discovery {
 	kept := append([]Discovery(nil), neighbors...)
 	sort.Slice(kept, func(i, j int) bool { return kept[i].Dist > kept[j].Dist }) // farthest first
 
-	dirsOf := func(list []Discovery) []float64 {
-		ds := make([]float64, len(list))
-		for i, nb := range list {
-			ds[i] = nb.Dir
-		}
-		return ds
-	}
-	full := geom.Coverage(dirsOf(kept), alpha)
-
+	// The reference stays the coverage of the whole list; each candidate
+	// leaves the kernel's query set and returns to it if it contributed.
+	c := cs.reset(kept, alpha)
 	for i := 0; i < len(kept); {
-		without := make([]Discovery, 0, len(kept)-1)
-		without = append(without, kept[:i]...)
-		without = append(without, kept[i+1:]...)
-		if geom.Coverage(dirsOf(without), alpha).Equal(full, 10*geom.Eps) {
-			kept = without
+		c.Remove(kept[i].Dir)
+		if c.Same() {
+			kept = slices.Delete(kept, i, i+1)
 			continue // re-test index i, now a different neighbor
 		}
+		c.Add(kept[i].Dir)
 		i++
 	}
-	sort.Slice(kept, func(i, j int) bool {
-		if kept[i].Power != kept[j].Power {
-			return kept[i].Power < kept[j].Power
+	slices.SortFunc(kept, func(a, b Discovery) int {
+		if c := cmp.Compare(a.Power, b.Power); c != 0 {
+			return c
 		}
-		return kept[i].ID < kept[j].ID
+		return a.ID - b.ID
 	})
 	return kept
 }

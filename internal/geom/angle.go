@@ -14,6 +14,12 @@ const Eps = 1e-9
 
 // Normalize maps an angle to the canonical range [0, 2π).
 func Normalize(theta float64) float64 {
+	// An angle already in range is returned as is, which is exactly what
+	// Mod does with it (−0 included) at a fraction of the cost; bearings
+	// and kept-normalized direction sets take this path.
+	if theta >= 0 && theta < TwoPi {
+		return theta
+	}
 	theta = math.Mod(theta, TwoPi)
 	if theta < 0 {
 		theta += TwoPi

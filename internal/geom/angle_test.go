@@ -25,6 +25,34 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
+// Normalize is bit for bit the Mod-based reduction, including on the
+// in-range fast path: −0, 0, just below 2π, and every other input.
+func TestNormalizeMatchesMod(t *testing.T) {
+	ref := func(theta float64) float64 {
+		theta = math.Mod(theta, TwoPi)
+		if theta < 0 {
+			theta += TwoPi
+		}
+		if theta >= TwoPi {
+			theta -= TwoPi
+		}
+		return theta
+	}
+	check := func(theta float64) bool {
+		return math.Float64bits(Normalize(theta)) == math.Float64bits(ref(theta))
+	}
+	for _, theta := range []float64{math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, math.Nextafter(TwoPi, 0), TwoPi, -1e-20, math.Pi, -math.Pi, 1e300} {
+		if !check(theta) {
+			t.Errorf("Normalize(%v) = %v, Mod reduction gives %v", theta, Normalize(theta), ref(theta))
+		}
+	}
+	if err := quick.Check(func(theta float64) bool {
+		return math.IsNaN(theta) || math.IsInf(theta, 0) || (check(theta) && check(math.Mod(theta, 20)))
+	}, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestNormalizeRangeProperty(t *testing.T) {
 	f := func(theta float64) bool {
 		if math.IsNaN(theta) || math.IsInf(theta, 0) {

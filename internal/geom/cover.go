@@ -1,61 +1,143 @@
 package geom
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"cmp"
+	"slices"
 )
 
 // arc is a closed interval [start, end] on the circle with
 // 0 ≤ start ≤ end ≤ 2π. Arcs that cross the 0 bearing are stored split
-// into two pieces, so a canonical ArcSet is a sorted list of disjoint,
+// into two pieces, so a merged arc list is a sorted list of disjoint,
 // maximal arcs (except for the possible split at 0).
 type arc struct {
 	start, end float64
 }
 
-func (a arc) length() float64 { return a.end - a.start }
+// coverTol is the per-endpoint tolerance of a coverage comparison.
+const coverTol = 10 * Eps
 
-// ArcSet is a union of arcs on the unit circle. It represents
-// cover_α(dir) from §3.1 of the paper: the set of bearings within α/2 of
-// some direction in dir. The zero value is the empty set.
-type ArcSet struct {
-	full bool
-	arcs []arc
+// refKind classifies a Cover's reference coverage.
+type refKind uint8
+
+const (
+	refEmpty refKind = iota // no directions: covers nothing
+	refFull                 // no α-gap (or α ≥ 2π): covers the whole circle
+	refArcs                 // an α-gap: covers the arcs in refArcs
+)
+
+// Cover decides whether a direction set has the same α-coverage as a
+// reference set — cover_α of §3.1, the union over the directions d of
+// the arcs [d−α/2, d+α/2] — without building arc sets per query. It is
+// the test shrink-back and the §4 repair run on every candidate prefix
+// or removal.
+//
+// Reset installs the reference, which is also the initial query set;
+// Clear, Add and Remove edit the query set and Same compares it with
+// the reference. When the reference covers the whole circle — the case
+// of every interior node — coverage equality is exactly the absence of
+// an α-gap in the query set, a linear scan over a sorted slice kept
+// up to date by Add and Remove. Otherwise the query's arcs are merged
+// into reused scratch and compared with the reference's, up to 10·Eps
+// per arc endpoint after the split arc at 0 is joined. A warmed Cover
+// allocates nothing. The zero value is ready for Reset; a Cover is not
+// safe for concurrent use.
+type Cover struct {
+	alpha   float64
+	ref     refKind
+	refArcs []arc     // merged arcs of the reference, when ref is refArcs
+	sorted  []float64 // query set, normalized and ascending
+	dirs    []float64 // query set as given: the arc endpoints derive from these
+	arcs    []arc     // scratch for the query's merged arcs
 }
 
-// Coverage computes cover_α(dirs): the union over d ∈ dirs of the arc
-// [d-α/2, d+α/2]. A non-positive alpha with no directions yields the
-// empty set; alpha ≥ 2π or a direction set with no α-gap yields the full
-// circle.
-func Coverage(dirs []float64, alpha float64) ArcSet {
-	if len(dirs) == 0 {
-		return ArcSet{}
+// Reset makes dirs both the reference set and the query set, for cone
+// angle alpha. Arc endpoints derive from each direction exactly as
+// given: for d outside [0, 2π), Normalize(d−α/2) can differ in the last
+// bit from Normalize(Normalize(d)−α/2), so a caller whose decisions are
+// defined on normalized directions passes normalized ones.
+func (c *Cover) Reset(dirs []float64, alpha float64) {
+	c.alpha = alpha
+	c.dirs = append(c.dirs[:0], dirs...)
+	c.sorted = c.sorted[:0]
+	for _, d := range dirs {
+		c.sorted = append(c.sorted, Normalize(d))
 	}
-	if alpha >= TwoPi {
-		return ArcSet{full: true}
+	slices.Sort(c.sorted)
+	switch {
+	case len(dirs) == 0:
+		c.ref = refEmpty
+	case alpha >= TwoPi || !HasGapSorted(c.sorted, alpha):
+		c.ref = refFull
+	default:
+		c.ref = refArcs
+		c.refArcs = mergeArcs(c.refArcs[:0], dirs, alpha)
 	}
-	// Duality with the gap test: the circle is fully covered exactly when
-	// no counterclockwise gap between consecutive directions exceeds α.
-	if !HasGap(dirs, alpha) {
-		return ArcSet{full: true}
-	}
+}
 
+// Clear empties the query set; the reference is kept.
+func (c *Cover) Clear() {
+	c.sorted = c.sorted[:0]
+	c.dirs = c.dirs[:0]
+}
+
+// Add inserts direction d into the query set.
+func (c *Cover) Add(d float64) {
+	c.sorted = InsertSorted(c.sorted, d)
+	c.dirs = append(c.dirs, d)
+}
+
+// Remove deletes one occurrence of d, as passed to Reset or Add, from
+// the query set; d must be in it.
+func (c *Cover) Remove(d float64) {
+	j := slices.Index(c.dirs, d)
+	c.dirs[j] = c.dirs[len(c.dirs)-1]
+	c.dirs = c.dirs[:len(c.dirs)-1]
+	i, _ := slices.BinarySearch(c.sorted, Normalize(d))
+	c.sorted = slices.Delete(c.sorted, i, i+1)
+}
+
+// Same reports whether the query set's α-coverage equals the
+// reference's. The empty set equals only the empty set; a full circle
+// equals only a full circle; two partial coverages are equal when their
+// arcs agree endpoint by endpoint within 10·Eps.
+func (c *Cover) Same() bool {
+	if len(c.sorted) == 0 {
+		return c.ref == refEmpty
+	}
+	full := c.alpha >= TwoPi || !HasGapSorted(c.sorted, c.alpha)
+	switch c.ref {
+	case refEmpty:
+		return false
+	case refFull:
+		return full
+	}
+	if full {
+		return false
+	}
+	c.arcs = mergeArcs(c.arcs[:0], c.dirs, c.alpha)
+	return equalArcs(c.arcs, c.refArcs)
+}
+
+// mergeArcs appends to dst the union of the arcs [d−α/2, d+α/2] over
+// dirs, split at 0 where an arc crosses it, sorted by start and merged
+// where one arc starts within Eps of the previous end. Arcs with equal
+// starts merge to the same result in any order, so the sort need not
+// be stable.
+func mergeArcs(dst []arc, dirs []float64, alpha float64) []arc {
 	half := alpha / 2
-	raw := make([]arc, 0, len(dirs)+1)
 	for _, d := range dirs {
 		start := Normalize(d - half)
 		end := start + alpha
 		if end > TwoPi {
-			raw = append(raw, arc{start, TwoPi}, arc{0, end - TwoPi})
+			dst = append(dst, arc{start, TwoPi}, arc{0, end - TwoPi})
 		} else {
-			raw = append(raw, arc{start, end})
+			dst = append(dst, arc{start, end})
 		}
 	}
-	sort.Slice(raw, func(i, j int) bool { return raw[i].start < raw[j].start })
+	slices.SortFunc(dst, func(a, b arc) int { return cmp.Compare(a.start, b.start) })
 
-	merged := raw[:1]
-	for _, a := range raw[1:] {
+	merged := dst[:1]
+	for _, a := range dst[1:] {
 		last := &merged[len(merged)-1]
 		if a.start <= last.end+Eps {
 			if a.end > last.end {
@@ -65,103 +147,48 @@ func Coverage(dirs []float64, alpha float64) ArcSet {
 			merged = append(merged, a)
 		}
 	}
-	return ArcSet{arcs: merged}
+	return merged
 }
 
-// IsFull reports whether the set covers the entire circle.
-func (s ArcSet) IsFull() bool { return s.full }
-
-// IsEmpty reports whether the set covers nothing.
-func (s ArcSet) IsEmpty() bool { return !s.full && len(s.arcs) == 0 }
-
-// TotalLength returns the total angular measure covered, in [0, 2π].
-func (s ArcSet) TotalLength() float64 {
-	if s.full {
-		return TwoPi
+// equalArcs compares two merged arc lists endpoint by endpoint within
+// coverTol, after joining each list's split arc at 0: a list whose
+// first arc starts at 0 and whose last ends at 2π compares as if those
+// two were one arc starting at a negative angle.
+func equalArcs(a, b []arc) bool {
+	wa, wb := wrapsZero(a), wrapsZero(b)
+	n := len(a)
+	if wa {
+		n--
 	}
-	var sum float64
-	for _, a := range s.arcs {
-		sum += a.length()
+	m := len(b)
+	if wb {
+		m--
 	}
-	return sum
-}
-
-// Contains reports whether bearing theta is covered (within Eps).
-func (s ArcSet) Contains(theta float64) bool {
-	if s.full {
-		return true
-	}
-	t := Normalize(theta)
-	for _, a := range s.arcs {
-		if t >= a.start-Eps && t <= a.end+Eps {
-			return true
-		}
-	}
-	return false
-}
-
-// Equal reports whether two arc sets cover the same bearings, up to the
-// angular tolerance tol applied to each arc endpoint.
-func (s ArcSet) Equal(o ArcSet, tol float64) bool {
-	if s.full || o.full {
-		return s.full == o.full
-	}
-	a, b := s.canonical(), o.canonical()
-	if len(a) != len(b) {
+	if n != m {
 		return false
 	}
-	for i := range a {
-		if absf(a[i].start-b[i].start) > tol || absf(a[i].end-b[i].end) > tol {
+	for i := 0; i < n; i++ {
+		x, y := joinedArc(a, wa, i), joinedArc(b, wb, i)
+		if absf(x.start-y.start) > coverTol || absf(x.end-y.end) > coverTol {
 			return false
 		}
 	}
 	return true
 }
 
-// canonical merges the wrap-around split so that structurally different
-// but geometrically identical sets compare equal. A set that covers the
-// 0 bearing is rotated so that its arc crossing 0 is expressed as a
-// single arc starting at a negative angle.
-func (s ArcSet) canonical() []arc {
-	if len(s.arcs) < 2 {
-		return s.arcs
-	}
-	first, last := s.arcs[0], s.arcs[len(s.arcs)-1]
-	if first.start <= Eps && last.end >= TwoPi-Eps {
-		merged := make([]arc, 0, len(s.arcs)-1)
-		merged = append(merged, arc{last.start - TwoPi, first.end})
-		merged = append(merged, s.arcs[1:len(s.arcs)-1]...)
-		sort.Slice(merged, func(i, j int) bool { return merged[i].start < merged[j].start })
-		return merged
-	}
-	return s.arcs
+// wrapsZero reports whether a merged list's first and last arcs are the
+// two halves of one arc crossing the 0 bearing.
+func wrapsZero(arcs []arc) bool {
+	return len(arcs) >= 2 && arcs[0].start <= Eps && arcs[len(arcs)-1].end >= TwoPi-Eps
 }
 
-// String implements fmt.Stringer; bearings are printed in degrees.
-func (s ArcSet) String() string {
-	if s.full {
-		return "{full circle}"
+// joinedArc returns arc i of the list with its split at 0 joined: the
+// joined arc comes first, followed by arcs[1:len-1].
+func joinedArc(arcs []arc, wrapped bool, i int) arc {
+	if wrapped && i == 0 {
+		return arc{arcs[len(arcs)-1].start - TwoPi, arcs[0].end}
 	}
-	if len(s.arcs) == 0 {
-		return "{}"
-	}
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, a := range s.arcs {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "[%.2f°, %.2f°]", Degrees(a.start), Degrees(a.end))
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-// SameCoverage reports whether two direction sets yield identical
-// α-coverage. It is the test the shrink-back optimization performs when
-// deciding whether dropping high-power discoveries is safe.
-func SameCoverage(dirsA, dirsB []float64, alpha float64) bool {
-	return Coverage(dirsA, alpha).Equal(Coverage(dirsB, alpha), 10*Eps)
+	return arcs[i]
 }
 
 func absf(x float64) float64 {

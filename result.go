@@ -38,8 +38,11 @@ type Result struct {
 	model radio.Model
 }
 
-func newResult(nodes []Point, m radio.Model, topo *core.Topology, workers int) *Result {
-	return newResultWithGR(nodes, m, topo, core.MaxPowerGraphParallel(nodes, m, workers))
+// newResult builds a Result whose G_R is the maximum-power graph under
+// the engine's propagation authority — the shadowed radio on a
+// WithShadowing engine, the radio G was grown under.
+func (e *Engine) newResult(nodes []Point, topo *core.Topology, workers int) *Result {
+	return newResultWithGR(nodes, e.model, topo, core.MaxPowerGraphParallel(nodes, e.prop, workers))
 }
 
 // newResultWithGR builds a Result against a caller-supplied ground-truth

@@ -212,10 +212,11 @@ func (e *Engine) sessionFromExec(ctx context.Context, nodes []Point, exec *core.
 		n := len(nodes)
 		s.pruned = make([][]core.Discovery, n)
 		pruneWorkers := core.ResolveWorkers(workers, n)
+		runners := make([]core.NodeRunner, pruneWorkers)
 		// The per-node prune (coverage arithmetic when shrink-back is on)
 		// is embarrassingly parallel, like the oracle itself.
-		if err := core.ParallelRange(ctx, n, pruneWorkers, func(_, u int) {
-			s.pruned[u] = e.pruneNeighbors(exec.Nodes[u].Neighbors)
+		if err := core.ParallelRange(ctx, n, pruneWorkers, func(w, u int) {
+			s.pruned[u] = e.pruneNeighbors(exec.Nodes[u].Neighbors, &runners[w])
 		}); err != nil {
 			return nil, err
 		}
@@ -244,14 +245,14 @@ func (e *Engine) sessionFromExec(ctx context.Context, nodes []Point, exec *core.
 
 // pruneNeighbors applies the engine's per-node-local optimizations in
 // BuildTopology's order: shrink-back (op1), then the non-contributing
-// degree reduction. Pairwise removal is global and never goes through
-// here.
-func (e *Engine) pruneNeighbors(nbrs []core.Discovery) []core.Discovery {
+// degree reduction, on the worker's runner scratch. Pairwise removal is
+// global and never goes through here.
+func (e *Engine) pruneNeighbors(nbrs []core.Discovery, r *core.NodeRunner) []core.Discovery {
 	if e.opts.ShrinkBack {
-		nbrs = core.ShrinkNeighbors(nbrs, e.cfg.Alpha)
+		nbrs = r.ShrinkNeighbors(nbrs, e.cfg.Alpha)
 	}
 	if e.opts.NonContributing {
-		nbrs = core.RemoveNonContributingNeighbors(nbrs, e.cfg.Alpha)
+		nbrs = r.RemoveNonContributingNeighbors(nbrs, e.cfg.Alpha)
 	}
 	return nbrs
 }
@@ -486,7 +487,7 @@ func (s *Session) snapshotLocked() (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cbtc: session snapshot: %w", err)
 	}
-	gr := core.MaxPowerGraphParallel(s.pos, s.eng.model, s.workers)
+	gr := core.MaxPowerGraphParallel(s.pos, s.eng.prop, s.workers)
 	for u := range s.alive {
 		if !s.alive[u] {
 			gr.IsolateNode(u)
@@ -939,7 +940,7 @@ func (s *Session) recompute(ids []int) []int {
 			rec: core.NewReconfigurator(s.eng.cfg.Alpha, s.eng.model, nr.Neighbors),
 		}
 		if s.incremental {
-			rc.pruned = s.eng.pruneNeighbors(nr.Neighbors)
+			rc.pruned = s.eng.pruneNeighbors(nr.Neighbors, &runners[w])
 		}
 		results[i] = rc
 	})
