@@ -118,34 +118,11 @@ func (e *Engine) baselineIndexed(kind BaselineKind, nodes []Point, ix *baseline.
 // the Gabriel graph (β = 1). Connectivity of the max-power graph is
 // preserved for β ≤ 2 (the skeleton then contains the Euclidean MST).
 func (e *Engine) BetaSkeleton(beta float64, nodes []Point) (*Result, error) {
-	g, err := baseline.BetaSkeleton(nodes, e.model.MaxRadius, beta)
+	g, err := baseline.NewPropagationIndex(nodes, e.prop).BetaSkeleton(beta)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
 	return baselineResultWithGR(nodes, e.model, g, core.MaxPowerGraph(nodes, e.prop)), nil
-}
-
-// RunBaseline builds the selected position-based topology using a
-// throwaway Engine.
-//
-// Deprecated: build an Engine with New and call Engine.Baseline.
-func RunBaseline(kind BaselineKind, nodes []Point, cfg Config) (*Result, error) {
-	eng, err := New(WithConfig(cfg))
-	if err != nil {
-		return nil, err
-	}
-	return eng.Baseline(kind, nodes)
-}
-
-// RunBetaSkeleton builds the β-skeleton using a throwaway Engine.
-//
-// Deprecated: build an Engine with New and call Engine.BetaSkeleton.
-func RunBetaSkeleton(beta float64, nodes []Point, cfg Config) (*Result, error) {
-	eng, err := New(WithConfig(cfg))
-	if err != nil {
-		return nil, err
-	}
-	return eng.BetaSkeleton(beta, nodes)
 }
 
 func baselineResultWithGR(nodes []Point, m radio.Model, g, gr *graph.Graph) *Result {
@@ -187,62 +164,54 @@ type ComparisonRow struct {
 
 // CompareBaselines runs CBTC (max power, basic 5π/6, all-ops at both
 // cone angles) next to every position-based comparator on the same
-// placement, fanning the independent constructions across the batch
-// worker pool. Only cfg's radio-model fields are read — MaxRadius and
-// PathLossExponent; Alpha and the optimization flags are ignored, as
-// each row fixes its own cone angle and stack.
+// placement, on the free-space radio of maximum radius maxRadius,
+// fanning the independent constructions across the batch worker pool.
 //
 // The position-based rows share one spatial index and one ground-truth
 // G_R built up front for the placement, so the per-row cost is the
 // construction itself, not repeated quadratic scans; the returned
 // baseline Results consequently share their GR graph (callers must not
 // mutate it).
-func CompareBaselines(ctx context.Context, nodes []Point, cfg Config) ([]ComparisonRow, error) {
-	base := Config{MaxRadius: cfg.MaxRadius, PathLossExponent: cfg.PathLossExponent}
-	cfg23 := base
-	cfg23.Alpha = AlphaAsymmetric
+func CompareBaselines(ctx context.Context, nodes []Point, maxRadius float64) ([]ComparisonRow, error) {
+	kinds := BaselineKinds()
+	plan := planShards(0, 4+len(kinds)) // four CBTC rows, then the comparators
+	// Row engines run inside the shard pool: give each the plan's inner
+	// budget, not a full GOMAXPROCS pool of its own.
+	base, err := New(WithMaxRadius(maxRadius), WithWorkers(plan.inner))
+	if err != nil {
+		return nil, err
+	}
+	ix := baseline.NewPropagationIndex(nodes, base.prop)
+	gr := core.MaxPowerGraph(nodes, base.prop)
 
 	type spec struct {
 		name           string
 		needsPositions bool
+		opts           []Option // layered over base
 		run            func(ctx context.Context, eng *Engine) (*Result, error)
-		cfg            Config
+	}
+	runCBTC := func(ctx context.Context, eng *Engine) (*Result, error) {
+		return eng.Run(ctx, nodes)
 	}
 	specs := []spec{
-		{"max power", false, func(_ context.Context, eng *Engine) (*Result, error) {
+		{"max power", false, nil, func(_ context.Context, eng *Engine) (*Result, error) {
 			return eng.MaxPower(nodes)
-		}, base},
-		{"CBTC basic 5π/6", false, func(ctx context.Context, eng *Engine) (*Result, error) {
-			return eng.Run(ctx, nodes)
-		}, base},
-		{"CBTC all-ops 5π/6", false, func(ctx context.Context, eng *Engine) (*Result, error) {
-			return eng.Run(ctx, nodes)
-		}, base.AllOptimizations()},
-		{"CBTC all-ops 2π/3", false, func(ctx context.Context, eng *Engine) (*Result, error) {
-			return eng.Run(ctx, nodes)
-		}, cfg23.AllOptimizations()},
+		}},
+		{"CBTC basic 5π/6", false, nil, runCBTC},
+		{"CBTC all-ops 5π/6", false, []Option{WithAllOptimizations()}, runCBTC},
+		{"CBTC all-ops 2π/3", false, []Option{WithAlpha(AlphaAsymmetric), WithAllOptimizations()}, runCBTC},
 	}
-	refEng, refErr := New(WithConfig(base))
-	if refErr != nil {
-		return nil, refErr
-	}
-	ix := baseline.NewIndex(nodes, refEng.model.MaxRadius)
-	gr := core.MaxPowerGraph(nodes, refEng.model)
-	for _, kind := range BaselineKinds() {
-		kind := kind
-		specs = append(specs, spec{kind.String() + " (positions)", true,
+	for _, kind := range kinds {
+		specs = append(specs, spec{kind.String() + " (positions)", true, nil,
 			func(_ context.Context, eng *Engine) (*Result, error) {
 				return eng.baselineIndexed(kind, nodes, ix, gr)
-			}, base})
+			}})
 	}
 
 	rows := make([]ComparisonRow, len(specs))
-	plan := planShards(0, len(specs))
-	err := plan.run(ctx, len(specs), func(ctx context.Context, i int) error {
+	err = plan.run(ctx, len(specs), func(ctx context.Context, i int) error {
 		sp := specs[i]
-		// Spec engines run inside the shard pool: give each the plan's
-		// inner budget, not a full GOMAXPROCS pool of its own.
-		eng, err := New(WithConfig(sp.cfg), WithWorkers(plan.inner))
+		eng, err := base.derive(sp.opts...)
 		if err != nil {
 			return fmt.Errorf("%s: %w", sp.name, err)
 		}

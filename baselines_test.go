@@ -1,17 +1,21 @@
 package cbtc
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
+
+	"cbtc/internal/workload"
 )
 
 func TestRunBaselineKinds(t *testing.T) {
 	nodes := someNetwork(20, 80)
+	eng := paperEngine(t)
 	for _, kind := range BaselineKinds() {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
-			res, err := RunBaseline(kind, nodes, paperConfig())
+			res, err := eng.Baseline(kind, nodes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -34,11 +38,65 @@ func TestRunBaselineKinds(t *testing.T) {
 }
 
 func TestRunBaselineUnknownKind(t *testing.T) {
-	if _, err := RunBaseline(BaselineKind(99), someNetwork(1, 5), paperConfig()); !errors.Is(err, ErrBadConfig) {
+	if _, err := paperEngine(t).Baseline(BaselineKind(99), someNetwork(1, 5)); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("err = %v, want ErrBadConfig", err)
 	}
 	if got := BaselineKind(99).String(); got != "BaselineKind(99)" {
 		t.Errorf("String = %q", got)
+	}
+}
+
+// CompareBaselines lists the four CBTC rows and then one row per
+// comparator, and every row equals the same construction on a
+// standalone Engine of the given radius.
+func TestCompareBaselines(t *testing.T) {
+	nodes := someNetwork(26, 80)
+	ctx := context.Background()
+	rows, err := CompareBaselines(ctx, nodes, workload.PaperRadius)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := paperEngine(t)
+	runOn := func(eng *Engine) *Result {
+		t.Helper()
+		res, err := eng.Run(ctx, nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	maxp, err := eng.MaxPower(nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type wantRow struct {
+		name string
+		res  *Result
+	}
+	want := []wantRow{
+		{"max power", maxp},
+		{"CBTC basic 5π/6", runOn(eng)},
+		{"CBTC all-ops 5π/6", runOn(paperEngine(t, WithAllOptimizations()))},
+		{"CBTC all-ops 2π/3", runOn(paperEngine(t, WithAlpha(AlphaAsymmetric), WithAllOptimizations()))},
+	}
+	for _, kind := range BaselineKinds() {
+		res, err := eng.Baseline(kind, nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, wantRow{kind.String() + " (positions)", res})
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("%d rows, want %d", len(rows), len(want))
+	}
+	for i, row := range rows {
+		if row.Name != want[i].name || row.NeedsPositions != (i >= 4) {
+			t.Fatalf("row %d = %q (positions %v), want %q", i, row.Name, row.NeedsPositions, want[i].name)
+		}
+		t.Run(row.Name, func(t *testing.T) { requireResultsIdentical(t, want[i].res, row.Result) })
+	}
+	if _, err := CompareBaselines(ctx, nodes, -1); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("negative radius: got %v, want ErrBadConfig", err)
 	}
 }
 
@@ -47,11 +105,11 @@ func TestRunBaselineUnknownKind(t *testing.T) {
 // position-based constructions, without any position information.
 func TestCBTCCompetitiveWithBaselines(t *testing.T) {
 	nodes := someNetwork(21, 100)
-	cbtcRes, err := Run(nodes, paperConfig().AllOptimizations())
+	cbtcRes, err := paperEngine(t, WithAllOptimizations()).Run(context.Background(), nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng, err := RunBaseline(BaselineRNG, nodes, paperConfig())
+	rng, err := paperEngine(t).Baseline(BaselineRNG, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +126,11 @@ func TestCBTCCompetitiveWithBaselines(t *testing.T) {
 // nothing beats its bottleneck.
 func TestMinMaxRadiusOptimality(t *testing.T) {
 	nodes := someNetwork(22, 60)
-	mm, err := RunBaseline(BaselineMinMaxRadius, nodes, paperConfig())
+	mm, err := paperEngine(t).Baseline(BaselineMinMaxRadius, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cbtcRes, err := Run(nodes, paperConfig().AllOptimizations())
+	cbtcRes, err := paperEngine(t, WithAllOptimizations()).Run(context.Background(), nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +145,11 @@ func TestMinMaxRadiusOptimality(t *testing.T) {
 
 func TestInterferenceReduction(t *testing.T) {
 	nodes := someNetwork(23, 100)
-	maxp, err := MaxPowerTopology(nodes, paperConfig())
+	maxp, err := paperEngine(t).MaxPower(nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := Run(nodes, paperConfig().AllOptimizations())
+	opt, err := paperEngine(t, WithAllOptimizations()).Run(context.Background(), nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +165,11 @@ func TestInterferenceReduction(t *testing.T) {
 
 func TestDiameterGrowsUnderSparsification(t *testing.T) {
 	nodes := someNetwork(24, 100)
-	maxp, err := MaxPowerTopology(nodes, paperConfig())
+	maxp, err := paperEngine(t).MaxPower(nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := Run(nodes, paperConfig().AllOptimizations())
+	opt, err := paperEngine(t, WithAllOptimizations()).Run(context.Background(), nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +185,7 @@ func TestDiameterGrowsUnderSparsification(t *testing.T) {
 func TestBiconnectivityReporting(t *testing.T) {
 	// A dense clique-ish placement is biconnected at max power.
 	nodes := []Point{Pt(0, 0), Pt(100, 0), Pt(50, 80), Pt(60, 30)}
-	maxp, err := MaxPowerTopology(nodes, Config{MaxRadius: 500})
+	maxp, err := paperEngine(t).MaxPower(nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +197,7 @@ func TestBiconnectivityReporting(t *testing.T) {
 	}
 	// A chain is connected but not biconnected; every interior node cuts.
 	chain := []Point{Pt(0, 0), Pt(400, 0), Pt(800, 0), Pt(1200, 0)}
-	res, err := Run(chain, Config{MaxRadius: 500})
+	res, err := paperEngine(t).Run(context.Background(), chain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,22 +211,23 @@ func TestBiconnectivityReporting(t *testing.T) {
 
 func TestRunBetaSkeletonPublicAPI(t *testing.T) {
 	nodes := someNetwork(25, 60)
-	gg, err := RunBaseline(BaselineGabriel, nodes, paperConfig())
+	eng := paperEngine(t)
+	gg, err := eng.Baseline(BaselineGabriel, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, err := RunBetaSkeleton(1, nodes, paperConfig())
+	b1, err := eng.BetaSkeleton(1, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !b1.G.Equal(gg.G) {
 		t.Errorf("β=1 skeleton must equal the Gabriel graph")
 	}
-	rng, err := RunBaseline(BaselineRNG, nodes, paperConfig())
+	rng, err := eng.Baseline(BaselineRNG, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := RunBetaSkeleton(2, nodes, paperConfig())
+	b2, err := eng.BetaSkeleton(2, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +237,7 @@ func TestRunBetaSkeletonPublicAPI(t *testing.T) {
 	if !b2.PreservesConnectivity() {
 		t.Errorf("β=2 skeleton must preserve connectivity")
 	}
-	if _, err := RunBetaSkeleton(0.5, nodes, paperConfig()); !errors.Is(err, ErrBadConfig) {
+	if _, err := eng.BetaSkeleton(0.5, nodes); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("β < 1 must be rejected, got %v", err)
 	}
 }

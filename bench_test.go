@@ -251,7 +251,7 @@ func BenchmarkPairwisePolicy(b *testing.B) {
 
 // Extension X1: empirical stretch factors of the final topology.
 func BenchmarkPowerStretch(b *testing.B) {
-	res, err := Run(benchNetwork, Config{MaxRadius: workload.PaperRadius}.AllOptimizations())
+	res, err := paperEngine(b, WithAllOptimizations()).Run(context.Background(), benchNetwork)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -301,14 +301,14 @@ func BenchmarkShrinkGranularity(b *testing.B) {
 
 // Extension X4: the related-work baselines on the paper's workload.
 func BenchmarkBaselines(b *testing.B) {
-	cfg := Config{MaxRadius: workload.PaperRadius}
+	eng := paperEngine(b)
 	for _, kind := range BaselineKinds() {
 		kind := kind
 		b.Run(kind.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			var deg float64
 			for i := 0; i < b.N; i++ {
-				res, err := RunBaseline(kind, benchNetwork, cfg)
+				res, err := eng.Baseline(kind, benchNetwork)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -325,7 +325,7 @@ func BenchmarkBaselines(b *testing.B) {
 // Interference reduction (the motivation in §1 for fewer, shorter
 // edges).
 func BenchmarkInterference(b *testing.B) {
-	res, err := Run(benchNetwork, Config{MaxRadius: workload.PaperRadius}.AllOptimizations())
+	res, err := paperEngine(b, WithAllOptimizations()).Run(context.Background(), benchNetwork)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -654,7 +654,7 @@ func BenchmarkFleet(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			fleet, err := eng.NewFleet(ctx, FleetConfig{Placements: placements, Seed: 11, Workers: tc.workers})
+			fleet, err := eng.NewFleet(ctx, FleetConfig{Members: oracleMembers(placements), Seed: 11, Workers: tc.workers})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -25,6 +25,12 @@
 //	)
 //	res, err := eng.Run(ctx, nodes)
 //
+// Options are the only way to configure an Engine. The radio is the
+// paper's power law p(d) = d^n with maximum radius R: WithMaxRadius sets
+// R and is required, WithPathLoss sets n (default 2), and WithShadowing
+// adds deterministic per-link shadowing on top. Engine.Config and
+// Engine.RadioModel report the resolved configuration.
+//
 // An Engine offers three executors with one output type:
 //
 //   - Engine.Run computes the topology under the exact minimal-power
@@ -49,16 +55,9 @@
 // returns the live Result at any point. The maintained state always
 // equals what a fresh Engine.Run over the current live placement would
 // produce.
-//
-// # Legacy API
-//
-// The original one-shot functions Run, Simulate and MaxPowerTopology
-// remain as thin wrappers that build a throwaway Engine from a Config;
-// new code should construct an Engine once and reuse it.
 package cbtc
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -66,7 +65,6 @@ import (
 	"cbtc/internal/core"
 	"cbtc/internal/geom"
 	"cbtc/internal/graph"
-	"cbtc/internal/radio"
 )
 
 // Point is a node position in the plane.
@@ -109,71 +107,39 @@ const (
 	AlphaAsymmetric = core.AlphaAsymmetric
 )
 
-// ErrBadConfig reports an invalid Config.
+// ErrBadConfig reports an invalid Engine configuration.
 var ErrBadConfig = errors.New("cbtc: invalid config")
 
 // Pt is shorthand for Point{X: x, Y: y}.
 func Pt(x, y float64) Point { return geom.Pt(x, y) }
 
-// Config selects the cone angle, the radio model, and the optimization
-// stack. The zero value is not valid: MaxRadius must be positive.
-//
-// Config remains the configuration record behind the legacy one-shot
-// functions and can seed an Engine through WithConfig; new code usually
-// builds the Engine from individual options instead.
+// Config is the resolved cone angle and optimization stack an Engine
+// reports through Engine.Config. Engines are configured with options
+// (WithAlpha, WithShrinkBack, …); the radio is reported separately by
+// Engine.RadioModel.
 type Config struct {
-	// Alpha is the cone angle in radians. Zero means AlphaConnectivity
-	// (5π/6). Must be in (0, 2π]; connectivity is only guaranteed for
-	// Alpha ≤ 5π/6.
+	// Alpha is the cone angle in radians, in (0, 2π]; connectivity is
+	// only guaranteed for Alpha ≤ 5π/6.
 	Alpha float64
-	// MaxRadius is R: the distance reachable at maximum power. Required.
-	MaxRadius float64
-	// PathLossExponent is the power-law exponent n in p(d) = d^n.
-	// Zero means 2 (free space).
-	PathLossExponent float64
 
-	// ShrinkBack enables optimization 1 (§3.1).
+	// ShrinkBack reports optimization 1 (§3.1).
 	ShrinkBack bool
-	// AsymmetricRemoval enables optimization 2 (§3.2); requires
+	// AsymmetricRemoval reports optimization 2 (§3.2); it requires
 	// Alpha ≤ 2π/3.
 	AsymmetricRemoval bool
-	// PairwiseRemoval enables optimization 3 (§3.3); the policy is
-	// selected by PairwisePolicy.
+	// PairwiseRemoval reports optimization 3 (§3.3) under
+	// PairwisePolicy.
 	PairwiseRemoval bool
-	// PairwisePolicy selects the §3.3 removal rule; the zero value means
-	// PairwiseLengthFiltered, the paper's practical rule.
+	// PairwisePolicy is the §3.3 removal rule as configured; the zero
+	// value means PairwiseLengthFiltered, the paper's practical rule.
 	PairwisePolicy PairwisePolicy
-	// RemoveAllRedundant switches PairwiseRemoval to delete every
-	// redundant edge (the full Theorem 3.6 setting).
-	//
-	// Deprecated: set PairwisePolicy to PairwiseRemoveAll instead. The
-	// field is still honored when PairwisePolicy is zero.
-	RemoveAllRedundant bool
 }
 
-// resolvedPairwisePolicy returns the §3.3 policy in effect, merging the
-// explicit PairwisePolicy field with the deprecated RemoveAllRedundant
-// flag. Zero means the BuildTopology default (PairwiseLengthFiltered).
-func (c Config) resolvedPairwisePolicy() PairwisePolicy {
-	if c.PairwisePolicy != 0 {
-		return c.PairwisePolicy
-	}
-	if c.RemoveAllRedundant {
-		return PairwiseRemoveAll
-	}
-	return 0
-}
-
-// AllOptimizations returns cfg with every optimization applicable at its
-// cone angle enabled — the paper's "with all opt" configuration. The
-// pairwise policy is resolved the same way Run resolves it: an explicit
-// PairwisePolicy wins, the deprecated RemoveAllRedundant flag maps to
-// PairwiseRemoveAll, and the default is the paper's length-filtered
-// rule.
-func (c Config) AllOptimizations() Config {
+// allOptimizations returns c with every optimization applicable at its
+// cone angle enabled — the paper's "with all opt" configuration.
+func (c Config) allOptimizations() Config {
 	c.ShrinkBack = true
 	c.PairwiseRemoval = true
-	c.PairwisePolicy = c.resolvedPairwisePolicy()
 	alpha := c.Alpha
 	if alpha == 0 {
 		alpha = AlphaConnectivity
@@ -182,51 +148,31 @@ func (c Config) AllOptimizations() Config {
 	return c
 }
 
-func (c Config) resolve() (Config, radio.Model, core.Options, error) {
+// resolve fills in the default cone angle and validates the angle and
+// the optimization stack.
+func (c Config) resolve() (Config, core.Options, error) {
 	if c.Alpha == 0 {
 		c.Alpha = AlphaConnectivity
 	}
-	if c.PathLossExponent == 0 {
-		c.PathLossExponent = radio.FreeSpaceExponent
-	}
 	if math.IsNaN(c.Alpha) || c.Alpha <= 0 || c.Alpha > 2*math.Pi {
-		return c, radio.Model{}, core.Options{}, fmt.Errorf("%w: alpha %v not in (0, 2π]", ErrBadConfig, c.Alpha)
+		return c, core.Options{}, fmt.Errorf("%w: alpha %v not in (0, 2π]", ErrBadConfig, c.Alpha)
 	}
-	m, err := radio.NewModel(c.PathLossExponent, c.MaxRadius, 1)
-	if err != nil {
-		return c, radio.Model{}, core.Options{}, fmt.Errorf("%w: %v", ErrBadConfig, err)
-	}
-	policy := c.resolvedPairwisePolicy()
-	if policy < 0 || policy > PairwiseBothEndpoints {
-		return c, radio.Model{}, core.Options{}, fmt.Errorf("%w: unknown pairwise policy %v", ErrBadConfig, policy)
+	if c.PairwisePolicy < 0 || c.PairwisePolicy > PairwiseBothEndpoints {
+		return c, core.Options{}, fmt.Errorf("%w: unknown pairwise policy %v", ErrBadConfig, c.PairwisePolicy)
 	}
 	opts := core.Options{
 		ShrinkBack:        c.ShrinkBack,
 		AsymmetricRemoval: c.AsymmetricRemoval,
 		PairwiseRemoval:   c.PairwiseRemoval,
-		PairwisePolicy:    policy,
+		PairwisePolicy:    c.PairwisePolicy,
 	}
 	if err := opts.Validate(c.Alpha); err != nil {
-		return c, radio.Model{}, core.Options{}, fmt.Errorf("%w: %v", ErrBadConfig, err)
+		return c, core.Options{}, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
-	return c, m, opts, nil
+	return c, opts, nil
 }
 
-// Run executes CBTC(α) on the placement under the exact minimal-power
-// semantics of the paper's analysis and applies the configured
-// optimization stack.
-//
-// Deprecated: build an Engine with New and call Engine.Run; it validates
-// once, honors contexts, and is safe for concurrent reuse.
-func Run(nodes []Point, cfg Config) (*Result, error) {
-	eng, err := New(WithConfig(cfg))
-	if err != nil {
-		return nil, err
-	}
-	return eng.Run(context.Background(), nodes)
-}
-
-// SimOptions configures the distributed execution of Simulate.
+// SimOptions configures the distributed execution of Engine.Simulate.
 type SimOptions struct {
 	// Seed drives all simulator randomness. Same seed, same run.
 	Seed uint64
@@ -245,30 +191,4 @@ type SimOptions struct {
 	// IncreaseFactor is the power growth multiplier per round; zero
 	// means 2 (the paper's doubling).
 	IncreaseFactor float64
-}
-
-// Simulate runs the distributed Hello/Ack protocol of the paper's
-// Figure 1 on a discrete-event radio simulator and applies the
-// configured optimization stack to the outcome.
-//
-// Deprecated: build an Engine with New and call Engine.Simulate.
-func Simulate(nodes []Point, cfg Config, sim SimOptions) (*Result, error) {
-	eng, err := New(WithConfig(cfg))
-	if err != nil {
-		return nil, err
-	}
-	return eng.Simulate(context.Background(), nodes, sim)
-}
-
-// MaxPowerTopology returns the Result of using no topology control at
-// all: every node transmits at maximum power (the paper's baseline
-// column in Table 1).
-//
-// Deprecated: build an Engine with New and call Engine.MaxPower.
-func MaxPowerTopology(nodes []Point, cfg Config) (*Result, error) {
-	eng, err := New(WithConfig(cfg))
-	if err != nil {
-		return nil, err
-	}
-	return eng.MaxPower(nodes)
 }

@@ -1,6 +1,7 @@
 package cbtc
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -8,7 +9,16 @@ import (
 	"cbtc/internal/workload"
 )
 
-func paperConfig() Config { return Config{MaxRadius: workload.PaperRadius} }
+// paperEngine builds an Engine on the paper's radius R = 500 with opts
+// layered on top.
+func paperEngine(t testing.TB, opts ...Option) *Engine {
+	t.Helper()
+	eng, err := New(append([]Option{WithMaxRadius(workload.PaperRadius)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
 
 func someNetwork(seed uint64, n int) []Point {
 	return workload.Uniform(workload.Rand(seed), n, 1500, 1500)
@@ -16,7 +26,7 @@ func someNetwork(seed uint64, n int) []Point {
 
 func TestRunDefaults(t *testing.T) {
 	nodes := someNetwork(1, 60)
-	res, err := Run(nodes, paperConfig())
+	res, err := paperEngine(t).Run(context.Background(), nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,52 +52,57 @@ func TestRunDefaults(t *testing.T) {
 	}
 }
 
+// TestRunConfigValidation: a bad radius, α or exponent is refused when
+// New assembles the engine, so no engine exists to run with it.
 func TestRunConfigValidation(t *testing.T) {
-	nodes := someNetwork(2, 10)
 	tests := []struct {
 		name string
-		cfg  Config
+		opts []Option
 	}{
-		{"zero radius", Config{}},
-		{"negative radius", Config{MaxRadius: -5}},
-		{"alpha too big", Config{MaxRadius: 500, Alpha: 7}},
-		{"nan alpha", Config{MaxRadius: 500, Alpha: math.NaN()}},
-		{"asym above 2π/3", Config{MaxRadius: 500, Alpha: AlphaConnectivity, AsymmetricRemoval: true}},
-		{"bad exponent", Config{MaxRadius: 500, PathLossExponent: 0.5}},
+		{"zero radius", []Option{WithMaxRadius(0)}},
+		{"negative radius", []Option{WithMaxRadius(-5)}},
+		{"alpha too big", []Option{WithMaxRadius(500), WithAlpha(7)}},
+		{"nan alpha", []Option{WithMaxRadius(500), WithAlpha(math.NaN())}},
+		{"asym above 2π/3", []Option{WithMaxRadius(500), WithAlpha(AlphaConnectivity), WithAsymmetricRemoval()}},
+		{"bad exponent", []Option{WithMaxRadius(500), WithPathLoss(0.5)}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := Run(nodes, tt.cfg); !errors.Is(err, ErrBadConfig) {
-				t.Errorf("Run error = %v, want ErrBadConfig", err)
+			eng, err := New(tt.opts...)
+			if !errors.Is(err, ErrBadConfig) {
+				t.Errorf("New error = %v, want ErrBadConfig", err)
+			}
+			if eng != nil {
+				t.Errorf("New returned an engine alongside %v", err)
 			}
 		})
 	}
 }
 
 func TestAllOptimizations(t *testing.T) {
-	cfg := paperConfig().AllOptimizations()
+	eng := paperEngine(t, WithAllOptimizations())
+	cfg := eng.Config()
 	if !cfg.ShrinkBack || !cfg.PairwiseRemoval {
-		t.Errorf("AllOptimizations must enable op1 and op3")
+		t.Errorf("WithAllOptimizations must enable op1 and op3")
 	}
 	if cfg.AsymmetricRemoval {
 		t.Errorf("asym removal must stay off at the default α=5π/6")
 	}
-	cfg23 := Config{MaxRadius: 500, Alpha: AlphaAsymmetric}.AllOptimizations()
-	if !cfg23.AsymmetricRemoval {
+	if !paperEngine(t, WithAlpha(AlphaAsymmetric), WithAllOptimizations()).Config().AsymmetricRemoval {
 		t.Errorf("asym removal must be on at α=2π/3")
 	}
-	if _, err := Run(someNetwork(3, 40), cfg); err != nil {
+	if _, err := eng.Run(context.Background(), someNetwork(3, 40)); err != nil {
 		t.Errorf("all-optimizations run failed: %v", err)
 	}
 }
 
 func TestOptimizationsReducePower(t *testing.T) {
 	nodes := someNetwork(4, 80)
-	basic, err := Run(nodes, paperConfig())
+	basic, err := paperEngine(t).Run(context.Background(), nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Run(nodes, paperConfig().AllOptimizations())
+	full, err := paperEngine(t, WithAllOptimizations()).Run(context.Background(), nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +119,7 @@ func TestOptimizationsReducePower(t *testing.T) {
 
 func TestMaxPowerTopology(t *testing.T) {
 	nodes := someNetwork(5, 50)
-	res, err := MaxPowerTopology(nodes, paperConfig())
+	res, err := paperEngine(t).MaxPower(nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +139,11 @@ func TestMaxPowerTopology(t *testing.T) {
 
 func TestSimulateMatchesRunShape(t *testing.T) {
 	nodes := someNetwork(6, 35)
-	ran, err := Run(nodes, paperConfig())
+	ran, err := paperEngine(t).Run(context.Background(), nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := Simulate(nodes, paperConfig(), SimOptions{Seed: 1})
+	sim, err := paperEngine(t).Simulate(context.Background(), nodes, SimOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +163,11 @@ func TestSimulateMatchesRunShape(t *testing.T) {
 
 func TestSimulateFineSchedule(t *testing.T) {
 	nodes := someNetwork(7, 30)
-	sim, err := Simulate(nodes, paperConfig(), SimOptions{Seed: 2, IncreaseFactor: 1.05})
+	sim, err := paperEngine(t).Simulate(context.Background(), nodes, SimOptions{Seed: 2, IncreaseFactor: 1.05})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ran, err := Run(nodes, paperConfig())
+	ran, err := paperEngine(t).Run(context.Background(), nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +181,7 @@ func TestSimulateFineSchedule(t *testing.T) {
 
 func TestSimulateLossyStillConnected(t *testing.T) {
 	nodes := someNetwork(8, 30)
-	sim, err := Simulate(nodes, paperConfig(), SimOptions{
+	sim, err := paperEngine(t).Simulate(context.Background(), nodes, SimOptions{
 		Seed:     3,
 		Jitter:   0.5,
 		DupProb:  0.1,
@@ -181,14 +196,14 @@ func TestSimulateLossyStillConnected(t *testing.T) {
 }
 
 func TestSimulateBadIncrease(t *testing.T) {
-	if _, err := Simulate(someNetwork(9, 5), paperConfig(), SimOptions{IncreaseFactor: 0.5}); !errors.Is(err, ErrBadConfig) {
+	if _, err := paperEngine(t).Simulate(context.Background(), someNetwork(9, 5), SimOptions{IncreaseFactor: 0.5}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("err = %v, want ErrBadConfig", err)
 	}
 }
 
 func TestStretchMetrics(t *testing.T) {
 	nodes := someNetwork(10, 50)
-	res, err := Run(nodes, paperConfig().AllOptimizations())
+	res, err := paperEngine(t, WithAllOptimizations()).Run(context.Background(), nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +218,7 @@ func TestStretchMetrics(t *testing.T) {
 	}
 	// Subgraph routes can't be shorter, and removing edges can't help
 	// the baseline: identity case.
-	self, err := MaxPowerTopology(nodes, paperConfig())
+	self, err := paperEngine(t).MaxPower(nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +229,7 @@ func TestStretchMetrics(t *testing.T) {
 
 func TestRemovedRedundantReporting(t *testing.T) {
 	nodes := someNetwork(11, 80)
-	res, err := Run(nodes, paperConfig().AllOptimizations())
+	res, err := paperEngine(t, WithAllOptimizations()).Run(context.Background(), nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +242,7 @@ func TestRemovedRedundantReporting(t *testing.T) {
 			t.Errorf("removed edge %v still present", e)
 		}
 	}
-	basic, err := Run(nodes, paperConfig())
+	basic, err := paperEngine(t).Run(context.Background(), nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +253,7 @@ func TestRemovedRedundantReporting(t *testing.T) {
 
 func TestBeaconPowerPublicAPI(t *testing.T) {
 	nodes := someNetwork(12, 60)
-	res, err := Run(nodes, paperConfig().AllOptimizations())
+	res, err := paperEngine(t, WithAllOptimizations()).Run(context.Background(), nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,8 +278,8 @@ func TestPtHelper(t *testing.T) {
 
 func TestSimulateWithAsymmetricRemoval(t *testing.T) {
 	nodes := someNetwork(14, 30)
-	cfg := Config{MaxRadius: 500, Alpha: AlphaAsymmetric, AsymmetricRemoval: true, ShrinkBack: true}
-	sim, err := Simulate(nodes, cfg, SimOptions{Seed: 5})
+	eng := paperEngine(t, WithAlpha(AlphaAsymmetric), WithAsymmetricRemoval(), WithShrinkBack())
+	sim, err := eng.Simulate(context.Background(), nodes, SimOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,9 +287,7 @@ func TestSimulateWithAsymmetricRemoval(t *testing.T) {
 		t.Errorf("simulated asymmetric removal must preserve connectivity")
 	}
 	// The mutual graph is a subgraph of what the closure would give.
-	closureCfg := cfg
-	closureCfg.AsymmetricRemoval = false
-	closure, err := Simulate(nodes, closureCfg, SimOptions{Seed: 5})
+	closure, err := paperEngine(t, WithAlpha(AlphaAsymmetric), WithShrinkBack()).Simulate(context.Background(), nodes, SimOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

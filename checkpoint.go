@@ -9,6 +9,7 @@ import (
 	"cbtc/internal/codec"
 	"cbtc/internal/core"
 	"cbtc/internal/graph"
+	"cbtc/internal/radio"
 	"cbtc/internal/spatial"
 )
 
@@ -41,8 +42,8 @@ var (
 func (e *Engine) fingerprint() codec.EngineConfig {
 	fc := codec.EngineConfig{
 		Alpha:             e.cfg.Alpha,
-		MaxRadius:         e.cfg.MaxRadius,
-		PathLossExponent:  e.cfg.PathLossExponent,
+		MaxRadius:         e.model.MaxRadius,
+		PathLossExponent:  e.model.Exponent,
 		ShrinkBack:        e.opts.ShrinkBack,
 		AsymmetricRemoval: e.opts.AsymmetricRemoval,
 		PairwiseRemoval:   e.opts.PairwiseRemoval,
@@ -298,16 +299,14 @@ func engineFromFingerprint(fc codec.EngineConfig, workers int) (*Engine, error) 
 	s := settings{
 		cfg: Config{
 			Alpha:             fc.Alpha,
-			MaxRadius:         fc.MaxRadius,
-			PathLossExponent:  fc.PathLossExponent,
 			ShrinkBack:        fc.ShrinkBack,
 			AsymmetricRemoval: fc.AsymmetricRemoval,
 			PairwiseRemoval:   fc.PairwiseRemoval,
 			PairwisePolicy:    PairwisePolicy(fc.PairwisePolicy),
 		},
+		radio:          radio.Model{Exponent: fc.PathLossExponent, MaxRadius: fc.MaxRadius},
 		scheduleFactor: fc.ScheduleFactor,
 		workers:        workers,
-		refLoss:        fc.RefLoss,
 	}
 	if fc.RadioKind == 1 {
 		s.useShadow = true

@@ -1,0 +1,135 @@
+package cbtc
+
+import (
+	"bytes"
+	"context"
+	"flag"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"cbtc/internal/workload"
+)
+
+var updateFixtures = flag.Bool("update-fixtures", false, "rewrite the golden checkpoint fixtures in testdata/")
+
+// The golden checkpoints in testdata/ were written by an earlier build of
+// the package. Restoring them and re-encoding must reproduce their bytes
+// exactly, which pins both the codec format and the mapping from engine
+// options to the checkpoint fingerprint. Regenerate them (with
+// -update-fixtures) only for a deliberate format change.
+const (
+	sessionFixture = "testdata/session-v3.ckpt"
+	fleetFixture   = "testdata/fleet-v3.ckpt"
+)
+
+// fixtureSessionEngine is a 2π/3 all-ops stack on an n = 3 radio with
+// quantized shrink-back tags.
+func fixtureSessionEngine(t *testing.T) *Engine {
+	t.Helper()
+	eng, err := New(WithMaxRadius(450), WithPathLoss(3), WithAlpha(AlphaAsymmetric),
+		WithAllOptimizations(), WithShrinkBackSchedule(1.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// fixtureFleetEngine is a shadowed, battery-powered shrink-back stack.
+func fixtureFleetEngine(t *testing.T) *Engine {
+	t.Helper()
+	eng, err := New(WithMaxRadius(500), WithShadowing(4, 7), WithBattery(1e9, 1), WithShrinkBack())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// writeFixtures builds the fixture states and writes their checkpoints.
+func writeFixtures(t *testing.T) {
+	ctx := context.Background()
+	sess, err := fixtureSessionEngine(t).NewSession(ctx, workload.Uniform(workload.Rand(31), 30, 1000, 1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Move(4, Pt(500, 500)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Leave(7); err != nil {
+		t.Fatal(err)
+	}
+	sess.Join(Pt(250, 750))
+	var sbuf bytes.Buffer
+	if err := sess.Checkpoint(&sbuf); err != nil {
+		t.Fatal(err)
+	}
+
+	sz := workload.MemberSize{N: 20, Side: 900}
+	members := make([]MemberSpec, 3)
+	for i := range members {
+		members[i] = MemberSpec{Placement: workload.MemberPlacement(11, i, sz)}
+	}
+	members[1].Options = []Option{WithPathLoss(3), WithMaxRadius(450)}
+	members[2].Kind = MemberProtocol
+	fleet, err := fixtureFleetEngine(t).NewFleet(ctx, FleetConfig{Members: members, Seed: 5, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tick := DriftTick(TickProfile{Moves: 3, Jitter: 40, JoinProb: 0.3, LeaveProb: 0.3, Width: 900, Height: 900})
+	if _, err := fleet.Run(ctx, 3, tick); err != nil {
+		t.Fatal(err)
+	}
+	var fbuf bytes.Buffer
+	if err := fleet.Checkpoint(&fbuf); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := os.MkdirAll(filepath.Dir(sessionFixture), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for path, data := range map[string][]byte{sessionFixture: sbuf.Bytes(), fleetFixture: fbuf.Bytes()} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCheckpointFixtures restores each golden checkpoint on the engine
+// that wrote it and requires the restored object to re-encode to the
+// fixture's exact bytes.
+func TestCheckpointFixtures(t *testing.T) {
+	if *updateFixtures {
+		writeFixtures(t)
+	}
+	session, err := os.ReadFile(sessionFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := fixtureSessionEngine(t).RestoreSession(bytes.NewReader(session))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sess.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), session) {
+		t.Errorf("session fixture re-encodes to %d different bytes (fixture %d)", buf.Len(), len(session))
+	}
+
+	fleetBytes, err := os.ReadFile(fleetFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet, err := fixtureFleetEngine(t).RestoreFleet(bytes.NewReader(fleetBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := fleet.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), fleetBytes) {
+		t.Errorf("fleet fixture re-encodes to %d different bytes (fixture %d)", buf.Len(), len(fleetBytes))
+	}
+}

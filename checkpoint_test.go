@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"cbtc/internal/codec"
 	"cbtc/internal/workload"
 )
 
@@ -193,6 +194,8 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 		{WithMaxRadius(500), WithShrinkBack(), WithAlpha(2.0)},              // different α
 		{WithMaxRadius(500), WithShrinkBack(), WithPathLoss(4)},             // different model
 		{WithMaxRadius(500), WithShrinkBack(), WithShrinkBackSchedule(1.5)}, // quantized
+		{WithMaxRadius(500), WithShrinkBack(), WithShadowing(4, 1)},         // shadowed radio
+		{WithMaxRadius(500), WithShrinkBack(), WithBattery(1e9, 1)},         // battery
 	}
 
 	sess, err := engA.NewSession(context.Background(), someNetwork(9, 30))
@@ -203,7 +206,7 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 	if err := sess.Checkpoint(&sbuf); err != nil {
 		t.Fatal(err)
 	}
-	fleet, err := engA.NewFleet(context.Background(), FleetConfig{Placements: [][]Point{someNetwork(9, 20), someNetwork(10, 20)}, Seed: 3})
+	fleet, err := engA.NewFleet(context.Background(), FleetConfig{Members: oracleMembers([][]Point{someNetwork(9, 20), someNetwork(10, 20)}), Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +251,7 @@ func TestRestoreErrorPaths(t *testing.T) {
 	if err := sess.Checkpoint(&sbuf); err != nil {
 		t.Fatal(err)
 	}
-	fleet, err := eng.NewFleet(context.Background(), FleetConfig{Placements: [][]Point{someNetwork(4, 15)}, Seed: 1})
+	fleet, err := eng.NewFleet(context.Background(), FleetConfig{Members: oracleMembers([][]Point{someNetwork(4, 15)}), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,6 +285,34 @@ func TestRestoreErrorPaths(t *testing.T) {
 			t.Errorf("fleet truncated at %d: got %v, want ErrCheckpointCorrupt", cut, err)
 		}
 	}
+
+	// No option expresses a non-unit reference loss: a session carrying
+	// one matches no engine, and a fleet member carrying one cannot be
+	// rebuilt from its fingerprint.
+	st, err := codec.DecodeSession(bytes.NewReader(sbuf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Config.RefLoss = 2
+	var refLoss bytes.Buffer
+	if err := codec.EncodeSession(&refLoss, st); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.RestoreSession(&refLoss); !errors.Is(err, ErrConfigMismatch) {
+		t.Errorf("session with reference loss 2: got %v, want ErrConfigMismatch", err)
+	}
+	fst, err := codec.DecodeFleet(bytes.NewReader(fbuf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fst.Nets[0].Config.RefLoss = 2
+	refLoss.Reset()
+	if err := codec.EncodeFleet(&refLoss, fst); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.RestoreFleet(&refLoss); !errors.Is(err, ErrCheckpointCorrupt) {
+		t.Errorf("fleet member with reference loss 2: got %v, want ErrCheckpointCorrupt", err)
+	}
 }
 
 // TestFleetCheckpointRoundTrip is the fleet-level acceptance gate: a
@@ -299,7 +330,7 @@ func TestFleetCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet, err := eng.NewFleet(context.Background(), FleetConfig{Placements: sc.Placements(11), Seed: 11})
+	fleet, err := eng.NewFleet(context.Background(), FleetConfig{Members: oracleMembers(sc.Placements(11)), Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +481,7 @@ func TestFleetTickEvents(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := eng.NewFleet(context.Background(), FleetConfig{Placements: placements, Seed: 5})
+		f, err := eng.NewFleet(context.Background(), FleetConfig{Members: oracleMembers(placements), Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,7 +34,7 @@ func main() {
 	defer stop()
 
 	nodes := workload.Uniform(workload.Rand(*seed), *n, *width, *height)
-	rows, err := cbtc.CompareBaselines(ctx, nodes, cbtc.Config{MaxRadius: *radius})
+	rows, err := cbtc.CompareBaselines(ctx, nodes, *radius)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "compare:", err)
 		os.Exit(1)

@@ -1,6 +1,7 @@
 package cbtc
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -14,7 +15,7 @@ func TestPowerStretchCompetitiveBound(t *testing.T) {
 		bound := 1 + 2*math.Sin(alpha/2)
 		for seed := uint64(30); seed < 40; seed++ {
 			nodes := someNetwork(seed, 60)
-			res, err := Run(nodes, Config{Alpha: alpha, MaxRadius: 500})
+			res, err := paperEngine(t, WithAlpha(alpha)).Run(context.Background(), nodes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -38,7 +39,7 @@ func TestPowerStretchCompetitiveBound(t *testing.T) {
 func TestPowerStretchStaysModestAtTightBound(t *testing.T) {
 	for seed := uint64(40); seed < 45; seed++ {
 		nodes := someNetwork(seed, 60)
-		res, err := Run(nodes, Config{MaxRadius: 500})
+		res, err := paperEngine(t).Run(context.Background(), nodes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +55,7 @@ func TestPowerStretchStaysModestAtTightBound(t *testing.T) {
 func TestAllOpsStretchBounded(t *testing.T) {
 	for seed := uint64(50); seed < 55; seed++ {
 		nodes := someNetwork(seed, 80)
-		res, err := Run(nodes, paperConfig().AllOptimizations())
+		res, err := paperEngine(t, WithAllOptimizations()).Run(context.Background(), nodes)
 		if err != nil {
 			t.Fatal(err)
 		}

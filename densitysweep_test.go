@@ -1,6 +1,7 @@
 package cbtc
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -61,11 +62,11 @@ func TestRenderDensitySweep(t *testing.T) {
 // topology.
 func TestTopologyInvariantUnderPathLossExponent(t *testing.T) {
 	nodes := someNetwork(33, 80)
-	free, err := Run(nodes, Config{MaxRadius: 500, PathLossExponent: 2}.AllOptimizations())
+	free, err := paperEngine(t, WithPathLoss(2), WithAllOptimizations()).Run(context.Background(), nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	urban, err := Run(nodes, Config{MaxRadius: 500, PathLossExponent: 4}.AllOptimizations())
+	urban, err := paperEngine(t, WithPathLoss(4), WithAllOptimizations()).Run(context.Background(), nodes)
 	if err != nil {
 		t.Fatal(err)
 	}

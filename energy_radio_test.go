@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -14,20 +15,6 @@ import (
 	"cbtc/internal/radio"
 	"cbtc/internal/workload"
 )
-
-// radioStacks are the optimization stacks the PR 10 radio redesign is
-// gated on — the same coverage axes as checkpointStacks, expressed as
-// suffixes so each can be paired with either radio surface (legacy
-// WithMaxRadius/WithPathLoss or the redesigned WithRadioModel).
-var radioStacks = []struct {
-	name string
-	opts []Option
-}{
-	{"basic", nil},
-	{"shrink-back", []Option{WithShrinkBack()}},
-	{"all-ops", []Option{WithAllOptimizations()}},
-	{"asym-2pi3", []Option{WithAlpha(AlphaAsymmetric), WithShrinkBack(), WithAsymmetricRemoval()}},
-}
 
 // requireResultsIdentical asserts two Results are byte-identical in
 // every deterministic field — graphs, radii, powers, boundary flags and
@@ -52,93 +39,6 @@ func requireResultsIdentical(t *testing.T, want, got *Result) {
 	if got.AvgDegree != want.AvgDegree || got.AvgRadius != want.AvgRadius {
 		t.Fatalf("aggregates differ: (%v, %v) != (%v, %v)",
 			got.AvgDegree, got.AvgRadius, want.AvgDegree, want.AvgRadius)
-	}
-}
-
-// TestRadioModelEquivalence is the redesign's compatibility gate: the
-// power-law model routed through WithRadioModel and the radio.Propagation
-// interface produces byte-identical output to the legacy
-// WithMaxRadius/WithPathLoss surface across every executor — oracle
-// runs, seeded protocol simulations, baselines, and full session event
-// histories — on every optimization stack.
-func TestRadioModelEquivalence(t *testing.T) {
-	nodes := someNetwork(77, 60)
-	ctx := context.Background()
-	for _, st := range radioStacks {
-		st := st
-		t.Run(st.name, func(t *testing.T) {
-			legacy, err := New(append([]Option{WithMaxRadius(500), WithPathLoss(3)}, st.opts...)...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			model, err := New(append([]Option{WithRadioModel(radio.Model{Exponent: 3, MaxRadius: 500, RefLoss: 1})}, st.opts...)...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if legacy.fingerprint() != model.fingerprint() {
-				t.Fatalf("fingerprints differ:\n%+v\n%+v", legacy.fingerprint(), model.fingerprint())
-			}
-
-			wantRun, err := legacy.Run(ctx, nodes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotRun, err := model.Run(ctx, nodes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireResultsIdentical(t, wantRun, gotRun)
-
-			sim := SimOptions{Seed: 9}
-			wantSim, err := legacy.Simulate(ctx, nodes, sim)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotSim, err := model.Simulate(ctx, nodes, sim)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireResultsIdentical(t, wantSim, gotSim)
-
-			for _, kind := range BaselineKinds() {
-				wantB, err := legacy.Baseline(kind, nodes)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotB, err := model.Baseline(kind, nodes)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireResultsIdentical(t, wantB, gotB)
-			}
-
-			// Same random event history on both sessions: every report and
-			// observation must match, and the final states must be identical.
-			sessA, err := legacy.NewSession(ctx, nodes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sessB, err := model.NewSession(ctx, nodes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rngA, rngB := workload.Rand(13), workload.Rand(13)
-			for step := 0; step < 8; step++ {
-				batch := randomBatch(rngA, sessA, 4, 1500)
-				if !reflect.DeepEqual(batch, randomBatch(rngB, sessB, 4, 1500)) {
-					t.Fatalf("step %d: event streams diverged", step)
-				}
-				repA, tsA, errA := sessA.Tick(batch)
-				repB, tsB, errB := sessB.Tick(batch)
-				if errA != nil || errB != nil {
-					t.Fatalf("step %d: %v / %v", step, errA, errB)
-				}
-				if !reflect.DeepEqual(repA, repB) || tsA != tsB {
-					t.Fatalf("step %d: session histories diverge", step)
-				}
-			}
-			requireSessionsIdentical(t, sessA, sessB)
-		})
 	}
 }
 
@@ -210,67 +110,25 @@ func TestShadowingDeterminism(t *testing.T) {
 	}
 }
 
-// TestV2CheckpointRestores is the backward-compatibility gate of the
-// codec version bump: a version-2 stream (pure power-law radio, no
-// battery) still restores — the decoder implies RefLoss 1 — and the
-// restored session continues byte-identically.
-func TestV2CheckpointRestores(t *testing.T) {
-	eng, err := New(WithMaxRadius(500), WithShrinkBack())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := eng.NewSession(context.Background(), someNetwork(19, 40))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := workload.Rand(3)
-	for step := 0; step < 6; step++ {
-		if _, err := sess.ApplyBatch(randomBatch(rng, sess, 4, 1500)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	sess.mu.Lock()
-	st := sess.exportLocked()
-	sess.mu.Unlock()
-	var buf bytes.Buffer
-	if err := codec.EncodeSessionVersion(&buf, st, 2); err != nil {
-		t.Fatalf("v2 encode of power-law state: %v", err)
-	}
-	restored, err := eng.RestoreSession(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("v2 restore: %v", err)
-	}
-	requireSessionsIdentical(t, sess, restored)
-	for step := 0; step < 4; step++ {
-		batch := randomBatch(rng, sess, 4, 1500)
-		repA, tsA, errA := sess.Tick(batch)
-		repB, tsB, errB := restored.Tick(batch)
-		if errA != nil || errB != nil {
-			t.Fatalf("tick %d: %v / %v", step, errA, errB)
-		}
-		if !reflect.DeepEqual(repA, repB) || tsA != tsB {
-			t.Fatalf("tick %d: v2-restored session diverges", step)
-		}
-	}
-}
-
-// TestV2CannotCarryEnergyState: downgrade encoding refuses states the
-// version-2 format cannot represent — shadowed radios, non-unit
-// reference losses and battery vectors — with the codec's typed
-// version error.
+// TestV2CannotCarryEnergyState: the version-2 format has no room for
+// shadowed radios, non-unit reference losses or battery vectors, and a
+// checkpoint of such a session labelled version 2 fails with the typed
+// version error. The current version carries them, and only the
+// producing engine restores them; no option expresses a non-unit
+// reference loss, so no engine restores that one.
 func TestV2CannotCarryEnergyState(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
-		name string
-		opts []Option
+		name    string
+		opts    []Option
+		refLoss float64 // patched into the checkpoint when non-zero
+		own     error   // restoring onto the producing engine
 	}{
-		{"shadowed", []Option{WithMaxRadius(500), WithShadowing(4, 1)}},
-		{"battery", []Option{WithMaxRadius(500), WithBattery(1e9, 1)}},
-		{"ref-loss", []Option{WithRadioModel(radio.Model{Exponent: 2, MaxRadius: 500, RefLoss: 2})}},
+		{"shadowed", []Option{WithMaxRadius(500), WithShadowing(4, 1)}, 0, nil},
+		{"battery", []Option{WithMaxRadius(500), WithBattery(1e9, 1)}, 0, nil},
+		{"ref-loss", []Option{WithMaxRadius(500)}, 2, ErrConfigMismatch},
 	}
 	for _, tc := range cases {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			eng, err := New(tc.opts...)
 			if err != nil {
@@ -280,21 +138,28 @@ func TestV2CannotCarryEnergyState(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sess.mu.Lock()
-			st := sess.exportLocked()
-			sess.mu.Unlock()
-			var buf bytes.Buffer
-			if err := codec.EncodeSessionVersion(&buf, st, 2); !errors.Is(err, codec.ErrVersion) {
-				t.Fatalf("v2 encode: got %v, want ErrVersion", err)
-			}
-			// The current version carries it fine, and only the producing
-			// engine fingerprint restores it.
 			var v3 bytes.Buffer
 			if err := sess.Checkpoint(&v3); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := eng.RestoreSession(bytes.NewReader(v3.Bytes())); err != nil {
-				t.Fatal(err)
+			if tc.refLoss != 0 {
+				st, err := codec.DecodeSession(bytes.NewReader(v3.Bytes()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				st.Config.RefLoss = tc.refLoss
+				v3.Reset()
+				if err := codec.EncodeSession(&v3, st); err != nil {
+					t.Fatal(err)
+				}
+			}
+			v2 := bytes.Clone(v3.Bytes())
+			v2[4] = 2
+			if _, err := eng.RestoreSession(bytes.NewReader(v2)); !errors.Is(err, ErrCheckpointVersion) {
+				t.Fatalf("v2 restore: got %v, want ErrCheckpointVersion", err)
+			}
+			if _, err := eng.RestoreSession(bytes.NewReader(v3.Bytes())); !errors.Is(err, tc.own) {
+				t.Fatalf("restore onto producing engine: got %v, want %v", err, tc.own)
 			}
 			plain, err := New(WithMaxRadius(500))
 			if err != nil {
@@ -539,17 +404,11 @@ func TestLifetimeFleet(t *testing.T) {
 	}
 }
 
-// TestRadioOptionConflicts: the redesigned surface keeps New's
-// single-error contract — every conflicting or invalid combination is
+// TestRadioOptionConflicts: the battery and shadowing options keep
+// New's single-error contract — every invalid value or combination is
 // one ErrBadConfig.
 func TestRadioOptionConflicts(t *testing.T) {
-	okModel := radio.Model{Exponent: 2, MaxRadius: 500, RefLoss: 1}
 	bad := [][]Option{
-		{WithRadioModel(okModel), WithPathLoss(3)},
-		{WithRadioModel(okModel), WithMaxRadius(400)},
-		{WithRadioModel(okModel), WithConfig(Config{MaxRadius: 500})},
-		{WithRadioModel(radio.Model{Exponent: 0.5, MaxRadius: 500, RefLoss: 1})},
-		{WithRadioModel(radio.Model{Exponent: 2, MaxRadius: 500, RefLoss: -1})},
 		{WithMaxRadius(500), WithBattery(0, 1)},
 		{WithMaxRadius(500), WithBattery(-3, 1)},
 		{WithMaxRadius(500), WithBattery(math.NaN(), 1)},
@@ -564,14 +423,6 @@ func TestRadioOptionConflicts(t *testing.T) {
 		if _, err := New(opts...); !errors.Is(err, ErrBadConfig) {
 			t.Errorf("case %d: New() error = %v, want ErrBadConfig", i, err)
 		}
-	}
-	// A Config carrying no radio fields composes with WithRadioModel.
-	eng, err := New(WithRadioModel(okModel), WithConfig(Config{Alpha: AlphaAsymmetric}), WithShrinkBack())
-	if err != nil {
-		t.Fatalf("radio-free WithConfig alongside WithRadioModel: %v", err)
-	}
-	if eng.Alpha() != AlphaAsymmetric || eng.RadioModel() != okModel {
-		t.Fatalf("composed engine: alpha %v, model %+v", eng.Alpha(), eng.RadioModel())
 	}
 }
 
@@ -636,9 +487,12 @@ func TestEnergyMSTBaseline(t *testing.T) {
 // TestShadowedResultsCarryShadowedGR: on a WithShadowing engine every
 // Result's G_R is the maximum-power graph of the shadowed radio G was
 // grown under, not the nominal power law's — for Run, Simulate, the
-// pairwise stack's session snapshot and BetaSkeleton alike. Shadowing
-// widens some links past R and cuts others, so the nominal graph both
-// misses edges of G and keeps edges the radio does not realize.
+// pairwise stack's session snapshot and BetaSkeleton alike — and G stays
+// inside it. Shadowing widens some links past R and cuts others, so the
+// nominal graph both misses edges of G and keeps edges the radio does
+// not realize. The β-skeleton therefore runs over the shadowed link set
+// too, and keeps its identities with the Gabriel graph (β = 1) and the
+// RNG (β = 2).
 func TestShadowedResultsCarryShadowedGR(t *testing.T) {
 	ctx := context.Background()
 	pos := workload.Uniform(workload.Rand(1), 200, 2000, 2000)
@@ -657,6 +511,9 @@ func TestShadowedResultsCarryShadowedGR(t *testing.T) {
 			t.Errorf("%s: GR has %d edges, want the shadowed max-power graph's %d",
 				what, res.GR.EdgeCount(), want.EdgeCount())
 		}
+		if !res.G.IsSubgraphOf(res.GR) {
+			t.Errorf("%s: G is not a subgraph of GR", what)
+		}
 	}
 	run, err := eng.Run(ctx, pos)
 	if err != nil {
@@ -668,11 +525,25 @@ func TestShadowedResultsCarryShadowedGR(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireGR("Simulate", sim)
-	beta, err := eng.BetaSkeleton(2, pos)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		beta float64
+		kind BaselineKind
+	}{{1, BaselineGabriel}, {2, BaselineRNG}} {
+		beta, err := eng.BetaSkeleton(tc.beta, pos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireGR(fmt.Sprintf("BetaSkeleton(%v)", tc.beta), beta)
+		base, err := eng.Baseline(tc.kind, pos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireGR(tc.kind.String(), base)
+		if !beta.G.Equal(base.G) {
+			t.Errorf("BetaSkeleton(%v) has %d edges, want the %v graph's %d",
+				tc.beta, beta.G.EdgeCount(), tc.kind, base.G.EdgeCount())
+		}
 	}
-	requireGR("BetaSkeleton", beta)
 
 	pairwise, err := New(WithMaxRadius(500), WithShadowing(4, 1), WithAllOptimizations())
 	if err != nil {

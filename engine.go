@@ -46,8 +46,8 @@ type Engine struct {
 
 // New builds an Engine from functional options, validating the combined
 // configuration once. At minimum the maximum radius must be supplied
-// (WithMaxRadius or WithConfig); every violation is reported as an error
-// wrapping ErrBadConfig.
+// (WithMaxRadius); every violation is reported as an error wrapping
+// ErrBadConfig.
 func New(options ...Option) (*Engine, error) {
 	var s settings
 	s.apply(options)
@@ -55,42 +55,32 @@ func New(options ...Option) (*Engine, error) {
 }
 
 // apply folds options into the accumulated settings, resolving the
-// AllOptimizations marker the way New always has: after every other
-// option, so it composes with WithAlpha in either order.
+// AllOptimizations marker after every other option, so it composes with
+// WithAlpha in either order.
 func (s *settings) apply(options []Option) {
 	for _, opt := range options {
 		opt(s)
 	}
 	if s.allOpts {
-		s.cfg = s.cfg.AllOptimizations()
+		s.cfg = s.cfg.allOptimizations()
 		s.allOpts = false
 	}
 }
 
 // newEngine validates accumulated settings into an immutable Engine —
-// the shared back half of New and Engine.derive.
+// the shared back half of New, Engine.derive and engineFromFingerprint.
 func newEngine(s settings) (*Engine, error) {
-	if s.model != nil {
-		if s.usedPathLoss || s.usedMaxRadius || s.usedConfig {
-			return nil, fmt.Errorf("%w: WithRadioModel cannot be combined with WithPathLoss, WithMaxRadius, or a WithConfig carrying radio fields", ErrBadConfig)
-		}
-		if err := s.model.Validate(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
-		}
-		s.cfg.MaxRadius = s.model.MaxRadius
-		s.cfg.PathLossExponent = s.model.Exponent
-	}
-	cfg, m, opts, err := s.cfg.resolve()
+	cfg, opts, err := s.cfg.resolve()
 	if err != nil {
 		return nil, err
 	}
-	if s.model != nil {
-		m = *s.model // carry the reference loss; radius/exponent already agree
-	} else if s.refLoss != 0 && s.refLoss != m.RefLoss {
-		m.RefLoss = s.refLoss // derive carry-through of a non-unit reference loss
-		if err := m.Validate(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
-		}
+	exponent := s.radio.Exponent
+	if exponent == 0 {
+		exponent = radio.FreeSpaceExponent
+	}
+	m, err := radio.NewModel(exponent, s.radio.MaxRadius, 1)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
 	if s.workers < 0 {
 		return nil, fmt.Errorf("%w: negative worker count %d", ErrBadConfig, s.workers)
@@ -146,9 +136,9 @@ func (e *Engine) derive(options ...Option) (*Engine, error) {
 	}
 	s := settings{
 		cfg:            e.cfg,
+		radio:          e.model,
 		scheduleFactor: e.scheduleFactor,
 		workers:        e.workers,
-		refLoss:        e.model.RefLoss,
 		useShadow:      e.shadowed,
 		shadowSigma:    e.shadowSigma,
 		shadowSeed:     e.shadowSeed,
@@ -160,8 +150,9 @@ func (e *Engine) derive(options ...Option) (*Engine, error) {
 	return newEngine(s)
 }
 
-// Config returns the fully-resolved configuration the Engine runs with
-// (defaults filled in, pairwise policy resolved).
+// Config returns the cone angle and optimization stack the Engine runs
+// with. Alpha has its default filled in; PairwisePolicy reads as
+// configured, so the default policy reads 0.
 func (e *Engine) Config() Config { return e.cfg }
 
 // RadioModel returns the nominal power-law radio model the Engine runs

@@ -42,8 +42,11 @@ func TestNewDefaults(t *testing.T) {
 	if cfg.Alpha != AlphaConnectivity {
 		t.Errorf("default alpha = %v, want 5π/6", cfg.Alpha)
 	}
-	if cfg.PathLossExponent != 2 {
-		t.Errorf("default exponent = %v, want 2", cfg.PathLossExponent)
+	if m := eng.RadioModel(); m != (RadioModel{Exponent: 2, MaxRadius: 500, RefLoss: 1}) {
+		t.Errorf("default radio = %+v, want exponent 2, R 500, unit reference loss", m)
+	}
+	if cfg.PairwisePolicy != 0 {
+		t.Errorf("default pairwise policy reads %v, want 0", cfg.PairwisePolicy)
 	}
 	if eng.Alpha() != cfg.Alpha {
 		t.Errorf("Alpha() = %v disagrees with Config().Alpha = %v", eng.Alpha(), cfg.Alpha)
@@ -77,78 +80,35 @@ func TestWithAllOptimizationsComposes(t *testing.T) {
 	}
 }
 
-func TestEngineMatchesLegacyRun(t *testing.T) {
-	nodes := someNetwork(31, 70)
-	cfg := Config{MaxRadius: 500, Alpha: AlphaAsymmetric}.AllOptimizations()
-	legacy, err := Run(nodes, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := New(
-		WithMaxRadius(500),
-		WithAlpha(AlphaAsymmetric),
-		WithAllOptimizations(),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Run(context.Background(), nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.G.Equal(legacy.G) {
-		t.Errorf("engine topology differs from legacy Run")
-	}
-	for u := range nodes {
-		if res.Powers[u] != legacy.Powers[u] || res.Radii[u] != legacy.Radii[u] {
-			t.Errorf("node %d: engine powers/radii differ from legacy Run", u)
-		}
-	}
-}
-
-// The §3.3 policy must resolve identically through the deprecated flag,
-// the explicit Config field, and the functional option — including
-// through AllOptimizations, which used to be able to drop it.
+// The §3.3 policy set by WithPairwiseRemoval must survive
+// WithAllOptimizations, which used to be able to drop it.
 func TestPairwisePolicyUnification(t *testing.T) {
 	nodes := someNetwork(32, 80)
+	ctx := context.Background()
 
-	viaFlag := Config{MaxRadius: 500, RemoveAllRedundant: true}.AllOptimizations()
-	if got := viaFlag.PairwisePolicy; got != PairwiseRemoveAll {
-		t.Errorf("AllOptimizations resolved policy = %v, want remove-all", got)
+	viaAll := paperEngine(t, WithPairwiseRemoval(PairwiseRemoveAll), WithAllOptimizations())
+	if got := viaAll.Config().PairwisePolicy; got != PairwiseRemoveAll {
+		t.Errorf("WithAllOptimizations kept policy %v, want remove-all", got)
 	}
-	viaField := Config{MaxRadius: 500, PairwisePolicy: PairwiseRemoveAll}.AllOptimizations()
-
-	resFlag, err := Run(nodes, viaFlag)
+	resAll, err := viaAll.Run(ctx, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resField, err := Run(nodes, viaField)
+	resOpt, err := paperEngine(t, WithShrinkBack(), WithPairwiseRemoval(PairwiseRemoveAll)).Run(ctx, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(
-		WithMaxRadius(500),
-		WithShrinkBack(),
-		WithPairwiseRemoval(PairwiseRemoveAll),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resOpt, err := eng.Run(context.Background(), nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resFlag.G.Equal(resField.G) || !resFlag.G.Equal(resOpt.G) {
-		t.Errorf("the three policy spellings produced different topologies")
+	if !resAll.G.Equal(resOpt.G) {
+		t.Errorf("the two policy spellings produced different topologies")
 	}
 	// remove-all must delete at least as many edges as the default rule.
-	def, err := Run(nodes, Config{MaxRadius: 500}.AllOptimizations())
+	def, err := paperEngine(t, WithAllOptimizations()).Run(ctx, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resFlag.RemovedRedundant()) < len(def.RemovedRedundant()) {
+	if len(resAll.RemovedRedundant()) < len(def.RemovedRedundant()) {
 		t.Errorf("remove-all removed fewer edges (%d) than length-filtered (%d)",
-			len(resFlag.RemovedRedundant()), len(def.RemovedRedundant()))
+			len(resAll.RemovedRedundant()), len(def.RemovedRedundant()))
 	}
 }
 

@@ -1,6 +1,7 @@
 package cbtc_test
 
 import (
+	"context"
 	"fmt"
 
 	"cbtc"
@@ -8,12 +9,15 @@ import (
 
 // Build a topology with the paper's tight connectivity bound and all
 // optimizations.
-func ExampleRun() {
+func ExampleEngine_Run() {
 	nodes := []cbtc.Point{
 		cbtc.Pt(0, 0), cbtc.Pt(300, 0), cbtc.Pt(150, 250), cbtc.Pt(450, 200),
 	}
-	cfg := cbtc.Config{MaxRadius: 400}.AllOptimizations()
-	res, err := cbtc.Run(nodes, cfg)
+	eng, err := cbtc.New(cbtc.WithMaxRadius(400), cbtc.WithAllOptimizations())
+	if err != nil {
+		panic(err)
+	}
+	res, err := eng.Run(context.Background(), nodes)
 	if err != nil {
 		panic(err)
 	}
@@ -25,11 +29,15 @@ func ExampleRun() {
 }
 
 // Compare against a position-based baseline from the related work.
-func ExampleRunBaseline() {
+func ExampleEngine_Baseline() {
 	nodes := []cbtc.Point{
 		cbtc.Pt(0, 0), cbtc.Pt(100, 0), cbtc.Pt(50, 10),
 	}
-	res, err := cbtc.RunBaseline(cbtc.BaselineRNG, nodes, cbtc.Config{MaxRadius: 400})
+	eng, err := cbtc.New(cbtc.WithMaxRadius(400))
+	if err != nil {
+		panic(err)
+	}
+	res, err := eng.Baseline(cbtc.BaselineRNG, nodes)
 	if err != nil {
 		panic(err)
 	}
@@ -43,11 +51,17 @@ func ExampleRunBaseline() {
 
 // The asymmetric edge removal optimization is guarded by Theorem 3.2's
 // angle bound.
-func ExampleConfig_AllOptimizations() {
-	at23 := cbtc.Config{MaxRadius: 400, Alpha: cbtc.AlphaAsymmetric}.AllOptimizations()
-	at56 := cbtc.Config{MaxRadius: 400, Alpha: cbtc.AlphaConnectivity}.AllOptimizations()
-	fmt.Println("asym removal at 2π/3:", at23.AsymmetricRemoval)
-	fmt.Println("asym removal at 5π/6:", at56.AsymmetricRemoval)
+func ExampleWithAllOptimizations() {
+	at23, err := cbtc.New(cbtc.WithMaxRadius(400), cbtc.WithAlpha(cbtc.AlphaAsymmetric), cbtc.WithAllOptimizations())
+	if err != nil {
+		panic(err)
+	}
+	at56, err := cbtc.New(cbtc.WithMaxRadius(400), cbtc.WithAlpha(cbtc.AlphaConnectivity), cbtc.WithAllOptimizations())
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("asym removal at 2π/3:", at23.Config().AsymmetricRemoval)
+	fmt.Println("asym removal at 5π/6:", at56.Config().AsymmetricRemoval)
 	// Output:
 	// asym removal at 2π/3: true
 	// asym removal at 5π/6: false

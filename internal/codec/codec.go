@@ -8,7 +8,7 @@
 // A checkpoint is a little-endian byte stream:
 //
 //	magic   "CBTC"            (4 bytes)
-//	version uint16            (currently 2)
+//	version uint16            (currently 3)
 //	kind    uint8             (1 = session, 2 = fleet)
 //	payload                   (kind-dependent, length-prefixed sections)
 //	footer  uint32 0xC0DEC0DE (truncation sentinel)
@@ -40,20 +40,15 @@ import (
 	"cbtc/internal/stats"
 )
 
-// Version is the current checkpoint format version. Decoders accept
-// this version and the previous one: version 3 extended the fingerprint
-// with the radio-model identity (reference loss, propagation kind,
-// shadowing parameters) and the battery configuration, added per-node
-// residual-battery vectors to session bodies, and added the
-// residual/energy-variance streams to fleet members. A version-2 stream
-// decodes as the implied power-law radio (RefLoss 1, no shadowing, no
-// battery). Version 2 made fleet members heterogeneous: each network
+// Version is the checkpoint format version, the only one the decoders
+// accept. Version 3 extended the fingerprint with the radio-model
+// identity (reference loss, propagation kind, shadowing parameters) and
+// the battery configuration, added per-node residual-battery vectors to
+// session bodies, and added the residual/energy-variance streams to
+// fleet members. Version 2 made fleet members heterogeneous: each network
 // carries its own engine fingerprint, member kind, tick weight and tick
-// target, and the fleet-global tick target is gone.
+// target. Streams of any other version fail with ErrVersion.
 const Version = 3
-
-// MinVersion is the oldest format version the decoders still accept.
-const MinVersion = 2
 
 // Kinds discriminate the two checkpoint payloads.
 const (
@@ -105,8 +100,7 @@ type EngineConfig struct {
 	// tags).
 	ScheduleFactor float64
 
-	// RefLoss is the nominal model's reference loss (version-2 streams
-	// imply 1).
+	// RefLoss is the nominal model's reference loss.
 	RefLoss float64
 	// RadioKind identifies the propagation model: 0 = pure power law,
 	// 1 = log-distance with per-link shadowing.

@@ -227,6 +227,10 @@ func TestDecodeHeaderErrors(t *testing.T) {
 	if _, err := DecodeSession(bytes.NewReader(bad)); !errors.Is(err, ErrVersion) {
 		t.Errorf("version: got %v", err)
 	}
+	bad[4] = 2 // the previous format version is no longer read
+	if _, err := DecodeSession(bytes.NewReader(bad)); !errors.Is(err, ErrVersion) {
+		t.Errorf("version 2: got %v", err)
+	}
 	if _, err := DecodeFleet(bytes.NewReader(enc)); !errors.Is(err, ErrWrongKind) {
 		t.Errorf("kind: got %v", err)
 	}

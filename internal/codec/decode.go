@@ -69,10 +69,8 @@ func DecodeFleet(r io.Reader) (*FleetState, error) {
 		d.stream(&n.Radius)
 		d.stream(&n.Components)
 		d.stream(&n.Energy)
-		if d.ver >= 3 {
-			d.stream(&n.Residual)
-			d.stream(&n.EnergyVar)
-		}
+		d.stream(&n.Residual)
+		d.stream(&n.EnergyVar)
 		n.Session.Config = n.Config
 		d.sessionBody(&n.Session)
 		if d.err == nil {
@@ -93,9 +91,6 @@ type decoder struct {
 	r   *bufio.Reader
 	buf [8]byte
 	err error
-	// ver is the stream's format version, set by header; body readers
-	// branch on it to decode the sections older versions lack.
-	ver uint16
 }
 
 func newDecoder(r io.Reader) *decoder {
@@ -207,10 +202,9 @@ func (d *decoder) header(wantKind uint8) error {
 	if d.err != nil {
 		return d.err
 	}
-	if v < MinVersion || v > Version {
-		return fmt.Errorf("%w: got version %d, support %d–%d", ErrVersion, v, MinVersion, Version)
+	if v != Version {
+		return fmt.Errorf("%w: got version %d, support %d", ErrVersion, v, Version)
 	}
-	d.ver = v
 	if kind != wantKind {
 		return fmt.Errorf("%w: got kind %d, want %d", ErrWrongKind, kind, wantKind)
 	}
@@ -233,13 +227,6 @@ func (d *decoder) engineConfig(c *EngineConfig) {
 	c.NonContributing = d.bool("non-contributing")
 	c.PairwisePolicy = d.u8()
 	c.ScheduleFactor = d.f64()
-	if d.ver < 3 {
-		// Version 2 predates the radio-identity fields: the stream was
-		// always the pure power law with unit reference loss, no shadowing
-		// and no battery.
-		c.RefLoss = 1
-		return
-	}
 	c.RefLoss = d.f64()
 	c.RadioKind = d.u8()
 	c.ShadowSigmaDB = d.f64()
@@ -314,13 +301,11 @@ func (d *decoder) sessionBody(st *SessionState) {
 		}
 	}
 
-	if d.ver >= 3 && d.err == nil {
-		if d.bool("battery presence") {
-			st.Battery = d.floats(n, "battery")
-			for i, b := range st.Battery {
-				if d.err == nil && b < 0 {
-					d.corrupt("battery %d negative", i)
-				}
+	if d.err == nil && d.bool("battery presence") {
+		st.Battery = d.floats(n, "battery")
+		for i, b := range st.Battery {
+			if d.err == nil && b < 0 {
+				d.corrupt("battery %d negative", i)
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package codec
 import (
 	"bufio"
 	"encoding/binary"
-	"fmt"
 	"io"
 	"math"
 
@@ -16,22 +15,7 @@ import (
 // version. The state is read only; it is safe to encode a snapshot whose
 // graphs are COW clones of a live session.
 func EncodeSession(w io.Writer, st *SessionState) error {
-	return EncodeSessionVersion(w, st, Version)
-}
-
-// EncodeSessionVersion writes a session checkpoint at an explicit format
-// version in [MinVersion, Version] — the compatibility hook the
-// downgrade-decode tests exercise. Older versions can only represent
-// states without version-3 extensions (pure power-law radio with unit
-// reference loss, no battery); anything else is rejected.
-func EncodeSessionVersion(w io.Writer, st *SessionState, ver uint16) error {
-	e, err := newEncoderVersion(w, ver)
-	if err != nil {
-		return err
-	}
-	if err := checkDowngrade(&st.Config, st, ver); err != nil {
-		return err
-	}
+	e := newEncoder(w)
 	e.header(KindSession)
 	e.sessionState(st)
 	e.u32(footer)
@@ -41,23 +25,7 @@ func EncodeSessionVersion(w io.Writer, st *SessionState, ver uint16) error {
 // EncodeFleet writes a fleet checkpoint to w at the current format
 // version.
 func EncodeFleet(w io.Writer, st *FleetState) error {
-	return EncodeFleetVersion(w, st, Version)
-}
-
-// EncodeFleetVersion is EncodeSessionVersion's fleet counterpart.
-func EncodeFleetVersion(w io.Writer, st *FleetState, ver uint16) error {
-	e, err := newEncoderVersion(w, ver)
-	if err != nil {
-		return err
-	}
-	if err := checkDowngrade(&st.Config, nil, ver); err != nil {
-		return err
-	}
-	for i := range st.Nets {
-		if err := checkDowngrade(&st.Nets[i].Config, &st.Nets[i].Session, ver); err != nil {
-			return err
-		}
-	}
+	e := newEncoder(w)
 	e.header(KindFleet)
 	e.engineConfig(&st.Config)
 	e.u32(uint32(len(st.Nets)))
@@ -74,27 +42,12 @@ func EncodeFleetVersion(w io.Writer, st *FleetState, ver uint16) error {
 		e.stream(&n.Radius)
 		e.stream(&n.Components)
 		e.stream(&n.Energy)
-		if e.ver >= 3 {
-			e.stream(&n.Residual)
-			e.stream(&n.EnergyVar)
-		}
+		e.stream(&n.Residual)
+		e.stream(&n.EnergyVar)
 		e.sessionBody(&n.Session)
 	}
 	e.u32(footer)
 	return e.flush()
-}
-
-// checkDowngrade rejects states a pre-3 stream cannot represent.
-func checkDowngrade(c *EngineConfig, st *SessionState, ver uint16) error {
-	if ver >= 3 {
-		return nil
-	}
-	if c.RadioKind != 0 || (c.RefLoss != 0 && c.RefLoss != 1) || c.ShadowSigmaDB != 0 ||
-		c.ShadowSeed != 0 || c.BatteryCapacity != 0 || c.BatteryDrain != 0 ||
-		(st != nil && st.Battery != nil) {
-		return fmt.Errorf("%w: version %d cannot represent radio/battery extensions", ErrVersion, ver)
-	}
-	return nil
 }
 
 // encoder wraps a buffered writer with the primitive little-endian
@@ -104,14 +57,10 @@ type encoder struct {
 	w   *bufio.Writer
 	buf [8]byte
 	err error
-	ver uint16
 }
 
-func newEncoderVersion(w io.Writer, ver uint16) (*encoder, error) {
-	if ver < MinVersion || ver > Version {
-		return nil, fmt.Errorf("%w: cannot encode version %d (support %d–%d)", ErrVersion, ver, MinVersion, Version)
-	}
-	return &encoder{w: bufio.NewWriterSize(w, 1<<16), ver: ver}, nil
+func newEncoder(w io.Writer) *encoder {
+	return &encoder{w: bufio.NewWriterSize(w, 1<<16)}
 }
 
 func (e *encoder) flush() error {
@@ -164,7 +113,7 @@ func (e *encoder) bytes(p []byte) {
 
 func (e *encoder) header(kind uint8) {
 	e.write(magic[:])
-	e.u16(e.ver)
+	e.u16(Version)
 	e.u8(kind)
 }
 
@@ -178,14 +127,12 @@ func (e *encoder) engineConfig(c *EngineConfig) {
 	e.bool(c.NonContributing)
 	e.u8(c.PairwisePolicy)
 	e.f64(c.ScheduleFactor)
-	if e.ver >= 3 {
-		e.f64(c.RefLoss)
-		e.u8(c.RadioKind)
-		e.f64(c.ShadowSigmaDB)
-		e.u64(c.ShadowSeed)
-		e.f64(c.BatteryCapacity)
-		e.f64(c.BatteryDrain)
-	}
+	e.f64(c.RefLoss)
+	e.u8(c.RadioKind)
+	e.f64(c.ShadowSigmaDB)
+	e.u64(c.ShadowSeed)
+	e.f64(c.BatteryCapacity)
+	e.f64(c.BatteryDrain)
 }
 
 func (e *encoder) stream(s *stats.Stream) {
@@ -235,11 +182,9 @@ func (e *encoder) sessionBody(st *SessionState) {
 	e.i64(st.Stats.Regrows)
 	e.i64(st.Stats.Repairs)
 
-	if e.ver >= 3 {
-		e.bool(st.Battery != nil)
-		for _, b := range st.Battery {
-			e.f64(b)
-		}
+	e.bool(st.Battery != nil)
+	for _, b := range st.Battery {
+		e.f64(b)
 	}
 
 	e.bool(st.Incremental)

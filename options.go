@@ -6,22 +6,10 @@ import "cbtc/internal/radio"
 // into an immutable Engine.
 type settings struct {
 	cfg            Config
+	radio          radio.Model // Exponent and MaxRadius; New fills the rest
 	allOpts        bool
 	scheduleFactor float64
 	workers        int
-
-	// model is the explicit nominal radio model from WithRadioModel; nil
-	// means derive it from the Config radio fields the legacy way. The
-	// used* flags record which surface supplied radio parameters so New
-	// can reject conflicting combinations with one ErrBadConfig.
-	model         *radio.Model
-	usedPathLoss  bool
-	usedMaxRadius bool
-	usedConfig    bool
-	// refLoss carries a non-unit reference loss through Engine.derive,
-	// where the base radio is reopened as Config fields (which cannot
-	// express it). Zero means "whatever resolve produces".
-	refLoss float64
 
 	// shadowing (WithShadowing)
 	useShadow   bool
@@ -39,81 +27,38 @@ type settings struct {
 // surfaces as a single ErrBadConfig from New.
 type Option func(*settings)
 
-// WithConfig seeds every Engine parameter from a legacy Config. It is
-// the migration path for code that already assembles Config values;
-// options applied after it override individual fields.
-func WithConfig(cfg Config) Option {
-	return func(s *settings) {
-		s.cfg = cfg
-		if cfg.MaxRadius != 0 || cfg.PathLossExponent != 0 {
-			s.usedConfig = true
-		}
-	}
-}
-
 // WithAlpha sets the cone angle in radians. Zero means AlphaConnectivity
 // (5π/6); connectivity is only guaranteed for α ≤ 5π/6.
 func WithAlpha(alpha float64) Option {
 	return func(s *settings) { s.cfg.Alpha = alpha }
 }
 
-// WithMaxRadius sets R, the distance reachable at maximum power.
-// Required unless the radio is supplied through WithRadioModel or
-// WithConfig.
-//
-// Deprecated: new code should describe the radio with
-// WithRadioModel(RadioModel{...}); WithMaxRadius(r) is equivalent to
-// WithRadioModel with Exponent 2 (or the WithPathLoss value) and
-// RefLoss 1. The shim remains fully supported but cannot be combined
-// with WithRadioModel.
+// WithMaxRadius sets R, the distance reachable at maximum power. It is
+// the one option New requires.
 func WithMaxRadius(r float64) Option {
-	return func(s *settings) {
-		s.cfg.MaxRadius = r
-		s.usedMaxRadius = true
-	}
+	return func(s *settings) { s.radio.MaxRadius = r }
 }
 
 // WithPathLoss sets the power-law path-loss exponent n in p(d) = d^n.
 // Zero means 2 (free space); realistic terrestrial environments use 2–4.
-//
-// Deprecated: new code should describe the radio with
-// WithRadioModel(RadioModel{...}), which also exposes the reference
-// loss. The shim remains fully supported but cannot be combined with
-// WithRadioModel.
 func WithPathLoss(exponent float64) Option {
-	return func(s *settings) {
-		s.cfg.PathLossExponent = exponent
-		s.usedPathLoss = true
-	}
+	return func(s *settings) { s.radio.Exponent = exponent }
 }
 
-// RadioModel is the nominal power-law radio model: reaching distance d
-// costs power RefLoss·d^Exponent, and MaxRadius is the distance
-// reachable at maximum power. It aliases the internal propagation type
-// so callers outside the module can construct one for WithRadioModel;
-// New validates the fields (Exponent ≥ 1, positive finite MaxRadius and
-// RefLoss) and rejects bad values with ErrBadConfig.
+// RadioModel is the nominal power-law radio model an Engine reports
+// through Engine.RadioModel: reaching distance d costs power
+// RefLoss·d^Exponent, and MaxRadius is the distance reachable at maximum
+// power. WithMaxRadius and WithPathLoss set its two free parameters;
+// RefLoss is always 1.
 type RadioModel = radio.Model
-
-// WithRadioModel installs the nominal power-law radio model wholesale —
-// exponent, maximum radius and reference loss — replacing the piecemeal
-// WithMaxRadius/WithPathLoss surface. Combining it with those options
-// (or with a WithConfig carrying radio fields) is a configuration
-// conflict New rejects with ErrBadConfig.
-func WithRadioModel(m RadioModel) Option {
-	return func(s *settings) {
-		mc := m
-		s.model = &mc
-	}
-}
 
 // WithShadowing replaces the uniform power law with a deterministic
 // log-distance model: each link (u, v) carries a shadowing term in
 // [−sigmaDB, +sigmaDB] decibels hashed from (seed, u, v), perturbing the
-// power the link needs. The nominal model (WithRadioModel or the legacy
-// radio options) remains the hardware curve — maximum power, schedules
-// and node-side distance estimation still derive from it. Zero sigmaDB
-// is valid and degenerates to the nominal law.
+// power the link needs. The nominal model (WithMaxRadius, WithPathLoss)
+// remains the hardware curve — maximum power, schedules and node-side
+// distance estimation still derive from it. Zero sigmaDB is valid and
+// degenerates to the nominal law.
 func WithShadowing(sigmaDB float64, seed uint64) Option {
 	return func(s *settings) {
 		s.useShadow = true

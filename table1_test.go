@@ -1,6 +1,7 @@
 package cbtc
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -110,12 +111,12 @@ func TestTable1Shape(t *testing.T) {
 func TestTable1AsymTradeoffAndInTextRadius(t *testing.T) {
 	// Build the in-text configuration directly: basic 2π/3 with
 	// asymmetric removal only (no shrink-back).
+	eng := paperEngine(t, WithAlpha(AlphaAsymmetric), WithAsymmetricRemoval())
 	var radius, degree float64
 	const networks = 30
 	for seed := uint64(0); seed < networks; seed++ {
 		nodes := someNetwork(seed, 100)
-		cfg := Config{MaxRadius: 500, Alpha: AlphaAsymmetric, AsymmetricRemoval: true}
-		res, err := Run(nodes, cfg)
+		res, err := eng.Run(context.Background(), nodes)
 		if err != nil {
 			t.Fatal(err)
 		}
