@@ -1,6 +1,7 @@
 package cbtc
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -8,7 +9,6 @@ import (
 
 	"cbtc/internal/codec"
 	"cbtc/internal/core"
-	"cbtc/internal/graph"
 	"cbtc/internal/radio"
 	"cbtc/internal/spatial"
 )
@@ -92,8 +92,11 @@ func (s *Session) Checkpoint(w io.Writer) error {
 // repair installs freshly-built rows); the maintained graphs are
 // copy-on-write clones. Everything else a live session holds (the
 // reconfigurators, the spatial index, the snapshot cache) is derived
-// state that restore rebuilds.
+// state that restore rebuilds. Sessions with pairwise edge removal
+// write no graphs — the format has no slot for gpre beside g — and
+// restore rebuilds their topology from the node rows.
 func (s *Session) exportLocked() *codec.SessionState {
+	incremental := !s.eng.opts.PairwiseRemoval
 	st := &codec.SessionState{
 		Config: s.eng.fingerprint(),
 		Pos:    append([]Point(nil), s.pos...),
@@ -107,12 +110,12 @@ func (s *Session) exportLocked() *codec.SessionState {
 			Regrows:      int64(s.stats.Regrows),
 			Repairs:      int64(s.stats.Repairs),
 		},
-		Incremental: s.incremental,
+		Incremental: incremental,
 	}
 	if s.battery != nil {
 		st.Battery = append([]float64(nil), s.battery...)
 	}
-	if s.incremental {
+	if incremental {
 		st.Pruned = append([][]core.Discovery(nil), s.pruned...)
 		st.Nalpha = s.nalpha.Clone()
 		st.G = s.g.Clone()
@@ -142,15 +145,18 @@ func (e *Engine) RestoreSession(r io.Reader) (*Session, error) {
 // the derived state — per-node reconfigurators, the spatial index — is
 // reconstructed, which is exact: a reconfigurator's state is a pure
 // function of its node's installed neighbor row, and the grid of the
-// positions and liveness vector.
+// positions and liveness vector. A checkpoint without graphs (pairwise
+// edge removal on) rebuilds the whole topology the same way: the
+// maintained graphs are a pure function of the node rows, positions and
+// liveness.
 func (e *Engine) sessionFromState(st *codec.SessionState, workers int) (*Session, error) {
 	if err := e.checkFingerprint(st.Config); err != nil {
 		return nil, err
 	}
-	// The decoder ties the incremental section's presence to the flag;
-	// here the flag must also agree with what the (already matched)
-	// fingerprint implies, or the graphs a live session relies on would
-	// be missing.
+	// The decoder ties the graph section's presence to the flag; here the
+	// flag must also agree with what the (already matched) fingerprint
+	// implies, or a restored session would adopt graphs without their
+	// pairwise-pruned counterpart.
 	if st.Incremental != !e.opts.PairwiseRemoval {
 		return nil, fmt.Errorf("%w: incremental flag %v under pairwise-removal %v", ErrCheckpointCorrupt, st.Incremental, e.opts.PairwiseRemoval)
 	}
@@ -177,7 +183,6 @@ func (e *Engine) sessionFromState(st *codec.SessionState, workers int) (*Session
 			Regrows:      int(st.Stats.Regrows),
 			Repairs:      int(st.Stats.Repairs),
 		},
-		incremental: st.Incremental,
 	}
 	for id, alive := range st.Alive {
 		if !alive {
@@ -191,25 +196,39 @@ func (e *Engine) sessionFromState(st *codec.SessionState, workers int) (*Session
 	// reports are folded fresh from it each read, so nothing else needs
 	// reconstruction.
 	s.battery = st.Battery
+	// Both derivations fail only on cancellation, and restore has no
+	// caller context: the background one never cancels.
 	if st.Incremental {
-		s.pruned = st.Pruned
-		s.nalpha = st.Nalpha
-		s.g = st.G
-		s.gr = st.GR
-		// The O(changed) Observe state is derived, not serialized: the
-		// component structure and the radius cache are pure functions of
-		// the (exactly restored) graph and positions, so re-deriving them
-		// keeps the checkpoint format stable and the restored Observe
-		// byte-identical to the pre-checkpoint one.
-		s.comps = graph.NewLiveComponents(s.g, s.alive)
-		s.radius = make([]float64, n)
-		for id, alive := range s.alive {
-			if alive {
-				s.radius[id] = graph.NodeRadius(s.g, s.pos, id)
-			}
+		s.pruned, s.nalpha, s.gpre, s.g, s.gr = st.Pruned, st.Nalpha, st.G, st.G, st.GR
+		_ = s.deriveObserveState(context.Background())
+	} else {
+		if err := validateNodeRows(st); err != nil {
+			return nil, err
 		}
+		_ = s.buildTopology(context.Background())
 	}
 	return s, nil
+}
+
+// validateNodeRows checks the node rows a checkpoint without graphs
+// rebuilds its topology from, for the invariants the decoder checks on
+// the graphs of the others: no row names a neighbor twice, and departed
+// nodes are isolated — their rows are empty and no row names them.
+func validateNodeRows(st *codec.SessionState) error {
+	seen := make([]int, len(st.Nodes)) // seen[v] == u+1: row u named v
+	for u, nr := range st.Nodes {
+		for _, nb := range nr.Neighbors {
+			v := nb.ID
+			if !st.Alive[u] || !st.Alive[v] {
+				return fmt.Errorf("%w: edge %d–%d touches a departed node", ErrCheckpointCorrupt, u, v)
+			}
+			if seen[v] == u+1 {
+				return fmt.Errorf("%w: node %d names neighbor %d twice", ErrCheckpointCorrupt, u, v)
+			}
+			seen[v] = u + 1
+		}
+	}
+	return nil
 }
 
 // Checkpoint serializes the fleet's complete state to w: the base

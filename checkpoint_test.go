@@ -14,8 +14,9 @@ import (
 )
 
 // checkpointStacks are the option stacks the durability layer is gated
-// on: the basic algorithm, the per-node-local optimizations (incremental
-// sessions), the pairwise stack (non-incremental sessions), the
+// on: the basic algorithm, the per-node-local optimizations (checkpoints
+// carry the maintained graphs), the pairwise stacks (checkpoints carry
+// node rows only and restore rebuilds the topology), the
 // asymmetric-removal regime, and tag quantization.
 var checkpointStacks = []struct {
 	name string
@@ -24,14 +25,15 @@ var checkpointStacks = []struct {
 	{"basic", []Option{WithMaxRadius(500)}},
 	{"shrink-back", []Option{WithMaxRadius(500), WithShrinkBack()}},
 	{"all-ops", []Option{WithMaxRadius(500), WithAllOptimizations()}},
+	{"remove-all", []Option{WithMaxRadius(500), WithShrinkBack(), WithPairwiseRemoval(PairwiseRemoveAll)}},
 	{"asym-2pi3", []Option{WithMaxRadius(500), WithAlpha(AlphaAsymmetric), WithShrinkBack(), WithAsymmetricRemoval()}},
 	{"quantized", []Option{WithMaxRadius(500), WithShrinkBack(), WithShrinkBackSchedule(1.5)}},
 }
 
 // requireSessionsIdentical asserts two sessions expose identical state:
 // same snapshot graphs (G and the ground-truth G_R), radii, powers,
-// liveness, statistics — and, for incremental sessions, identical
-// maintained internal graphs including N_α.
+// liveness, statistics — and identical maintained internal graphs,
+// N_α and the pre-pairwise graph included.
 func requireSessionsIdentical(t *testing.T, a, b *Session) {
 	t.Helper()
 	if a.Len() != b.Len() {
@@ -48,19 +50,17 @@ func requireSessionsIdentical(t *testing.T, a, b *Session) {
 	if a.Stats() != b.Stats() {
 		t.Fatalf("stats %+v != %+v", a.Stats(), b.Stats())
 	}
-	if a.incremental != b.incremental {
-		t.Fatalf("incremental %v != %v", a.incremental, b.incremental)
+	if !a.nalpha.Equal(b.nalpha) {
+		t.Fatal("maintained N_α differs")
 	}
-	if a.incremental {
-		if !a.nalpha.Equal(b.nalpha) {
-			t.Fatal("maintained N_α differs")
-		}
-		if !a.g.Equal(b.g) {
-			t.Fatal("maintained G differs")
-		}
-		if !a.gr.Equal(b.gr) {
-			t.Fatal("maintained G_R differs")
-		}
+	if !a.gpre.Equal(b.gpre) {
+		t.Fatal("maintained pre-pairwise graph differs")
+	}
+	if !a.g.Equal(b.g) {
+		t.Fatal("maintained G differs")
+	}
+	if !a.gr.Equal(b.gr) {
+		t.Fatal("maintained G_R differs")
 	}
 	sa, err := a.Snapshot()
 	if err != nil {
@@ -312,6 +312,46 @@ func TestRestoreErrorPaths(t *testing.T) {
 	}
 	if _, err := eng.RestoreFleet(&refLoss); !errors.Is(err, ErrCheckpointCorrupt) {
 		t.Errorf("fleet member with reference loss 2: got %v, want ErrCheckpointCorrupt", err)
+	}
+
+	// A pairwise checkpoint carries no graphs, and restore rebuilds them
+	// from the node rows: a departed node with neighbors, or a row naming
+	// a neighbor twice, must be refused rather than rebuilt.
+	pw, err := New(WithMaxRadius(500), WithAllOptimizations())
+	if err != nil {
+		t.Fatal(err)
+	}
+	psess, err := pw.NewSession(context.Background(), someNetwork(2, 25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := psess.Leave(3); err != nil {
+		t.Fatal(err)
+	}
+	var pbuf bytes.Buffer
+	if err := psess.Checkpoint(&pbuf); err != nil {
+		t.Fatal(err)
+	}
+	for name, mangle := range map[string]func(st *codec.SessionState){
+		"departed row":       func(st *codec.SessionState) { st.Nodes[3].Neighbors = st.Nodes[4].Neighbors },
+		"departed neighbor":  func(st *codec.SessionState) { st.Nodes[4].Neighbors[0].ID = 3 },
+		"duplicate neighbor": func(st *codec.SessionState) { st.Nodes[4].Neighbors[1] = st.Nodes[4].Neighbors[0] },
+	} {
+		st, err := codec.DecodeSession(bytes.NewReader(pbuf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st.Nodes[4].Neighbors) < 2 {
+			t.Fatal("node 4 needs two neighbors")
+		}
+		mangle(st)
+		var buf bytes.Buffer
+		if err := codec.EncodeSession(&buf, st); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pw.RestoreSession(&buf); !errors.Is(err, ErrCheckpointCorrupt) {
+			t.Errorf("pairwise checkpoint with a %s: got %v, want ErrCheckpointCorrupt", name, err)
+		}
 	}
 }
 

@@ -266,8 +266,8 @@ func main() {
 }
 
 // maxRadius scans one member's live nodes through the session's cached
-// per-node radii — Session.NodeRadius is an O(1) read on incremental
-// stacks, so the whole column costs one pass over the id space.
+// per-node radii — Session.NodeRadius is an O(1) read on every stack, so
+// the whole column costs one pass over the id space.
 func maxRadius(fleet *cbtc.Fleet, nr *cbtc.FleetNetworkReport) float64 {
 	if nr.Health != cbtc.MemberHealthy {
 		return 0

@@ -221,6 +221,138 @@ func TestEnergyCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBatteryPairwise: a battery engine with every optimization drains
+// each live node by drain × p(radius) over the pairwise-pruned topology.
+// Its checkpoint carries node rows only, as for every pairwise stack, so
+// restore rebuilds the topology and adopts the battery vector; the
+// restored session re-encodes, observes and continues byte-identically.
+// A fleet with such a member round-trips too.
+func TestBatteryPairwise(t *testing.T) {
+	ctx := context.Background()
+	m := radio.Default(500)
+	cap := 40 * m.MaxPower()
+	const drain = 1.0
+	eng, err := New(WithMaxRadius(500), WithBattery(cap, drain), WithAllOptimizations())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := eng.NewSession(ctx, someNetwork(59, 50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := workload.Rand(71)
+	pruned := 0 // live nodes whose radius pairwise removal shortened
+	for step := 0; step < 6; step++ {
+		before := make([]float64, sess.Len())
+		for u := range before {
+			before[u] = sess.Residual(u)
+		}
+		if _, _, err := sess.Tick(randomBatch(rng, sess, 3, 1500)); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := sess.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u := 0; u < sess.Len(); u++ {
+			if !sess.Alive(u) {
+				continue
+			}
+			r, err := sess.NodeRadius(u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := graph.NodeRadius(snap.G, snap.Pos, u); r != want {
+				t.Fatalf("step %d node %d: NodeRadius %v, radius in G %v", step, u, r, want)
+			}
+			if r < graph.NodeRadius(snap.topo.Gpre, snap.Pos, u) {
+				pruned++
+			}
+			b := cap // a node joined this tick starts full
+			if u < len(before) {
+				b = before[u]
+			}
+			want := math.Max(b-drain*m.PowerFor(r), 0)
+			if got := sess.Residual(u); got != want {
+				t.Fatalf("step %d node %d: residual %v, want %v", step, u, got, want)
+			}
+		}
+	}
+	if pruned == 0 {
+		t.Fatal("pairwise removal never shortened a drained radius")
+	}
+
+	var buf bytes.Buffer
+	if err := sess.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	st, err := codec.DecodeSession(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Incremental || st.G != nil || st.Battery == nil {
+		t.Fatalf("pairwise checkpoint: incremental %v, graphs %v, battery %v; want node rows and a battery only",
+			st.Incremental, st.G != nil, st.Battery != nil)
+	}
+	restored, err := eng.RestoreSession(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSessionsIdentical(t, sess, restored)
+	var again bytes.Buffer
+	if err := restored.Checkpoint(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+		t.Fatal("restored session re-encodes differently")
+	}
+	for step := 0; step < 5; step++ {
+		batch := randomBatch(rng, sess, 3, 1500)
+		repA, tsA, errA := sess.Tick(batch)
+		repB, tsB, errB := restored.Tick(batch)
+		if errA != nil || errB != nil {
+			t.Fatalf("tick %d: %v / %v", step, errA, errB)
+		}
+		if !reflect.DeepEqual(repA, repB) || tsA != tsB {
+			t.Fatalf("tick %d: drained observations diverge: %+v != %+v", step, tsB, tsA)
+		}
+	}
+	requireSessionsIdentical(t, sess, restored)
+
+	fleet, err := fleetEngine(t).NewFleet(ctx, FleetConfig{Seed: 3, Members: []MemberSpec{
+		{Placement: someNetwork(63, 30)},
+		{Placement: someNetwork(64, 30), Options: []Option{WithBattery(cap, drain), WithAllOptimizations()}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tick := LifetimeTick(TickProfile{Moves: 2, Jitter: 40, Width: 1500, Height: 1500})
+	if _, err := fleet.Run(ctx, 4, tick); err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := fleet.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restoredFleet, err := fleetEngine(t).RestoreFleet(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fleet.Run(ctx, 4, tick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := restoredFleet.Run(ctx, 4, tick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeroSched(want)
+	zeroSched(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("restored fleet with a pairwise battery member diverges from the uninterrupted one")
+	}
+}
+
 // TestSnapshotRadiusFold pins the Summarize fold-down: the snapshot's
 // radius and degree tables, assembled from the maintained per-node
 // radius cache, are bitwise identical to re-deriving them from the
@@ -414,8 +546,6 @@ func TestRadioOptionConflicts(t *testing.T) {
 		{WithMaxRadius(500), WithBattery(math.NaN(), 1)},
 		{WithMaxRadius(500), WithBattery(10, -1)},
 		{WithMaxRadius(500), WithBattery(10, math.Inf(1))},
-		{WithMaxRadius(500), WithBattery(10, 1), WithPairwiseRemoval(PairwisePolicy(0))},
-		{WithMaxRadius(500), WithBattery(10, 1), WithAllOptimizations()},
 		{WithMaxRadius(500), WithShadowing(-1, 0)},
 		{WithMaxRadius(500), WithShadowing(math.NaN(), 0)},
 	}

@@ -1134,8 +1134,7 @@ func (f *Fleet) networkReportLocked(i int) (FleetNetworkReport, error) {
 // snapshots fan across the shard pool into disjoint slots, then the
 // aggregate accumulators merge serially in fleet order — so the merged
 // floats, like everything else in the report except Sched, are
-// independent of scheduling. Cancelling ctx aborts between snapshots
-// (they can be full rebuilds on pairwise-stack members).
+// independent of scheduling. Cancelling ctx aborts between snapshots.
 func (f *Fleet) reportLocked(ctx context.Context) (*FleetReport, error) {
 	rep := &FleetReport{
 		Networks:   len(f.nets),

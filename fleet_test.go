@@ -142,8 +142,8 @@ func TestFleetWorkerCountInvariance(t *testing.T) {
 
 // Fuzz-style randomized equivalence: a fleet of M networks must be
 // edge-identical to M sequential Sessions driven by the same tick
-// streams — for the incremental stack and for the pairwise (full
-// rebuild) stack.
+// streams — for the shrink-back stack and for the pairwise-removal
+// stack.
 func TestFleetEqualsSequentialSessions(t *testing.T) {
 	ctx := context.Background()
 	meta := rand.New(rand.NewPCG(77, 1))
@@ -154,8 +154,7 @@ func TestFleetEqualsSequentialSessions(t *testing.T) {
 		seed := meta.Uint64()
 		var opts []Option
 		if trial%2 == 1 {
-			// Odd trials run the global pairwise stack, covering the
-			// snapshot-rebuild Observe path.
+			// Odd trials run the pairwise-removal stack.
 			opts = append(opts, WithAllOptimizations())
 		}
 		eng := fleetEngine(t, opts...)

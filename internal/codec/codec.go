@@ -135,8 +135,9 @@ type SessionState struct {
 	Nodes []core.NodeResult
 	// Stats are the session's cumulative §4 counters.
 	Stats SessionCounters
-	// Incremental reports whether the incremental-snapshot state below is
-	// present (pairwise removal off).
+	// Incremental reports whether the graph state below is present: it is
+	// for sessions without pairwise removal, while sessions with it carry
+	// node rows only and rebuild their graphs on restore.
 	Incremental bool
 	// Pruned is the per-node neighbor row after per-node-local pruning;
 	// nil when Incremental is false.

@@ -72,10 +72,10 @@ func WithShadowing(sigmaDB float64, seed uint64) Option {
 // live node is charged drain × p(radius) — its transmit power at the
 // installed broadcast radius scaled by the drain coefficient — and a
 // node whose battery empties dies (Sessions surface it via Depleted;
-// LifetimeTick converts deaths into Leave events). Capacity must be
-// positive and drain non-negative; battery accounting requires the
-// incremental session stack, so combining it with pairwise edge removal
-// is rejected by New.
+// LifetimeTick converts deaths into Leave events). The radius is the
+// node's radius in the final topology, after every optimization the
+// engine applies, pairwise edge removal included. Capacity must be
+// positive and drain non-negative.
 func WithBattery(capacity, drain float64) Option {
 	return func(s *settings) {
 		s.useBattery = true

@@ -46,45 +46,28 @@ func (e *Engine) newResult(nodes []Point, topo *core.Topology, workers int) *Res
 }
 
 // newResultWithGR builds a Result against a caller-supplied ground-truth
-// graph. Sessions use it: their G_R must isolate departed nodes, which
-// the plain max-power graph over remembered positions would reconnect.
+// graph, computing each node's radius in topo.G.
 func newResultWithGR(nodes []Point, m radio.Model, topo *core.Topology, gr *Graph) *Result {
-	n := len(nodes)
-	r := &Result{
-		G:        topo.G,
-		GR:       gr,
-		Pos:      append([]Point(nil), nodes...),
-		Radii:    make([]float64, n),
-		Powers:   make([]float64, n),
-		Boundary: make([]bool, n),
-		topo:     topo,
-		model:    m,
+	radii := make([]float64, len(nodes))
+	for u := range radii {
+		radii[u] = topo.Radius(u)
 	}
-	for u := 0; u < n; u++ {
-		r.Radii[u] = topo.Radius(u)
-		r.Powers[u] = topo.Exec.Nodes[u].GrowPower
-		r.Boundary[u] = topo.Exec.Nodes[u].Boundary
-	}
-	s := topo.Summarize()
-	r.AvgDegree = s.AvgDegree
-	r.AvgRadius = s.AvgRadius
-	return r
+	return newResultFromRadii(nodes, m, topo, gr, radii)
 }
 
-// newResultFromRadii is newResultWithGR for callers that already
-// maintain the per-node radius table of topo.G — sessions fold their
-// incremental radius cache here instead of rescanning every adjacency
-// row. radii[u] must equal graph.NodeRadius(topo.G, nodes, u) for every
-// slot; the summary statistics are then derived with the same summation
-// order as Topology.Summarize, so the Result is bitwise identical to the
-// from-scratch path, just without its O(edges) radius pass.
+// newResultFromRadii assembles a Result around the per-node radius table
+// of topo.G, which it adopts — sessions pass a copy of their maintained
+// radius cache instead of rescanning every adjacency row. radii[u] must
+// equal graph.NodeRadius(topo.G, nodes, u) for every slot; AvgDegree and
+// AvgRadius are derived in Topology.Summarize's summation order, so they
+// equal its figures bitwise.
 func newResultFromRadii(nodes []Point, m radio.Model, topo *core.Topology, gr *Graph, radii []float64) *Result {
 	n := len(nodes)
 	r := &Result{
 		G:        topo.G,
 		GR:       gr,
 		Pos:      append([]Point(nil), nodes...),
-		Radii:    append([]float64(nil), radii...),
+		Radii:    radii,
 		Powers:   make([]float64, n),
 		Boundary: make([]bool, n),
 		topo:     topo,
@@ -179,10 +162,17 @@ func (r *Result) DirectedNeighbors(u int) []int {
 }
 
 // RemovedRedundant returns the edges deleted by pairwise edge removal
-// (empty unless PairwiseRemoval was enabled).
+// (empty unless PairwiseRemoval was enabled), in canonical order: the
+// edges of the pre-removal graph that G lacks.
 func (r *Result) RemovedRedundant() []Edge {
-	if r.topo == nil {
+	if r.topo == nil || r.topo.Gpre == r.topo.G {
 		return nil
 	}
-	return append([]Edge(nil), r.topo.RemovedRedundant...)
+	var out []Edge
+	for _, e := range r.topo.Gpre.Edges() {
+		if !r.topo.G.HasEdge(e.U, e.V) {
+			out = append(out, e)
+		}
+	}
+	return out
 }

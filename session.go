@@ -29,7 +29,11 @@ var ErrBadEvent = errors.New("cbtc: invalid session event")
 // prefix of nearer candidates, which the event did not change. When the
 // recompute set is large, the per-node recomputations are fanned across
 // the engine's worker pool (WithWorkers); the repaired state is
-// identical at every worker count.
+// identical at every worker count. Every optimization stack is
+// maintained this way, pairwise edge removal (§3.3) included: the
+// redundancy of an edge (Definition 3.5) reads only the edges at its
+// endpoints and their neighbors' positions, so a repair re-decides only
+// the edges at nodes within two hops of an edited or moved node.
 //
 // The maintained fixed point is exact: at any moment the live topology
 // equals what a fresh Engine.Run over the current live placement would
@@ -56,25 +60,27 @@ type Session struct {
 	stats  SessionStats
 	cached *Result
 
-	// Incremental-snapshot state, maintained only when the optimization
-	// stack is per-node local (incremental == true, i.e. pairwise removal
-	// is off). Repairs patch exactly the recomputed nodes' arcs; Snapshot
-	// then takes copy-on-write clones of the maintained graphs — O(live
-	// nodes) slice-header copies — instead of rebuilding the full
+	// Maintained topology. Repairs patch exactly the recomputed nodes'
+	// arcs; Snapshot then takes copy-on-write clones of these graphs —
+	// O(live nodes) slice-header copies — instead of rebuilding the
 	// topology and ground-truth G_R from scratch, and later repairs copy
 	// only the rows they actually touch.
-	incremental bool
-	pruned      [][]core.Discovery // per-node neighbor lists after op1/degree pruning
-	nalpha      *graph.Digraph     // pruned directed relation N_α
-	g           *graph.Graph       // its symmetrization per the optimization stack
-	gr          *graph.Graph       // G_R over live nodes; departed nodes isolated
-	grScratch   []int              // reusable max-power neighbor buffer
+	pruned [][]core.Discovery // per-node neighbor lists after op1/degree pruning
+	nalpha *graph.Digraph     // pruned directed relation N_α
+	gpre   *graph.Graph       // its symmetrization per the optimization stack
+	// g is the topology: gpre after pairwise edge removal, which the
+	// pairwise kernel keeps in step with gpre. Without op3 pairwise is
+	// nil and g is gpre itself, as in core.BuildTopology.
+	g         *graph.Graph
+	pairwise  *core.Pairwise
+	gr        *graph.Graph // G_R over live nodes; departed nodes isolated
+	grScratch []int        // reusable max-power neighbor buffer
 
 	// live is the maintained live-node count, so LiveCount and Observe
 	// never rescan the liveness vector.
 	live int
 
-	// O(changed) Observe state, maintained on incremental stacks only:
+	// O(changed) Observe state, maintained on every stack:
 	// comps tracks live connectivity across repairs (union-find with
 	// rebuild-on-split), and radius caches each live node's NodeRadius
 	// over g, recomputed only for nodes whose adjacency rows a repair
@@ -94,8 +100,8 @@ type Session struct {
 	mark    []int
 	markGen int
 
-	// Battery state, allocated only for engines built WithBattery (which
-	// implies the incremental stack). battery[u] is node u's residual
+	// Battery state, allocated only for engines built WithBattery (on any
+	// optimization stack). battery[u] is node u's residual
 	// energy; Tick drains each live node by drain × p(radius[u]) and
 	// clamps at zero. Observe folds the residual moments in one ascending
 	// pass — a pure function of (battery, alive), so restored sessions
@@ -188,14 +194,14 @@ func (e *Engine) newProtocolSession(ctx context.Context, nodes []Point, sim SimO
 // protocol constructors.
 func (e *Engine) sessionFromExec(ctx context.Context, nodes []Point, exec *core.Execution, workers int) (*Session, error) {
 	s := &Session{
-		eng:         e,
-		workers:     workers,
-		pos:         append([]Point(nil), nodes...),
-		alive:       make([]bool, len(nodes)),
-		nodes:       exec.Nodes,
-		recs:        make([]*core.Reconfigurator, len(nodes)),
-		idx:         spatial.New(nodes, e.prop.MaxLinkRadius()),
-		incremental: !e.opts.PairwiseRemoval,
+		eng:     e,
+		workers: workers,
+		pos:     append([]Point(nil), nodes...),
+		alive:   make([]bool, len(nodes)),
+		nodes:   exec.Nodes,
+		recs:    make([]*core.Reconfigurator, len(nodes)),
+		idx:     spatial.New(nodes, e.prop.MaxLinkRadius()),
+		live:    len(nodes),
 	}
 	if e.battery {
 		s.battery = make([]float64, len(nodes))
@@ -207,46 +213,72 @@ func (e *Engine) sessionFromExec(ctx context.Context, nodes []Point, exec *core.
 		s.alive[i] = true
 		s.recs[i] = core.NewReconfigurator(e.cfg.Alpha, e.model, exec.Nodes[i].Neighbors)
 	}
-	s.live = len(nodes)
-	if s.incremental {
-		n := len(nodes)
-		s.pruned = make([][]core.Discovery, n)
-		pruneWorkers := core.ResolveWorkers(workers, n)
-		runners := make([]core.NodeRunner, pruneWorkers)
-		// The per-node prune (coverage arithmetic when shrink-back is on)
-		// is embarrassingly parallel, like the oracle itself.
-		if err := core.ParallelRange(ctx, n, pruneWorkers, func(w, u int) {
-			s.pruned[u] = e.pruneNeighbors(exec.Nodes[u].Neighbors, &runners[w])
-		}); err != nil {
-			return nil, err
-		}
-		rows := make([][]int32, n)
-		for u := range s.pruned {
-			rows[u] = core.SuccessorRow(nil, s.pruned[u])
-		}
-		s.nalpha = graph.NewDigraphFromRows(rows)
-		if e.opts.AsymmetricRemoval {
-			s.g = s.nalpha.MutualSubgraph()
-		} else {
-			s.g = s.nalpha.SymmetricClosure()
-		}
-		// Reuse the session's own grid — it indexes exactly these nodes.
-		s.gr = core.MaxPowerGraphParallelIndexed(nodes, e.prop, s.idx, workers)
-		s.comps = graph.NewLiveComponents(s.g, s.alive)
-		s.radius = make([]float64, n)
-		if err := core.ParallelRange(ctx, n, pruneWorkers, func(_, u int) {
-			s.radius[u] = graph.NodeRadius(s.g, nodes, u)
-		}); err != nil {
-			return nil, err
-		}
+	if err := s.buildTopology(ctx); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
+// buildTopology derives the maintained topology from the installed
+// growing-phase rows, positions and liveness: the pruned rows, N_α, its
+// symmetrization gpre, the pairwise-pruned g with its kernel, the
+// ground-truth G_R with departed nodes isolated, and the Observe state.
+// The constructors and the restore of a checkpoint that carries no
+// graphs share it.
+func (s *Session) buildTopology(ctx context.Context) error {
+	e := s.eng
+	n := len(s.pos)
+	workers := core.ResolveWorkers(s.workers, n)
+	runners := make([]core.NodeRunner, workers)
+	s.pruned = make([][]core.Discovery, n)
+	// The per-node prune (coverage arithmetic when shrink-back is on) is
+	// embarrassingly parallel, like the oracle itself.
+	if err := core.ParallelRange(ctx, n, workers, func(w, u int) {
+		s.pruned[u] = e.pruneNeighbors(s.nodes[u].Neighbors, &runners[w])
+	}); err != nil {
+		return err
+	}
+	rows := make([][]int32, n)
+	for u := range s.pruned {
+		rows[u] = core.SuccessorRow(nil, s.pruned[u])
+	}
+	s.nalpha = graph.NewDigraphFromRows(rows)
+	if e.opts.AsymmetricRemoval {
+		s.gpre = s.nalpha.MutualSubgraph()
+	} else {
+		s.gpre = s.nalpha.SymmetricClosure()
+	}
+	s.g = s.gpre
+	if e.opts.PairwiseRemoval {
+		s.pairwise, s.g, _ = core.NewPairwise(s.gpre, s.pos, e.opts.PairwisePolicy)
+	}
+	// Reuse the session's own grid — it indexes exactly the live nodes.
+	s.gr = core.MaxPowerGraphParallelIndexed(s.pos, e.prop, s.idx, s.workers)
+	for u, alive := range s.alive {
+		if !alive {
+			s.gr.IsolateNode(u)
+		}
+	}
+	return s.deriveObserveState(ctx)
+}
+
+// deriveObserveState derives the O(changed) Observe state — the live
+// component structure and the per-node radius cache — from g and the
+// positions. Neither is serialized: both are pure functions of the
+// maintained graph, so a restored session observes byte-identically.
+func (s *Session) deriveObserveState(ctx context.Context) error {
+	n := len(s.pos)
+	s.comps = graph.NewLiveComponents(s.g, s.alive)
+	s.radius = make([]float64, n)
+	return core.ParallelRange(ctx, n, core.ResolveWorkers(s.workers, n), func(_, u int) {
+		s.radius[u] = graph.NodeRadius(s.g, s.pos, u)
+	})
+}
+
 // pruneNeighbors applies the engine's per-node-local optimizations in
 // BuildTopology's order: shrink-back (op1), then the non-contributing
-// degree reduction, on the worker's runner scratch. Pairwise removal is
-// global and never goes through here.
+// degree reduction, on the worker's runner scratch. Pairwise removal
+// acts on edges, not rows, and never goes through here.
 func (e *Engine) pruneNeighbors(nbrs []core.Discovery, r *core.NodeRunner) []core.Discovery {
 	if e.opts.ShrinkBack {
 		nbrs = r.ShrinkNeighbors(nbrs, e.cfg.Alpha)
@@ -301,17 +333,18 @@ func (s *Session) admit(p Point) int {
 	s.recs = append(s.recs, nil)
 	s.idx.Add(id, p)
 	s.live++
-	if s.incremental {
-		s.pruned = append(s.pruned, nil)
-		s.nalpha.Grow(1)
+	s.pruned = append(s.pruned, nil)
+	s.nalpha.Grow(1)
+	s.gpre.Grow(1)
+	if s.pairwise != nil {
 		s.g.Grow(1)
-		s.gr.Grow(1)
-		s.patchGR(id)
-		// The newcomer starts as a singleton component with radius 0; the
-		// recompute's edge patches union and refresh it.
-		s.comps.Join(id)
-		s.radius = append(s.radius, 0)
 	}
+	s.gr.Grow(1)
+	s.patchGR(id)
+	// The newcomer starts as a singleton component with radius 0; the
+	// recompute's edge patches union and refresh it.
+	s.comps.Join(id)
+	s.radius = append(s.radius, 0)
 	if s.battery != nil {
 		s.battery = append(s.battery, s.eng.batteryCap)
 	}
@@ -325,13 +358,11 @@ func (s *Session) depart(id int) {
 	s.alive[id] = false
 	s.idx.Remove(id)
 	s.live--
-	if s.incremental {
-		s.gr.IsolateNode(id)
-		// The topology-edge removals themselves are recorded by patchArcs
-		// during the recompute; the departure is folded into the component
-		// structure alongside them.
-		s.pendDepart = append(s.pendDepart, id)
-	}
+	s.gr.IsolateNode(id)
+	// The topology-edge removals themselves are recorded by patchArcs
+	// during the recompute; the departure is folded into the component
+	// structure alongside them.
+	s.pendDepart = append(s.pendDepart, id)
 	s.stats.Leaves++
 }
 
@@ -341,11 +372,9 @@ func (s *Session) relocate(id int, p Point) Point {
 	old := s.pos[id]
 	s.pos[id] = p
 	s.idx.Move(id, p)
-	if s.incremental {
-		s.gr.IsolateNode(id)
-		s.patchGR(id)
-		s.pendMoved = append(s.pendMoved, id)
-	}
+	s.gr.IsolateNode(id)
+	s.patchGR(id)
+	s.pendMoved = append(s.pendMoved, id)
 	s.stats.Moves++
 	return old
 }
@@ -431,70 +460,52 @@ func (s *Session) patchGR(id int) {
 // G_R, so Result.PreservesConnectivity keeps its meaning. Snapshots are
 // cached between events.
 //
-// When the optimization stack is per-node local (pairwise removal off),
-// the snapshot is assembled from the incrementally-maintained graphs —
-// repairs only ever rebuilt the recomputed nodes' arcs — and costs one
-// clone instead of a full topology + G_R rebuild. With pairwise removal
-// (a global transformation) the full rebuild runs as before.
+// The snapshot is assembled from the maintained graphs — repairs only
+// ever rebuilt the recomputed nodes' arcs and re-decided pairwise
+// removal around them — and costs copy-on-write clones instead of a
+// topology and G_R rebuild. The error is always nil.
 func (s *Session) Snapshot() (*Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.snapshotLocked()
+	return s.snapshotLocked(), nil
 }
 
-// snapshotLocked is Snapshot with the session lock already held; Tick
-// and Observe use it for their atomic apply-and-observe paths.
-func (s *Session) snapshotLocked() (*Result, error) {
+// snapshotLocked is Snapshot with the session lock already held.
+func (s *Session) snapshotLocked() *Result {
 	if s.cached != nil {
-		return s.cached, nil
-	}
-	if s.incremental {
-		exec := &core.Execution{
-			Alpha: s.eng.cfg.Alpha,
-			Model: s.eng.model,
-			Pos:   append([]Point(nil), s.pos...),
-			Nodes: make([]core.NodeResult, len(s.pos)),
-		}
-		for u := range exec.Nodes {
-			exec.Nodes[u] = core.NodeResult{
-				Neighbors: s.pruned[u],
-				GrowPower: s.nodes[u].GrowPower,
-				Boundary:  s.nodes[u].Boundary,
-			}
-		}
-		g := s.g.Clone()
-		topo := &core.Topology{
-			Exec:   exec,
-			Nalpha: s.nalpha.Clone(),
-			G:      g,
-			Gpre:   g, // equal when pairwise removal is off, as in BuildTopology
-			Opts:   s.eng.opts,
-		}
-		// The radius cache already holds NodeRadius(g, pos, u) for every
-		// slot (0 for departed nodes), so the snapshot folds it instead of
-		// re-deriving the radius/degree tables from scratch — the assembled
-		// Result is bitwise identical either way.
-		s.cached = newResultFromRadii(s.pos, s.eng.model, topo, s.gr.Clone(), s.radius)
-		return s.cached, nil
+		return s.cached
 	}
 	exec := &core.Execution{
 		Alpha: s.eng.cfg.Alpha,
 		Model: s.eng.model,
 		Pos:   append([]Point(nil), s.pos...),
-		Nodes: append([]core.NodeResult(nil), s.nodes...),
+		Nodes: make([]core.NodeResult, len(s.pos)),
 	}
-	topo, err := core.BuildTopology(exec, s.eng.opts)
-	if err != nil {
-		return nil, fmt.Errorf("cbtc: session snapshot: %w", err)
-	}
-	gr := core.MaxPowerGraphParallel(s.pos, s.eng.prop, s.workers)
-	for u := range s.alive {
-		if !s.alive[u] {
-			gr.IsolateNode(u)
+	for u := range exec.Nodes {
+		exec.Nodes[u] = core.NodeResult{
+			Neighbors: s.pruned[u],
+			GrowPower: s.nodes[u].GrowPower,
+			Boundary:  s.nodes[u].Boundary,
 		}
 	}
-	s.cached = newResultWithGR(s.pos, s.eng.model, topo, gr)
-	return s.cached, nil
+	g := s.g.Clone()
+	gpre := g // the same graph when pairwise removal is off, as in BuildTopology
+	if s.pairwise != nil {
+		gpre = s.gpre.Clone()
+	}
+	topo := &core.Topology{
+		Exec:   exec,
+		Nalpha: s.nalpha.Clone(),
+		G:      g,
+		Gpre:   gpre,
+		Opts:   s.eng.opts,
+	}
+	// The radius cache already holds NodeRadius(g, pos, u) for every slot
+	// (0 for departed nodes), so the snapshot folds it instead of
+	// re-deriving the radius/degree tables from scratch — the assembled
+	// Result is bitwise identical either way.
+	s.cached = newResultFromRadii(s.pos, s.eng.model, topo, s.gr.Clone(), append([]float64(nil), s.radius...))
+	return s.cached
 }
 
 // Stats returns the cumulative reconfiguration statistics.
@@ -566,33 +577,23 @@ func (ts *TickSeries) Merge(o *TickSeries) {
 	ts.EnergyVar.Merge(&o.EnergyVar)
 }
 
-// Observe computes the session's current TickStats. For engines whose
-// optimization stack is per-node local the read is O(changed): repairs
-// maintain the component structure, the live/edge counters and the
-// per-node radius cache, so observing costs the maintained counters
+// Observe computes the session's current TickStats in O(changed):
+// repairs maintain the component structure, the live/edge counters and
+// the per-node radius cache, so observing costs the maintained counters
 // plus one flat summation over the cached values — no BFS, no radius
-// recomputation, no Result assembly. With pairwise removal (a global
-// transformation with no per-node delta) it derives the stats from the
-// (cached) Snapshot via the reference full-scan path.
+// recomputation, no Result assembly. The error is always nil.
 func (s *Session) Observe() (TickStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.observeLocked()
+	return s.observeLocked(), nil
 }
 
-func (s *Session) observeLocked() (TickStats, error) {
-	if !s.incremental {
-		snap, err := s.snapshotLocked()
-		if err != nil {
-			return TickStats{}, err
-		}
-		return observeGraph(snap.G, s.alive, s.pos, s.nodes), nil
-	}
+func (s *Session) observeLocked() TickStats {
 	ts := TickStats{Live: s.live, Edges: s.g.EdgeCount(), Components: s.comps.Count()}
-	// The radius and energy sums fold the cached per-node values in the
-	// same ascending order as the reference scan, so the incremental
-	// stats are bitwise identical to observeGraph's — not just close —
-	// and stay so across checkpoint/restore.
+	// The radius and energy sums fold the cached per-node values in
+	// ascending order, as a full rescan of the graph would, so the
+	// maintained stats are bitwise identical to a rescan's — not just
+	// close — and stay so across checkpoint/restore.
 	for u, alive := range s.alive {
 		if !alive {
 			continue
@@ -605,7 +606,7 @@ func (s *Session) observeLocked() (TickStats, error) {
 		ts.AvgRadius /= float64(ts.Live)
 	}
 	s.observeBattery(&ts)
-	return ts, nil
+	return ts
 }
 
 // observeBattery fills the battery fields of ts by folding the residual
@@ -702,56 +703,6 @@ func (s *Session) Residual(id int) float64 {
 	return s.battery[id]
 }
 
-// observeGraph computes TickStats from scratch over g — the reference
-// full-scan path: a component BFS plus a fresh per-node radius pass.
-// The pairwise-removal stack observes through it every tick; on
-// incremental stacks it is the oracle the maintained path is tested
-// (and benchmarked) against.
-func observeGraph(g *graph.Graph, alive []bool, pos []Point, nodes []core.NodeResult) TickStats {
-	ts := TickStats{Edges: g.EdgeCount(), Components: liveComponents(g, alive)}
-	for u, a := range alive {
-		if !a {
-			continue
-		}
-		ts.Live++
-		ts.AvgRadius += graph.NodeRadius(g, pos, u)
-		ts.Energy += nodes[u].GrowPower
-	}
-	if ts.Live > 0 {
-		ts.AvgDegree = 2 * float64(ts.Edges) / float64(ts.Live)
-		ts.AvgRadius /= float64(ts.Live)
-	}
-	return ts
-}
-
-// liveComponents counts the connected components of g restricted to the
-// live nodes. Edges never touch departed nodes (repairs isolate them),
-// so a BFS seeded at live nodes only ever visits live nodes.
-func liveComponents(g *graph.Graph, alive []bool) int {
-	visited := make([]bool, g.Len())
-	var stack []int32
-	count := 0
-	for u, live := range alive {
-		if !live || visited[u] {
-			continue
-		}
-		count++
-		visited[u] = true
-		stack = append(stack[:0], int32(u))
-		for len(stack) > 0 {
-			x := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, v := range g.Row(int(x)) {
-				if !visited[v] {
-					visited[v] = true
-					stack = append(stack, v)
-				}
-			}
-		}
-	}
-	return count
-}
-
 // Len returns the number of node slots ever allocated, including
 // departed nodes.
 func (s *Session) Len() int {
@@ -770,27 +721,15 @@ func (s *Session) LiveCount() int {
 
 // NodeRadius returns node id's current transmission radius — the length
 // of its longest incident topology edge, 0 for isolated or departed
-// nodes. On incremental stacks it reads the maintained per-node cache;
-// with pairwise removal it derives the answer from the (cached)
-// Snapshot. Like Position it panics on an id the session never
-// allocated.
+// nodes — from the maintained per-node cache. The error is always nil.
+// Like Position it panics on an id the session never allocated.
 func (s *Session) NodeRadius(id int) (float64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if id < 0 || id >= len(s.pos) {
 		panic(fmt.Sprintf("cbtc: session has no node %d (len %d)", id, len(s.pos)))
 	}
-	if !s.alive[id] {
-		return 0, nil
-	}
-	if s.incremental {
-		return s.radius[id], nil
-	}
-	snap, err := s.snapshotLocked()
-	if err != nil {
-		return 0, err
-	}
-	return graph.NodeRadius(snap.G, s.pos, id), nil
+	return s.radius[id], nil
 }
 
 // Alive reports whether id identifies a live node.
@@ -906,7 +845,8 @@ type recomputed struct {
 // engine's worker pool when the recompute set is large (a drift tick
 // of dozens of moves reaches hundreds of beacons). Phase 2 serially
 // installs the results and patches the recomputed nodes' arcs into the
-// incrementally-maintained topology graphs.
+// maintained topology graphs; with pairwise removal on, the kernel then
+// re-decides the edges around the patched and moved nodes.
 func (s *Session) recompute(ids []int) []int {
 	s.newMarkEpoch()
 	out := make([]int, 0, len(ids))
@@ -935,22 +875,17 @@ func (s *Session) recompute(ids []int) []int {
 		if s.eng.schedule != nil {
 			nr.Neighbors = core.QuantizeNeighbors(nr.Neighbors, s.eng.schedule)
 		}
-		rc := recomputed{
-			nr:  nr,
-			rec: core.NewReconfigurator(s.eng.cfg.Alpha, s.eng.model, nr.Neighbors),
+		results[i] = recomputed{
+			nr:     nr,
+			rec:    core.NewReconfigurator(s.eng.cfg.Alpha, s.eng.model, nr.Neighbors),
+			pruned: s.eng.pruneNeighbors(nr.Neighbors, &runners[w]),
 		}
-		if s.incremental {
-			rc.pruned = s.eng.pruneNeighbors(nr.Neighbors, &runners[w])
-		}
-		results[i] = rc
 	})
 
 	for i, u := range live {
 		s.nodes[u] = results[i].nr
 		s.recs[u] = results[i].rec
-		if s.incremental {
-			s.patchArcs(u, results[i].pruned)
-		}
+		s.patchArcs(u, results[i].pruned)
 	}
 	for _, u := range out {
 		if s.alive[u] {
@@ -958,32 +893,49 @@ func (s *Session) recompute(ids []int) []int {
 		}
 		s.nodes[u] = core.NodeResult{}
 		s.recs[u] = nil
-		if s.incremental {
-			s.patchArcs(u, nil)
-		}
+		s.patchArcs(u, nil)
 	}
-	if s.incremental {
-		s.applyObserveDelta(live)
+	added, removed := s.pendAdd, s.pendRemove
+	if s.pairwise != nil {
+		added, removed = s.repairPairwise()
 	}
+	s.applyObserveDelta(live, added, removed)
 	s.cached = nil
 	return out
 }
 
+// repairPairwise re-decides pairwise edge removal around one repair's
+// edits of gpre and returns g's own edge diff. The changed set holds the
+// endpoints of every gpre edge the arc patches added or removed, and
+// every moved node, even one whose gpre row did not change: a small move
+// can flip an angle across π/3, or an eid order, at the mover's
+// neighbors.
+func (s *Session) repairPairwise() (added, removed []graph.Edge) {
+	changed := make([]int, 0, 2*(len(s.pendAdd)+len(s.pendRemove))+len(s.pendMoved))
+	for _, edges := range [2][]graph.Edge{s.pendAdd, s.pendRemove} {
+		for _, e := range edges {
+			changed = append(changed, e.U, e.V)
+		}
+	}
+	changed = append(changed, s.pendMoved...)
+	return s.pairwise.Repair(s.gpre, s.g, s.pos, s.pendRemove, changed)
+}
+
 // applyObserveDelta folds one finished repair into the O(changed)
-// Observe state: the pending departures and the exact edge diff the arc
-// patches recorded go into the maintained component structure, and the
-// per-node radius cache is refreshed for exactly the nodes whose radius
-// can have changed — the recomputed live nodes, the live endpoints of
-// diffed edges (an edge patch can touch a neighbor outside the
-// recompute set through the symmetric closure), and the live neighbors
-// of moved nodes. The last covers an unchanged closure edge {u,w} kept
-// by w's own arc w→u: w moved out of reach of u's beacon, so u was not
-// recomputed and the edge shows no diff, yet u's radius reads pos[w].
-func (s *Session) applyObserveDelta(recomputed []int) {
+// Observe state: the pending departures and g's exact edge diff (added,
+// removed) go into the maintained component structure, and the per-node
+// radius cache is refreshed for exactly the nodes whose radius can have
+// changed — the recomputed live nodes, the live endpoints of diffed
+// edges (an edge patch can touch a neighbor outside the recompute set
+// through the symmetric closure or a pairwise re-decision), and the live
+// neighbors of moved nodes. The last covers an unchanged edge {u,w}
+// kept by w's own arc w→u: w moved out of reach of u's beacon, so u was
+// not recomputed and the edge shows no diff, yet u's radius reads pos[w].
+func (s *Session) applyObserveDelta(recomputed []int, added, removed []graph.Edge) {
 	s.comps.Apply(s.g, graph.Delta{
 		Departed: s.pendDepart,
-		Added:    s.pendAdd,
-		Removed:  s.pendRemove,
+		Added:    added,
+		Removed:  removed,
 	})
 	s.newMarkEpoch()
 	for _, u := range recomputed {
@@ -995,13 +947,11 @@ func (s *Session) applyObserveDelta(recomputed []int) {
 			s.radius[u] = graph.NodeRadius(s.g, s.pos, u)
 		}
 	}
-	for _, e := range s.pendAdd {
-		refresh(e.U)
-		refresh(e.V)
-	}
-	for _, e := range s.pendRemove {
-		refresh(e.U)
-		refresh(e.V)
+	for _, edges := range [2][]graph.Edge{added, removed} {
+		for _, e := range edges {
+			refresh(e.U)
+			refresh(e.V)
+		}
 	}
 	for _, w := range s.pendMoved {
 		for _, v := range s.g.Row(w) {
@@ -1024,9 +974,10 @@ func (s *Session) applyObserveDelta(recomputed []int) {
 const parallelGrain = 64
 
 // patchArcs replaces node u's outgoing arcs in the maintained N_α with
-// the new pruned neighbor set and patches the symmetric graph edge by
-// edge. Processing every recomputed node once, in any order, leaves both
-// graphs exactly as a from-scratch rebuild over the new state would.
+// the new pruned neighbor set and patches the symmetric graph gpre edge
+// by edge, recording its diff in pendAdd/pendRemove. Processing every
+// recomputed node once, in any order, leaves both graphs exactly as a
+// from-scratch rebuild over the new state would.
 func (s *Session) patchArcs(u int, pruned []core.Discovery) {
 	mutual := s.eng.opts.AsymmetricRemoval
 	next := make(map[int]bool, len(pruned))
@@ -1042,7 +993,7 @@ func (s *Session) patchArcs(u int, pruned []core.Discovery) {
 		// A closure edge survives the arc removal iff the reverse arc
 		// remains; a mutual edge never does.
 		if mutual || !s.nalpha.HasArc(v, u) {
-			if s.g.RemoveEdge(u, v) {
+			if s.gpre.RemoveEdge(u, v) {
 				s.pendRemove = append(s.pendRemove, graph.NewEdge(u, v))
 			}
 		}
@@ -1054,7 +1005,7 @@ func (s *Session) patchArcs(u int, pruned []core.Discovery) {
 		}
 		s.nalpha.AddArc(u, v)
 		if !mutual || s.nalpha.HasArc(v, u) {
-			if s.g.AddEdge(u, v) {
+			if s.gpre.AddEdge(u, v) {
 				s.pendAdd = append(s.pendAdd, graph.NewEdge(u, v))
 			}
 		}

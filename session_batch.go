@@ -64,7 +64,7 @@ type BatchReport struct {
 
 // ApplyBatch applies a burst of Join/Leave/Move events as one repair:
 // the structural changes (positions, liveness, the spatial index, the
-// incremental ground-truth G_R) are applied strictly in event order,
+// maintained ground-truth G_R) are applied strictly in event order,
 // the recompute sets of all events — the event nodes and the nodes
 // whose beacon reaches one of their sites — are unioned, and a single
 // recompute rebuilds the union to the exact minimal-power fixed point —
@@ -103,11 +103,8 @@ func (s *Session) ApplyBatch(events []Event) (BatchReport, error) {
 // just installed) before observing, so the observed residual stats
 // reflect this tick's spend.
 //
-// On a validation error nothing is applied (ApplyBatch's all-or-nothing
-// contract). If the observation itself fails — possible only on the
-// pairwise-stack snapshot rebuild — the batch HAS been applied: the
-// report is returned alongside the error so the caller's event
-// accounting stays consistent with the session state.
+// The only error is a validation error (ErrBadEvent), and then nothing
+// is applied: ApplyBatch's all-or-nothing contract.
 func (s *Session) Tick(events []Event) (BatchReport, TickStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -116,8 +113,7 @@ func (s *Session) Tick(events []Event) (BatchReport, TickStats, error) {
 		return BatchReport{}, TickStats{}, err
 	}
 	s.drainLocked()
-	ts, err := s.observeLocked()
-	return rep, ts, err
+	return rep, s.observeLocked(), nil
 }
 
 func (s *Session) applyBatchLocked(events []Event) (BatchReport, error) {

@@ -55,7 +55,7 @@ func TestApplyBatchEqualsSequential(t *testing.T) {
 		{WithMaxRadius(300)},
 		{WithMaxRadius(300), WithShrinkBack()},
 		{WithMaxRadius(250), WithAlpha(AlphaAsymmetric), WithShrinkBack(), WithAsymmetricRemoval()},
-		{WithMaxRadius(300), WithAllOptimizations()}, // pairwise: full-rebuild fallback
+		{WithMaxRadius(300), WithAllOptimizations()}, // pairwise removal on top
 	} {
 		eng, err := New(opts...)
 		if err != nil {

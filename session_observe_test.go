@@ -12,9 +12,8 @@ import (
 )
 
 // observeStacks are the option stacks the O(changed) Observe path is
-// proved equivalent under: the default incremental stack, incremental
-// with asymmetric-edge removal, the bare basic algorithm, and the
-// pairwise-removal stack that falls back to the snapshot scan.
+// proved equivalent under: shrink-back, shrink-back with asymmetric-edge
+// removal, the bare basic algorithm, and the pairwise-removal stack.
 var observeStacks = []struct {
 	name string
 	opts []Option
@@ -27,17 +26,13 @@ var observeStacks = []struct {
 
 // referenceObserve computes TickStats the expensive way — a snapshot,
 // a component BFS, and a fresh per-node radius fold — bypassing every
-// maintained aggregate. The incremental path must match it exactly:
+// maintained aggregate. The maintained path must match it exactly:
 // integers with ==, floats bitwise.
 func referenceObserve(t *testing.T, s *Session) TickStats {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap, err := s.snapshotLocked()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return observeGraph(snap.G, s.alive, s.pos, s.nodes)
+	return observeGraph(s.snapshotLocked().G, s.alive, s.pos, s.nodes)
 }
 
 func requireObserveMatches(t *testing.T, step string, s *Session) {

@@ -64,10 +64,20 @@ func TestSessionParallelRepairSoak(t *testing.T) {
 
 // Worker count must never leak into repaired state: the same event
 // stream applied under 1 worker and 8 workers yields identical
-// snapshots.
+// snapshots, with and without pairwise removal.
 func TestSessionRepairWorkerCountInvariance(t *testing.T) {
+	for _, stack := range [][]Option{
+		{WithMaxRadius(300), WithShrinkBack()},
+		{WithMaxRadius(300), WithAllOptimizations()},
+	} {
+		requireWorkerCountInvariant(t, stack)
+	}
+}
+
+func requireWorkerCountInvariant(t *testing.T, stack []Option) {
+	t.Helper()
 	run := func(workers int) *Result {
-		eng, err := New(WithMaxRadius(300), WithShrinkBack(), WithWorkers(workers))
+		eng, err := New(append([]Option{WithWorkers(workers)}, stack...)...)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -95,8 +95,6 @@ func requireSessionMatchesFreshRun(t *testing.T, eng *Engine, s *Session) {
 // phase result — discoveries, GrowPower, boundary flag — must be bitwise
 // equal to the fresh one, and the snapshot must be identical to the
 // fresh Result over the maximum-power G_R with departed nodes isolated.
-// Incremental stacks only: the pairwise snapshot derives G_R from the
-// nominal model.
 func requireSessionMatchesKeyedRun(t *testing.T, s *Session) {
 	t.Helper()
 	s.mu.Lock()
@@ -134,11 +132,7 @@ func requireSessionMatchesKeyedRun(t *testing.T, s *Session) {
 			gr.IsolateNode(u)
 		}
 	}
-	snap, err := s.snapshotLocked()
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireResultsIdentical(t, newResultWithGR(s.pos, eng.model, topo, gr), snap)
+	requireResultsIdentical(t, newResultWithGR(s.pos, eng.model, topo, gr), s.snapshotLocked())
 }
 
 // The ISSUE's acceptance test: a join→leave→move event stream converges
@@ -155,6 +149,10 @@ func TestSessionConvergesToFreshRun(t *testing.T) {
 		{"asym-2pi3", []Option{WithMaxRadius(500), WithAlpha(AlphaAsymmetric), WithAllOptimizations()}},
 		{"quantized", []Option{WithMaxRadius(500), WithShrinkBack(), WithShrinkBackSchedule(1.5)}},
 		{"shadowed", []Option{WithMaxRadius(500), WithShrinkBack(), WithShadowing(6, 3)}},
+		{"remove-all", []Option{WithMaxRadius(500), WithShrinkBack(), WithPairwiseRemoval(PairwiseRemoveAll)}},
+		{"either-endpoint", []Option{WithMaxRadius(500), WithShrinkBack(), WithPairwiseRemoval(PairwiseEitherEndpoint)}},
+		{"both-endpoints", []Option{WithMaxRadius(500), WithShrinkBack(), WithPairwiseRemoval(PairwiseBothEndpoints)}},
+		{"pairwise-shadowed", []Option{WithMaxRadius(500), WithAllOptimizations(), WithShadowing(6, 3)}},
 	}
 	for _, st := range stacks {
 		st := st
@@ -187,6 +185,40 @@ func TestSessionConvergesToFreshRun(t *testing.T) {
 					}
 				}
 				requireSessionMatchesFreshRun(t, eng, sess)
+			}
+		})
+	}
+}
+
+// Small moves leave almost every pruned row as it was, yet can flip an
+// angle across π/3, or an eid order, at the mover's neighbors: pairwise
+// removal must be re-decided around every moved node, not only around
+// the edited rows. A walk of ±3-unit moves at R = 500 checks every
+// policy against the keyed fresh run after each tick.
+func TestSessionSmallMovesPairwise(t *testing.T) {
+	for _, policy := range []PairwisePolicy{PairwiseLengthFiltered, PairwiseRemoveAll, PairwiseEitherEndpoint, PairwiseBothEndpoints} {
+		t.Run(policy.String(), func(t *testing.T) {
+			t.Parallel()
+			eng, err := New(WithMaxRadius(500), WithShrinkBack(), WithPairwiseRemoval(policy))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess, err := eng.NewSession(context.Background(), someNetwork(21, 60))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := workload.Rand(43)
+			for tick := 0; tick < 60; tick++ {
+				events := make([]Event, 1+rng.IntN(4))
+				for i := range events {
+					id := rng.IntN(sess.Len())
+					p := sess.Position(id)
+					events[i] = MoveEvent(id, Pt(p.X+6*rng.Float64()-3, p.Y+6*rng.Float64()-3))
+				}
+				if _, err := sess.ApplyBatch(events); err != nil {
+					t.Fatal(err)
+				}
+				requireSessionMatchesKeyedRun(t, sess)
 			}
 		})
 	}

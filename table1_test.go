@@ -3,6 +3,7 @@ package cbtc
 import (
 	"context"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -152,5 +153,47 @@ func TestTable1Defaults(t *testing.T) {
 	p := Table1Params{}.withDefaults()
 	if p.Networks != 100 || p.Nodes != 100 || p.Width != 1500 || p.Height != 1500 || p.MaxRadius != 500 {
 		t.Errorf("defaults do not match the paper's setup: %+v", p)
+	}
+}
+
+// Engine.Run assembles its Result from the per-node radius table: on
+// every Table 1 stack, AvgDegree and AvgRadius must equal
+// Topology.Summarize's bitwise, and RemovedRedundant — derived as the
+// pre-removal edges G lacks — must equal BuildTopology's removal list.
+func TestRunMatchesTopologySummary(t *testing.T) {
+	nodes := Table1Params{Networks: 1}.withDefaults().placements()[0]
+	for _, col := range Table1Columns() {
+		if col.MaxPower {
+			continue
+		}
+		opts := []Option{WithMaxRadius(500), WithAlpha(col.Alpha), WithShrinkBackSchedule(table1ScheduleFactor)}
+		if col.Opts.ShrinkBack {
+			opts = append(opts, WithShrinkBack())
+		}
+		if col.Opts.AsymmetricRemoval {
+			opts = append(opts, WithAsymmetricRemoval())
+		}
+		if col.Opts.PairwiseRemoval {
+			opts = append(opts, WithPairwiseRemoval(PairwiseLengthFiltered))
+		}
+		eng, err := New(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Run(context.Background(), nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := res.topo.Summarize()
+		if res.AvgDegree != s.AvgDegree || res.AvgRadius != s.AvgRadius {
+			t.Errorf("%s: Result (%v, %v), Summarize (%v, %v)", col.Name, res.AvgDegree, res.AvgRadius, s.AvgDegree, s.AvgRadius)
+		}
+		want := res.topo.RemovedRedundant
+		if got := res.RemovedRedundant(); !slices.Equal(got, want) {
+			t.Errorf("%s: RemovedRedundant %v, BuildTopology %v", col.Name, got, want)
+		}
+		if col.Opts.PairwiseRemoval && len(want) == 0 {
+			t.Errorf("%s: pairwise removal removed nothing", col.Name)
+		}
 	}
 }
