@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"cbtc/internal/baseline"
-	"cbtc/internal/core"
 	"cbtc/internal/graph"
 	"cbtc/internal/radio"
 )
@@ -64,7 +63,7 @@ func BaselineKinds() []BaselineKind {
 // model does: on a shadowed engine the comparators see the same
 // realized link set as the protocol.
 func (e *Engine) Baseline(kind BaselineKind, nodes []Point) (*Result, error) {
-	return e.baselineIndexed(kind, nodes, baseline.NewPropagationIndex(nodes, e.prop), nil)
+	return e.baselineIndexed(kind, nodes, baseline.NewPropagationIndex(nodes, e.prop))
 }
 
 // EnergyBaseline builds the energy-balanced spanning forest for a
@@ -80,14 +79,13 @@ func (e *Engine) EnergyBaseline(nodes []Point, residual []float64) (*Result, err
 		return nil, fmt.Errorf("%w: %d residuals for %d nodes", ErrBadConfig, len(residual), len(nodes))
 	}
 	ix := baseline.NewPropagationIndex(nodes, e.prop)
-	g := ix.EnergyMST(residual)
-	return baselineResultWithGR(nodes, e.model, g, core.MaxPowerGraph(nodes, e.prop)), nil
+	return baselineResultWithGR(nodes, e.model, ix.EnergyMST(residual), ix.MaxPowerGraph()), nil
 }
 
-// baselineIndexed builds one comparator from a caller-shared spatial
-// index; gr, if non-nil, is a precomputed ground-truth G_R reused across
-// rows (CompareBaselines builds both once per placement).
-func (e *Engine) baselineIndexed(kind BaselineKind, nodes []Point, ix *baseline.Index, gr *graph.Graph) (*Result, error) {
+// baselineIndexed builds one comparator from a caller-shared index, whose
+// G_R is the Result's ground truth (CompareBaselines builds the index
+// once per placement and shares it across rows).
+func (e *Engine) baselineIndexed(kind BaselineKind, nodes []Point, ix *baseline.Index) (*Result, error) {
 	var g *graph.Graph
 	var err error
 	switch kind {
@@ -107,10 +105,7 @@ func (e *Engine) baselineIndexed(kind BaselineKind, nodes []Point, ix *baseline.
 	default:
 		return nil, fmt.Errorf("%w: unknown baseline %v", ErrBadConfig, kind)
 	}
-	if gr == nil {
-		gr = core.MaxPowerGraph(nodes, e.prop)
-	}
-	return baselineResultWithGR(nodes, e.model, g, gr), nil
+	return baselineResultWithGR(nodes, e.model, g, ix.MaxPowerGraph()), nil
 }
 
 // BetaSkeleton builds the lune-based β-skeleton over the placement for
@@ -118,11 +113,12 @@ func (e *Engine) baselineIndexed(kind BaselineKind, nodes []Point, ix *baseline.
 // the Gabriel graph (β = 1). Connectivity of the max-power graph is
 // preserved for β ≤ 2 (the skeleton then contains the Euclidean MST).
 func (e *Engine) BetaSkeleton(beta float64, nodes []Point) (*Result, error) {
-	g, err := baseline.NewPropagationIndex(nodes, e.prop).BetaSkeleton(beta)
+	ix := baseline.NewPropagationIndex(nodes, e.prop)
+	g, err := ix.BetaSkeleton(beta)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
-	return baselineResultWithGR(nodes, e.model, g, core.MaxPowerGraph(nodes, e.prop)), nil
+	return baselineResultWithGR(nodes, e.model, g, ix.MaxPowerGraph()), nil
 }
 
 func baselineResultWithGR(nodes []Point, m radio.Model, g, gr *graph.Graph) *Result {
@@ -167,11 +163,11 @@ type ComparisonRow struct {
 // placement, on the free-space radio of maximum radius maxRadius,
 // fanning the independent constructions across the batch worker pool.
 //
-// The position-based rows share one spatial index and one ground-truth
-// G_R built up front for the placement, so the per-row cost is the
-// construction itself, not repeated quadratic scans; the returned
-// baseline Results consequently share their GR graph (callers must not
-// mutate it).
+// The position-based rows share one index built up front for the
+// placement — its spatial grid and its ground-truth G_R — so the per-row
+// cost is the construction itself, not repeated quadratic scans; the
+// returned baseline Results consequently share their GR graph (callers
+// must not mutate it).
 func CompareBaselines(ctx context.Context, nodes []Point, maxRadius float64) ([]ComparisonRow, error) {
 	kinds := BaselineKinds()
 	plan := planShards(0, 4+len(kinds)) // four CBTC rows, then the comparators
@@ -182,7 +178,6 @@ func CompareBaselines(ctx context.Context, nodes []Point, maxRadius float64) ([]
 		return nil, err
 	}
 	ix := baseline.NewPropagationIndex(nodes, base.prop)
-	gr := core.MaxPowerGraph(nodes, base.prop)
 
 	type spec struct {
 		name           string
@@ -204,7 +199,7 @@ func CompareBaselines(ctx context.Context, nodes []Point, maxRadius float64) ([]
 	for _, kind := range kinds {
 		specs = append(specs, spec{kind.String() + " (positions)", true, nil,
 			func(_ context.Context, eng *Engine) (*Result, error) {
-				return eng.baselineIndexed(kind, nodes, ix, gr)
+				return eng.baselineIndexed(kind, nodes, ix)
 			}})
 	}
 

@@ -3,6 +3,7 @@ package cbtc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -34,6 +35,43 @@ func TestRunBaselineKinds(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// Two nodes a hair farther apart than R, inside the max-power link rule's
+// relative tolerance, are G_R neighbors, and Engine.Run links them. Every
+// comparator runs over that same G_R, so each must keep the link too.
+func TestBaselinesKeepBoundaryLink(t *testing.T) {
+	nodes := []Point{{X: 0, Y: 0}, {X: 1 + 8e-13, Y: 0}}
+	eng, err := New(WithMaxRadius(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireLink := func(what string, res *Result) {
+		t.Helper()
+		if res.GR.EdgeCount() != 1 || res.G.EdgeCount() != 1 {
+			t.Errorf("%s: G has %d edges over a G_R of %d, want the one boundary link in both",
+				what, res.G.EdgeCount(), res.GR.EdgeCount())
+		}
+	}
+	run, err := eng.Run(context.Background(), nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireLink("Run", run)
+	for _, kind := range BaselineKinds() {
+		res, err := eng.Baseline(kind, nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireLink(kind.String(), res)
+	}
+	for _, beta := range []float64{1, 2} {
+		res, err := eng.BetaSkeleton(beta, nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireLink(fmt.Sprintf("BetaSkeleton(%v)", beta), res)
 	}
 }
 

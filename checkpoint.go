@@ -47,7 +47,6 @@ func (e *Engine) fingerprint() codec.EngineConfig {
 		ShrinkBack:        e.opts.ShrinkBack,
 		AsymmetricRemoval: e.opts.AsymmetricRemoval,
 		PairwiseRemoval:   e.opts.PairwiseRemoval,
-		NonContributing:   e.opts.NonContributing,
 		PairwisePolicy:    uint8(e.opts.PairwisePolicy),
 		ScheduleFactor:    e.scheduleFactor,
 		RefLoss:           e.model.RefLoss,

@@ -456,13 +456,17 @@ func (n *fleetNetwork) quantum() int {
 	return int(q)
 }
 
-// tickOnce advances the member's clock by one tick and folds the
-// observation into its accumulators. A panic anywhere in the tick — the
-// hook, the TickFunc, or the session repair itself — is recovered here:
-// the member is quarantined with its clock frozen just below the
-// panicking tick, and errMemberQuarantined tells the scheduler to drop
-// the member without poisoning the rest of the fleet.
-func (n *fleetNetwork) tickOnce(fn TickFunc, hook TickHook, obs ObserveHook) (err error) {
+// tickOnce advances the member's clock by one tick: the hook, the tick's
+// batch, one Session.Tick, the fold into the member's accumulators, the
+// ObserveHook and the clock. Only where the batch comes from differs
+// between callers — Advance's TickFunc or a TickEvents batch — so both
+// run this one envelope. A panic anywhere in it, the batch source
+// included, is recovered here: the member is quarantined with its clock
+// frozen just below the panicking tick, and errMemberQuarantined tells the
+// caller to drop the member without poisoning the rest of the fleet.
+// Every tick charges its wall time to the member's BusyNs, and a completed
+// tick updates the flow-rate estimate.
+func (n *fleetNetwork) tickOnce(hook TickHook, obs ObserveHook, batch func(tick int) []Event) (err error) {
 	start := time.Now()
 	tick := int(n.done.Load())
 	defer func() {
@@ -470,11 +474,12 @@ func (n *fleetNetwork) tickOnce(fn TickFunc, hook TickHook, obs ObserveHook) (er
 			n.quarantine(tick, r)
 			err = errMemberQuarantined
 		}
+		n.sched.busyNs += time.Since(start).Nanoseconds()
 	}()
 	if hook != nil {
 		hook(n.net, tick)
 	}
-	events := fn(n.net, tick, n.rng, n.sess)
+	events := batch(tick)
 	_, ts, err := n.sess.Tick(events)
 	if err != nil {
 		return fmt.Errorf("network %d tick %d: %w", n.net, tick, err)
@@ -495,20 +500,19 @@ func (n *fleetNetwork) tickOnce(fn TickFunc, hook TickHook, obs ObserveHook) (er
 }
 
 // lease runs one bounded scheduling lease on the member: up to quantum()
-// ticks, aborted early at a tick boundary once the time budget is
-// exceeded. It reports whether the member still has ticks outstanding
-// (and must requeue).
+// ticks of fn's events, aborted early at a tick boundary once the time
+// budget is exceeded. It reports whether the member still has ticks
+// outstanding (and must requeue).
 func (n *fleetNetwork) lease(ctx context.Context, fn TickFunc, hook TickHook, obs ObserveHook) (again bool, err error) {
 	n.sched.leases++
 	quantum := n.quantum()
 	start := time.Now()
+	batch := func(tick int) []Event { return fn(n.net, tick, n.rng, n.sess) }
 	for k := 0; k < quantum && n.done.Load() < n.target.Load(); k++ {
 		if err := ctx.Err(); err != nil {
-			n.sched.busyNs += time.Since(start).Nanoseconds()
 			return false, err
 		}
-		if err := n.tickOnce(fn, hook, obs); err != nil {
-			n.sched.busyNs += time.Since(start).Nanoseconds()
+		if err := n.tickOnce(hook, obs, batch); err != nil {
 			return false, err
 		}
 		if k+1 < quantum && time.Since(start).Nanoseconds() > leaseBudgetNs {
@@ -516,7 +520,6 @@ func (n *fleetNetwork) lease(ctx context.Context, fn TickFunc, hook TickHook, ob
 			break
 		}
 	}
-	n.sched.busyNs += time.Since(start).Nanoseconds()
 	if n.done.Load() < n.target.Load() {
 		n.sched.requeues++
 		return true, nil
@@ -884,7 +887,7 @@ func (f *Fleet) TickEvents(ctx context.Context, events [][]Event) error {
 	err := plan.run(context.Background(), len(ticked), func(_ context.Context, k int) error {
 		i := ticked[k]
 		net := f.nets[i]
-		if err := net.tickEvents(f.hook, f.obsHook, events[i]); err != nil {
+		if err := net.tickOnce(f.hook, f.obsHook, func(int) []Event { return events[i] }); err != nil {
 			if err == errMemberQuarantined {
 				casMu.Lock()
 				casualties = append(casualties, net)
@@ -899,32 +902,6 @@ func (f *Fleet) TickEvents(ctx context.Context, events [][]Event) error {
 		return err
 	}
 	return quarantineError(casualties)
-}
-
-// tickEvents applies one externally-supplied batch as the member's next
-// tick, with the same panic-quarantine envelope as tickOnce.
-func (n *fleetNetwork) tickEvents(hook TickHook, obs ObserveHook, events []Event) (err error) {
-	tick := int(n.done.Load())
-	defer func() {
-		if r := recover(); r != nil {
-			n.quarantine(tick, r)
-			err = errMemberQuarantined
-		}
-	}()
-	if hook != nil {
-		hook(n.net, tick)
-	}
-	_, ts, err := n.sess.Tick(events)
-	if err != nil {
-		return fmt.Errorf("network %d tick %d: %w", n.net, tick, err)
-	}
-	n.events += int64(len(events))
-	n.series.Observe(ts)
-	if obs != nil {
-		obs(n.net, tick, ts)
-	}
-	n.done.Add(1)
-	return nil
 }
 
 // MemberHealthStatus is one member's health slot in a FleetHealth.
@@ -1074,26 +1051,27 @@ func (f *Fleet) NetworkReport(i int) (*FleetNetworkReport, error) {
 // live-state fields (Final, Preserved, Stats, DegreeDist) zeroed.
 func (f *Fleet) networkReportLocked(i int) (FleetNetworkReport, error) {
 	net := f.nets[i]
+	nr := FleetNetworkReport{
+		Net:    i,
+		Kind:   net.kind,
+		Weight: net.weight,
+		Ticks:  int(net.done.Load()),
+		Target: int(net.target.Load()),
+		Events: int(net.events),
+		Series: net.series,
+		Sched: MemberSchedStats{
+			Leases:   net.sched.leases,
+			Requeues: net.sched.requeues,
+			Timeouts: net.sched.timeouts,
+			BusyNs:   net.sched.busyNs,
+			TickNs:   net.sched.ewmaNs,
+		},
+	}
 	if net.quarantined() {
 		rec := net.quarRecord()
-		return FleetNetworkReport{
-			Net:        i,
-			Kind:       net.kind,
-			Weight:     net.weight,
-			Ticks:      int(net.done.Load()),
-			Target:     int(net.target.Load()),
-			Events:     int(net.events),
-			Series:     net.series,
-			Health:     MemberQuarantined,
-			Quarantine: &rec,
-			Sched: MemberSchedStats{
-				Leases:   net.sched.leases,
-				Requeues: net.sched.requeues,
-				Timeouts: net.sched.timeouts,
-				BusyNs:   net.sched.busyNs,
-				TickNs:   net.sched.ewmaNs,
-			},
-		}, nil
+		nr.Health = MemberQuarantined
+		nr.Quarantine = &rec
+		return nr, nil
 	}
 	snap, err := net.sess.Snapshot()
 	if err != nil {
@@ -1103,25 +1081,9 @@ func (f *Fleet) networkReportLocked(i int) (FleetNetworkReport, error) {
 	if err != nil {
 		return FleetNetworkReport{}, fmt.Errorf("network %d: %w", i, err)
 	}
-	nr := FleetNetworkReport{
-		Net:       i,
-		Kind:      net.kind,
-		Weight:    net.weight,
-		Ticks:     int(net.done.Load()),
-		Target:    int(net.target.Load()),
-		Events:    int(net.events),
-		Final:     ts,
-		Preserved: snap.PreservesConnectivity(),
-		Stats:     net.sess.Stats(),
-		Series:    net.series,
-		Sched: MemberSchedStats{
-			Leases:   net.sched.leases,
-			Requeues: net.sched.requeues,
-			Timeouts: net.sched.timeouts,
-			BusyNs:   net.sched.busyNs,
-			TickNs:   net.sched.ewmaNs,
-		},
-	}
+	nr.Final = ts
+	nr.Preserved = snap.PreservesConnectivity()
+	nr.Stats = net.sess.Stats()
 	for id := 0; id < net.sess.Len(); id++ {
 		if net.sess.Alive(id) {
 			nr.DegreeDist.Add(snap.G.Degree(id))
@@ -1227,11 +1189,11 @@ type MemberSchedStats struct {
 	// Timeouts counts leases aborted early because the member exceeded
 	// the per-lease time budget — the straggler path.
 	Timeouts int64
-	// BusyNs is the total wall-clock time workers spent driving the
-	// member.
+	// BusyNs is the total wall-clock time spent in the member's ticks,
+	// whether Advance or TickEvents fed them.
 	BusyNs int64
-	// TickNs is the scheduler's flow-rate estimate (EWMA) of one tick's
-	// cost.
+	// TickNs is the flow-rate estimate (EWMA) of one tick's cost, which
+	// sizes Advance's leases; every completed tick updates it.
 	TickNs int64
 }
 

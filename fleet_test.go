@@ -503,6 +503,40 @@ func TestFleetEmptyNetwork(t *testing.T) {
 	requireSessionMatchesFreshRun(t, fleet.Session(0).Engine(), fleet.Session(0))
 }
 
+// A member fed only through TickEvents, as every fleetd member is,
+// reports the same per-tick scheduling telemetry as an Advance-driven
+// one: busy time and the tick-cost estimate. Leases, requeues and
+// timeouts belong to Advance's scheduler and stay zero.
+func TestFleetTickEventsSchedTelemetry(t *testing.T) {
+	ctx := context.Background()
+	fleet, err := fleetEngine(t).NewFleet(ctx, FleetConfig{Members: chaosMembers(3, 2, 30), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tick := 0; tick < 5; tick++ {
+		batches := [][]Event{
+			{MoveEvent(0, Pt(float64(100+10*tick), 100))},
+			{JoinEvent(Pt(200, float64(200+10*tick)))},
+		}
+		if err := fleet.TickEvents(ctx, batches); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < fleet.Size(); i++ {
+		nr, err := fleet.NetworkReport(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := nr.Sched
+		if nr.Ticks != 5 || sc.BusyNs <= 0 || sc.TickNs <= 0 {
+			t.Errorf("member %d after %d TickEvents ticks: BusyNs %d, TickNs %d, want both positive", i, nr.Ticks, sc.BusyNs, sc.TickNs)
+		}
+		if sc.Leases != 0 || sc.Requeues != 0 || sc.Timeouts != 0 {
+			t.Errorf("member %d: TickEvents counted scheduler leases: %+v", i, sc)
+		}
+	}
+}
+
 func TestFleetValidation(t *testing.T) {
 	eng := fleetEngine(t)
 	ctx := context.Background()

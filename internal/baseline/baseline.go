@@ -4,74 +4,53 @@
 // Yao/θ-graph ([3,7] — the position-based cousin of the cone idea), and
 // the minimum-maximum-radius assignment in the spirit of Ramanathan &
 // Rosales-Hain [12]. All constructions are restricted to the
-// maximum-power graph G_R: only pairs within radius r are considered.
+// maximum-power graph G_R, which the package takes from core: the
+// comparators enumerate exactly the links the CBTC oracle and G_R use,
+// under the same max-power link rule.
 //
 // Unlike CBTC, every baseline here requires exact position information —
 // reproducing the paper's argument that CBTC achieves comparable
 // topologies from directional measurements alone.
 //
-// Every construction is grid-accelerated: an Index built once over the
-// placement answers the "nodes within r of p" queries that dominate both
-// the pair enumeration and the witness scans, so the baselines scale the
-// same way the CBTC oracle does. The package-level functions build a
-// throwaway Index; callers constructing several baselines over one
-// placement (CompareBaselines) should build the Index once and reuse it.
+// Every construction runs on an Index built once over the placement: its
+// G_R rows enumerate the candidate pairs, and its grid answers the
+// "nodes within r of p" queries of the witness scans, so the baselines
+// scale the same way the CBTC oracle does.
 package baseline
 
 import (
 	"fmt"
 	"math"
 
+	"cbtc/internal/core"
 	"cbtc/internal/geom"
 	"cbtc/internal/graph"
 	"cbtc/internal/radio"
 	"cbtc/internal/spatial"
 )
 
-// Index is a reusable spatial accelerator for one placement and radius:
-// every baseline construction over the same placement shares the one
-// grid. It is safe for concurrent use — all methods are read-only over
-// the underlying grid.
+// Index is a reusable accelerator for one placement and radio: every
+// baseline construction over the same placement shares its grid and its
+// G_R. It is safe for concurrent use — all methods are read-only.
 type Index struct {
 	pos  []geom.Point
-	r    float64
+	prop radio.Propagation
 	grid *spatial.Grid
-	// prop is the propagation model the index answers link questions
-	// with. linked records whether it carries per-link state (shadowing):
-	// when false, the pure squared-distance admission check — byte-for-
-	// byte the historical predicate — is used instead of a per-pair
-	// interface dispatch.
-	prop   radio.Propagation
-	linked bool
+	gr   *graph.Graph
 }
 
-// NewIndex builds the shared accelerator for the placement with
-// maximum-power radius r under the pure distance predicate (equivalent
-// to a power-law model with maximum radius r).
+// NewIndex builds the shared accelerator for the placement under the
+// power law with maximum radius r.
 func NewIndex(pos []geom.Point, r float64) *Index {
-	return &Index{pos: pos, r: r, grid: spatial.New(pos, r), prop: radio.Default(r)}
+	return NewPropagationIndex(pos, radio.Default(r))
 }
 
 // NewPropagationIndex builds the shared accelerator for the placement
 // under an arbitrary propagation model: the grid is sized to the model's
-// per-link radius bound and every construction's admission check defers
-// to the model's per-link range predicate. For a pure radio.Model this
-// is identical to NewIndex(pos, m.MaxRadius).
+// per-link radius bound, and G_R is core's, built once over that grid.
 func NewPropagationIndex(pos []geom.Point, p radio.Propagation) *Index {
-	r := p.MaxLinkRadius()
-	return &Index{pos: pos, r: r, grid: spatial.New(pos, r), prop: p, linked: !p.DistancePure()}
-}
-
-// inRange reports whether the pair (u,v) at squared distance d2 is a
-// G_R link under the index's propagation model. Pure models keep the
-// historical squared-distance comparison; link models take the exact
-// per-link predicate on the candidates the slack-widened grid query
-// returned.
-func (ix *Index) inRange(u, v int, d2 float64) bool {
-	if !ix.linked {
-		return d2 <= ix.r*ix.r*(1+1e-12)
-	}
-	return ix.prop.LinkInRange(u, v, math.Sqrt(d2))
+	grid := spatial.New(pos, p.MaxLinkRadius())
+	return &Index{pos: pos, prop: p, grid: grid, gr: core.MaxPowerGraphParallelIndexed(pos, p, grid, 1)}
 }
 
 // within returns the ids within radius rad of p in ascending order — a
@@ -82,43 +61,28 @@ func (ix *Index) within(p geom.Point, rad float64) []int {
 	return ix.grid.Within(p, rad*(1+spatial.QuerySlack))
 }
 
-// MaxPowerGraph returns G_R over the index's placement — every pair at
-// distance ≤ r — for callers that want the ground truth from the same
-// shared accelerator. The grid returns candidates ascending, so the
-// per-node half rows feed the packed arena bulk constructor directly.
+// MaxPowerGraph returns the index's G_R, shared with every construction
+// and every caller: it must not be mutated.
 func (ix *Index) MaxPowerGraph() *graph.Graph {
-	n := len(ix.pos)
-	rows := make([][]int32, n)
-	for u := 0; u < n; u++ {
-		var row []int32
-		for _, v := range ix.within(ix.pos[u], ix.r) {
-			if v > u && ix.inRange(u, v, ix.pos[u].Dist2(ix.pos[v])) {
-				row = append(row, int32(v))
-			}
-		}
-		rows[u] = row
-	}
-	return graph.NewFromHalfRows(rows)
+	return ix.gr
 }
 
-// RNG returns the relative neighborhood graph over G_R: the edge {u,v}
-// (d(u,v) ≤ r) survives iff no witness w is strictly closer to both
-// endpoints than they are to each other. The RNG contains the Euclidean
-// MST of every component, so it preserves G_R's connectivity. Witnesses
-// for {u,v} are strictly within d(u,v) of u, so the witness scan is a
+// RNG returns the relative neighborhood graph over G_R: the G_R edge
+// {u,v} survives iff no witness w is strictly closer to both endpoints
+// than they are to each other. The RNG contains the Euclidean MST of
+// every component, so it preserves G_R's connectivity. Witnesses for
+// {u,v} are strictly within d(u,v) of u, so the witness scan is a
 // radius-d(u,v) query instead of a full placement pass.
 func (ix *Index) RNG() *graph.Graph {
 	n := len(ix.pos)
 	g := graph.New(n)
 	for u := 0; u < n; u++ {
-		for _, v := range ix.within(ix.pos[u], ix.r) {
+		for _, v32 := range ix.gr.Row(u) {
+			v := int(v32)
 			if v <= u {
 				continue
 			}
 			d2 := ix.pos[u].Dist2(ix.pos[v])
-			if !ix.inRange(u, v, d2) {
-				continue
-			}
 			witness := false
 			for _, w := range ix.within(ix.pos[u], math.Sqrt(d2)) {
 				if w == u || w == v {
@@ -145,14 +109,12 @@ func (ix *Index) Gabriel() *graph.Graph {
 	n := len(ix.pos)
 	g := graph.New(n)
 	for u := 0; u < n; u++ {
-		for _, v := range ix.within(ix.pos[u], ix.r) {
+		for _, v32 := range ix.gr.Row(u) {
+			v := int(v32)
 			if v <= u {
 				continue
 			}
 			d2 := ix.pos[u].Dist2(ix.pos[v])
-			if !ix.inRange(u, v, d2) {
-				continue
-			}
 			center := ix.pos[u].Midpoint(ix.pos[v])
 			rad2 := d2 / 4
 			inside := false
@@ -192,14 +154,9 @@ func (ix *Index) Yao(k int) (*graph.Digraph, error) {
 			best[s] = -1
 			bestD2[s] = math.Inf(1)
 		}
-		for _, v := range ix.within(ix.pos[u], ix.r) {
-			if v == u {
-				continue
-			}
+		for _, v32 := range ix.gr.Row(u) {
+			v := int(v32)
 			d2 := ix.pos[u].Dist2(ix.pos[v])
-			if !ix.inRange(u, v, d2) {
-				continue
-			}
 			s := int(ix.pos[u].Bearing(ix.pos[v]) / sector)
 			if s >= k { // bearing can round to exactly 2π
 				s = k - 1
@@ -242,15 +199,12 @@ func (ix *Index) BetaSkeleton(beta float64) (*graph.Graph, error) {
 	n := len(ix.pos)
 	g := graph.New(n)
 	for u := 0; u < n; u++ {
-		for _, v := range ix.within(ix.pos[u], ix.r) {
+		for _, v32 := range ix.gr.Row(u) {
+			v := int(v32)
 			if v <= u {
 				continue
 			}
-			d2 := ix.pos[u].Dist2(ix.pos[v])
-			if !ix.inRange(u, v, d2) {
-				continue
-			}
-			lRad := beta * math.Sqrt(d2) / 2
+			lRad := beta * math.Sqrt(ix.pos[u].Dist2(ix.pos[v])) / 2
 			c1 := ix.pos[u].Scale(1 - beta/2).Add(ix.pos[v].Scale(beta / 2))
 			c2 := ix.pos[u].Scale(beta / 2).Add(ix.pos[v].Scale(1 - beta/2))
 			inside := false
@@ -279,8 +233,7 @@ func (ix *Index) BetaSkeleton(beta float64) (*graph.Graph, error) {
 // assigned radii (which always includes the forest itself).
 func (ix *Index) MinMaxRadius() (*graph.Graph, []float64) {
 	n := len(ix.pos)
-	gr := ix.MaxPowerGraph()
-	mst := graph.MST(gr, graph.EuclideanWeight(ix.pos))
+	mst := graph.MST(ix.gr, graph.EuclideanWeight(ix.pos))
 	radii := make([]float64, n)
 	for u := 0; u < n; u++ {
 		radii[u] = graph.NodeRadius(mst, ix.pos, u)
@@ -313,7 +266,7 @@ func (ix *Index) MinMaxRadius() (*graph.Graph, []float64) {
 // at all: its links are dropped before the spanning pass, so dead nodes
 // come out isolated and the forest reroutes around them.
 func (ix *Index) EnergyMST(residual []float64) *graph.Graph {
-	gr := ix.MaxPowerGraph()
+	gr := ix.gr
 	if residual != nil {
 		pruned := graph.New(gr.Len())
 		for u := 0; u < gr.Len(); u++ {
@@ -347,35 +300,4 @@ func (ix *Index) EnergyRadii(forest *graph.Graph) []float64 {
 		radii[u] = graph.NodeRadius(forest, ix.pos, u)
 	}
 	return radii
-}
-
-// RNG builds the relative neighborhood graph with a throwaway Index.
-func RNG(pos []geom.Point, r float64) *graph.Graph {
-	return NewIndex(pos, r).RNG()
-}
-
-// Gabriel builds the Gabriel graph with a throwaway Index.
-func Gabriel(pos []geom.Point, r float64) *graph.Graph {
-	return NewIndex(pos, r).Gabriel()
-}
-
-// Yao builds the Yao digraph with a throwaway Index.
-func Yao(pos []geom.Point, r float64, k int) (*graph.Digraph, error) {
-	return NewIndex(pos, r).Yao(k)
-}
-
-// YaoSymmetric builds the symmetric Yao graph with a throwaway Index.
-func YaoSymmetric(pos []geom.Point, r float64, k int) (*graph.Graph, error) {
-	return NewIndex(pos, r).YaoSymmetric(k)
-}
-
-// BetaSkeleton builds the β-skeleton with a throwaway Index.
-func BetaSkeleton(pos []geom.Point, r, beta float64) (*graph.Graph, error) {
-	return NewIndex(pos, r).BetaSkeleton(beta)
-}
-
-// MinMaxRadius builds the min-max-radius assignment with a throwaway
-// Index.
-func MinMaxRadius(pos []geom.Point, r float64) (*graph.Graph, []float64) {
-	return NewIndex(pos, r).MinMaxRadius()
 }

@@ -12,22 +12,10 @@ import (
 
 const testRadius = 500.0
 
-func maxPowerGraph(pos []geom.Point, r float64) *graph.Graph {
-	g := graph.New(len(pos))
-	for u := 0; u < len(pos); u++ {
-		for v := u + 1; v < len(pos); v++ {
-			if pos[u].Dist(pos[v]) <= r {
-				g.AddEdge(u, v)
-			}
-		}
-	}
-	return g
-}
-
 func TestRNGWitnessElimination(t *testing.T) {
 	// Triangle where node 2 witnesses the long 0-1 edge.
 	pos := []geom.Point{geom.Pt(0, 0), geom.Pt(100, 0), geom.Pt(50, 10)}
-	g := RNG(pos, testRadius)
+	g := NewIndex(pos, testRadius).RNG()
 	if g.HasEdge(0, 1) {
 		t.Errorf("witnessed edge must be eliminated")
 	}
@@ -40,14 +28,14 @@ func TestGabrielDiametralCircle(t *testing.T) {
 	// Node 2 inside the diametral circle of 0-1 kills the edge; node 2
 	// outside it (but witnessing the RNG lune) does not.
 	inside := []geom.Point{geom.Pt(0, 0), geom.Pt(100, 0), geom.Pt(50, 10)}
-	if g := Gabriel(inside, testRadius); g.HasEdge(0, 1) {
+	if g := NewIndex(inside, testRadius).Gabriel(); g.HasEdge(0, 1) {
 		t.Errorf("edge with node inside diametral circle must go")
 	}
 	lune := []geom.Point{geom.Pt(0, 0), geom.Pt(100, 0), geom.Pt(50, 60)}
-	if g := Gabriel(lune, testRadius); !g.HasEdge(0, 1) {
+	if g := NewIndex(lune, testRadius).Gabriel(); !g.HasEdge(0, 1) {
 		t.Errorf("node outside the diametral circle must not kill the edge")
 	}
-	if g := RNG(lune, testRadius); g.HasEdge(0, 1) {
+	if g := NewIndex(lune, testRadius).RNG(); g.HasEdge(0, 1) {
 		t.Errorf("the same node DOES witness the RNG lune (d<100 to both)")
 	}
 }
@@ -56,7 +44,7 @@ func TestYaoBasics(t *testing.T) {
 	center := geom.Pt(0, 0)
 	// Two nodes in the same sector: only the nearest gets the arc.
 	pos := []geom.Point{center, center.Polar(100, 0.1), center.Polar(200, 0.2)}
-	d, err := Yao(pos, testRadius, 6)
+	d, err := NewIndex(pos, testRadius).Yao(6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,14 +55,14 @@ func TestYaoBasics(t *testing.T) {
 	if got := d.OutDegree(0); got > 6 {
 		t.Errorf("out-degree %d exceeds k", got)
 	}
-	if _, err := Yao(pos, testRadius, 0); err == nil {
+	if _, err := NewIndex(pos, testRadius).Yao(0); err == nil {
 		t.Errorf("k=0 must be rejected")
 	}
 }
 
 func TestYaoRespectsRange(t *testing.T) {
 	pos := []geom.Point{geom.Pt(0, 0), geom.Pt(600, 0)}
-	d, err := Yao(pos, testRadius, 6)
+	d, err := NewIndex(pos, testRadius).Yao(6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,10 +76,10 @@ func TestYaoRespectsRange(t *testing.T) {
 func TestInclusionChainProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		pos := workload.Uniform(workload.Rand(seed), 40, 1500, 1500)
-		gr := maxPowerGraph(pos, testRadius)
+		gr := naiveMaxPowerGraph(pos, testRadius)
 		mst := graph.MST(gr, graph.EuclideanWeight(pos))
-		rng := RNG(pos, testRadius)
-		gg := Gabriel(pos, testRadius)
+		ix := NewIndex(pos, testRadius)
+		rng, gg := ix.RNG(), ix.Gabriel()
 		return mst.IsSubgraphOf(rng) && rng.IsSubgraphOf(gg) && gg.IsSubgraphOf(gr)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -103,27 +91,28 @@ func TestInclusionChainProperty(t *testing.T) {
 func TestBaselinesPreserveConnectivity(t *testing.T) {
 	for seed := uint64(0); seed < 10; seed++ {
 		pos := workload.Uniform(workload.Rand(seed), 60, 1500, 1500)
-		gr := maxPowerGraph(pos, testRadius)
+		gr := naiveMaxPowerGraph(pos, testRadius)
+		ix := NewIndex(pos, testRadius)
 
 		builders := map[string]func() *graph.Graph{
-			"rng":     func() *graph.Graph { return RNG(pos, testRadius) },
-			"gabriel": func() *graph.Graph { return Gabriel(pos, testRadius) },
+			"rng":     ix.RNG,
+			"gabriel": ix.Gabriel,
 			"yao6": func() *graph.Graph {
-				g, err := YaoSymmetric(pos, testRadius, 6)
+				g, err := ix.YaoSymmetric(6)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return g
 			},
 			"yao8": func() *graph.Graph {
-				g, err := YaoSymmetric(pos, testRadius, 8)
+				g, err := ix.YaoSymmetric(8)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return g
 			},
 			"minmax": func() *graph.Graph {
-				g, _ := MinMaxRadius(pos, testRadius)
+				g, _ := ix.MinMaxRadius()
 				return g
 			},
 		}
@@ -141,8 +130,8 @@ func TestBaselinesPreserveConnectivity(t *testing.T) {
 
 func TestMinMaxRadiusProperties(t *testing.T) {
 	pos := workload.Uniform(workload.Rand(3), 50, 1500, 1500)
-	g, radii := MinMaxRadius(pos, testRadius)
-	gr := maxPowerGraph(pos, testRadius)
+	g, radii := NewIndex(pos, testRadius).MinMaxRadius()
+	gr := naiveMaxPowerGraph(pos, testRadius)
 	mst := graph.MST(gr, graph.EuclideanWeight(pos))
 
 	// The spanning forest is contained in the induced graph.
@@ -174,7 +163,7 @@ func TestMinMaxRadiusProperties(t *testing.T) {
 // degenerate.
 func TestRNGDegreeSane(t *testing.T) {
 	pos := workload.Uniform(workload.Rand(7), 100, 1500, 1500)
-	g := RNG(pos, testRadius)
+	g := NewIndex(pos, testRadius).RNG()
 	if d := graph.AvgDegree(g); d <= 1 || d > 6 {
 		t.Errorf("RNG average degree %v outside the plausible range (1, 6]", d)
 	}
@@ -184,7 +173,7 @@ func TestYaoSectorBoundary(t *testing.T) {
 	// A node exactly on the 0-bearing sector boundary must land in a
 	// valid sector (no panic, one arc).
 	pos := []geom.Point{geom.Pt(0, 0), geom.Pt(100, 0)}
-	d, err := Yao(pos, testRadius, 6)
+	d, err := NewIndex(pos, testRadius).Yao(6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,18 +185,19 @@ func TestYaoSectorBoundary(t *testing.T) {
 func TestBetaSkeletonSpecialCases(t *testing.T) {
 	for seed := uint64(0); seed < 5; seed++ {
 		pos := workload.Uniform(workload.Rand(seed), 40, 1500, 1500)
-		b1, err := BetaSkeleton(pos, testRadius, 1)
+		ix := NewIndex(pos, testRadius)
+		b1, err := ix.BetaSkeleton(1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !b1.Equal(Gabriel(pos, testRadius)) {
+		if !b1.Equal(ix.Gabriel()) {
 			t.Errorf("seed %d: β=1 skeleton must equal the Gabriel graph", seed)
 		}
-		b2, err := BetaSkeleton(pos, testRadius, 2)
+		b2, err := ix.BetaSkeleton(2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !b2.Equal(RNG(pos, testRadius)) {
+		if !b2.Equal(ix.RNG()) {
 			t.Errorf("seed %d: β=2 skeleton must equal the RNG", seed)
 		}
 	}
@@ -217,7 +207,7 @@ func TestBetaSkeletonMonotone(t *testing.T) {
 	pos := workload.Uniform(workload.Rand(11), 50, 1500, 1500)
 	var prev *graph.Graph
 	for _, beta := range []float64{1, 1.3, 1.7, 2, 2.5} {
-		g, err := BetaSkeleton(pos, testRadius, beta)
+		g, err := NewIndex(pos, testRadius).BetaSkeleton(beta)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +219,7 @@ func TestBetaSkeletonMonotone(t *testing.T) {
 }
 
 func TestBetaSkeletonValidation(t *testing.T) {
-	if _, err := BetaSkeleton(nil, 500, 0.5); err == nil {
+	if _, err := NewIndex(nil, 500).BetaSkeleton(0.5); err == nil {
 		t.Errorf("β < 1 must be rejected")
 	}
 }
@@ -238,11 +228,11 @@ func TestBetaSkeletonValidation(t *testing.T) {
 func TestBetaSkeletonConnectivity(t *testing.T) {
 	for _, beta := range []float64{1, 1.5, 2} {
 		pos := workload.Uniform(workload.Rand(13), 60, 1500, 1500)
-		g, err := BetaSkeleton(pos, testRadius, beta)
+		g, err := NewIndex(pos, testRadius).BetaSkeleton(beta)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !graph.SamePartition(maxPowerGraph(pos, testRadius), g) {
+		if !graph.SamePartition(naiveMaxPowerGraph(pos, testRadius), g) {
 			t.Errorf("β=%v skeleton changed the partition", beta)
 		}
 	}

@@ -6,23 +6,26 @@ import (
 
 	"cbtc/internal/geom"
 	"cbtc/internal/graph"
+	"cbtc/internal/radio"
 	"cbtc/internal/workload"
 )
 
 // The naive reference constructions below are the pre-index O(n²)/O(n³)
-// implementations, kept verbatim as the ground truth the grid-accelerated
-// package code must reproduce edge-for-edge.
+// implementations, kept as the ground truth the grid-accelerated package
+// code must reproduce edge-for-edge. Their range test is the power law's
+// LinkInRange at the pair's distance: the max-power link rule core's G_R
+// applies.
 
 func naiveRNG(pos []geom.Point, r float64) *graph.Graph {
 	n := len(pos)
 	g := graph.New(n)
-	r2 := r * r
+	m := radio.Default(r)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			d2 := pos[u].Dist2(pos[v])
-			if d2 > r2*(1+1e-12) {
+			if !m.LinkInRange(u, v, pos[u].Dist(pos[v])) {
 				continue
 			}
+			d2 := pos[u].Dist2(pos[v])
 			witness := false
 			for w := 0; w < n; w++ {
 				if w == u || w == v {
@@ -44,13 +47,13 @@ func naiveRNG(pos []geom.Point, r float64) *graph.Graph {
 func naiveGabriel(pos []geom.Point, r float64) *graph.Graph {
 	n := len(pos)
 	g := graph.New(n)
-	r2 := r * r
+	m := radio.Default(r)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			d2 := pos[u].Dist2(pos[v])
-			if d2 > r2*(1+1e-12) {
+			if !m.LinkInRange(u, v, pos[u].Dist(pos[v])) {
 				continue
 			}
+			d2 := pos[u].Dist2(pos[v])
 			center := pos[u].Midpoint(pos[v])
 			rad2 := d2 / 4
 			inside := false
@@ -75,7 +78,7 @@ func naiveYao(pos []geom.Point, r float64, k int) *graph.Digraph {
 	n := len(pos)
 	d := graph.NewDigraph(n)
 	sector := geom.TwoPi / float64(k)
-	r2 := r * r
+	m := radio.Default(r)
 	best := make([]int, k)
 	bestD2 := make([]float64, k)
 	for u := 0; u < n; u++ {
@@ -87,10 +90,10 @@ func naiveYao(pos []geom.Point, r float64, k int) *graph.Digraph {
 			if v == u {
 				continue
 			}
-			d2 := pos[u].Dist2(pos[v])
-			if d2 > r2*(1+1e-12) {
+			if !m.LinkInRange(u, v, pos[u].Dist(pos[v])) {
 				continue
 			}
+			d2 := pos[u].Dist2(pos[v])
 			s := int(pos[u].Bearing(pos[v]) / sector)
 			if s >= k {
 				s = k - 1
@@ -112,13 +115,13 @@ func naiveYao(pos []geom.Point, r float64, k int) *graph.Digraph {
 func naiveBetaSkeleton(pos []geom.Point, r, beta float64) *graph.Graph {
 	n := len(pos)
 	g := graph.New(n)
-	r2 := r * r
+	m := radio.Default(r)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			d2 := pos[u].Dist2(pos[v])
-			if d2 > r2*(1+1e-12) {
+			if !m.LinkInRange(u, v, pos[u].Dist(pos[v])) {
 				continue
 			}
+			d2 := pos[u].Dist2(pos[v])
 			lRad := beta * math.Sqrt(d2) / 2
 			c1 := pos[u].Scale(1 - beta/2).Add(pos[v].Scale(beta / 2))
 			c2 := pos[u].Scale(beta / 2).Add(pos[v].Scale(1 - beta/2))
@@ -140,17 +143,22 @@ func naiveBetaSkeleton(pos []geom.Point, r, beta float64) *graph.Graph {
 	return g
 }
 
-func naiveMinMaxRadius(pos []geom.Point, r float64) (*graph.Graph, []float64) {
-	n := len(pos)
-	gr := graph.New(n)
-	r2 := r * r
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if pos[u].Dist2(pos[v]) <= r2*(1+1e-12) {
+func naiveMaxPowerGraph(pos []geom.Point, r float64) *graph.Graph {
+	m := radio.Default(r)
+	gr := graph.New(len(pos))
+	for u := range pos {
+		for v := u + 1; v < len(pos); v++ {
+			if m.LinkInRange(u, v, pos[u].Dist(pos[v])) {
 				gr.AddEdge(u, v)
 			}
 		}
 	}
+	return gr
+}
+
+func naiveMinMaxRadius(pos []geom.Point, r float64) (*graph.Graph, []float64) {
+	n := len(pos)
+	gr := naiveMaxPowerGraph(pos, r)
 	mst := graph.MST(gr, graph.EuclideanWeight(pos))
 	radii := make([]float64, n)
 	for u := 0; u < n; u++ {
@@ -220,15 +228,7 @@ func TestGridMatchesNaiveConstructions(t *testing.T) {
 					t.Fatalf("minmax radii diverge at %d: naive %v, grid %v", i, wantRadii[i], gotRadii[i])
 				}
 			}
-			naiveGR := graph.New(len(tc.pos))
-			for u := 0; u < len(tc.pos); u++ {
-				for v := u + 1; v < len(tc.pos); v++ {
-					if tc.pos[u].Dist2(tc.pos[v]) <= r*r*(1+1e-12) {
-						naiveGR.AddEdge(u, v)
-					}
-				}
-			}
-			sameGraph(t, "max-power", naiveGR, ix.MaxPowerGraph())
+			sameGraph(t, "max-power", naiveMaxPowerGraph(tc.pos, r), ix.MaxPowerGraph())
 		})
 	}
 }

@@ -91,8 +91,10 @@ type EngineConfig struct {
 	MaxRadius float64
 	// PathLossExponent is the resolved path-loss exponent.
 	PathLossExponent float64
-	// ShrinkBack, AsymmetricRemoval, PairwiseRemoval and NonContributing
-	// mirror the optimization stack.
+	// ShrinkBack, AsymmetricRemoval and PairwiseRemoval mirror the
+	// optimization stack. NonContributing is a reserved slot that every
+	// encoder writes false; it keeps the fingerprint layout fixed, and a
+	// restore rejects a checkpoint that sets it.
 	ShrinkBack, AsymmetricRemoval, PairwiseRemoval, NonContributing bool
 	// PairwisePolicy is the resolved §3.3 policy ordinal.
 	PairwisePolicy uint8

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cbtc/internal/geom"
+	"cbtc/internal/graph"
 	"cbtc/internal/radio"
 	"cbtc/internal/spatial"
 	"cbtc/internal/workload"
@@ -67,13 +68,29 @@ func TestOracleGridMatchesNaive(t *testing.T) {
 	}
 }
 
+// maxPowerGraphRef is G_R by the naive all-pairs scan under the
+// max-power link rule: the reference every grid-backed build must match.
+func maxPowerGraphRef(pos []geom.Point, m radio.Propagation) *graph.Graph {
+	rr, _ := maxPowerRadii(m)
+	pure := m.DistancePure()
+	rows := make([][]int32, len(pos))
+	for u := range pos {
+		for v := u + 1; v < len(pos); v++ {
+			if inMaxRange(m, pure, rr, u, v, pos[u].Dist(pos[v])) {
+				rows[u] = append(rows[u], int32(v))
+			}
+		}
+	}
+	return graph.NewFromHalfRows(rows)
+}
+
 // TestMaxPowerGraphGridMatchesNaive pins G_R construction to the naive
 // all-pairs edge set.
 func TestMaxPowerGraphGridMatchesNaive(t *testing.T) {
 	m := radio.Default(workload.PaperRadius)
 	for seed := uint64(0); seed < 5; seed++ {
 		pos := workload.Uniform(workload.Rand(seed), 150, 2000, 2000)
-		naive := MaxPowerGraphIndexed(pos, m, nil)
+		naive := maxPowerGraphRef(pos, m)
 		grid := MaxPowerGraph(pos, m)
 		ne, ge := naive.Edges(), grid.Edges()
 		if len(ne) != len(ge) {

@@ -12,10 +12,10 @@ import (
 )
 
 // This file keeps the from-scratch coverage implementation the
-// shrink-back, non-contributing and §4 shrink code used before the
-// geom.Cover kernel: every comparison rebuilds both arc sets (normalize,
-// sort, merge, rotate the split arc at 0). The tests below require the
-// kernel-backed code to make exactly the same decisions.
+// shrink-back and §4 shrink code used before the geom.Cover kernel: every
+// comparison rebuilds both arc sets (normalize, sort, merge, rotate the
+// split arc at 0). The tests below require the kernel-backed code to make
+// exactly the same decisions.
 
 type refArc struct{ start, end float64 }
 
@@ -127,31 +127,6 @@ func shrinkNeighborsRef(neighbors []Discovery, alpha float64) []Discovery {
 		i = levelEnd
 	}
 	return sorted
-}
-
-// removeNonContributingRef is RemoveNonContributingNeighbors on
-// from-scratch coverage.
-func removeNonContributingRef(neighbors []Discovery, alpha float64) []Discovery {
-	kept := append([]Discovery(nil), neighbors...)
-	sort.Slice(kept, func(i, j int) bool { return kept[i].Dist > kept[j].Dist })
-	full := refCoverage(refDirs(kept), alpha)
-	for i := 0; i < len(kept); {
-		without := make([]Discovery, 0, len(kept)-1)
-		without = append(without, kept[:i]...)
-		without = append(without, kept[i+1:]...)
-		if refCoverage(refDirs(without), alpha).equal(full) {
-			kept = without
-			continue
-		}
-		i++
-	}
-	sort.Slice(kept, func(i, j int) bool {
-		if kept[i].Power != kept[j].Power {
-			return kept[i].Power < kept[j].Power
-		}
-		return kept[i].ID < kept[j].ID
-	})
-	return kept
 }
 
 // refReconfigurator is the §4 state machine with from-scratch coverage
@@ -290,9 +265,9 @@ func requireSameDiscoveries(t *testing.T, what string, got, want []Discovery) {
 	}
 }
 
-// FuzzShrinkNeighbors: the kernel-backed ShrinkNeighbors and
-// RemoveNonContributingNeighbors return exactly the from-scratch
-// reference's lists, on random neighbor sets of every shape.
+// FuzzShrinkNeighbors: the kernel-backed ShrinkNeighbors returns exactly
+// the from-scratch reference's lists, on random neighbor sets of every
+// shape.
 func FuzzShrinkNeighbors(f *testing.F) {
 	for _, seed := range []uint64{0, 1, 7, 42, 1 << 40} {
 		f.Add(seed, byte(0))
@@ -303,8 +278,6 @@ func FuzzShrinkNeighbors(f *testing.F) {
 		alpha := refAlphas[int(pick)%len(refAlphas)]
 		nbrs := refNeighbors(rng)
 		requireSameDiscoveries(t, "ShrinkNeighbors", ShrinkNeighbors(nbrs, alpha), shrinkNeighborsRef(nbrs, alpha))
-		requireSameDiscoveries(t, "RemoveNonContributingNeighbors",
-			RemoveNonContributingNeighbors(nbrs, alpha), removeNonContributingRef(nbrs, alpha))
 	})
 }
 
@@ -317,8 +290,6 @@ func TestShrinkNeighborsMatchesReference(t *testing.T) {
 		alpha := refAlphas[rng.IntN(len(refAlphas))]
 		nbrs := refNeighbors(rng)
 		requireSameDiscoveries(t, "ShrinkNeighbors", runner.ShrinkNeighbors(nbrs, alpha), shrinkNeighborsRef(nbrs, alpha))
-		requireSameDiscoveries(t, "RemoveNonContributingNeighbors",
-			runner.RemoveNonContributingNeighbors(nbrs, alpha), removeNonContributingRef(nbrs, alpha))
 	}
 }
 

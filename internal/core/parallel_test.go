@@ -60,15 +60,22 @@ func TestRunParallelDeterministic(t *testing.T) {
 	}
 }
 
-// MaxPowerGraphParallel must build exactly the serial graph.
+// MaxPowerGraphParallel must build exactly the naive all-pairs graph at
+// every worker count, on the power law and on the shadowed radio
+// WithShadowing builds.
 func TestMaxPowerGraphParallelEquivalence(t *testing.T) {
-	m := radio.Default(500)
+	shadowed, err := radio.NewLogDistance(radio.Default(500), 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, pos := range parallelTestPlacements() {
 		t.Run(name, func(t *testing.T) {
-			want := MaxPowerGraph(pos, m)
-			for _, workers := range []int{1, 3, 8} {
-				if got := MaxPowerGraphParallel(pos, m, workers); !got.Equal(want) {
-					t.Fatalf("workers=%d: parallel G_R differs from serial", workers)
+			for _, m := range []radio.Propagation{radio.Default(500), shadowed} {
+				want := maxPowerGraphRef(pos, m)
+				for _, workers := range []int{1, 2, 8} {
+					if got := MaxPowerGraphParallel(pos, m, workers); !got.Equal(want) {
+						t.Fatalf("pure %v, workers=%d: parallel G_R differs from the all-pairs reference", m.DistancePure(), workers)
+					}
 				}
 			}
 		})

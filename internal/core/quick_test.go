@@ -130,7 +130,7 @@ func TestQuickPipelineSubgraphChain(t *testing.T) {
 	}
 }
 
-// Shrink-back and non-contributing removal are idempotent.
+// Shrink-back is idempotent.
 func TestQuickShrinkIdempotent(t *testing.T) {
 	m := defaultModel()
 	f := func(seed uint64) bool {
@@ -164,7 +164,6 @@ func TestQuickTransformsDoNotMutate(t *testing.T) {
 		}
 		before := exec.Clone()
 		_ = ShrinkBack(exec)
-		_ = RemoveNonContributing(exec)
 		if _, err := BuildTopology(exec, Options{ShrinkBack: true, PairwiseRemoval: true}); err != nil {
 			return false
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"cbtc/internal/geom"
 )
@@ -151,55 +150,4 @@ func samePower(a, b float64) bool {
 		scale = b
 	}
 	return diff <= distTieTol*(1+scale)
-}
-
-// RemoveNonContributing is the further degree-reduction the paper
-// mentions at the end of §3.1: any neighbor whose removal leaves the
-// coverage unchanged may be dropped, not just whole trailing power
-// levels. Neighbors are considered farthest-first so the longest edges
-// go first. Connectivity is preserved by the same argument as
-// Theorem 3.1 (the proof depends only on cone coverage).
-//
-// This is not part of the paper's Table 1 stacks; it exists for the
-// degree-minimization ablation.
-func RemoveNonContributing(e *Execution) *Execution {
-	out := e.Clone()
-	var cs coverScratch
-	for u := range out.Nodes {
-		out.Nodes[u].Neighbors = cs.removeNonContributing(out.Nodes[u].Neighbors, e.Alpha)
-	}
-	return out
-}
-
-// RemoveNonContributingNeighbors is the per-node form of
-// RemoveNonContributing, for callers (incremental session snapshots)
-// that maintain pruned neighbor sets one node at a time.
-func RemoveNonContributingNeighbors(neighbors []Discovery, alpha float64) []Discovery {
-	var cs coverScratch
-	return cs.removeNonContributing(neighbors, alpha)
-}
-
-func (cs *coverScratch) removeNonContributing(neighbors []Discovery, alpha float64) []Discovery {
-	kept := append([]Discovery(nil), neighbors...)
-	sort.Slice(kept, func(i, j int) bool { return kept[i].Dist > kept[j].Dist }) // farthest first
-
-	// The reference stays the coverage of the whole list; each candidate
-	// leaves the kernel's query set and returns to it if it contributed.
-	c := cs.reset(kept, alpha)
-	for i := 0; i < len(kept); {
-		c.Remove(kept[i].Dir)
-		if c.Same() {
-			kept = slices.Delete(kept, i, i+1)
-			continue // re-test index i, now a different neighbor
-		}
-		c.Add(kept[i].Dir)
-		i++
-	}
-	slices.SortFunc(kept, func(a, b Discovery) int {
-		if c := cmp.Compare(a.Power, b.Power); c != 0 {
-			return c
-		}
-		return a.ID - b.ID
-	})
-	return kept
 }

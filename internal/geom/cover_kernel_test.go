@@ -61,8 +61,8 @@ func sameRef(query, ref []float64, alpha float64) bool {
 
 // checkKernel runs the three query shapes the kernel serves against the
 // reference: the prefix walk of shrink-back, remove-one probes that
-// restore the direction, and the non-contributing reduction's cumulative
-// removals against a fixed reference.
+// restore the direction, and cumulative removals against a fixed
+// reference.
 func checkKernel(t *testing.T, dirs []float64, alpha float64) {
 	t.Helper()
 	var c Cover

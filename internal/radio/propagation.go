@@ -48,9 +48,10 @@ type Propagation interface {
 	// power tx can exceed — the per-transmit analogue of MaxLinkRadius.
 	RangeBound(tx float64) float64
 	// DistancePure reports whether link power is a function of distance
-	// alone (no per-link term). Pure models admit the historical
-	// distance-ordered oracle path unchanged; impure models take the
-	// need-ordered path with per-link re-checks.
+	// alone (no per-link term). Every radio runs the same oracle growing
+	// phase and the same max-power link rule; purity selects the
+	// discovery sort key (distance for pure models, LinkPower otherwise)
+	// and lets pure models skip the per-link LinkInRange re-check.
 	DistancePure() bool
 	// LinkPower returns p_{uv}(d), the minimum transmission power that
 	// establishes the u→v link at distance d.

@@ -275,16 +275,12 @@ func (s *Session) deriveObserveState(ctx context.Context) error {
 	})
 }
 
-// pruneNeighbors applies the engine's per-node-local optimizations in
-// BuildTopology's order: shrink-back (op1), then the non-contributing
-// degree reduction, on the worker's runner scratch. Pairwise removal
+// pruneNeighbors applies the engine's per-node-local optimization,
+// shrink-back (op1), on the worker's runner scratch. Pairwise removal
 // acts on edges, not rows, and never goes through here.
 func (e *Engine) pruneNeighbors(nbrs []core.Discovery, r *core.NodeRunner) []core.Discovery {
 	if e.opts.ShrinkBack {
 		nbrs = r.ShrinkNeighbors(nbrs, e.cfg.Alpha)
-	}
-	if e.opts.NonContributing {
-		nbrs = r.RemoveNonContributingNeighbors(nbrs, e.cfg.Alpha)
 	}
 	return nbrs
 }
