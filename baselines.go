@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"cbtc/internal/baseline"
+	"cbtc/internal/core"
 	"cbtc/internal/graph"
 	"cbtc/internal/radio"
 )
@@ -63,6 +64,9 @@ func BaselineKinds() []BaselineKind {
 // model does: on a shadowed engine the comparators see the same
 // realized link set as the protocol.
 func (e *Engine) Baseline(kind BaselineKind, nodes []Point) (*Result, error) {
+	if err := core.ValidatePositions(nodes); err != nil {
+		return nil, err
+	}
 	return e.baselineIndexed(kind, nodes, baseline.NewPropagationIndex(nodes, e.prop))
 }
 
@@ -77,6 +81,9 @@ func (e *Engine) Baseline(kind BaselineKind, nodes []Point) (*Result, error) {
 func (e *Engine) EnergyBaseline(nodes []Point, residual []float64) (*Result, error) {
 	if residual != nil && len(residual) != len(nodes) {
 		return nil, fmt.Errorf("%w: %d residuals for %d nodes", ErrBadConfig, len(residual), len(nodes))
+	}
+	if err := core.ValidatePositions(nodes); err != nil {
+		return nil, err
 	}
 	ix := baseline.NewPropagationIndex(nodes, e.prop)
 	return baselineResultWithGR(nodes, e.model, ix.EnergyMST(residual), ix.MaxPowerGraph()), nil
@@ -113,6 +120,9 @@ func (e *Engine) baselineIndexed(kind BaselineKind, nodes []Point, ix *baseline.
 // the Gabriel graph (β = 1). Connectivity of the max-power graph is
 // preserved for β ≤ 2 (the skeleton then contains the Euclidean MST).
 func (e *Engine) BetaSkeleton(beta float64, nodes []Point) (*Result, error) {
+	if err := core.ValidatePositions(nodes); err != nil {
+		return nil, err
+	}
 	ix := baseline.NewPropagationIndex(nodes, e.prop)
 	g, err := ix.BetaSkeleton(beta)
 	if err != nil {
@@ -169,6 +179,9 @@ type ComparisonRow struct {
 // returned baseline Results consequently share their GR graph (callers
 // must not mutate it).
 func CompareBaselines(ctx context.Context, nodes []Point, maxRadius float64) ([]ComparisonRow, error) {
+	if err := core.ValidatePositions(nodes); err != nil {
+		return nil, err
+	}
 	kinds := BaselineKinds()
 	plan := planShards(0, 4+len(kinds)) // four CBTC rows, then the comparators
 	// Row engines run inside the shard pool: give each the plan's inner

@@ -69,6 +69,58 @@ func BenchmarkTable1(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineTable1Op is one op of the end-to-end paper-table1
+// workload through the public API: Engine.Run on the seven CBTC stacks
+// of Table 1 (tags quantized with WithShrinkBackSchedule(1.5), as
+// RunTable1 does), MaxPower, and one jittered Simulate, on one of 16
+// paper networks in turn. Unlike a decomposition into layer calls it
+// includes whatever the engine shares between the layers, such as the
+// G_R each Run takes from its own oracle gather.
+func BenchmarkEngineTable1Op(b *testing.B) {
+	ctx := context.Background()
+	var engines []*Engine
+	for _, c := range Table1Columns() {
+		if c.MaxPower {
+			continue
+		}
+		opts := []Option{WithMaxRadius(workload.PaperRadius), WithAlpha(c.Alpha), WithShrinkBackSchedule(table1ScheduleFactor)}
+		if c.Opts.ShrinkBack {
+			opts = append(opts, WithShrinkBack())
+		}
+		if c.Opts.AsymmetricRemoval {
+			opts = append(opts, WithAsymmetricRemoval())
+		}
+		if c.Opts.PairwiseRemoval {
+			opts = append(opts, WithPairwiseRemoval(PairwiseLengthFiltered))
+		}
+		eng, err := New(opts...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		engines = append(engines, eng)
+	}
+	placements := make([][]Point, 16)
+	for i := range placements {
+		placements[i] = workload.PaperNetwork(uint64(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nodes := placements[i%len(placements)]
+		for _, eng := range engines {
+			if _, err := eng.Run(ctx, nodes); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := engines[0].MaxPower(nodes); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := engines[0].Simulate(ctx, nodes, SimOptions{Seed: uint64(i), Jitter: 0.5}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRunBatch measures the tentpole speedup of the Engine API:
 // the same 16-network Table 1 workload pushed through Engine.RunBatch
 // serially (one worker) and across GOMAXPROCS workers. The parallel/

@@ -116,6 +116,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -666,7 +667,15 @@ func (d *daemon) writeCheckpoint() error {
 	}
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
-	if err := d.store.Write(d.fleet); err != nil {
+	err := d.store.Write(d.fleet)
+	// A write's transient working set, the encoded fleet plus the fleet
+	// decoded back from it for verification, is about as large as the
+	// live fleet. Collect it as soon as the write returns: a GC cycle
+	// that started mid-write would size the next heap goal from that
+	// transient peak, leaving the daemon's peak resident set to where
+	// the cycle happened to fall.
+	runtime.GC()
+	if err != nil {
 		d.ckptFails.Add(1)
 		return err
 	}

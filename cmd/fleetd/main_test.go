@@ -14,6 +14,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
@@ -483,6 +484,22 @@ func TestCheckpointFaultDegradesHealth(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || h["status"] != "ok" {
 		t.Fatalf("healthz after recovery: status %d body %v", resp.StatusCode, h)
+	}
+}
+
+// A checkpoint write collects its own transient state (the encoded
+// fleet and the fleet restored from it for verification) before it
+// returns, so the next heap goal is sized from the live fleet alone.
+func TestCheckpointCollectsTransientState(t *testing.T) {
+	d := testDaemon(t, 2, 50, 16, t.TempDir())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := d.writeCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if after.NumForcedGC == before.NumForcedGC {
+		t.Fatal("writeCheckpoint returned without a collection")
 	}
 }
 

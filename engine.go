@@ -187,8 +187,10 @@ func (e *Engine) Run(ctx context.Context, nodes []Point) (*Result, error) {
 
 // run is Run with an explicit worker count; RunBatch pins it to 1 so
 // batch-level parallelism is not multiplied by per-run parallelism.
+// G_R comes out of the oracle's own gather, under the engine's
+// propagation authority.
 func (e *Engine) run(ctx context.Context, nodes []Point, workers int) (*Result, error) {
-	exec, err := core.RunParallel(ctx, nodes, e.prop, e.cfg.Alpha, workers)
+	exec, gr, err := core.RunWithMaxPowerGraph(ctx, nodes, e.prop, e.cfg.Alpha, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -199,7 +201,7 @@ func (e *Engine) run(ctx context.Context, nodes []Point, workers int) (*Result, 
 	if err != nil {
 		return nil, err
 	}
-	return e.newResult(nodes, topo, workers), nil
+	return newResultWithGR(nodes, e.model, topo, gr), nil
 }
 
 // Simulate runs the distributed Hello/Ack protocol of the paper's
@@ -216,13 +218,16 @@ func (e *Engine) Simulate(ctx context.Context, nodes []Point, sim SimOptions) (*
 	if err != nil {
 		return nil, err
 	}
-	return e.newResult(nodes, topo, e.workers), nil
+	return newResultWithGR(nodes, e.model, topo, core.MaxPowerGraphParallel(nodes, e.prop, e.workers)), nil
 }
 
 // protoExec runs the distributed Figure 1 protocol on the discrete-event
 // radio simulator and returns the finished growing-phase execution — the
 // shared front half of Simulate and NewProtocolSession.
 func (e *Engine) protoExec(ctx context.Context, nodes []Point, sim SimOptions) (*core.Execution, error) {
+	if err := core.ValidatePositions(nodes); err != nil {
+		return nil, err
+	}
 	simOpts := netsim.Options{
 		Model:    e.prop,
 		Latency:  sim.Latency,
@@ -259,6 +264,9 @@ func (e *Engine) protoExec(ctx context.Context, nodes []Point, sim SimOptions) (
 // Table 1). The G_R radius queries are fanned across the engine's worker
 // pool. The engine's optimization stack does not apply.
 func (e *Engine) MaxPower(nodes []Point) (*Result, error) {
+	if err := core.ValidatePositions(nodes); err != nil {
+		return nil, err
+	}
 	m := e.model
 	gr := core.MaxPowerGraphParallel(nodes, e.prop, e.workers)
 	radii := make([]float64, len(nodes))

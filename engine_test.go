@@ -3,10 +3,14 @@ package cbtc
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"cbtc/internal/core"
 	"cbtc/internal/workload"
 )
 
@@ -202,6 +206,87 @@ func TestRunBatchBadPlacement(t *testing.T) {
 	placements := [][]Point{someNetwork(1, 10), {nan}, someNetwork(2, 10)}
 	if _, err := eng.RunBatch(context.Background(), placements); err == nil {
 		t.Fatal("batch with an invalid placement must fail")
+	}
+}
+
+// Every entry point that takes a placement rejects a non-finite
+// position with the oracle's input error, naming the node, instead of
+// returning a Result with that node silently isolated.
+func TestEntryPointsRejectNonFinitePositions(t *testing.T) {
+	ctx := context.Background()
+	eng, err := New(WithMaxRadius(500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := []struct {
+		name string
+		call func([]Point) error
+	}{
+		{"Run", func(p []Point) error { _, err := eng.Run(ctx, p); return err }},
+		{"RunBatch", func(p []Point) error { _, err := eng.RunBatch(ctx, [][]Point{p}); return err }},
+		{"Simulate", func(p []Point) error { _, err := eng.Simulate(ctx, p, SimOptions{Seed: 1}); return err }},
+		{"MaxPower", func(p []Point) error { _, err := eng.MaxPower(p); return err }},
+		{"NewSession", func(p []Point) error { _, err := eng.NewSession(ctx, p); return err }},
+		{"NewProtocolSession", func(p []Point) error { _, err := eng.NewProtocolSession(ctx, p, SimOptions{Seed: 1}); return err }},
+		{"Baseline", func(p []Point) error { _, err := eng.Baseline(BaselineRNG, p); return err }},
+		{"EnergyBaseline", func(p []Point) error { _, err := eng.EnergyBaseline(p, nil); return err }},
+		{"BetaSkeleton", func(p []Point) error { _, err := eng.BetaSkeleton(1.5, p); return err }},
+		{"CompareBaselines", func(p []Point) error { _, err := CompareBaselines(ctx, p, 500); return err }},
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, nodes := range [][]Point{
+			{Pt(0, 0), Pt(bad, 1), Pt(10, 0)},
+			{Pt(0, 0), Pt(1, bad), Pt(10, 0)},
+		} {
+			for _, e := range entries {
+				t.Run(fmt.Sprintf("%s/%v", e.name, nodes[1]), func(t *testing.T) {
+					err := e.call(nodes)
+					if !errors.Is(err, core.ErrBadInput) || !strings.Contains(err.Error(), "position 1 is not finite") {
+						t.Fatalf("error %v, want core.ErrBadInput naming position 1", err)
+					}
+				})
+			}
+		}
+	}
+}
+
+// Run takes G_R from the oracle's own gather; it must be the graph
+// MaxPower builds, on the power law and on a shadowed radio, serial and
+// across a worker pool (600 nodes clear the stay-serial floor).
+func TestRunGRMatchesMaxPower(t *testing.T) {
+	ctx := context.Background()
+	placements := [][]Point{
+		workload.PaperNetwork(4),
+		workload.Uniform(workload.Rand(5), 600, 3000, 3000),
+		workload.Clustered(workload.Rand(6), 600, 6, 250, 3000, 3000),
+	}
+	for _, radio := range []struct {
+		name string
+		opts []Option
+	}{
+		{"power-law", nil},
+		{"shadowed", []Option{WithShadowing(6, 2)}},
+	} {
+		for _, workers := range []int{1, 2, 8} {
+			eng, err := New(append([]Option{WithMaxRadius(workload.PaperRadius), WithWorkers(workers), WithAllOptimizations()}, radio.opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, nodes := range placements {
+				run, err := eng.Run(ctx, nodes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mp, err := eng.MaxPower(nodes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !run.GR.Equal(mp.G) {
+					t.Fatalf("%s, %d workers, placement %d: Run's G_R has %d edges, MaxPower's %d",
+						radio.name, workers, i, run.GR.EdgeCount(), mp.G.EdgeCount())
+				}
+			}
+		}
 	}
 }
 

@@ -680,10 +680,14 @@ func (f *Fleet) Watermarks() FleetWatermarks {
 // already-quarantined member is skipped entirely: its target does not
 // grow and it causes no further error. Errors that are returned rather
 // than panicked (a TickFunc emitting invalid events) keep their
-// fail-fast semantics.
+// fail-fast semantics. A negative rounds or a nil fn is rejected with
+// ErrBadConfig before any member's target moves.
 func (f *Fleet) Advance(ctx context.Context, rounds int, fn TickFunc) error {
 	if rounds < 0 {
 		return fmt.Errorf("%w: negative round count %d", ErrBadConfig, rounds)
+	}
+	if fn == nil {
+		return fmt.Errorf("%w: nil TickFunc", ErrBadConfig)
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()

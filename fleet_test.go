@@ -574,6 +574,37 @@ func TestFleetValidation(t *testing.T) {
 	}
 }
 
+// A nil TickFunc is a configuration error: Advance and Run reject it
+// before any member's target moves, instead of every member panicking on
+// the nil call and being quarantined.
+func TestFleetRejectsNilTickFunc(t *testing.T) {
+	ctx := context.Background()
+	sc := workload.Fleet(2, 15, "uniform")
+	fleet, err := fleetEngine(t).NewFleet(ctx, FleetConfig{Members: oracleMembers(sc.Placements(1))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fleet.Advance(ctx, 1, nil); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("Advance with a nil TickFunc: error %v, want ErrBadConfig", err)
+	}
+	if _, err := fleet.Run(ctx, 1, nil); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("Run with a nil TickFunc: error %v, want ErrBadConfig", err)
+	}
+	for _, m := range fleet.Watermarks().Members {
+		if m.Health != MemberHealthy || m.Ticks != 0 || m.Target != 0 {
+			t.Fatalf("member %d after rejected calls: health %v, ticks %d, target %d; want healthy at 0/0", m.Net, m.Health, m.Ticks, m.Target)
+		}
+	}
+	if err := fleet.Advance(ctx, 1, fleetTick(sc)); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range fleet.Watermarks().Members {
+		if m.Health != MemberHealthy || m.Ticks != 1 || m.Target != 1 {
+			t.Fatalf("member %d after one round: health %v, ticks %d, target %d; want healthy at 1/1", m.Net, m.Health, m.Ticks, m.Target)
+		}
+	}
+}
+
 // A -race soak: a heterogeneous work-stealing run with concurrent
 // direct session reads and lock-free Watermarks polls from outside the
 // pool. Sessions serialize internally, member state is handed off

@@ -3,6 +3,10 @@ package core
 import (
 	"math"
 	"testing"
+
+	"cbtc/internal/radio"
+	"cbtc/internal/spatial"
+	"cbtc/internal/workload"
 )
 
 // The §4 shrink runs on the Reconfigurator's own coverage kernel and
@@ -44,5 +48,25 @@ func TestReconfiguratorJoinAllocationFree(t *testing.T) {
 		_ = r.Join(far)
 	}); avg != 0 {
 		t.Fatalf("warmed Join allocates %.1f per call, want 0", avg)
+	}
+}
+
+// The G_R builder gathers into per-worker scratch and packs the half rows
+// into one growing arena, so over a prebuilt grid its allocations follow
+// the arena's doublings, not the node count: one ceiling holds at the
+// paper's 100 nodes and at 1000 nodes of the same density (about 27 and
+// 35; a per-node row or query slice would be hundreds and thousands).
+func TestMaxPowerGraphIndexedAllocations(t *testing.T) {
+	const ceiling = 48
+	m := radio.Default(workload.PaperRadius)
+	for _, n := range []int{100, 1000} {
+		side := workload.LargeNSide(n)
+		pos := workload.Uniform(workload.Rand(uint64(n)), n, side, side)
+		grid := spatial.New(pos, m.MaxLinkRadius())
+		if avg := testing.AllocsPerRun(20, func() {
+			_ = MaxPowerGraphParallelIndexed(pos, m, grid, 1)
+		}); avg > ceiling {
+			t.Fatalf("n = %d: MaxPowerGraphParallelIndexed allocates %.0f times per build, ceiling %d", n, avg, ceiling)
+		}
 	}
 }

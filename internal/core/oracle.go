@@ -64,7 +64,7 @@ const ctxCheckStride = 16
 // gather, making the oracle Θ(n·k) for k in-range neighbors instead of
 // Θ(n²).
 func RunContext(ctx context.Context, pos []geom.Point, m radio.Propagation, alpha float64) (*Execution, error) {
-	return runContext(ctx, pos, m, alpha, true, 1)
+	return runContext(ctx, pos, m, alpha, true, 1, nil)
 }
 
 // RunParallel is RunContext with the per-node computations fanned across
@@ -77,7 +77,7 @@ func RunContext(ctx context.Context, pos []geom.Point, m radio.Propagation, alph
 // worker count; only wall-clock changes. Cancellation is polled per
 // worker on its own stride, so latency does not grow with the pool size.
 func RunParallel(ctx context.Context, pos []geom.Point, m radio.Propagation, alpha float64, workers int) (*Execution, error) {
-	return runContext(ctx, pos, m, alpha, true, workers)
+	return runContext(ctx, pos, m, alpha, true, workers, nil)
 }
 
 // RunNaive is RunContext without the spatial index: every candidate
@@ -85,10 +85,28 @@ func RunParallel(ctx context.Context, pos []geom.Point, m radio.Propagation, alp
 // naive-vs-grid equivalence tests and benchmarks compare against; both
 // paths produce identical Executions.
 func RunNaive(ctx context.Context, pos []geom.Point, m radio.Propagation, alpha float64) (*Execution, error) {
-	return runContext(ctx, pos, m, alpha, false, 1)
+	return runContext(ctx, pos, m, alpha, false, 1, nil)
 }
 
-func runContext(ctx context.Context, pos []geom.Point, m radio.Propagation, alpha float64, indexed bool, workers int) (*Execution, error) {
+// RunWithMaxPowerGraph is RunParallel that also returns G_R, the graph
+// every Result's connectivity is checked against. A node's candidate
+// list is exactly its G_R row, so G_R is a by-product of the one grid and
+// the one gather the oracle runs anyway: each worker packs the candidates
+// above u into u's ascending half row in its own arena. Both outputs are
+// identical at every worker count, and G_R equals MaxPowerGraph's.
+func RunWithMaxPowerGraph(ctx context.Context, pos []geom.Point, m radio.Propagation, alpha float64, workers int) (*Execution, *graph.Graph, error) {
+	rows := make([][]int32, len(pos))
+	exec, err := runContext(ctx, pos, m, alpha, true, workers, rows)
+	if err != nil {
+		return nil, nil, err
+	}
+	return exec, graph.NewFromHalfRows(rows), nil
+}
+
+// runContext is the one oracle kernel. A non-nil halfRows (one slot per
+// node) is the G_R sink: after node u's growing phase, its candidates
+// above u are stored there as its ascending half row.
+func runContext(ctx context.Context, pos []geom.Point, m radio.Propagation, alpha float64, indexed bool, workers int, halfRows [][]int32) (*Execution, error) {
 	if err := validateInput(pos, m, alpha); err != nil {
 		return nil, err
 	}
@@ -105,7 +123,17 @@ func runContext(ctx context.Context, pos []geom.Point, m radio.Propagation, alph
 	workers = ResolveWorkers(workers, len(pos))
 	scratch := make([]gatherScratch, workers)
 	err := ParallelRange(ctx, len(pos), workers, func(w, u int) {
-		exec.Nodes[u] = runNode(pos, nil, m, alpha, u, idx, &scratch[w])
+		scr := &scratch[w]
+		exec.Nodes[u] = runNode(pos, nil, m, alpha, u, idx, scr)
+		if halfRows != nil {
+			start := len(scr.arena)
+			for _, c := range scr.cands {
+				if c.id > u {
+					scr.arena = append(scr.arena, int32(c.id))
+				}
+			}
+			halfRows[u] = scr.sealRow(start)
+		}
 	})
 	if err != nil {
 		return nil, err
@@ -136,12 +164,36 @@ func (r *NodeRunner) ShrinkNeighbors(neighbors []Discovery, alpha float64) []Dis
 	return r.cov.shrinkNeighbors(neighbors, alpha)
 }
 
-// gatherScratch holds the per-node gather buffers RunContext reuses
-// across nodes; nothing stored in it outlives a single runNode call.
+// gatherScratch holds the per-worker gather buffers the oracle and the
+// G_R builder reuse across nodes. cands keeps the last gather's
+// candidates until the next gather, which is how the G_R sink reads a
+// node's row; arena packs one builder's half rows and is never reset.
 type gatherScratch struct {
 	ids   []int
 	cands []candidate
 	dirs  []float64
+	arena []int32
+}
+
+// query returns the index's ids within r of p in the scratch's id
+// buffer, skipping the index's ascending-id sort when it offers that:
+// every caller either re-sorts or filters to a half row it sorts itself.
+func (s *gatherScratch) query(idx Index, p geom.Point, r float64) []int {
+	if g, ok := idx.(unorderedIndex); ok {
+		s.ids = g.AppendWithinUnordered(s.ids[:0], p, r)
+	} else {
+		s.ids = append(s.ids[:0], idx.Within(p, r)...)
+	}
+	return s.ids
+}
+
+// sealRow sorts the ids appended to the arena since start and returns
+// them as one half row, capacity-capped so the arena's later appends
+// never write into it.
+func (s *gatherScratch) sealRow(start int) []int32 {
+	row := s.arena[start:len(s.arena):len(s.arena)]
+	slices.Sort(row)
+	return row
 }
 
 // candidate is a node reachable at maximum power. key is its discovery
@@ -252,18 +304,11 @@ func gatherCandidates(pos []geom.Point, alive []bool, m radio.Propagation, pure 
 			admit(v, pv)
 		}
 	default:
-		// The sort below imposes its own total order, so the query can
-		// skip the index's ascending-id pass when available.
-		if g, ok := idx.(unorderedIndex); ok {
-			scr.ids = g.AppendWithinUnordered(scr.ids[:0], pos[u], qr)
-		} else {
-			scr.ids = append(scr.ids[:0], idx.Within(pos[u], qr)...)
-		}
-		for _, v := range scr.ids {
+		for _, v := range scr.query(idx, pos[u], qr) {
 			admit(v, pos[v])
 		}
 	}
-	scr.cands = out[:0]
+	scr.cands = out
 	// (key, dist, id) is a strict total order — ids are distinct — so any
 	// comparison sort yields the same unique sequence at every worker
 	// count; SortFunc avoids sort.Slice's reflection overhead on this hot
@@ -315,38 +360,46 @@ func MaxPowerGraphParallel(pos []geom.Point, m radio.Propagation, workers int) *
 // MaxPowerGraphParallelIndexed builds G_R over a caller-supplied, non-nil
 // candidate index (Sessions pass their live-node grid, baselines their
 // shared one, to avoid rebuilding a grid over the same placement). Each
-// node's half row is the part of its appendMaxPowerNeighbors gather above
-// u; the gathers — the Θ(n·k) part — run on the worker pool over the
-// read-only index (one worker runs inline), and the ascending half rows
-// feed the packed bulk constructor in one serial arena fill, so the graph
-// is identical at every worker count.
+// node's half row is the part of its max-power gather above u, packed
+// and sorted in the worker's arena; the gathers — the Θ(n·k) part — run
+// on the worker pool over the read-only index (one worker runs inline),
+// and the half rows feed the packed bulk constructor, so the graph is
+// identical at every worker count.
 func MaxPowerGraphParallelIndexed(pos []geom.Point, m radio.Propagation, idx Index, workers int) *graph.Graph {
 	workers = ResolveWorkers(workers, len(pos))
 	rows := make([][]int32, len(pos))
-	scratch := make([][]int, workers)
+	scratch := make([]gatherScratch, workers)
+	rr, qr := maxPowerRadii(m)
+	pure := m.DistancePure()
 	// ctx is inert here: the gather is pure computation with no caller to
 	// cancel it (Engine.MaxPower has no context parameter).
 	_ = ParallelRange(context.Background(), len(pos), workers, func(w, u int) {
-		// The index returns ascending ids, so the v > u filter keeps the
-		// half row sorted by construction.
-		scratch[w] = appendMaxPowerNeighbors(scratch[w][:0], pos, m, u, idx)
-		var row []int32
-		for _, v := range scratch[w] {
-			if v > u {
-				row = append(row, int32(v))
+		scr := &scratch[w]
+		start := len(scr.arena)
+		for _, v := range scr.query(idx, pos[u], qr) {
+			if v > u && inMaxRange(m, pure, rr, u, v, pos[u].Dist(pos[v])) {
+				scr.arena = append(scr.arena, int32(v))
 			}
 		}
-		rows[u] = row
+		rows[u] = scr.sealRow(start)
 	})
 	return graph.NewFromHalfRows(rows)
 }
 
 // AppendMaxPowerNeighbors appends the ids of indexed nodes within
 // maximum-power range of pos[u] — exactly the nodes MaxPowerGraph would
-// connect to u. Sessions use it to maintain their ground-truth G_R
-// incrementally instead of rebuilding the full graph per snapshot.
+// connect to u — in the index's ascending-id order. Sessions use it to
+// maintain their ground-truth G_R incrementally instead of rebuilding
+// the full graph per snapshot.
 func AppendMaxPowerNeighbors(dst []int, pos []geom.Point, m radio.Propagation, u int, idx Index) []int {
-	return appendMaxPowerNeighbors(dst, pos, m, u, idx)
+	rr, qr := maxPowerRadii(m)
+	pure := m.DistancePure()
+	for _, v := range idx.Within(pos[u], qr) {
+		if v != u && inMaxRange(m, pure, rr, u, v, pos[u].Dist(pos[v])) {
+			dst = append(dst, v)
+		}
+	}
+	return dst
 }
 
 // maxPowerRadii is the single source of the max-power rule's radii: the
@@ -366,17 +419,4 @@ func maxPowerRadii(m radio.Propagation) (rr, qr float64) {
 // the distance-pure hot paths make no per-candidate interface call.
 func inMaxRange(m radio.Propagation, pure bool, rr float64, u, v int, d float64) bool {
 	return d <= rr && (pure || m.LinkInRange(u, v, d))
-}
-
-// appendMaxPowerNeighbors appends every indexed v ≠ u whose link to u is
-// establishable at maximum power, in the index's ascending-id order.
-func appendMaxPowerNeighbors(dst []int, pos []geom.Point, m radio.Propagation, u int, idx Index) []int {
-	rr, qr := maxPowerRadii(m)
-	pure := m.DistancePure()
-	for _, v := range idx.Within(pos[u], qr) {
-		if v != u && inMaxRange(m, pure, rr, u, v, pos[u].Dist(pos[v])) {
-			dst = append(dst, v)
-		}
-	}
-	return dst
 }

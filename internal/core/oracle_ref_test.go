@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -353,5 +354,57 @@ func TestCandidatesAreMaxPowerRows(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// RunWithMaxPowerGraph's G_R, packed from the oracle's own candidate
+// lists, equals the all-pairs reference on every shape, on the power law
+// and a shadowed radio, serial and across a pool (300 nodes clear the
+// stay-serial floor), and its execution is the bare oracle's. The pair
+// 1+8e-13 apart at R = 1 sits inside the rule's relative slack.
+func TestRunWithMaxPowerGraphMatchesReference(t *testing.T) {
+	ctx := context.Background()
+	pure := radio.Default(refRadius)
+	shadowed, err := radio.NewLogDistance(pure, 6, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unit := radio.Default(1)
+	unitShadowed, err := radio.NewLogDistance(unit, 6, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type tcase struct {
+		label  string
+		pos    []geom.Point
+		radios []radio.Propagation
+	}
+	var cases []tcase
+	for shape := uint64(0); shape < refShapes; shape++ {
+		cases = append(cases, tcase{fmt.Sprintf("shape %d", shape), refPlacement(t, shape, 11, 300), []radio.Propagation{pure, shadowed}})
+	}
+	cases = append(cases, tcase{"boundary pair", []geom.Point{geom.Pt(0, 0), geom.Pt(1+8e-13, 0)}, []radio.Propagation{unit, unitShadowed}})
+	for _, tc := range cases {
+		for _, m := range tc.radios {
+			want := maxPowerGraphRef(tc.pos, m)
+			bare, err := RunParallel(ctx, tc.pos, m, AlphaConnectivity, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 2, 8} {
+				exec, gr, err := RunWithMaxPowerGraph(ctx, tc.pos, m, AlphaConnectivity, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !gr.Equal(want) {
+					t.Fatalf("%s, pure %v, %d workers: G_R has %d edges, the reference %d",
+						tc.label, m.DistancePure(), workers, gr.EdgeCount(), want.EdgeCount())
+				}
+				sameExecution(t, fmt.Sprintf("%s, pure %v, %d workers", tc.label, m.DistancePure(), workers), bare, exec)
+			}
+		}
+	}
+	if g := maxPowerGraphRef([]geom.Point{geom.Pt(0, 0), geom.Pt(1+8e-13, 0)}, unit); g.EdgeCount() != 1 {
+		t.Fatalf("the boundary pair must be one G_R link at R = 1, got %d edges", g.EdgeCount())
 	}
 }

@@ -19,10 +19,22 @@ import (
 // GrowPower is preserved because reconfiguration beacons must still use
 // the basic algorithm's power (§4).
 func ShrinkBack(e *Execution) *Execution {
-	out := e.Clone()
+	out := &Execution{
+		Alpha: e.Alpha,
+		Model: e.Model,
+		Pos:   append([]geom.Point(nil), e.Pos...),
+		Nodes: make([]NodeResult, len(e.Nodes)),
+	}
 	var cs coverScratch
-	for u := range out.Nodes {
-		out.Nodes[u].Neighbors = cs.shrinkNeighbors(out.Nodes[u].Neighbors, e.Alpha)
+	for u, nr := range e.Nodes {
+		// shrinkNeighbors returns a fresh copy of a non-empty list, so the
+		// input needs no clone; an empty list is nil, as Clone leaves it.
+		if len(nr.Neighbors) == 0 {
+			nr.Neighbors = nil
+		} else {
+			nr.Neighbors = cs.shrinkNeighbors(nr.Neighbors, e.Alpha)
+		}
+		out.Nodes[u] = nr
 	}
 	return out
 }

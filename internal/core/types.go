@@ -113,9 +113,16 @@ func (e *Execution) Len() int { return len(e.Pos) }
 // node's (Power, Dist, ID)-ordered discovery list is re-sorted by id
 // into its successor row.
 func (e *Execution) Nalpha() *graph.Digraph {
+	total := 0
+	for _, nr := range e.Nodes {
+		total += len(nr.Neighbors)
+	}
+	arena := make([]int32, 0, total)
 	rows := make([][]int32, e.Len())
-	for u := range e.Nodes {
-		rows[u] = SuccessorRow(nil, e.Nodes[u].Neighbors)
+	for u, nr := range e.Nodes {
+		// The arena has room for every row, so each one is filled in place.
+		rows[u] = SuccessorRow(arena[len(arena):len(arena)], nr.Neighbors)
+		arena = arena[:len(arena)+len(rows[u])]
 	}
 	return graph.NewDigraphFromRows(rows)
 }
@@ -168,6 +175,14 @@ func validateInput(pos []geom.Point, m radio.Propagation, alpha float64) error {
 	if err := m.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
+	return ValidatePositions(pos)
+}
+
+// ValidatePositions rejects a placement holding a non-finite coordinate:
+// no distance predicate can match such a node, so every construction
+// would silently isolate it. It is the one placement check every
+// entry point that takes positions shares.
+func ValidatePositions(pos []geom.Point) error {
 	for i, p := range pos {
 		if math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
 			return fmt.Errorf("%w: position %d is not finite: %v", ErrBadInput, i, p)

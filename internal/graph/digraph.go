@@ -135,29 +135,76 @@ func (d *Digraph) ArcCount() int { return d.arcs }
 // SymmetricClosure returns the smallest symmetric (undirected) graph
 // containing every arc: {u,v} is an edge iff u→v or v→u. This is the
 // paper's E_α.
-func (d *Digraph) SymmetricClosure() *Graph {
-	g := New(d.n)
-	for u := 0; u < d.n; u++ {
-		for _, v := range d.out[u] {
-			g.AddEdge(u, int(v))
-		}
-	}
-	return g
-}
+func (d *Digraph) SymmetricClosure() *Graph { return d.symmetrize(false) }
 
 // MutualSubgraph returns the largest symmetric graph contained in the
 // arc set: {u,v} is an edge iff both u→v and v→u. This is the paper's
 // E⁻_α, used by the asymmetric edge removal optimization (§3.2).
-func (d *Digraph) MutualSubgraph() *Graph {
-	g := New(d.n)
-	for u := 0; u < d.n; u++ {
-		for _, v := range d.out[u] {
-			if u < int(v) && d.HasArc(int(v), u) {
-				g.AddEdge(u, int(v))
+func (d *Digraph) MutualSubgraph() *Graph { return d.symmetrize(true) }
+
+// symmetrize bulk-builds E_α (mutual false) or E⁻_α (mutual true). Node
+// u's half row merges its own arcs to v > u with the arcs v→u from v > u
+// — the downward arcs, transposed by a counting sort that lists each
+// node's in-arcs in ascending order — keeping their union or their
+// intersection, and NewFromHalfRows packs the rows in one arena.
+func (d *Digraph) symmetrize(mutual bool) *Graph {
+	n := d.n
+	count := make([]int32, n)
+	down := 0
+	for v, row := range d.out {
+		for _, u := range row {
+			if int(u) < v {
+				count[u]++
+				down++
 			}
 		}
 	}
-	return g
+	inArena := make([]int32, down)
+	in := make([][]int32, n)
+	off := 0
+	for u := range in {
+		in[u] = inArena[off : off : off+int(count[u])]
+		off += int(count[u])
+	}
+	for v, row := range d.out {
+		for _, u := range row {
+			if int(u) < v {
+				in[u] = append(in[u], int32(v))
+			}
+		}
+	}
+
+	// Every arc yields at most one half-row entry, so the arena never
+	// reallocates and the rows sliced from it stay valid.
+	arena := make([]int32, 0, d.arcs)
+	rows := make([][]int32, n)
+	for u, row := range d.out {
+		i, _ := slices.BinarySearch(row, int32(u))
+		a, b := row[i:], in[u]
+		start := len(arena)
+		for len(a) > 0 && len(b) > 0 {
+			switch {
+			case a[0] < b[0]:
+				if !mutual {
+					arena = append(arena, a[0])
+				}
+				a = a[1:]
+			case a[0] > b[0]:
+				if !mutual {
+					arena = append(arena, b[0])
+				}
+				b = b[1:]
+			default:
+				arena = append(arena, a[0])
+				a, b = a[1:], b[1:]
+			}
+		}
+		if !mutual {
+			arena = append(append(arena, a...), b...)
+		}
+		rows[u] = arena[start:len(arena):len(arena)]
+	}
+	return NewFromHalfRows(rows)
 }
 
 // AsymmetricArcs returns every arc u→v whose reverse v→u is absent, in

@@ -38,15 +38,10 @@ type Result struct {
 	model radio.Model
 }
 
-// newResult builds a Result whose G_R is the maximum-power graph under
-// the engine's propagation authority — the shadowed radio on a
-// WithShadowing engine, the radio G was grown under.
-func (e *Engine) newResult(nodes []Point, topo *core.Topology, workers int) *Result {
-	return newResultWithGR(nodes, e.model, topo, core.MaxPowerGraphParallel(nodes, e.prop, workers))
-}
-
 // newResultWithGR builds a Result against a caller-supplied ground-truth
-// graph, computing each node's radius in topo.G.
+// graph — the maximum-power graph under the engine's propagation
+// authority, the radio G was grown under — computing each node's radius
+// in topo.G.
 func newResultWithGR(nodes []Point, m radio.Model, topo *core.Topology, gr *Graph) *Result {
 	radii := make([]float64, len(nodes))
 	for u := range radii {
