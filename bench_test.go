@@ -332,7 +332,7 @@ func BenchmarkShrinkGranularity(b *testing.B) {
 	}
 	variants := map[string]*core.Execution{
 		"exact-tags":    exec,
-		"doubling-tags": core.QuantizeTags(exec, schedule),
+		"doubling-tags": core.QuantizeTags(exec.Clone(), schedule),
 	}
 	for name, e := range variants {
 		e := e

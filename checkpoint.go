@@ -71,13 +71,15 @@ func (e *Engine) checkFingerprint(got codec.EngineConfig) error {
 }
 
 // Checkpoint serializes the session's complete state to w in the
-// versioned binary format of internal/codec. The session lock is held
-// only while slice headers and copy-on-write graph clones are captured —
-// O(n), no per-edge work — so concurrent events resume immediately while
-// the actual encoding streams from the frozen snapshot. The restored
-// session (Engine.RestoreSession) is edge-identical to this one,
-// including the ground-truth G_R, and continues producing byte-identical
-// results under the same event schedule.
+// versioned binary format of internal/codec: positions, liveness, the
+// node rows, the §4 counters and the batteries. The maintained graphs
+// are derived state and are not written. The session lock is held only
+// while those vectors are copied — O(n), no per-edge work — so
+// concurrent events resume immediately while the actual encoding
+// streams from the frozen copy. The restored session
+// (Engine.RestoreSession) is edge-identical to this one, including the
+// ground-truth G_R, and continues producing byte-identical results
+// under the same event schedule.
 func (s *Session) Checkpoint(w io.Writer) error {
 	s.mu.Lock()
 	st := s.exportLocked()
@@ -85,17 +87,14 @@ func (s *Session) Checkpoint(w io.Writer) error {
 	return codec.EncodeSession(w, st)
 }
 
-// exportLocked freezes the session state for encoding. Positions and
-// liveness are copied outright; the node and pruned rows copy only the
-// outer slice headers (installed discovery rows are immutable — every
-// repair installs freshly-built rows); the maintained graphs are
-// copy-on-write clones. Everything else a live session holds (the
-// reconfigurators, the spatial index, the snapshot cache) is derived
-// state that restore rebuilds. Sessions with pairwise edge removal
-// write no graphs — the format has no slot for gpre beside g — and
-// restore rebuilds their topology from the node rows.
+// exportLocked freezes the session state for encoding. Positions,
+// liveness and batteries are copied outright; the node rows copy only
+// the outer slice header (installed discovery rows are immutable —
+// every repair installs freshly-built rows). Everything else a live
+// session holds (the pruned rows, N_α, G, G_R, the pairwise kernel, the
+// reconfigurators, the spatial index, the Observe state) is derived
+// state that restore rebuilds from these.
 func (s *Session) exportLocked() *codec.SessionState {
-	incremental := !s.eng.opts.PairwiseRemoval
 	st := &codec.SessionState{
 		Config: s.eng.fingerprint(),
 		Pos:    append([]Point(nil), s.pos...),
@@ -109,26 +108,21 @@ func (s *Session) exportLocked() *codec.SessionState {
 			Regrows:      int64(s.stats.Regrows),
 			Repairs:      int64(s.stats.Repairs),
 		},
-		Incremental: incremental,
 	}
 	if s.battery != nil {
 		st.Battery = append([]float64(nil), s.battery...)
-	}
-	if incremental {
-		st.Pruned = append([][]core.Discovery(nil), s.pruned...)
-		st.Nalpha = s.nalpha.Clone()
-		st.G = s.g.Clone()
-		st.GR = s.gr.Clone()
 	}
 	return st
 }
 
 // RestoreSession rebuilds a Session from a checkpoint written by
-// Session.Checkpoint. The checkpoint's engine fingerprint must match
-// this engine exactly (ErrConfigMismatch otherwise); corrupt, truncated
-// or alien input yields a typed error (ErrNotCheckpoint,
+// Session.Checkpoint, in the current format or in version 3, whose
+// stored graphs are skipped. The checkpoint's engine fingerprint must
+// match this engine exactly (ErrConfigMismatch otherwise); corrupt,
+// truncated or alien input yields a typed error (ErrNotCheckpoint,
 // ErrCheckpointVersion, ErrCheckpointKind, ErrCheckpointCorrupt), never
-// a panic. The restored session is edge-identical to the checkpointed
+// a panic. The node rows are validated and the topology is rebuilt from
+// them, so the restored session is edge-identical to the checkpointed
 // one — N_α, G and the ground-truth G_R — and evolves identically under
 // the same events, at any worker count.
 func (e *Engine) RestoreSession(r io.Reader) (*Session, error) {
@@ -140,24 +134,15 @@ func (e *Engine) RestoreSession(r io.Reader) (*Session, error) {
 }
 
 // sessionFromState rebuilds a live session around decoded state. The
-// serialized vectors are adopted directly (the decoder built them fresh);
-// the derived state — per-node reconfigurators, the spatial index — is
-// reconstructed, which is exact: a reconfigurator's state is a pure
-// function of its node's installed neighbor row, and the grid of the
-// positions and liveness vector. A checkpoint without graphs (pairwise
-// edge removal on) rebuilds the whole topology the same way: the
-// maintained graphs are a pure function of the node rows, positions and
-// liveness.
+// serialized vectors are adopted directly (the decoder built them
+// fresh), and everything else is derived from them, which is exact: a
+// reconfigurator's state is a pure function of its node's installed
+// neighbor row, the grid of the positions and liveness vector, and the
+// maintained topology (buildTopology, shared with the constructors) of
+// the node rows, positions and liveness.
 func (e *Engine) sessionFromState(st *codec.SessionState, workers int) (*Session, error) {
 	if err := e.checkFingerprint(st.Config); err != nil {
 		return nil, err
-	}
-	// The decoder ties the graph section's presence to the flag; here the
-	// flag must also agree with what the (already matched) fingerprint
-	// implies, or a restored session would adopt graphs without their
-	// pairwise-pruned counterpart.
-	if st.Incremental != !e.opts.PairwiseRemoval {
-		return nil, fmt.Errorf("%w: incremental flag %v under pairwise-removal %v", ErrCheckpointCorrupt, st.Incremental, e.opts.PairwiseRemoval)
 	}
 	if (st.Battery != nil) != e.battery {
 		return nil, fmt.Errorf("%w: battery vector present %v under battery model %v", ErrCheckpointCorrupt, st.Battery != nil, e.battery)
@@ -165,6 +150,9 @@ func (e *Engine) sessionFromState(st *codec.SessionState, workers int) (*Session
 	n := len(st.Pos)
 	if st.Battery != nil && len(st.Battery) != n {
 		return nil, fmt.Errorf("%w: battery vector holds %d nodes, session has %d", ErrCheckpointCorrupt, len(st.Battery), n)
+	}
+	if err := validateNodeRows(st); err != nil {
+		return nil, err
 	}
 	s := &Session{
 		eng:     e,
@@ -195,24 +183,17 @@ func (e *Engine) sessionFromState(st *codec.SessionState, workers int) (*Session
 	// reports are folded fresh from it each read, so nothing else needs
 	// reconstruction.
 	s.battery = st.Battery
-	// Both derivations fail only on cancellation, and restore has no
-	// caller context: the background one never cancels.
-	if st.Incremental {
-		s.pruned, s.nalpha, s.gpre, s.g, s.gr = st.Pruned, st.Nalpha, st.G, st.G, st.GR
-		_ = s.deriveObserveState(context.Background())
-	} else {
-		if err := validateNodeRows(st); err != nil {
-			return nil, err
-		}
-		_ = s.buildTopology(context.Background())
-	}
+	// buildTopology fails only on cancellation, and restore has no caller
+	// context: the background one never cancels.
+	_ = s.buildTopology(context.Background())
 	return s, nil
 }
 
-// validateNodeRows checks the node rows a checkpoint without graphs
-// rebuilds its topology from, for the invariants the decoder checks on
-// the graphs of the others: no row names a neighbor twice, and departed
-// nodes are isolated — their rows are empty and no row names them.
+// validateNodeRows checks the node rows restore rebuilds the topology
+// from, beyond the per-entry checks of the decoder (ids in range, never
+// the node itself, finite fields): no row names a neighbor twice, and
+// departed nodes are isolated — their rows are empty and no row names
+// them.
 func validateNodeRows(st *codec.SessionState) error {
 	seen := make([]int, len(st.Nodes)) // seen[v] == u+1: row u named v
 	for u, nr := range st.Nodes {
@@ -234,10 +215,11 @@ func validateNodeRows(st *codec.SessionState) error {
 // engine fingerprint, and per member its own fingerprint, kind, tick
 // weight, RNG stream position, tick clock/target, event counter,
 // statistics accumulators and full session state. The fleet lock is
-// held only while the per-network snapshots are captured (slice
-// headers, COW graph clones and ~20-byte RNG states); encoding streams
-// off-lock, so a fleet driven tick-by-tick (TickEvents) keeps ticking
-// while a checkpoint is written. A checkpoint may be taken at ragged
+// held only while the per-network snapshots are captured (positions,
+// liveness, batteries, the node rows' slice headers and ~20-byte RNG
+// states; no graph is cloned); encoding streams off-lock, so a fleet
+// driven tick-by-tick (TickEvents) keeps ticking while a checkpoint is
+// written. A checkpoint may be taken at ragged
 // per-member clocks — after a cancelled run, or under skewed external
 // traffic — and restores to exactly that raggedness. The wall-clock
 // scheduling telemetry (MemberSchedStats) is deliberately not captured:
@@ -304,11 +286,6 @@ func (f *Fleet) Checkpoint(w io.Writer) error {
 // encodes a configuration the option surface cannot express, which is
 // corruption, not a restorable state.
 func engineFromFingerprint(fc codec.EngineConfig, workers int) (*Engine, error) {
-	if fc.NonContributing {
-		// No public option path produces this flag; an honest checkpoint
-		// can never carry it.
-		return nil, fmt.Errorf("%w: member fingerprint requests unsupported non-contributing removal", ErrCheckpointCorrupt)
-	}
 	if fc.RadioKind > 1 {
 		// The option surface only expresses the pure power law (0) and
 		// log-distance shadowing (1).
@@ -349,11 +326,13 @@ func engineFromFingerprint(fc codec.EngineConfig, workers int) (*Engine, error) 
 // RestoreFleet rebuilds a Fleet from a checkpoint written by
 // Fleet.Checkpoint, under this engine's worker budget (build the engine
 // with WithWorkers to restore onto a different pool size — per-network
-// results are worker-count invariant either way). The checkpoint's base
-// fingerprint must match this engine exactly (ErrConfigMismatch);
-// heterogeneous members rebuild their derived engines from their own
-// embedded fingerprints. Invalid input yields the same typed errors as
-// RestoreSession. The restored fleet's sessions are edge-identical to
+// results are worker-count invariant either way). The members are
+// rebuilt on the same shard pool NewFleet builds them on. The
+// checkpoint's base fingerprint must match this engine exactly
+// (ErrConfigMismatch); heterogeneous members rebuild their derived
+// engines from their own embedded fingerprints. Invalid input yields
+// the same typed errors as RestoreSession, for the lowest-index member
+// that fails. The restored fleet's sessions are edge-identical to
 // the originals, its RNG streams and per-member tick clocks resume at
 // their exact positions — including ragged ones — and continuing it
 // (Run, Advance or TickEvents) produces byte-identical per-member
@@ -372,12 +351,17 @@ func (e *Engine) RestoreFleet(r io.Reader) (*Fleet, error) {
 	}
 	f := &Fleet{eng: e, workers: e.workers, nets: make([]*fleetNetwork, m)}
 	plan := planShards(f.workers, m)
-	for i := range st.Nets {
-		net, err := e.networkFromState(i, &st.Nets[i], plan.inner)
+	errs := make([]error, m)
+	// Every member runs, so the error returned does not depend on
+	// scheduling; the pool itself never sees one and never cancels.
+	_ = plan.run(context.Background(), m, func(_ context.Context, i int) error {
+		f.nets[i], errs[i] = e.networkFromState(i, &st.Nets[i], plan.inner)
+		return nil
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		f.nets[i] = net
 	}
 	return f, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -14,13 +15,18 @@ import (
 var updateFixtures = flag.Bool("update-fixtures", false, "rewrite the golden checkpoint fixtures in testdata/")
 
 // The golden checkpoints in testdata/ were written by an earlier build of
-// the package. Restoring them and re-encoding must reproduce their bytes
-// exactly, which pins both the codec format and the mapping from engine
-// options to the checkpoint fingerprint. Regenerate them (with
-// -update-fixtures) only for a deliberate format change.
+// the package. Restoring them and re-encoding must reproduce the current
+// format's bytes exactly, which pins both the codec format and the
+// mapping from engine options to the checkpoint fingerprint. Regenerate
+// the current-format goldens (with -update-fixtures) only for a
+// deliberate format change. The version-3 goldens are never rewritten:
+// they are what older builds left on disk, and each must re-encode to
+// exactly its version-4 counterpart.
 const (
-	sessionFixture = "testdata/session-v3.ckpt"
-	fleetFixture   = "testdata/fleet-v3.ckpt"
+	sessionFixture   = "testdata/session-v4.ckpt"
+	fleetFixture     = "testdata/fleet-v4.ckpt"
+	sessionFixtureV3 = "testdata/session-v3.ckpt"
+	fleetFixtureV3   = "testdata/fleet-v3.ckpt"
 )
 
 // fixtureSessionEngine is a 2π/3 all-ops stack on an n = 3 radio with
@@ -96,40 +102,43 @@ func writeFixtures(t *testing.T) {
 
 // TestCheckpointFixtures restores each golden checkpoint on the engine
 // that wrote it and requires the restored object to re-encode to the
-// fixture's exact bytes.
+// current-format golden's exact bytes.
 func TestCheckpointFixtures(t *testing.T) {
 	if *updateFixtures {
 		writeFixtures(t)
 	}
-	session, err := os.ReadFile(sessionFixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := fixtureSessionEngine(t).RestoreSession(bytes.NewReader(session))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := sess.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), session) {
-		t.Errorf("session fixture re-encodes to %d different bytes (fixture %d)", buf.Len(), len(session))
-	}
-
-	fleetBytes, err := os.ReadFile(fleetFixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fleet, err := fixtureFleetEngine(t).RestoreFleet(bytes.NewReader(fleetBytes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	if err := fleet.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), fleetBytes) {
-		t.Errorf("fleet fixture re-encodes to %d different bytes (fixture %d)", buf.Len(), len(fleetBytes))
+	type checkpointer interface{ Checkpoint(io.Writer) error }
+	for _, fx := range []struct {
+		eng     *Engine
+		v4, v3  string
+		restore func(*Engine, io.Reader) (checkpointer, error)
+	}{
+		{fixtureSessionEngine(t), sessionFixture, sessionFixtureV3,
+			func(e *Engine, r io.Reader) (checkpointer, error) { return e.RestoreSession(r) }},
+		{fixtureFleetEngine(t), fleetFixture, fleetFixtureV3,
+			func(e *Engine, r io.Reader) (checkpointer, error) { return e.RestoreFleet(r) }},
+	} {
+		want, err := os.ReadFile(fx.v4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range []string{fx.v4, fx.v3} {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored, err := fx.restore(fx.eng, bytes.NewReader(data))
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			var buf bytes.Buffer
+			if err := restored.Checkpoint(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Errorf("%s (%d bytes) re-encodes to %d bytes that differ from %s (%d bytes)",
+					path, len(data), buf.Len(), fx.v4, len(want))
+			}
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand/v2"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -14,10 +15,11 @@ import (
 )
 
 // checkpointStacks are the option stacks the durability layer is gated
-// on: the basic algorithm, the per-node-local optimizations (checkpoints
-// carry the maintained graphs), the pairwise stacks (checkpoints carry
-// node rows only and restore rebuilds the topology), the
-// asymmetric-removal regime, and tag quantization.
+// on: the basic algorithm, shrink-back, the pairwise stacks, the
+// asymmetric-removal regime, tag quantization, the shadowed radio (whose
+// fresh-run comparison keeps the session's ids) with and without
+// pairwise removal, and a battery model. Every checkpoint carries node
+// rows only, and restore rebuilds the topology from them on one path.
 var checkpointStacks = []struct {
 	name string
 	opts []Option
@@ -28,6 +30,9 @@ var checkpointStacks = []struct {
 	{"remove-all", []Option{WithMaxRadius(500), WithShrinkBack(), WithPairwiseRemoval(PairwiseRemoveAll)}},
 	{"asym-2pi3", []Option{WithMaxRadius(500), WithAlpha(AlphaAsymmetric), WithShrinkBack(), WithAsymmetricRemoval()}},
 	{"quantized", []Option{WithMaxRadius(500), WithShrinkBack(), WithShrinkBackSchedule(1.5)}},
+	{"shadowed", []Option{WithMaxRadius(500), WithShadowing(4, 3), WithShrinkBack()}},
+	{"shadowed-all-ops", []Option{WithMaxRadius(500), WithShadowing(4, 3), WithAllOptimizations()}},
+	{"battery", []Option{WithMaxRadius(500), WithShrinkBack(), WithBattery(1e9, 1)}},
 }
 
 // requireSessionsIdentical asserts two sessions expose identical state:
@@ -314,43 +319,104 @@ func TestRestoreErrorPaths(t *testing.T) {
 		t.Errorf("fleet member with reference loss 2: got %v, want ErrCheckpointCorrupt", err)
 	}
 
-	// A pairwise checkpoint carries no graphs, and restore rebuilds them
-	// from the node rows: a departed node with neighbors, or a row naming
-	// a neighbor twice, must be refused rather than rebuilt.
-	pw, err := New(WithMaxRadius(500), WithAllOptimizations())
-	if err != nil {
-		t.Fatal(err)
-	}
-	psess, err := pw.NewSession(context.Background(), someNetwork(2, 25))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := psess.Leave(3); err != nil {
-		t.Fatal(err)
-	}
-	var pbuf bytes.Buffer
-	if err := psess.Checkpoint(&pbuf); err != nil {
-		t.Fatal(err)
-	}
-	for name, mangle := range map[string]func(st *codec.SessionState){
-		"departed row":       func(st *codec.SessionState) { st.Nodes[3].Neighbors = st.Nodes[4].Neighbors },
-		"departed neighbor":  func(st *codec.SessionState) { st.Nodes[4].Neighbors[0].ID = 3 },
-		"duplicate neighbor": func(st *codec.SessionState) { st.Nodes[4].Neighbors[1] = st.Nodes[4].Neighbors[0] },
+	// Restore rebuilds the topology from the node rows on every stack: a
+	// departed node with neighbors, a row naming a departed neighbor, or a
+	// row naming a neighbor twice must be refused rather than rebuilt.
+	for _, stack := range []struct {
+		name string
+		opts []Option
+	}{
+		{"shrink-back", []Option{WithMaxRadius(500), WithShrinkBack()}},
+		{"all-ops", []Option{WithMaxRadius(500), WithAllOptimizations()}},
 	} {
-		st, err := codec.DecodeSession(bytes.NewReader(pbuf.Bytes()))
+		eng, err := New(stack.opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(st.Nodes[4].Neighbors) < 2 {
-			t.Fatal("node 4 needs two neighbors")
-		}
-		mangle(st)
-		var buf bytes.Buffer
-		if err := codec.EncodeSession(&buf, st); err != nil {
+		sess, err := eng.NewSession(context.Background(), someNetwork(2, 25))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := pw.RestoreSession(&buf); !errors.Is(err, ErrCheckpointCorrupt) {
-			t.Errorf("pairwise checkpoint with a %s: got %v, want ErrCheckpointCorrupt", name, err)
+		if _, err := sess.Leave(3); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := sess.Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for name, mangle := range map[string]func(st *codec.SessionState){
+			"departed row":       func(st *codec.SessionState) { st.Nodes[3].Neighbors = st.Nodes[4].Neighbors },
+			"departed neighbor":  func(st *codec.SessionState) { st.Nodes[4].Neighbors[0].ID = 3 },
+			"duplicate neighbor": func(st *codec.SessionState) { st.Nodes[4].Neighbors[1] = st.Nodes[4].Neighbors[0] },
+		} {
+			st, err := codec.DecodeSession(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(st.Nodes[4].Neighbors) < 2 {
+				t.Fatalf("%s: node 4 needs two neighbors", stack.name)
+			}
+			mangle(st)
+			var mangled bytes.Buffer
+			if err := codec.EncodeSession(&mangled, st); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.RestoreSession(&mangled); !errors.Is(err, ErrCheckpointCorrupt) {
+				t.Errorf("%s checkpoint with a %s: got %v, want ErrCheckpointCorrupt", stack.name, name, err)
+			}
+		}
+	}
+}
+
+// TestRestoreFleetLowestIndexError: members restore concurrently on the
+// shard pool, yet a checkpoint with several corrupt members always
+// reports the lowest-index one, at every worker count. Member 2 is the
+// large one and its corrupt row is near its end, so on a pool its error
+// comes later in time than those of members 3 and 5.
+func TestRestoreFleetLowestIndexError(t *testing.T) {
+	base, err := New(WithMaxRadius(500), WithShrinkBack())
+	if err != nil {
+		t.Fatal(err)
+	}
+	placements := make([][]Point, 6)
+	for i := range placements {
+		placements[i] = someNetwork(uint64(30+i), 25)
+	}
+	placements[2] = workload.Uniform(workload.Rand(32), 3000, 6000, 6000)
+	fleet, err := base.NewFleet(context.Background(), FleetConfig{Members: oracleMembers(placements), Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := fleet.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	st, err := codec.DecodeFleet(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{2, 3, 5} { // a duplicate neighbor in the last row with two
+		nodes := st.Nets[i].Session.Nodes
+		u := len(nodes) - 1
+		for len(nodes[u].Neighbors) < 2 {
+			u--
+		}
+		nodes[u].Neighbors[1] = nodes[u].Neighbors[0]
+	}
+	buf.Reset()
+	if err := codec.EncodeFleet(&buf, st); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 6} {
+		eng, err := New(WithMaxRadius(500), WithShrinkBack(), WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rep := 0; rep < 5; rep++ {
+			_, err := eng.RestoreFleet(bytes.NewReader(buf.Bytes()))
+			if !errors.Is(err, ErrCheckpointCorrupt) || !strings.HasPrefix(err.Error(), "network 2:") {
+				t.Fatalf("workers %d: got %v, want network 2's ErrCheckpointCorrupt", workers, err)
+			}
 		}
 	}
 }

@@ -8,17 +8,19 @@
 // A checkpoint is a little-endian byte stream:
 //
 //	magic   "CBTC"            (4 bytes)
-//	version uint16            (currently 3)
+//	version uint16            (currently 4)
 //	kind    uint8             (1 = session, 2 = fleet)
 //	payload                   (kind-dependent, length-prefixed sections)
 //	footer  uint32 0xC0DEC0DE (truncation sentinel)
 //
-// Every variable-length section is prefixed with its element count, and
-// the bulk payloads are the packed arenas the in-memory representation
-// already uses: node positions, power/liveness vectors, the per-node
-// discovery rows, and the CSR row dumps of the maintained N_α/G/G_R
-// graphs (internal/graph Dump). A 10k-node checkpoint is therefore a
-// handful of bulk writes, not a per-edge walk.
+// A session payload is the engine fingerprint and a body: node
+// positions, the liveness bitset, each node's growing-phase outcome
+// (p_{u,α}, the boundary bitset, a row-length vector and one flat stream
+// of discovery entries), the §4 counters, and the residual batteries
+// when the engine has a battery model. That is all of a session's
+// state: N_α, G, G_R and the pruned rows are pure functions of the node
+// rows, positions and liveness, so restore rebuilds them and the format
+// carries none of them.
 //
 // # Compatibility and safety
 //
@@ -36,19 +38,26 @@ import (
 
 	"cbtc/internal/core"
 	"cbtc/internal/geom"
-	"cbtc/internal/graph"
 	"cbtc/internal/stats"
 )
 
-// Version is the checkpoint format version, the only one the decoders
-// accept. Version 3 extended the fingerprint with the radio-model
-// identity (reference loss, propagation kind, shadowing parameters) and
-// the battery configuration, added per-node residual-battery vectors to
-// session bodies, and added the residual/energy-variance streams to
-// fleet members. Version 2 made fleet members heterogeneous: each network
-// carries its own engine fingerprint, member kind, tick weight and tick
-// target. Streams of any other version fail with ErrVersion.
-const Version = 3
+// Version is the checkpoint format version the encoders write. Version 4
+// dropped the derived graphs: a session body ends after its batteries,
+// and the fingerprint has no reserved non-contributing flag. The
+// decoders also read version 3, whose session bodies end in a flag byte
+// and, when it is set, a graph section (the pruned rows and the N_α, G
+// and G_R arena dumps); they check its lengths, skip its bytes and build
+// nothing from it, and they refuse a version-3 fingerprint whose
+// reserved flag is set. Version 3 extended the fingerprint with the
+// radio-model identity (reference loss, propagation kind, shadowing
+// parameters) and the battery configuration, added per-node
+// residual-battery vectors to session bodies, and added the
+// residual/energy-variance streams to fleet members. Streams of any
+// other version fail with ErrVersion.
+const Version = 4
+
+// versionV3 is the oldest format version the decoders still read.
+const versionV3 = 3
 
 // Kinds discriminate the two checkpoint payloads.
 const (
@@ -92,10 +101,8 @@ type EngineConfig struct {
 	// PathLossExponent is the resolved path-loss exponent.
 	PathLossExponent float64
 	// ShrinkBack, AsymmetricRemoval and PairwiseRemoval mirror the
-	// optimization stack. NonContributing is a reserved slot that every
-	// encoder writes false; it keeps the fingerprint layout fixed, and a
-	// restore rejects a checkpoint that sets it.
-	ShrinkBack, AsymmetricRemoval, PairwiseRemoval, NonContributing bool
+	// optimization stack.
+	ShrinkBack, AsymmetricRemoval, PairwiseRemoval bool
 	// PairwisePolicy is the resolved §3.3 policy ordinal.
 	PairwisePolicy uint8
 	// ScheduleFactor is the shrink-back quantization factor (0 = exact
@@ -124,7 +131,8 @@ type SessionCounters struct {
 
 // SessionState is the complete serializable state of one Session. All
 // slices are indexed by node id over the session's full id space
-// (departed nodes keep their slot).
+// (departed nodes keep their slot). The maintained graphs are not part
+// of it: restore derives them from the node rows.
 type SessionState struct {
 	// Config is the engine fingerprint the state was produced under.
 	Config EngineConfig
@@ -137,20 +145,8 @@ type SessionState struct {
 	Nodes []core.NodeResult
 	// Stats are the session's cumulative §4 counters.
 	Stats SessionCounters
-	// Incremental reports whether the graph state below is present: it is
-	// for sessions without pairwise removal, while sessions with it carry
-	// node rows only and rebuild their graphs on restore.
-	Incremental bool
-	// Pruned is the per-node neighbor row after per-node-local pruning;
-	// nil when Incremental is false.
-	Pruned [][]core.Discovery
-	// Nalpha, G and GR are the maintained graphs; nil when Incremental is
-	// false.
-	Nalpha *graph.Digraph
-	G, GR  *graph.Graph
 	// Battery holds each node's residual energy when the engine has a
-	// battery model (Config.BatteryCapacity > 0); nil otherwise and in
-	// version-2 streams.
+	// battery model (Config.BatteryCapacity > 0); nil otherwise.
 	Battery []float64
 }
 
@@ -175,7 +171,7 @@ type NetworkState struct {
 	// accumulator states.
 	Degree, Radius, Components, Energy stats.Stream
 	// Residual and EnergyVar are the battery accumulator states; zero
-	// values in version-2 streams and on members without a battery model.
+	// values on members without a battery model.
 	Residual, EnergyVar stats.Stream
 	// Session is the member session's full state.
 	Session SessionState

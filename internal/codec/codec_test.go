@@ -4,12 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"math/rand/v2"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"cbtc/internal/core"
 	"cbtc/internal/geom"
-	"cbtc/internal/graph"
 	"cbtc/internal/stats"
 )
 
@@ -25,8 +26,8 @@ func testConfig() EngineConfig {
 }
 
 // validSession builds a small consistent session state: four nodes,
-// node 3 departed (isolated everywhere), a 0–1–2 path topology.
-func validSession(incremental bool) *SessionState {
+// node 3 departed (an empty row), a 0–1–2 path topology.
+func validSession() *SessionState {
 	row := func(ids ...int) []core.Discovery {
 		out := make([]core.Discovery, 0, len(ids))
 		for _, id := range ids {
@@ -34,7 +35,7 @@ func validSession(incremental bool) *SessionState {
 		}
 		return out
 	}
-	st := &SessionState{
+	return &SessionState{
 		Config: testConfig(),
 		Pos:    []geom.Point{{X: 0, Y: 0}, {X: 100, Y: 0}, {X: 200, Y: 0}, {X: 50, Y: 50}},
 		Alive:  []bool{true, true, true, false},
@@ -44,26 +45,20 @@ func validSession(incremental bool) *SessionState {
 			{Neighbors: row(1), GrowPower: 43, Boundary: false},
 			{Neighbors: row()},
 		},
-		Stats:       SessionCounters{Joins: 1, Leaves: 2, Moves: 3, AngleChanges: 4, Regrows: 5, Repairs: 6},
-		Incremental: incremental,
+		Stats: SessionCounters{Joins: 1, Leaves: 2, Moves: 3, AngleChanges: 4, Regrows: 5, Repairs: 6},
 	}
-	if !incremental {
-		return st
+}
+
+// v3Golden reads a version-3 golden checkpoint from the root package's
+// testdata. The fleet one's shrink-back members carry the graph section
+// the decoder skips.
+func v3Golden(t testing.TB, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "..", "testdata", name))
+	if err != nil {
+		t.Fatal(err)
 	}
-	st.Pruned = [][]core.Discovery{row(1), row(0, 2), row(1), row()}
-	st.Nalpha = graph.NewDigraph(4)
-	st.Nalpha.AddArc(0, 1)
-	st.Nalpha.AddArc(1, 0)
-	st.Nalpha.AddArc(1, 2)
-	st.Nalpha.AddArc(2, 1)
-	st.G = graph.New(4)
-	st.G.AddEdge(0, 1)
-	st.G.AddEdge(1, 2)
-	st.GR = graph.New(4)
-	st.GR.AddEdge(0, 1)
-	st.GR.AddEdge(1, 2)
-	st.GR.AddEdge(0, 2)
-	return st
+	return data
 }
 
 func validFleet(t testing.TB) *FleetState {
@@ -82,20 +77,18 @@ func validFleet(t testing.TB) *FleetState {
 	// weight 3, and a clock lagging its target (ragged checkpoint).
 	altConfig := testConfig()
 	altConfig.Alpha = 2.0944
-	altSession := *validSession(true)
+	altSession := *validSession()
 	altSession.Config = altConfig
 	return &FleetState{
 		Config: testConfig(),
 		Nets: []NetworkState{
-			{Config: testConfig(), Kind: 0, Weight: 1, RNG: rng1, Done: 7, Target: 7, Events: 12, Degree: stream(7, 4), Radius: stream(7, 300), Components: stream(7, 1), Energy: stream(7, 9e5), Session: *validSession(true)},
+			{Config: testConfig(), Kind: 0, Weight: 1, RNG: rng1, Done: 7, Target: 7, Events: 12, Degree: stream(7, 4), Radius: stream(7, 300), Components: stream(7, 1), Energy: stream(7, 9e5), Session: *validSession()},
 			{Config: altConfig, Kind: 1, Weight: 3, RNG: rng2, Done: 7, Target: 9, Events: 9, Degree: stream(7, 5), Radius: stream(7, 280), Components: stream(7, 2), Energy: stream(7, 8e5), Session: altSession},
 		},
 	}
 }
 
-// requireSessionEqual compares decoded state against the original,
-// using graph.Equal for the graphs (their internal arenas legitimately
-// differ in layout).
+// requireSessionEqual compares decoded state against the original.
 func requireSessionEqual(t *testing.T, want, got *SessionState) {
 	t.Helper()
 	if got.Config != want.Config {
@@ -110,17 +103,8 @@ func requireSessionEqual(t *testing.T, want, got *SessionState) {
 	if got.Stats != want.Stats {
 		t.Fatalf("stats %+v != %+v", got.Stats, want.Stats)
 	}
-	if got.Incremental != want.Incremental {
-		t.Fatalf("incremental %v != %v", got.Incremental, want.Incremental)
-	}
-	if !want.Incremental {
-		return
-	}
-	if !reflect.DeepEqual(got.Pruned, want.Pruned) {
-		t.Fatal("pruned rows differ")
-	}
-	if !got.Nalpha.Equal(want.Nalpha) || !got.G.Equal(want.G) || !got.GR.Equal(want.GR) {
-		t.Fatal("graphs differ")
+	if !reflect.DeepEqual(got.Battery, want.Battery) {
+		t.Fatal("batteries differ")
 	}
 }
 
@@ -141,11 +125,12 @@ func encodeFleet(t testing.TB, st *FleetState) []byte {
 }
 
 func TestSessionRoundTrip(t *testing.T) {
-	for _, incremental := range []bool{true, false} {
-		want := validSession(incremental)
+	for _, battery := range [][]float64{nil, {5, 0, 2.5, 1}} {
+		want := validSession()
+		want.Battery = battery
 		got, err := DecodeSession(bytes.NewReader(encodeSession(t, want)))
 		if err != nil {
-			t.Fatalf("incremental=%v: %v", incremental, err)
+			t.Fatalf("battery %v: %v", battery, err)
 		}
 		requireSessionEqual(t, want, got)
 	}
@@ -175,11 +160,18 @@ func TestFleetRoundTrip(t *testing.T) {
 	}
 }
 
+// goldenStride thins the sweeps over the 31 kB version-3 fleet golden,
+// which decode the whole stream once per position. It is coprime with
+// every field width (1, 4, 8 and the 28-byte discovery entry), so the
+// sweep still lands on every byte position of every kind of field.
+const goldenStride = 11
+
 // TestDecodeTruncation: every strict prefix of a valid checkpoint is an
 // error (usually ErrCorrupt; header prefixes report ErrBadMagic), and
-// never a panic.
+// never a panic. Prefixes of the version-3 fleet golden also end inside
+// its skipped graph sections.
 func TestDecodeTruncation(t *testing.T) {
-	enc := encodeSession(t, validSession(true))
+	enc := encodeSession(t, validSession())
 	for i := 0; i < len(enc); i++ {
 		if _, err := DecodeSession(bytes.NewReader(enc[:i])); err == nil {
 			t.Fatalf("prefix of %d/%d bytes decoded without error", i, len(enc))
@@ -191,6 +183,12 @@ func TestDecodeTruncation(t *testing.T) {
 			t.Fatalf("fleet prefix of %d/%d bytes decoded without error", i, len(fenc))
 		}
 	}
+	golden := v3Golden(t, "fleet-v3.ckpt")
+	for i := 0; i < len(golden); i += goldenStride {
+		if _, err := DecodeFleet(bytes.NewReader(golden[:i])); err == nil {
+			t.Fatalf("v3 fleet golden prefix of %d/%d bytes decoded without error", i, len(golden))
+		}
+	}
 }
 
 // TestDecodeBitFlips flips every byte of a valid checkpoint one at a
@@ -198,24 +196,35 @@ func TestDecodeTruncation(t *testing.T) {
 // or fail with one of the four typed errors — never panic, never
 // return an untyped error.
 func TestDecodeBitFlips(t *testing.T) {
-	enc := encodeSession(t, validSession(true))
+	typed := func(err error) bool {
+		return err == nil || errors.Is(err, ErrBadMagic) || errors.Is(err, ErrVersion) ||
+			errors.Is(err, ErrWrongKind) || errors.Is(err, ErrCorrupt)
+	}
+	enc := encodeSession(t, validSession())
 	mut := make([]byte, len(enc))
 	for i := 0; i < len(enc); i++ {
 		copy(mut, enc)
 		mut[i] ^= 0xff
-		_, err := DecodeSession(bytes.NewReader(mut))
-		if err == nil {
-			continue
-		}
-		if !errors.Is(err, ErrBadMagic) && !errors.Is(err, ErrVersion) &&
-			!errors.Is(err, ErrWrongKind) && !errors.Is(err, ErrCorrupt) {
+		if _, err := DecodeSession(bytes.NewReader(mut)); !typed(err) {
 			t.Fatalf("flip at byte %d: untyped error %v", i, err)
+		}
+	}
+	golden := v3Golden(t, "fleet-v3.ckpt")
+	mut = make([]byte, len(golden))
+	for i := 0; i < len(golden); i += goldenStride {
+		copy(mut, golden)
+		mut[i] ^= 0xff
+		if _, err := DecodeFleet(bytes.NewReader(mut)); !typed(err) {
+			t.Fatalf("v3 fleet golden flip at byte %d: untyped error %v", i, err)
 		}
 	}
 }
 
+// fingerprintBytes is the encoded size of a version-4 EngineConfig.
+const fingerprintBytes = 3*8 + 3 + 1 + 2*8 + 1 + 4*8
+
 func TestDecodeHeaderErrors(t *testing.T) {
-	enc := encodeSession(t, validSession(true))
+	enc := encodeSession(t, validSession())
 
 	bad := bytes.Clone(enc)
 	bad[0] = 'X'
@@ -227,10 +236,30 @@ func TestDecodeHeaderErrors(t *testing.T) {
 	if _, err := DecodeSession(bytes.NewReader(bad)); !errors.Is(err, ErrVersion) {
 		t.Errorf("version: got %v", err)
 	}
-	bad[4] = 2 // the previous format version is no longer read
-	if _, err := DecodeSession(bytes.NewReader(bad)); !errors.Is(err, ErrVersion) {
-		t.Errorf("version 2: got %v", err)
+	for _, v := range []byte{2, 5} { // only versions 3 and 4 are read
+		bad[4] = v
+		if _, err := DecodeSession(bytes.NewReader(bad)); !errors.Is(err, ErrVersion) {
+			t.Errorf("version %d: got %v", v, err)
+		}
 	}
+
+	// Version 3 decodes, its graph sections skipped (the root package's
+	// TestCheckpointFixtures checks what it decodes to).
+	sv3 := v3Golden(t, "session-v3.ckpt")
+	if _, err := DecodeSession(bytes.NewReader(sv3)); err != nil {
+		t.Errorf("version 3 session: %v", err)
+	}
+	if _, err := DecodeFleet(bytes.NewReader(v3Golden(t, "fleet-v3.ckpt"))); err != nil {
+		t.Errorf("version 3 fleet: %v", err)
+	}
+	// Version 3's reserved non-contributing flag follows the three
+	// optimization flags; a stream that sets it is corrupt.
+	bad = bytes.Clone(sv3)
+	bad[7+3*8+3] = 1
+	if _, err := DecodeSession(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("version 3 non-contributing flag: got %v", err)
+	}
+
 	if _, err := DecodeFleet(bytes.NewReader(enc)); !errors.Is(err, ErrWrongKind) {
 		t.Errorf("kind: got %v", err)
 	}
@@ -241,7 +270,7 @@ func TestDecodeHeaderErrors(t *testing.T) {
 	}
 	// A hostile node count cannot force a giant allocation — it runs out
 	// of real bytes first and reports corruption.
-	huge := append(bytes.Clone(enc[:7+8*3+4+1+8]), 0xff, 0xff, 0xff, 0x7f)
+	huge := append(bytes.Clone(enc[:7+fingerprintBytes]), 0xff, 0xff, 0xff, 0x7f)
 	if _, err := DecodeSession(bytes.NewReader(huge)); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("huge count: got %v", err)
 	}
@@ -251,7 +280,7 @@ func TestDecodeHeaderErrors(t *testing.T) {
 // state — checkpoint diffing and the daemon's atomic-rename flow rely
 // on byte-stable output.
 func TestEncodeDeterministic(t *testing.T) {
-	if !bytes.Equal(encodeSession(t, validSession(true)), encodeSession(t, validSession(true))) {
+	if !bytes.Equal(encodeSession(t, validSession()), encodeSession(t, validSession())) {
 		t.Fatal("session encoding not deterministic")
 	}
 	if !bytes.Equal(encodeFleet(t, validFleet(t)), encodeFleet(t, validFleet(t))) {
@@ -260,12 +289,13 @@ func TestEncodeDeterministic(t *testing.T) {
 }
 
 func FuzzDecodeSession(f *testing.F) {
-	valid := encodeSession(f, validSession(true))
+	valid := encodeSession(f, validSession())
 	f.Add(valid)
-	f.Add(encodeSession(f, validSession(false)))
+	f.Add(v3Golden(f, "session-v3.ckpt"))
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte{})
 	f.Add([]byte("CBTC"))
+	f.Add(v3Golden(f, "fleet-v3.ckpt"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := DecodeSession(bytes.NewReader(data))
 		if err != nil {
@@ -288,6 +318,7 @@ func FuzzDecodeFleet(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte{})
+	f.Add(v3Golden(f, "fleet-v3.ckpt"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := DecodeFleet(bytes.NewReader(data))
 		if err != nil {

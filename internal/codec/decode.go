@@ -9,7 +9,6 @@ import (
 
 	"cbtc/internal/core"
 	"cbtc/internal/geom"
-	"cbtc/internal/graph"
 	"cbtc/internal/stats"
 )
 
@@ -17,11 +16,14 @@ import (
 // bytes, so anything large is corruption, not a bigger generator.
 const maxRNGBytes = 256
 
-// DecodeSession reads a session checkpoint from r. It returns a typed
-// error — ErrBadMagic, ErrVersion, ErrWrongKind or ErrCorrupt — on any
-// invalid input, and never panics. Decode memory stays proportional to
-// the bytes r actually yields, so truncated or hostile length fields
-// cannot force large allocations.
+// discoveryBytes is the encoded size of one discovery entry.
+const discoveryBytes = 28
+
+// DecodeSession reads a session checkpoint of version 4 or 3 from r. It
+// returns a typed error — ErrBadMagic, ErrVersion, ErrWrongKind or
+// ErrCorrupt — on any invalid input, and never panics. Decode memory
+// stays proportional to the bytes r actually yields, so truncated or
+// hostile length fields cannot force large allocations.
 func DecodeSession(r io.Reader) (*SessionState, error) {
 	d := newDecoder(r)
 	if err := d.header(KindSession); err != nil {
@@ -91,6 +93,9 @@ type decoder struct {
 	r   *bufio.Reader
 	buf [8]byte
 	err error
+	// v3 is set by header for a version-3 stream, whose fingerprint and
+	// session bodies carry the fields version 4 dropped.
+	v3 bool
 }
 
 func newDecoder(r io.Reader) *decoder {
@@ -113,11 +118,27 @@ func (d *decoder) read(p []byte) {
 	if d.err != nil {
 		return
 	}
-	if _, err := io.ReadFull(d.r, p); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			d.corrupt("truncated")
-			return
-		}
+	_, err := io.ReadFull(d.r, p)
+	d.readErr(err)
+}
+
+// skip discards k entries of size bytes each, a bounded chunk at a time,
+// mapping short input to ErrCorrupt.
+func (d *decoder) skip(k uint64, size int) {
+	for k > 0 && d.err == nil {
+		c := min(k, 1<<16)
+		_, err := d.r.Discard(int(c) * size)
+		d.readErr(err)
+		k -= c
+	}
+}
+
+func (d *decoder) readErr(err error) {
+	switch err {
+	case nil:
+	case io.EOF, io.ErrUnexpectedEOF:
+		d.corrupt("truncated")
+	default:
 		d.fail(err)
 	}
 }
@@ -202,9 +223,10 @@ func (d *decoder) header(wantKind uint8) error {
 	if d.err != nil {
 		return d.err
 	}
-	if v != Version {
-		return fmt.Errorf("%w: got version %d, support %d", ErrVersion, v, Version)
+	if v != Version && v != versionV3 {
+		return fmt.Errorf("%w: got version %d, read %d and %d", ErrVersion, v, versionV3, Version)
 	}
+	d.v3 = v == versionV3
 	if kind != wantKind {
 		return fmt.Errorf("%w: got kind %d, want %d", ErrWrongKind, kind, wantKind)
 	}
@@ -224,7 +246,9 @@ func (d *decoder) engineConfig(c *EngineConfig) {
 	c.ShrinkBack = d.bool("shrink-back")
 	c.AsymmetricRemoval = d.bool("asymmetric-removal")
 	c.PairwiseRemoval = d.bool("pairwise-removal")
-	c.NonContributing = d.bool("non-contributing")
+	if d.v3 && d.bool("non-contributing") {
+		d.corrupt("non-contributing removal is not supported")
+	}
 	c.PairwisePolicy = d.u8()
 	c.ScheduleFactor = d.f64()
 	c.RefLoss = d.f64()
@@ -310,44 +334,39 @@ func (d *decoder) sessionBody(st *SessionState) {
 		}
 	}
 
-	st.Incremental = d.bool("incremental")
-	if d.err != nil || !st.Incremental {
-		return
-	}
-	plens := d.rowLens(n, "pruned")
-	if d.err != nil {
-		return
-	}
-	st.Pruned = make([][]core.Discovery, n)
-	for u := 0; u < n; u++ {
-		st.Pruned[u] = d.discoveries(int(plens[u]), n, u)
-		if d.err != nil {
-			return
-		}
-	}
-	st.Nalpha = d.digraph(n)
-	st.G = d.graph(n)
-	st.GR = d.graph(n)
-	if d.err == nil {
-		d.validateIncremental(st)
+	if d.v3 && d.bool("graph section") {
+		d.skipGraphs(n)
 	}
 }
 
-// validateIncremental cross-checks invariants the graph-level validation
-// cannot see: departed nodes must be isolated everywhere, so a restored
-// session's derived metrics (live components, degree aggregates) mean
-// what the original's meant.
-func (d *decoder) validateIncremental(st *SessionState) {
-	for u, alive := range st.Alive {
-		if alive {
-			continue
+// skipGraphs skips the graph section of a version-3 session body: the
+// pruned discovery rows, then the N_α, G and G_R arena dumps, each a
+// row-length vector, an entry count and the int32 entries. Restore
+// rebuilds all of them from the node rows, so only the lengths are
+// checked and nothing is kept: no slice is sized by a claimed count.
+func (d *decoder) skipGraphs(n int) {
+	d.skip(d.rowTotal(n, "pruned"), discoveryBytes)
+	for _, what := range []string{"N_α", "G", "G_R"} {
+		total := d.rowTotal(n, what)
+		if claimed := d.u64(); d.err == nil && claimed != total {
+			d.corrupt("%s arena length %d does not match row lengths %d", what, claimed, total)
 		}
-		if len(st.Nodes[u].Neighbors) != 0 || len(st.Pruned[u]) != 0 ||
-			st.Nalpha.OutDegree(u) != 0 || st.G.Degree(u) != 0 || st.GR.Degree(u) != 0 {
-			d.corrupt("departed node %d is not isolated", u)
-			return
-		}
+		d.skip(total, 4)
 	}
+}
+
+// rowTotal reads a version-3 row-length vector without keeping it: n
+// lengths, each below n, and returns their sum.
+func (d *decoder) rowTotal(n int, what string) uint64 {
+	var total uint64
+	for i := 0; i < n && d.err == nil; i++ {
+		l := d.u32()
+		if d.err == nil && int64(l) >= int64(n) {
+			d.corrupt("%s row %d length %d out of range", what, i, l)
+		}
+		total += uint64(l)
+	}
+	return total
 }
 
 func (d *decoder) points(n int) []geom.Point {
@@ -436,79 +455,6 @@ func (d *decoder) discoveries(k, n, u int) []core.Discovery {
 			return nil
 		}
 		out = append(out, core.Discovery{ID: int(id), Dist: dist, Dir: dir, Power: power})
-	}
-	return out
-}
-
-// graph reads one arena dump and rebuilds the symmetric graph through
-// the validating loader.
-func (d *decoder) graph(n int) *graph.Graph {
-	lens, arena := d.arena(n)
-	if d.err != nil {
-		return nil
-	}
-	g, err := graph.NewFromDump(lens, arena)
-	if err != nil {
-		d.corrupt("%v", err)
-		return nil
-	}
-	return g
-}
-
-func (d *decoder) digraph(n int) *graph.Digraph {
-	lens, arena := d.arena(n)
-	if d.err != nil {
-		return nil
-	}
-	g, err := graph.NewDigraphFromDump(lens, arena)
-	if err != nil {
-		d.corrupt("%v", err)
-		return nil
-	}
-	return g
-}
-
-// arena reads one graph dump: n row lengths, an entry count, and the
-// packed int32 arena, read in chunks so a hostile count cannot force a
-// large allocation.
-func (d *decoder) arena(n int) (lens, arena []int32) {
-	lens = d.rowLens(n, "graph")
-	if d.err != nil {
-		return nil, nil
-	}
-	var total int64
-	for _, l := range lens {
-		total += int64(l)
-	}
-	claimed := d.u64()
-	if d.err != nil {
-		return nil, nil
-	}
-	if claimed != uint64(total) {
-		d.corrupt("arena length %d does not match row lengths %d", claimed, total)
-		return nil, nil
-	}
-	arena = d.int32s(int(total))
-	return lens, arena
-}
-
-// int32s bulk-reads k int32 values through a staging chunk, growing the
-// output as bytes actually arrive.
-func (d *decoder) int32s(k int) []int32 {
-	out := make([]int32, 0, growCap(k))
-	var chunk [4096]byte
-	for len(out) < k {
-		c := k - len(out)
-		if c > len(chunk)/4 {
-			c = len(chunk) / 4
-		}
-		d.read(chunk[:4*c])
-		if d.err != nil {
-			return nil
-		}
-		for i := 0; i < c; i++ {
-			out = append(out, int32(binary.LittleEndian.Uint32(chunk[4*i:])))
-		}
 	}
 	return out
 }

@@ -12,8 +12,8 @@ import (
 )
 
 // EncodeSession writes a session checkpoint to w at the current format
-// version. The state is read only; it is safe to encode a snapshot whose
-// graphs are COW clones of a live session.
+// version. The state is read only; it is safe to encode a snapshot that
+// shares its immutable discovery rows with a live session.
 func EncodeSession(w io.Writer, st *SessionState) error {
 	e := newEncoder(w)
 	e.header(KindSession)
@@ -124,7 +124,6 @@ func (e *encoder) engineConfig(c *EngineConfig) {
 	e.bool(c.ShrinkBack)
 	e.bool(c.AsymmetricRemoval)
 	e.bool(c.PairwiseRemoval)
-	e.bool(c.NonContributing)
 	e.u8(c.PairwisePolicy)
 	e.f64(c.ScheduleFactor)
 	e.f64(c.RefLoss)
@@ -186,23 +185,6 @@ func (e *encoder) sessionBody(st *SessionState) {
 	for _, b := range st.Battery {
 		e.f64(b)
 	}
-
-	e.bool(st.Incremental)
-	if !st.Incremental {
-		return
-	}
-	for i := range st.Pruned {
-		e.u32(uint32(len(st.Pruned[i])))
-	}
-	for i := range st.Pruned {
-		e.discoveries(st.Pruned[i])
-	}
-	lens, arena := st.Nalpha.Dump(nil, nil)
-	e.rows(lens, arena)
-	lens, arena = st.G.Dump(lens[:0], arena[:0])
-	e.rows(lens, arena)
-	lens, arena = st.GR.Dump(lens[:0], arena[:0])
-	e.rows(lens, arena)
 }
 
 func (e *encoder) points(pts []geom.Point) {
@@ -238,34 +220,5 @@ func (e *encoder) discoveries(row []core.Discovery) {
 		e.f64(d.Dist)
 		e.f64(d.Dir)
 		e.f64(d.Power)
-	}
-}
-
-// rows writes one graph arena dump: the row-length vector, then the
-// packed arena, each as a bulk int32 stream. The node count is not
-// repeated — it is the session's n.
-func (e *encoder) rows(lens, arena []int32) {
-	e.int32s(lens)
-	e.u64(uint64(len(arena)))
-	e.int32s(arena)
-}
-
-// int32s bulk-writes an int32 slice through the staging buffer in
-// chunks, so a 10k-node arena costs a few large Writes.
-func (e *encoder) int32s(vs []int32) {
-	if e.err != nil {
-		return
-	}
-	var chunk [4096]byte
-	for len(vs) > 0 {
-		k := len(vs)
-		if k > len(chunk)/4 {
-			k = len(chunk) / 4
-		}
-		for i := 0; i < k; i++ {
-			binary.LittleEndian.PutUint32(chunk[4*i:], uint32(vs[i]))
-		}
-		e.write(chunk[:4*k])
-		vs = vs[k:]
 	}
 }

@@ -110,22 +110,23 @@ func (cs *coverScratch) shrinkNeighbors(neighbors []Discovery, alpha float64) []
 	return sorted
 }
 
-// QuantizeTags returns an execution whose discovery-power tags are
-// rounded up to the given broadcast schedule (e.g. the doubling schedule
-// of Figure 1). The oracle tags each neighbor with its exact minimal
-// power; a real protocol run only knows the discrete power level of the
-// round that discovered the neighbor. Quantizing the oracle's tags
-// reproduces the protocol's coarser shrink-back granularity without
-// running the simulator — the evaluation harness uses it to match the
-// paper's setup. Tags above the last schedule entry are clamped to it.
+// QuantizeTags rounds the execution's discovery-power tags up to the
+// given broadcast schedule (e.g. the doubling schedule of Figure 1) and
+// returns e. It mutates e in place: pass an execution the caller owns,
+// or a Clone of one it must keep. The oracle tags each neighbor with
+// its exact minimal power; a real protocol run only knows the discrete
+// power level of the round that discovered the neighbor. Quantizing the
+// oracle's tags reproduces the protocol's coarser shrink-back
+// granularity without running the simulator — the evaluation harness
+// uses it to match the paper's setup. Tags above the last schedule
+// entry are clamped to it.
 func QuantizeTags(e *Execution, schedule []float64) *Execution {
-	out := e.Clone()
-	for u := range out.Nodes {
-		for i, nb := range out.Nodes[u].Neighbors {
-			out.Nodes[u].Neighbors[i].Power = quantizeUp(nb.Power, schedule)
+	for u := range e.Nodes {
+		for i, nb := range e.Nodes[u].Neighbors {
+			e.Nodes[u].Neighbors[i].Power = quantizeUp(nb.Power, schedule)
 		}
 	}
-	return out
+	return e
 }
 
 // QuantizeNeighbors is the per-node form of QuantizeTags: it returns a

@@ -109,38 +109,37 @@ type Execution struct {
 func (e *Execution) Len() int { return len(e.Pos) }
 
 // Nalpha returns the directed neighbor relation
-// N_α = {(u,v) : v ∈ N_α(u)}, bulk-built into one packed arena: each
-// node's (Power, Dist, ID)-ordered discovery list is re-sorted by id
-// into its successor row.
+// N_α = {(u,v) : v ∈ N_α(u)} of the execution's discovery lists.
 func (e *Execution) Nalpha() *graph.Digraph {
+	return NalphaOf(e.Len(), func(u int) []Discovery { return e.Nodes[u].Neighbors })
+}
+
+// NalphaOf returns the directed relation over n nodes in which node u's
+// successors are the ids of nbrs(u), bulk-built into one packed arena:
+// each (Power, Dist, ID)-ordered discovery list is re-sorted by id into
+// its successor row. Sessions build their N_α from the pruned rows
+// with it.
+func NalphaOf(n int, nbrs func(u int) []Discovery) *graph.Digraph {
 	total := 0
-	for _, nr := range e.Nodes {
-		total += len(nr.Neighbors)
+	for u := 0; u < n; u++ {
+		total += len(nbrs(u))
 	}
 	arena := make([]int32, 0, total)
-	rows := make([][]int32, e.Len())
-	for u, nr := range e.Nodes {
-		// The arena has room for every row, so each one is filled in place.
-		rows[u] = SuccessorRow(arena[len(arena):len(arena)], nr.Neighbors)
-		arena = arena[:len(arena)+len(rows[u])]
+	rows := make([][]int32, n)
+	for u := range rows {
+		// The arena has room for every row, so none of them reallocates.
+		start := len(arena)
+		for _, nb := range nbrs(u) {
+			arena = append(arena, int32(nb.ID))
+		}
+		rows[u] = arena[start:]
+		slices.Sort(rows[u])
 	}
 	return graph.NewDigraphFromRows(rows)
 }
 
-// SuccessorRow fills dst (a reused buffer, passed as dst[:0] or nil)
-// with the neighbor ids of a discovery list in ascending order — the
-// packed-digraph row for that node. Sessions use it to rebuild a
-// repaired node's N_α row from its pruned neighbor set.
-func SuccessorRow(dst []int32, nbrs []Discovery) []int32 {
-	for _, nb := range nbrs {
-		dst = append(dst, int32(nb.ID))
-	}
-	slices.Sort(dst)
-	return dst
-}
-
-// Clone returns a deep copy of the execution. Transformations return
-// fresh executions and never mutate their input.
+// Clone returns a deep copy of the execution, for a caller that must
+// keep an execution QuantizeTags would otherwise mutate.
 func (e *Execution) Clone() *Execution {
 	c := &Execution{
 		Alpha: e.Alpha,

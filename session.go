@@ -223,8 +223,7 @@ func (e *Engine) sessionFromExec(ctx context.Context, nodes []Point, exec *core.
 // growing-phase rows, positions and liveness: the pruned rows, N_α, its
 // symmetrization gpre, the pairwise-pruned g with its kernel, the
 // ground-truth G_R with departed nodes isolated, and the Observe state.
-// The constructors and the restore of a checkpoint that carries no
-// graphs share it.
+// The constructors and checkpoint restore share it.
 func (s *Session) buildTopology(ctx context.Context) error {
 	e := s.eng
 	n := len(s.pos)
@@ -238,11 +237,7 @@ func (s *Session) buildTopology(ctx context.Context) error {
 	}); err != nil {
 		return err
 	}
-	rows := make([][]int32, n)
-	for u := range s.pruned {
-		rows[u] = core.SuccessorRow(nil, s.pruned[u])
-	}
-	s.nalpha = graph.NewDigraphFromRows(rows)
+	s.nalpha = core.NalphaOf(n, func(u int) []core.Discovery { return s.pruned[u] })
 	if e.opts.AsymmetricRemoval {
 		s.gpre = s.nalpha.MutualSubgraph()
 	} else {
@@ -259,18 +254,11 @@ func (s *Session) buildTopology(ctx context.Context) error {
 			s.gr.IsolateNode(u)
 		}
 	}
-	return s.deriveObserveState(ctx)
-}
-
-// deriveObserveState derives the O(changed) Observe state — the live
-// component structure and the per-node radius cache — from g and the
-// positions. Neither is serialized: both are pure functions of the
-// maintained graph, so a restored session observes byte-identically.
-func (s *Session) deriveObserveState(ctx context.Context) error {
-	n := len(s.pos)
+	// The O(changed) Observe state: the live component structure and the
+	// per-node radius cache over g.
 	s.comps = graph.NewLiveComponents(s.g, s.alive)
 	s.radius = make([]float64, n)
-	return core.ParallelRange(ctx, n, core.ResolveWorkers(s.workers, n), func(_, u int) {
+	return core.ParallelRange(ctx, n, workers, func(_, u int) {
 		s.radius[u] = graph.NodeRadius(s.g, s.pos, u)
 	})
 }
