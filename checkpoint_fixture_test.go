@@ -15,9 +15,10 @@ import (
 var updateFixtures = flag.Bool("update-fixtures", false, "rewrite the golden checkpoint fixtures in testdata/")
 
 // The golden checkpoints in testdata/ were written by an earlier build of
-// the package. Restoring them and re-encoding must reproduce the current
-// format's bytes exactly, which pins both the codec format and the
-// mapping from engine options to the checkpoint fingerprint. Regenerate
+// the package. Building the fixture states afresh must reproduce the
+// current format's bytes exactly, and so must restoring and re-encoding
+// them, which pins the constructors, the codec format and the mapping
+// from engine options to the checkpoint fingerprint. Regenerate
 // the current-format goldens (with -update-fixtures) only for a
 // deliberate format change. The version-3 goldens are never rewritten:
 // they are what older builds left on disk, and each must re-encode to
@@ -51,8 +52,12 @@ func fixtureFleetEngine(t *testing.T) *Engine {
 	return eng
 }
 
-// writeFixtures builds the fixture states and writes their checkpoints.
-func writeFixtures(t *testing.T) {
+// buildFixtures builds the fixture states from scratch and returns their
+// checkpoint bytes: a session after a move, a leave and a join, and a
+// three-member fleet (one of them protocol-built) after three drift
+// ticks.
+func buildFixtures(t *testing.T) (session, fleet []byte) {
+	t.Helper()
 	ctx := context.Background()
 	sess, err := fixtureSessionEngine(t).NewSession(ctx, workload.Uniform(workload.Rand(31), 30, 1000, 1000))
 	if err != nil {
@@ -77,50 +82,58 @@ func writeFixtures(t *testing.T) {
 	}
 	members[1].Options = []Option{WithPathLoss(3), WithMaxRadius(450)}
 	members[2].Kind = MemberProtocol
-	fleet, err := fixtureFleetEngine(t).NewFleet(ctx, FleetConfig{Members: members, Seed: 5, Workers: 1})
+	f, err := fixtureFleetEngine(t).NewFleet(ctx, FleetConfig{Members: members, Seed: 5, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tick := DriftTick(TickProfile{Moves: 3, Jitter: 40, JoinProb: 0.3, LeaveProb: 0.3, Width: 900, Height: 900})
-	if _, err := fleet.Run(ctx, 3, tick); err != nil {
+	if _, err := f.Run(ctx, 3, tick); err != nil {
 		t.Fatal(err)
 	}
 	var fbuf bytes.Buffer
-	if err := fleet.Checkpoint(&fbuf); err != nil {
+	if err := f.Checkpoint(&fbuf); err != nil {
 		t.Fatal(err)
 	}
-
-	if err := os.MkdirAll(filepath.Dir(sessionFixture), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for path, data := range map[string][]byte{sessionFixture: sbuf.Bytes(), fleetFixture: fbuf.Bytes()} {
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	return sbuf.Bytes(), fbuf.Bytes()
 }
 
-// TestCheckpointFixtures restores each golden checkpoint on the engine
-// that wrote it and requires the restored object to re-encode to the
-// current-format golden's exact bytes.
+// TestCheckpointFixtures rebuilds each fixture state from scratch and
+// requires its checkpoint to equal the current-format golden byte for
+// byte, which pins NewSession, NewFleet with its protocol-built member,
+// the session and fleet ticks and the encoder end to end. It then
+// restores each golden on the engine that wrote it and requires the
+// restored object to re-encode to the same bytes.
 func TestCheckpointFixtures(t *testing.T) {
+	session, fleet := buildFixtures(t)
 	if *updateFixtures {
-		writeFixtures(t)
+		if err := os.MkdirAll(filepath.Dir(sessionFixture), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for path, data := range map[string][]byte{sessionFixture: session, fleetFixture: fleet} {
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	type checkpointer interface{ Checkpoint(io.Writer) error }
 	for _, fx := range []struct {
 		eng     *Engine
 		v4, v3  string
+		built   []byte
 		restore func(*Engine, io.Reader) (checkpointer, error)
 	}{
-		{fixtureSessionEngine(t), sessionFixture, sessionFixtureV3,
+		{fixtureSessionEngine(t), sessionFixture, sessionFixtureV3, session,
 			func(e *Engine, r io.Reader) (checkpointer, error) { return e.RestoreSession(r) }},
-		{fixtureFleetEngine(t), fleetFixture, fleetFixtureV3,
+		{fixtureFleetEngine(t), fleetFixture, fleetFixtureV3, fleet,
 			func(e *Engine, r io.Reader) (checkpointer, error) { return e.RestoreFleet(r) }},
 	} {
 		want, err := os.ReadFile(fx.v4)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !bytes.Equal(fx.built, want) {
+			t.Errorf("a fresh build checkpoints to %d bytes that differ from %s (%d bytes)",
+				len(fx.built), fx.v4, len(want))
 		}
 		for _, path := range []string{fx.v4, fx.v3} {
 			data, err := os.ReadFile(path)
