@@ -737,6 +737,37 @@ func BenchmarkFleet(b *testing.B) {
 	}
 }
 
+// BenchmarkNewFleet measures fleet construction on fleet-mobility's
+// member mix: eight 1000-node members at paper density on 2 workers —
+// five shrink-back oracle members, one all-optimizations member, one
+// shadowed member (σ = 4 dB) and one protocol-built member, whose
+// Figure 1 simulation is the longest single build.
+func BenchmarkNewFleet(b *testing.B) {
+	const seed = 7
+	sc := workload.Fleet(8, 1000, "uniform")
+	placements := sc.Placements(seed)
+	members := make([]MemberSpec, len(placements))
+	for i := range members {
+		members[i].Placement = placements[i]
+	}
+	members[5].Options = []Option{WithAllOptimizations()}
+	members[6].Options = []Option{WithShadowing(4, seed)}
+	members[7].Kind = MemberProtocol
+	eng, err := New(WithMaxRadius(sc.Radius), WithShrinkBack())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	cfg := FleetConfig{Members: members, Seed: seed, Workers: 2}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.NewFleet(ctx, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFleetAsync measures the PR 7 tentpole on a straggler-skewed
 // heterogeneous mix: 8 light networks (80 nodes, tick weight 4) plus
 // one heavyweight straggler (2000 nodes, weight 1), all at paper density.

@@ -10,6 +10,7 @@ import (
 	"cbtc/internal/netsim"
 	"cbtc/internal/proto"
 	"cbtc/internal/radio"
+	"cbtc/internal/spatial"
 )
 
 // Engine is a validated, reusable CBTC(α) executor. It is built once by
@@ -187,10 +188,11 @@ func (e *Engine) Run(ctx context.Context, nodes []Point) (*Result, error) {
 
 // run is Run with an explicit worker count; RunBatch pins it to 1 so
 // batch-level parallelism is not multiplied by per-run parallelism.
-// G_R comes out of the oracle's own gather, under the engine's
-// propagation authority.
+// G_R comes out of the oracle's own gather over its one grid, under the
+// engine's propagation authority.
 func (e *Engine) run(ctx context.Context, nodes []Point, workers int) (*Result, error) {
-	exec, gr, err := core.RunWithMaxPowerGraph(ctx, nodes, e.prop, e.cfg.Alpha, workers)
+	idx := spatial.New(nodes, e.prop.MaxLinkRadius())
+	exec, gr, err := core.RunWithMaxPowerGraph(ctx, nodes, e.prop, e.cfg.Alpha, workers, idx)
 	if err != nil {
 		return nil, err
 	}
@@ -208,9 +210,10 @@ func (e *Engine) run(ctx context.Context, nodes []Point, workers int) (*Result, 
 // Figure 1 on a discrete-event radio simulator and applies the engine's
 // optimization stack to the outcome. Nodes act only on message powers
 // and measured angles, exactly as the paper assumes. Cancelling ctx
-// stops the event loop and returns ctx.Err().
+// stops the event loop and returns ctx.Err(). G_R is gathered over the
+// simulator's own delivery grid.
 func (e *Engine) Simulate(ctx context.Context, nodes []Point, sim SimOptions) (*Result, error) {
-	exec, err := e.protoExec(ctx, nodes, sim)
+	exec, grid, err := e.protoExec(ctx, nodes, sim)
 	if err != nil {
 		return nil, err
 	}
@@ -218,15 +221,19 @@ func (e *Engine) Simulate(ctx context.Context, nodes []Point, sim SimOptions) (*
 	if err != nil {
 		return nil, err
 	}
-	return newResultWithGR(nodes, e.model, topo, core.MaxPowerGraphParallel(nodes, e.prop, e.workers)), nil
+	return newResultWithGR(nodes, e.model, topo, core.MaxPowerGraphParallelIndexed(nodes, e.prop, grid, e.workers)), nil
 }
 
 // protoExec runs the distributed Figure 1 protocol on the discrete-event
-// radio simulator and returns the finished growing-phase execution — the
-// shared front half of Simulate and NewProtocolSession.
-func (e *Engine) protoExec(ctx context.Context, nodes []Point, sim SimOptions) (*core.Execution, error) {
+// radio simulator and returns the finished growing-phase execution and
+// the simulator's delivery grid — the shared front half of Simulate and
+// NewProtocolSession. The grid has the engine's MaxLinkRadius cell size
+// and indexes exactly the placement (the growing phase moves, adds and
+// crashes no node), and the simulator is done with it, so the caller
+// adopts it instead of building another.
+func (e *Engine) protoExec(ctx context.Context, nodes []Point, sim SimOptions) (*core.Execution, *spatial.Grid, error) {
 	if err := core.ValidatePositions(nodes); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	simOpts := netsim.Options{
 		Model:    e.prop,
@@ -248,15 +255,15 @@ func (e *Engine) protoExec(ctx context.Context, nodes []Point, sim SimOptions) (
 	if sim.IncreaseFactor != 0 {
 		inc, err := radio.Multiplicative(sim.IncreaseFactor)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
+			return nil, nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 		}
 		pcfg.Increase = inc
 	}
-	exec, _, err := proto.RunCBTCContext(ctx, nodes, simOpts, pcfg)
+	exec, rt, err := proto.RunCBTCContext(ctx, nodes, simOpts, pcfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return exec, nil
+	return exec, rt.Sim.Grid(), nil
 }
 
 // MaxPower returns the Result of using no topology control at all:

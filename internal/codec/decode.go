@@ -113,13 +113,26 @@ func (d *decoder) corrupt(format string, args ...any) {
 	d.fail(fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...)))
 }
 
-// read fills p exactly, mapping short reads to ErrCorrupt.
+// read fills p exactly, mapping short reads to ErrCorrupt. A field is
+// served straight from the reader's buffer with Peek and Discard, which
+// refill it across a buffer edge; only a read larger than the whole
+// buffer goes through io.ReadFull. Peek fails with the underlying error
+// (io.EOF on truncated input) when fewer than len(p) bytes remain.
 func (d *decoder) read(p []byte) {
 	if d.err != nil {
 		return
 	}
-	_, err := io.ReadFull(d.r, p)
-	d.readErr(err)
+	b, err := d.r.Peek(len(p))
+	switch err {
+	case nil:
+		copy(p, b)
+		d.r.Discard(len(p))
+	case bufio.ErrBufferFull:
+		_, err = io.ReadFull(d.r, p)
+		d.readErr(err)
+	default:
+		d.readErr(err)
+	}
 }
 
 // skip discards k entries of size bytes each, a bounded chunk at a time,

@@ -282,14 +282,19 @@ func FuzzShrinkNeighbors(f *testing.F) {
 }
 
 // The ordinary test run sweeps far more inputs than the fuzz seeds,
-// through one reused NodeRunner so stale scratch would show.
+// through one reused NodeRunner so stale scratch would show, shrinking
+// each input both into a fresh slice and into one reused buffer.
 func TestShrinkNeighborsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(16, 1))
 	var runner NodeRunner
+	var buf []Discovery
 	for iter := 0; iter < 20000; iter++ {
 		alpha := refAlphas[rng.IntN(len(refAlphas))]
 		nbrs := refNeighbors(rng)
-		requireSameDiscoveries(t, "ShrinkNeighbors", runner.ShrinkNeighbors(nbrs, alpha), shrinkNeighborsRef(nbrs, alpha))
+		want := shrinkNeighborsRef(nbrs, alpha)
+		requireSameDiscoveries(t, "ShrinkNeighborsInto(nil)", runner.ShrinkNeighborsInto(nil, nbrs, alpha), want)
+		buf = runner.ShrinkNeighborsInto(buf, nbrs, alpha)
+		requireSameDiscoveries(t, "ShrinkNeighborsInto(reused)", buf, want)
 	}
 }
 

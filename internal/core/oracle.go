@@ -64,7 +64,7 @@ const ctxCheckStride = 16
 // gather, making the oracle Θ(n·k) for k in-range neighbors instead of
 // Θ(n²).
 func RunContext(ctx context.Context, pos []geom.Point, m radio.Propagation, alpha float64) (*Execution, error) {
-	return runContext(ctx, pos, m, alpha, true, 1, nil)
+	return RunParallel(ctx, pos, m, alpha, 1)
 }
 
 // RunParallel is RunContext with the per-node computations fanned across
@@ -77,7 +77,10 @@ func RunContext(ctx context.Context, pos []geom.Point, m radio.Propagation, alph
 // worker count; only wall-clock changes. Cancellation is polled per
 // worker on its own stride, so latency does not grow with the pool size.
 func RunParallel(ctx context.Context, pos []geom.Point, m radio.Propagation, alpha float64, workers int) (*Execution, error) {
-	return runContext(ctx, pos, m, alpha, true, workers, nil)
+	if err := validateInput(pos, m, alpha); err != nil {
+		return nil, err
+	}
+	return runContext(ctx, pos, m, alpha, spatial.New(pos, m.MaxLinkRadius()), workers, nil)
 }
 
 // RunNaive is RunContext without the spatial index: every candidate
@@ -85,35 +88,40 @@ func RunParallel(ctx context.Context, pos []geom.Point, m radio.Propagation, alp
 // naive-vs-grid equivalence tests and benchmarks compare against; both
 // paths produce identical Executions.
 func RunNaive(ctx context.Context, pos []geom.Point, m radio.Propagation, alpha float64) (*Execution, error) {
-	return runContext(ctx, pos, m, alpha, false, 1, nil)
+	if err := validateInput(pos, m, alpha); err != nil {
+		return nil, err
+	}
+	return runContext(ctx, pos, m, alpha, nil, 1, nil)
 }
 
-// RunWithMaxPowerGraph is RunParallel that also returns G_R, the graph
-// every Result's connectivity is checked against. A node's candidate
-// list is exactly its G_R row, so G_R is a by-product of the one grid and
-// the one gather the oracle runs anyway: each worker packs the candidates
-// above u into u's ascending half row in its own arena. Both outputs are
-// identical at every worker count, and G_R equals MaxPowerGraph's.
-func RunWithMaxPowerGraph(ctx context.Context, pos []geom.Point, m radio.Propagation, alpha float64, workers int) (*Execution, *graph.Graph, error) {
+// RunWithMaxPowerGraph is RunParallel over a caller-built candidate
+// index that also returns G_R, the graph every Result's connectivity is
+// checked against. idx must be non-nil and index exactly pos; callers
+// that keep a grid over the placement anyway (sessions maintain theirs
+// across events) build it once with spatial.New(pos, m.MaxLinkRadius())
+// and pass it here. A node's candidate list is exactly its G_R row, so
+// G_R is a by-product of the one grid and the one gather the oracle runs
+// anyway: each worker packs the candidates above u into u's ascending
+// half row in its own arena. Both outputs are identical at every worker
+// count, and G_R equals MaxPowerGraph's.
+func RunWithMaxPowerGraph(ctx context.Context, pos []geom.Point, m radio.Propagation, alpha float64, workers int, idx Index) (*Execution, *graph.Graph, error) {
+	if err := validateInput(pos, m, alpha); err != nil {
+		return nil, nil, err
+	}
 	rows := make([][]int32, len(pos))
-	exec, err := runContext(ctx, pos, m, alpha, true, workers, rows)
+	exec, err := runContext(ctx, pos, m, alpha, idx, workers, rows)
 	if err != nil {
 		return nil, nil, err
 	}
 	return exec, graph.NewFromHalfRows(rows), nil
 }
 
-// runContext is the one oracle kernel. A non-nil halfRows (one slot per
-// node) is the G_R sink: after node u's growing phase, its candidates
-// above u are stored there as its ascending half row.
-func runContext(ctx context.Context, pos []geom.Point, m radio.Propagation, alpha float64, indexed bool, workers int, halfRows [][]int32) (*Execution, error) {
-	if err := validateInput(pos, m, alpha); err != nil {
-		return nil, err
-	}
-	var idx Index
-	if indexed {
-		idx = spatial.New(pos, m.MaxLinkRadius())
-	}
+// runContext is the one oracle kernel, over input its caller validated.
+// A nil idx (RunNaive) scans the full placement for every gather. A
+// non-nil halfRows (one slot per node) is the G_R sink: after node u's
+// growing phase, its candidates above u are stored there as its
+// ascending half row.
+func runContext(ctx context.Context, pos []geom.Point, m radio.Propagation, alpha float64, idx Index, workers int, halfRows [][]int32) (*Execution, error) {
 	exec := &Execution{
 		Alpha: alpha,
 		Model: m.Nominal(),
@@ -158,10 +166,15 @@ func (r *NodeRunner) RunNode(pos []geom.Point, alive []bool, m radio.Propagation
 	return runNode(pos, alive, m, alpha, u, idx, &r.scr)
 }
 
-// ShrinkNeighbors is the package-level ShrinkNeighbors on the runner's
-// coverage scratch.
-func (r *NodeRunner) ShrinkNeighbors(neighbors []Discovery, alpha float64) []Discovery {
-	return r.cov.shrinkNeighbors(neighbors, alpha)
+// ShrinkNeighborsInto is the package-level ShrinkNeighbors on the
+// runner's coverage scratch, writing its sorted copy of neighbors into
+// dst[:0]'s backing array when it has room (a nil dst allocates one), so
+// a caller can shrink many rows into one arena, or one reused buffer,
+// instead of a fresh allocation per row. dst must not overlap neighbors.
+// The result is the kept prefix; a non-empty neighbors never returns
+// neighbors itself.
+func (r *NodeRunner) ShrinkNeighborsInto(dst, neighbors []Discovery, alpha float64) []Discovery {
+	return r.cov.shrinkNeighbors(dst[:0], neighbors, alpha)
 }
 
 // gatherScratch holds the per-worker gather buffers the oracle and the

@@ -360,7 +360,8 @@ func TestCandidatesAreMaxPowerRows(t *testing.T) {
 // RunWithMaxPowerGraph's G_R, packed from the oracle's own candidate
 // lists, equals the all-pairs reference on every shape, on the power law
 // and a shadowed radio, serial and across a pool (300 nodes clear the
-// stay-serial floor), and its execution is the bare oracle's. The pair
+// stay-serial floor), and its execution is the bare oracle's. The
+// caller's grid is only read, so one serves every worker count. The pair
 // 1+8e-13 apart at R = 1 sits inside the rule's relative slack.
 func TestRunWithMaxPowerGraphMatchesReference(t *testing.T) {
 	ctx := context.Background()
@@ -391,8 +392,9 @@ func TestRunWithMaxPowerGraphMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			idx := spatial.New(tc.pos, m.MaxLinkRadius())
 			for _, workers := range []int{1, 2, 8} {
-				exec, gr, err := RunWithMaxPowerGraph(ctx, tc.pos, m, AlphaConnectivity, workers)
+				exec, gr, err := RunWithMaxPowerGraph(ctx, tc.pos, m, AlphaConnectivity, workers, idx)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -184,6 +184,13 @@ func (r *Reconfigurator) Neighbors() []Discovery {
 	return slices.Clone(r.nbrs)
 }
 
+// AppendNeighbors appends the current neighbor set, sorted by ID, to dst
+// and returns the extended slice: Neighbors into a caller's reused
+// buffer.
+func (r *Reconfigurator) AppendNeighbors(dst []Discovery) []Discovery {
+	return append(dst, r.nbrs...)
+}
+
 // Has reports whether id is currently a neighbor.
 func (r *Reconfigurator) Has(id int) bool {
 	_, ok := r.find(id)

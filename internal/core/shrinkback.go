@@ -32,7 +32,7 @@ func ShrinkBack(e *Execution) *Execution {
 		if len(nr.Neighbors) == 0 {
 			nr.Neighbors = nil
 		} else {
-			nr.Neighbors = cs.shrinkNeighbors(nr.Neighbors, e.Alpha)
+			nr.Neighbors = cs.shrinkNeighbors(nil, nr.Neighbors, e.Alpha)
 		}
 		out.Nodes[u] = nr
 	}
@@ -45,7 +45,7 @@ func ShrinkBack(e *Execution) *Execution {
 // directly when computing (possibly incorrectly reduced) beacon powers.
 func ShrinkNeighbors(neighbors []Discovery, alpha float64) []Discovery {
 	var cs coverScratch
-	return cs.shrinkNeighbors(neighbors, alpha)
+	return cs.shrinkNeighbors(nil, neighbors, alpha)
 }
 
 // coverScratch is the reusable state of the per-node coverage
@@ -67,11 +67,13 @@ func (cs *coverScratch) reset(list []Discovery, alpha float64) *geom.Cover {
 	return &cs.cover
 }
 
-func (cs *coverScratch) shrinkNeighbors(neighbors []Discovery, alpha float64) []Discovery {
+// shrinkNeighbors sorts a copy of neighbors, appended to dst, and
+// returns its kept prefix.
+func (cs *coverScratch) shrinkNeighbors(dst, neighbors []Discovery, alpha float64) []Discovery {
 	if len(neighbors) == 0 {
 		return neighbors
 	}
-	sorted := append([]Discovery(nil), neighbors...)
+	sorted := append(dst, neighbors...)
 	slices.SortFunc(sorted, func(a, b Discovery) int {
 		if c := cmp.Compare(a.Power, b.Power); c != 0 {
 			return c

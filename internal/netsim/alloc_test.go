@@ -6,44 +6,52 @@ import (
 	"cbtc/internal/workload"
 )
 
-// chatter is a steady-state traffic generator: every timer tick it
-// broadcasts a pre-boxed payload and re-arms itself, so the simulator
-// processes an endless stream of timer and delivery events.
-type chatter struct {
-	payload interface{} // boxed once, shared by every broadcast
-	power   float64
+// ping is a typed message: a small value struct, as the Figure 1
+// runtime sends, carried in events and deliveries without boxing.
+type ping struct {
+	round int
+	power float64
 }
 
-func (c *chatter) Init(ctx *Context) { ctx.SetTimer(1, 1, c.power) }
-func (c *chatter) Recv(ctx *Context, d Delivery) {
-	_ = d.Payload
+// chatter is a steady-state traffic generator: every timer tick it
+// broadcasts a ping and re-arms itself, so the simulator processes an
+// endless stream of timer and delivery events.
+type chatter struct {
+	round int
+	power float64
 }
-func (c *chatter) Timer(ctx *Context, kind int, v float64) {
-	ctx.Broadcast(v, c.payload)
+
+func (c *chatter) Init(ctx *Context[ping]) { ctx.SetTimer(1, 1, c.power) }
+func (c *chatter) Recv(ctx *Context[ping], d Delivery[ping]) {
+	_ = d.Payload.round
+}
+func (c *chatter) Timer(ctx *Context[ping], kind int, v float64) {
+	c.round++
+	ctx.Broadcast(v, ping{round: c.round, power: v})
 	ctx.SetTimer(1, 1, v)
 }
 
-type ping struct{}
-
-// The tentpole allocation contract: once the event heap has reached its
-// steady-state footprint, the loop itself — pop, dispatch, timer re-arm,
-// broadcast delivery fan-out — performs (near) zero allocations per
-// event. Value-typed events replaced the per-event closure captures, the
-// hand-rolled heap replaced container/heap's interface boxing, and the
-// callback Context is a single reused buffer.
+// The allocation contract of the event loop: once the queue and the
+// event slab have reached their steady-state footprint, the loop itself
+// — pop, dispatch, timer re-arm, broadcast delivery fan-out — performs
+// (near) zero allocations per event. Value-typed events replaced the
+// per-event closure captures, the typed message replaced the boxed
+// payload, dispatched slots are reused, and the callback Context is a
+// single reused buffer.
 func TestSteadyStateEventLoopAllocations(t *testing.T) {
 	pos := workload.Grid(workload.Rand(11), 64, 3, 900, 900)
 	m := testModel()
 	opts := DefaultOptions(m)
 	opts.Seed = 42
-	s, err := New(pos, opts)
+	s, err := New[ping](pos, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range pos {
-		s.SetProcess(i, &chatter{payload: ping{}, power: m.MaxPower() / 4})
+		s.SetProcess(i, &chatter{power: m.MaxPower() / 4})
 	}
-	// Warm up: grow the heap and the delivery scratch to steady state.
+	// Warm up: grow the queue, the slab and the delivery scratch to steady
+	// state.
 	s.Run(50)
 	start := s.Stats().Events
 

@@ -23,15 +23,15 @@ type floodMsg struct {
 	token int
 }
 
-func (f *flooder) Init(ctx *Context) {
-	f.record(ctx, "init", Delivery{})
+func (f *flooder) Init(ctx *Context[floodMsg]) {
+	f.record(ctx, "init", Delivery[floodMsg]{})
 	ctx.Broadcast(f.model.MaxPower()/4, floodMsg{ttl: 1, token: ctx.ID()})
 	ctx.SetTimer(3, 1, 0)
 }
 
-func (f *flooder) Recv(ctx *Context, d Delivery) {
+func (f *flooder) Recv(ctx *Context[floodMsg], d Delivery[floodMsg]) {
 	f.record(ctx, "recv", d)
-	m := d.Payload.(floodMsg)
+	m := d.Payload
 	if m.ack {
 		return
 	}
@@ -41,12 +41,12 @@ func (f *flooder) Recv(ctx *Context, d Delivery) {
 	ctx.Unicast(d.From, f.model.MaxPower(), floodMsg{ack: true, token: m.token})
 }
 
-func (f *flooder) Timer(ctx *Context, kind int, v float64) {
-	f.record(ctx, "timer", Delivery{})
+func (f *flooder) Timer(ctx *Context[floodMsg], kind int, v float64) {
+	f.record(ctx, "timer", Delivery[floodMsg]{})
 	ctx.Broadcast(f.model.MaxPower(), floodMsg{token: -ctx.ID()})
 }
 
-func (f *flooder) record(ctx *Context, what string, d Delivery) {
+func (f *flooder) record(ctx *Context[floodMsg], what string, d Delivery[floodMsg]) {
 	*f.log = append(*f.log, fmt.Sprintf("t=%.9f id=%d %s from=%d tx=%.9f rx=%.9g bearing=%.9f payload=%v",
 		ctx.Now(), ctx.ID(), what, d.From, d.TxPower, d.RxPower, d.Bearing, d.Payload))
 }
@@ -56,7 +56,7 @@ func (f *flooder) record(ctx *Context, what string, d Delivery) {
 // stats, and per-node energies.
 func runFlood(t *testing.T, pos []geom.Point, opts Options) ([]string, Stats, []float64) {
 	t.Helper()
-	sim, err := New(pos, opts)
+	sim, err := New[floodMsg](pos, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,17 +147,17 @@ func TestUnicastDirectDelivery(t *testing.T) {
 	for _, naive := range []bool{false, true} {
 		opts := DefaultOptions(m)
 		opts.NaiveDelivery = naive
-		sim, err := New(pos, opts)
+		sim, err := New[any](pos, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := make([]int, 3)
 		for i := range pos {
 			i := i
-			sim.SetProcess(i, &recorder{onRecv: func(ctx *Context, d Delivery) { got[i]++ }})
+			sim.SetProcess(i, &recorder{onRecv: func(ctx *Context[any], d Delivery[any]) { got[i]++ }})
 		}
 		sim.ScheduleAt(1, func() {
-			c := &Context{sim: sim, id: 0}
+			c := &Context[any]{sim: sim, id: 0}
 			c.Unicast(1, m.MaxPower(), "hi")   // in range: delivered
 			c.Unicast(2, m.MaxPower(), "far")  // out of range: dropped silently
 			c.Unicast(0, m.MaxPower(), "self") // self: never delivered

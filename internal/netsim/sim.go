@@ -10,27 +10,31 @@ import (
 	"cbtc/internal/spatial"
 )
 
-// Process is the behavior installed on each node. The simulator calls
-// its methods sequentially; a process never runs concurrently with
-// itself or any other process. The Context passed to a callback is owned
-// by the simulator and only valid for the duration of that callback —
+// Process is the behavior installed on each node, over the message type
+// M its network exchanges. The simulator calls its methods
+// sequentially; a process never runs concurrently with itself or any
+// other process. The Context passed to a callback is owned by the
+// simulator and only valid for the duration of that callback —
 // processes must not retain it.
-type Process interface {
+type Process[M any] interface {
 	// Init runs once when the simulation starts (or when the node is
 	// added to a running simulation).
-	Init(ctx *Context)
+	Init(ctx *Context[M])
 	// Recv handles a delivered message.
-	Recv(ctx *Context, d Delivery)
+	Recv(ctx *Context[M], d Delivery[M])
 	// Timer handles an expired timer set through Context.SetTimer; v is
 	// the value passed at arming time.
-	Timer(ctx *Context, kind int, v float64)
+	Timer(ctx *Context[M], kind int, v float64)
 }
 
 // Delivery is a received message together with the physical-layer
 // measurements the paper assumes are available (§2): the transmission
 // power (carried in the message), the reception power, and the measured
-// angle of arrival.
-type Delivery struct {
+// angle of arrival. The message is held by value as the simulator's
+// message type M: a protocol that instantiates the simulator with a
+// small value struct (as the Figure 1 runtime does) sends and receives
+// without boxing anything.
+type Delivery[M any] struct {
 	// From is the sender's node ID.
 	From int
 	// TxPower is the power the message was transmitted with.
@@ -41,7 +45,7 @@ type Delivery struct {
 	// receiver toward the sender, plus configured measurement noise.
 	Bearing float64
 	// Payload is the message body.
-	Payload interface{}
+	Payload M
 }
 
 // Stats counts simulator activity, for tests and reporting.
@@ -53,21 +57,27 @@ type Stats struct {
 	Events     int // total events processed
 }
 
-// Sim is a deterministic discrete-event simulator.
-type Sim struct {
+// Sim is a deterministic discrete-event simulator over the message
+// type M. Events live in a slab of value-typed bodies that is reused
+// across the whole run; the priority queue orders small (at, seq, slot)
+// entries pointing into it, so neither scheduling nor dispatch
+// allocates once the slab has grown to the run's steady state.
+type Sim[M any] struct {
 	opts  Options
 	rng   *rand.Rand
 	now   float64
 	seq   uint64
-	queue eventHeap
+	queue eventQueue
+	slab  []event[M] // event bodies, indexed by queue entry slot
+	free  []int32    // slab slots whose events have been dispatched
 
 	pos     []geom.Point
-	procs   []Process
+	procs   []Process[M]
 	crashed []bool
 
-	grid    *spatial.Grid // cell ≈ R; nil only in NaiveDelivery mode
+	grid    *spatial.Grid // cell = MaxLinkRadius; nil only in NaiveDelivery mode
 	scratch []int         // reusable Within result buffer
-	cbuf    Context       // reusable callback context; see dispatch
+	cbuf    Context[M]    // reusable callback context; see dispatch
 
 	stats     Stats
 	energyTx  []float64
@@ -82,9 +92,9 @@ var ErrInterrupted = errors.New("netsim: interrupted")
 // returns true, Run stops early and RunUntilQuiet fails with an error
 // wrapping ErrInterrupted. It is how context cancellation reaches the
 // event loop: the driver installs func() bool { return ctx.Err() != nil }.
-func (s *Sim) SetInterrupt(fn func() bool) { s.interrupt = fn }
+func (s *Sim[M]) SetInterrupt(fn func() bool) { s.interrupt = fn }
 
-func (s *Sim) interrupted() bool { return s.interrupt != nil && s.interrupt() }
+func (s *Sim[M]) interrupted() bool { return s.interrupt != nil && s.interrupt() }
 
 // evKind discriminates the value-typed event union. Events used to carry
 // a closure (`fn func()`), which allocated one capture block per
@@ -105,88 +115,101 @@ const (
 	evDeliver
 )
 
-type event struct {
-	at    float64
-	seq   uint64
+// event is the body of one queued event, stored by value in the
+// simulator's slab.
+type event[M any] struct {
 	kind  evKind
-	node  int32    // target node for evInit/evTimer/evDeliver
-	tkind int32    // timer kind for evTimer
-	fv    float64  // timer value for evTimer
-	del   Delivery // payload for evDeliver
-	fn    func()   // callback for evFunc
+	node  int32       // target node for evInit/evTimer/evDeliver
+	tkind int32       // timer kind for evTimer
+	fv    float64     // timer value for evTimer
+	del   Delivery[M] // payload for evDeliver
+	fn    func()      // callback for evFunc
 }
 
-// eventHeap is a binary min-heap over (at, seq), hand-rolled so pushes
-// and pops move event values directly instead of boxing them through
-// container/heap's interface{} — one allocation per event saved, and the
-// backing array is reused across the whole simulation.
-type eventHeap []event
+// entry is one queued event: its (at, seq) position in the total event
+// order and the slab slot holding its body. At 24 bytes it is what the
+// heap moves, instead of the event bodies themselves.
+type entry struct {
+	at   float64
+	seq  uint64
+	slot int32
+}
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (a entry) before(b entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	q := *h
-	i := len(q) - 1
+// eventQueue is a binary min-heap of entries over (at, seq). seq is
+// unique, so the order is total and every correct heap pops the same
+// sequence; sifting moves a hole instead of swapping pairs.
+type eventQueue []entry
+
+func (q *eventQueue) push(e entry) {
+	h := append(*q, e)
+	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+		if !e.before(h[parent]) {
 			break
 		}
-		q[i], q[parent] = q[parent], q[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = e
+	*q = h
 }
 
-func (h *eventHeap) pop() event {
-	q := *h
-	top := q[0]
-	last := len(q) - 1
-	q[0] = q[last]
-	q[last] = event{} // release the closure/payload references
-	q = q[:last]
-	*h = q
+func (q *eventQueue) pop() entry {
+	h := *q
+	top := h[0]
+	last := h[len(h)-1]
+	h = h[:len(h)-1]
+	*q = h
+	n := len(h)
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < last && q.less(l, smallest) {
-			smallest = l
-		}
-		if r < last && q.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		q[i], q[smallest] = q[smallest], q[i]
-		i = smallest
+		if r := c + 1; r < n && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
 	}
+	h[i] = last
 	return top
 }
 
 // New builds a simulator over the given placement. Processes are
 // installed with SetProcess before Run.
-func New(pos []geom.Point, opts Options) (*Sim, error) {
+func New[M any](pos []geom.Point, opts Options) (*Sim[M], error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Sim{
+	// Pre-size the queue and the slab for the steady state (every node
+	// with an outstanding timer plus in-flight deliveries) so the growth
+	// reallocations happen once, up front.
+	capacity := max(64, 4*len(pos))
+	s := &Sim[M]{
 		opts:     opts,
 		rng:      rand.New(rand.NewPCG(opts.Seed, 0x6a09e667f3bcc909)),
 		pos:      append([]geom.Point(nil), pos...),
-		procs:    make([]Process, len(pos)),
+		procs:    make([]Process[M], len(pos)),
 		crashed:  make([]bool, len(pos)),
 		energyTx: make([]float64, len(pos)),
-		// Pre-size the event heap for the steady state (every node with an
-		// outstanding timer plus in-flight deliveries) so the growth
-		// reallocations happen once, up front.
-		queue: make(eventHeap, 0, max(64, 4*len(pos))),
+		queue:    make(eventQueue, 0, capacity),
+		slab:     make([]event[M], 0, capacity),
 	}
 	s.cbuf.sim = s
 	if !opts.NaiveDelivery {
@@ -195,17 +218,25 @@ func New(pos []geom.Point, opts Options) (*Sim, error) {
 	return s, nil
 }
 
+// Grid returns the delivery index: a spatial.Grid with cell size
+// Model.MaxLinkRadius over every node's current position (crashed nodes
+// included), maintained across MoveNode and AddNode. It is nil under
+// NaiveDelivery. A caller that needs a grid over the final placement
+// once the simulation is over (G_R, a session's index) can adopt it
+// instead of building its own.
+func (s *Sim[M]) Grid() *spatial.Grid { return s.grid }
+
 // Energy returns the cumulative transmission energy node id has spent:
 // the sum of the powers of its transmit operations (each transmission
 // lasts one unit). The §5 discussion compares the energy CBTC(α)
 // expends during execution across cone angles.
-func (s *Sim) Energy(id int) float64 {
+func (s *Sim[M]) Energy(id int) float64 {
 	s.checkID(id)
 	return s.energyTx[id]
 }
 
 // TotalEnergy returns the network-wide transmission energy.
-func (s *Sim) TotalEnergy() float64 {
+func (s *Sim[M]) TotalEnergy() float64 {
 	var sum float64
 	for _, e := range s.energyTx {
 		sum += e
@@ -215,43 +246,43 @@ func (s *Sim) TotalEnergy() float64 {
 
 // SetProcess installs the behavior of node id. It must be called before
 // the node participates; Init is scheduled at the current time.
-func (s *Sim) SetProcess(id int, p Process) {
+func (s *Sim[M]) SetProcess(id int, p Process[M]) {
 	s.checkID(id)
 	s.procs[id] = p
-	s.scheduleEvent(event{at: s.now, kind: evInit, node: int32(id)})
+	s.scheduleEvent(s.now, event[M]{kind: evInit, node: int32(id)})
 }
 
 // Len returns the number of nodes.
-func (s *Sim) Len() int { return len(s.pos) }
+func (s *Sim[M]) Len() int { return len(s.pos) }
 
 // Now returns the current simulation time.
-func (s *Sim) Now() float64 { return s.now }
+func (s *Sim[M]) Now() float64 { return s.now }
 
 // Position returns node id's current position.
-func (s *Sim) Position(id int) geom.Point {
+func (s *Sim[M]) Position(id int) geom.Point {
 	s.checkID(id)
 	return s.pos[id]
 }
 
 // Model returns the nominal power-law radio model in effect. The full
 // propagation model (with any per-link effects) is Propagation.
-func (s *Sim) Model() radio.Model { return s.opts.Model.Nominal() }
+func (s *Sim[M]) Model() radio.Model { return s.opts.Model.Nominal() }
 
 // Propagation returns the propagation model in effect.
-func (s *Sim) Propagation() radio.Propagation { return s.opts.Model }
+func (s *Sim[M]) Propagation() radio.Propagation { return s.opts.Model }
 
 // Stats returns activity counters.
-func (s *Sim) Stats() Stats { return s.stats }
+func (s *Sim[M]) Stats() Stats { return s.stats }
 
 // Crash marks node id as crash-failed: it stops sending, receiving and
 // processing timers, permanently.
-func (s *Sim) Crash(id int) {
+func (s *Sim[M]) Crash(id int) {
 	s.checkID(id)
 	s.crashed[id] = true
 }
 
 // Crashed reports whether node id has crash-failed.
-func (s *Sim) Crashed(id int) bool {
+func (s *Sim[M]) Crashed(id int) bool {
 	s.checkID(id)
 	return s.crashed[id]
 }
@@ -259,7 +290,7 @@ func (s *Sim) Crashed(id int) bool {
 // MoveNode relocates node id immediately. In-flight messages are not
 // re-routed: delivery sets are computed at transmission time, modeling
 // signals already in the air.
-func (s *Sim) MoveNode(id int, to geom.Point) {
+func (s *Sim[M]) MoveNode(id int, to geom.Point) {
 	s.checkID(id)
 	s.pos[id] = to
 	if s.grid != nil {
@@ -271,7 +302,7 @@ func (s *Sim) MoveNode(id int, to geom.Point) {
 // simulation is running (§4: "new nodes may be added to the network").
 // It returns the new node's ID; install its behavior with SetProcess.
 // Until a process is installed the node neither sends nor receives.
-func (s *Sim) AddNode(at geom.Point) int {
+func (s *Sim[M]) AddNode(at geom.Point) int {
 	id := len(s.pos)
 	s.pos = append(s.pos, at)
 	s.procs = append(s.procs, nil)
@@ -285,7 +316,7 @@ func (s *Sim) AddNode(at geom.Point) int {
 
 // ScheduleAt runs fn at the given absolute time. Tests and scenario
 // drivers use it to script crashes, moves, and assertions.
-func (s *Sim) ScheduleAt(t float64, fn func()) {
+func (s *Sim[M]) ScheduleAt(t float64, fn func()) {
 	if t < s.now {
 		t = s.now
 	}
@@ -294,17 +325,14 @@ func (s *Sim) ScheduleAt(t float64, fn func()) {
 
 // Run processes events until the queue empties or the simulation clock
 // passes `until`. It returns the number of events processed.
-func (s *Sim) Run(until float64) int {
+func (s *Sim[M]) Run(until float64) int {
 	processed := 0
 	for len(s.queue) > 0 {
 		if s.queue[0].at > until || s.interrupted() {
 			break
 		}
-		ev := s.queue.pop()
-		s.now = ev.at
-		s.dispatch(&ev)
+		s.step()
 		processed++
-		s.stats.Events++
 	}
 	if s.now < until {
 		s.now = until
@@ -314,7 +342,7 @@ func (s *Sim) Run(until float64) int {
 
 // RunUntilQuiet processes events until the queue drains, failing if the
 // clock passes maxTime first (a protocol that never converges).
-func (s *Sim) RunUntilQuiet(maxTime float64) error {
+func (s *Sim[M]) RunUntilQuiet(maxTime float64) error {
 	for len(s.queue) > 0 {
 		if s.interrupted() {
 			return fmt.Errorf("%w at time %v with %d events pending", ErrInterrupted, s.now, len(s.queue))
@@ -323,12 +351,29 @@ func (s *Sim) RunUntilQuiet(maxTime float64) error {
 			return fmt.Errorf("netsim: still %d events pending at time %v (limit %v)",
 				len(s.queue), s.queue[0].at, maxTime)
 		}
-		ev := s.queue.pop()
-		s.now = ev.at
-		s.dispatch(&ev)
-		s.stats.Events++
+		s.step()
 	}
 	return nil
+}
+
+// step pops the earliest event, advances the clock to it and dispatches
+// it. The body is copied out of the slab and its slot released first,
+// so the callback can schedule into the slot (and grow the slab) freely.
+func (s *Sim[M]) step() {
+	e, ev := s.next()
+	s.now = e.at
+	s.dispatch(&ev)
+	s.stats.Events++
+}
+
+// next removes the earliest queued event and returns its queue entry and
+// body.
+func (s *Sim[M]) next() (entry, event[M]) {
+	e := s.queue.pop()
+	ev := s.slab[e.slot]
+	s.slab[e.slot] = event[M]{} // release the closure/payload references
+	s.free = append(s.free, e.slot)
+	return e, ev
 }
 
 // dispatch executes one popped event. The liveness checks happen here —
@@ -340,7 +385,7 @@ func (s *Sim) RunUntilQuiet(maxTime float64) error {
 // for each dispatch. The event loop is strictly sequential and processes
 // never retain the Context past their callback (the Process contract),
 // so one buffer serves every event with zero allocations.
-func (s *Sim) dispatch(ev *event) {
+func (s *Sim[M]) dispatch(ev *event[M]) {
 	switch ev.kind {
 	case evFunc:
 		ev.fn()
@@ -367,17 +412,28 @@ func (s *Sim) dispatch(ev *event) {
 	}
 }
 
-func (s *Sim) schedule(at float64, fn func()) {
-	s.scheduleEvent(event{at: at, kind: evFunc, fn: fn})
+func (s *Sim[M]) schedule(at float64, fn func()) {
+	s.scheduleEvent(at, event[M]{kind: evFunc, fn: fn})
 }
 
-func (s *Sim) scheduleEvent(ev event) {
-	ev.seq = s.seq
+// scheduleEvent queues ev at time at, behind every event already queued
+// for the same time, storing the body in a released slab slot when one
+// is free.
+func (s *Sim[M]) scheduleEvent(at float64, ev event[M]) {
+	var slot int32
+	if n := len(s.free); n > 0 {
+		slot = s.free[n-1]
+		s.free = s.free[:n-1]
+		s.slab[slot] = ev
+	} else {
+		slot = int32(len(s.slab))
+		s.slab = append(s.slab, ev)
+	}
+	s.queue.push(entry{at: at, seq: s.seq, slot: slot})
 	s.seq++
-	s.queue.push(ev)
 }
 
-func (s *Sim) checkID(id int) {
+func (s *Sim[M]) checkID(id int) {
 	if id < 0 || id >= len(s.pos) {
 		panic(fmt.Sprintf("netsim: node %d out of range [0, %d)", id, len(s.pos)))
 	}
@@ -391,7 +447,7 @@ func (s *Sim) checkID(id int) {
 // candidates in ascending id order — the order the naive scan visits
 // them — the per-receiver drop/dup/jitter PRNG draws happen in exactly
 // the same sequence and seeded histories are byte-identical.
-func (s *Sim) transmit(from int, txPower float64, payload interface{}, only int) {
+func (s *Sim[M]) transmit(from int, txPower float64, payload M, only int) {
 	if s.crashed[from] {
 		return
 	}
@@ -435,7 +491,7 @@ func (s *Sim) transmit(from int, txPower float64, payload interface{}, only int)
 // receiver: the exact reachability predicate, then the drop and
 // duplication draws. The PRNG is only consulted for receivers that pass
 // the reachability check, preserving the naive scan's draw sequence.
-func (s *Sim) maybeDeliver(from, to int, txPower float64, payload interface{}) {
+func (s *Sim[M]) maybeDeliver(from, to int, txPower float64, payload M) {
 	d := s.pos[from].Dist(s.pos[to])
 	if !s.opts.Model.LinkReaches(from, to, txPower, d) {
 		return
@@ -451,7 +507,7 @@ func (s *Sim) maybeDeliver(from, to int, txPower float64, payload interface{}) {
 	}
 }
 
-func (s *Sim) deliverOnce(from, to int, txPower, dist float64, payload interface{}) {
+func (s *Sim[M]) deliverOnce(from, to int, txPower, dist float64, payload M) {
 	delay := s.opts.Latency
 	if s.opts.Jitter > 0 {
 		delay += s.rng.Float64() * s.opts.Jitter
@@ -460,11 +516,10 @@ func (s *Sim) deliverOnce(from, to int, txPower, dist float64, payload interface
 	if s.opts.AoANoise > 0 {
 		bearing = geom.Normalize(bearing + s.rng.NormFloat64()*s.opts.AoANoise)
 	}
-	s.scheduleEvent(event{
-		at:   s.now + delay,
+	s.scheduleEvent(s.now+delay, event[M]{
 		kind: evDeliver,
 		node: int32(to),
-		del: Delivery{
+		del: Delivery[M]{
 			From:    from,
 			TxPower: txPower,
 			RxPower: s.opts.Model.LinkRxPower(from, to, txPower, dist),

@@ -9,29 +9,30 @@ import (
 	"cbtc/internal/radio"
 )
 
-// recorder is a Process that records everything it sees.
+// recorder is a Process that records everything it sees. These tests
+// exchange assorted plain values, so they run the simulator over any.
 type recorder struct {
 	inits      int
-	deliveries []Delivery
+	deliveries []Delivery[any]
 	timers     []int
-	onInit     func(ctx *Context)
-	onRecv     func(ctx *Context, d Delivery)
-	onTimer    func(ctx *Context, kind int, v float64)
+	onInit     func(ctx *Context[any])
+	onRecv     func(ctx *Context[any], d Delivery[any])
+	onTimer    func(ctx *Context[any], kind int, v float64)
 }
 
-func (r *recorder) Init(ctx *Context) {
+func (r *recorder) Init(ctx *Context[any]) {
 	r.inits++
 	if r.onInit != nil {
 		r.onInit(ctx)
 	}
 }
-func (r *recorder) Recv(ctx *Context, d Delivery) {
+func (r *recorder) Recv(ctx *Context[any], d Delivery[any]) {
 	r.deliveries = append(r.deliveries, d)
 	if r.onRecv != nil {
 		r.onRecv(ctx, d)
 	}
 }
-func (r *recorder) Timer(ctx *Context, kind int, v float64) {
+func (r *recorder) Timer(ctx *Context[any], kind int, v float64) {
 	r.timers = append(r.timers, kind)
 	if r.onTimer != nil {
 		r.onTimer(ctx, kind, v)
@@ -40,9 +41,9 @@ func (r *recorder) Timer(ctx *Context, kind int, v float64) {
 
 func testModel() radio.Model { return radio.Default(500) }
 
-func newSim(t *testing.T, pos []geom.Point, opts Options) (*Sim, []*recorder) {
+func newSim(t *testing.T, pos []geom.Point, opts Options) (*Sim[any], []*recorder) {
 	t.Helper()
-	s, err := New(pos, opts)
+	s, err := New[any](pos, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestBroadcastRangeSemantics(t *testing.T) {
 	s, recs := newSim(t, pos, DefaultOptions(m))
 
 	s.ScheduleAt(1, func() {
-		ctx := &Context{sim: s, id: 0}
+		ctx := &Context[any]{sim: s, id: 0}
 		ctx.Broadcast(m.PowerFor(300), "hello")
 	})
 	if err := s.RunUntilQuiet(100); err != nil {
@@ -135,7 +136,7 @@ func TestUnicastOnlyTarget(t *testing.T) {
 	s, recs := newSim(t, pos, DefaultOptions(m))
 
 	s.ScheduleAt(1, func() {
-		ctx := &Context{sim: s, id: 0}
+		ctx := &Context[any]{sim: s, id: 0}
 		ctx.Unicast(2, m.MaxPower(), "direct")
 	})
 	if err := s.RunUntilQuiet(100); err != nil {
@@ -154,7 +155,7 @@ func TestUnicastOutOfRange(t *testing.T) {
 	pos := []geom.Point{geom.Pt(0, 0), geom.Pt(400, 0)}
 	s, recs := newSim(t, pos, DefaultOptions(m))
 	s.ScheduleAt(1, func() {
-		ctx := &Context{sim: s, id: 0}
+		ctx := &Context[any]{sim: s, id: 0}
 		ctx.Unicast(1, m.PowerFor(100), "too weak")
 	})
 	if err := s.RunUntilQuiet(100); err != nil {
@@ -170,10 +171,10 @@ func TestTimers(t *testing.T) {
 	pos := []geom.Point{geom.Pt(0, 0)}
 	s, recs := newSim(t, pos, DefaultOptions(m))
 	var fireTime float64
-	recs[0].onInit = func(ctx *Context) {
+	recs[0].onInit = func(ctx *Context[any]) {
 		ctx.SetTimer(5, 7, 0)
 	}
-	recs[0].onTimer = func(ctx *Context, kind int, v float64) {
+	recs[0].onTimer = func(ctx *Context[any], kind int, v float64) {
 		fireTime = ctx.Now()
 	}
 	if err := s.RunUntilQuiet(100); err != nil {
@@ -191,17 +192,17 @@ func TestCrashStopsEverything(t *testing.T) {
 	m := testModel()
 	pos := []geom.Point{geom.Pt(0, 0), geom.Pt(100, 0)}
 	s, recs := newSim(t, pos, DefaultOptions(m))
-	recs[0].onInit = func(ctx *Context) {
+	recs[0].onInit = func(ctx *Context[any]) {
 		ctx.SetTimer(10, 1, 0) // would fire after the crash
 	}
 	s.ScheduleAt(5, func() { s.Crash(0) })
 	s.ScheduleAt(6, func() {
-		ctx := &Context{sim: s, id: 1}
+		ctx := &Context[any]{sim: s, id: 1}
 		ctx.Broadcast(m.MaxPower(), "are you there")
 	})
 	s.ScheduleAt(7, func() {
 		// Crashed nodes cannot send either.
-		ctx := &Context{sim: s, id: 0}
+		ctx := &Context[any]{sim: s, id: 0}
 		ctx.Broadcast(m.MaxPower(), "ghost")
 	})
 	if err := s.RunUntilQuiet(100); err != nil {
@@ -235,7 +236,7 @@ func TestDropAndDuplicate(t *testing.T) {
 		for i := 0; i < rounds; i++ {
 			at := float64(i + 1)
 			s.ScheduleAt(at, func() {
-				ctx := &Context{sim: s, id: 0}
+				ctx := &Context[any]{sim: s, id: 0}
 				ctx.Broadcast(m.PowerFor(200), i)
 			})
 		}
@@ -269,7 +270,7 @@ func TestDropAndDuplicate(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	m := testModel()
 	pos := []geom.Point{geom.Pt(0, 0), geom.Pt(100, 0), geom.Pt(200, 50)}
-	history := func(seed uint64) []Delivery {
+	history := func(seed uint64) []Delivery[any] {
 		opts := DefaultOptions(m)
 		opts.Jitter = 3
 		opts.DropProb = 0.2
@@ -278,8 +279,8 @@ func TestDeterminism(t *testing.T) {
 		// Every node broadcasts periodically and echoes on reception.
 		for i := range pos {
 			id := i
-			recs[i].onInit = func(ctx *Context) { ctx.SetTimer(float64(id+1), 0, 0) }
-			recs[i].onTimer = func(ctx *Context, kind int, v float64) {
+			recs[i].onInit = func(ctx *Context[any]) { ctx.SetTimer(float64(id+1), 0, 0) }
+			recs[i].onTimer = func(ctx *Context[any], kind int, v float64) {
 				ctx.Broadcast(m.PowerFor(250), ctx.Now())
 				if ctx.Now() < 50 {
 					ctx.SetTimer(5, 0, 0)
@@ -289,7 +290,7 @@ func TestDeterminism(t *testing.T) {
 		if err := s.RunUntilQuiet(1e9); err != nil {
 			t.Fatal(err)
 		}
-		var all []Delivery
+		var all []Delivery[any]
 		for _, r := range recs {
 			all = append(all, r.deliveries...)
 		}
@@ -326,12 +327,12 @@ func TestMoveNodeAffectsLaterTransmissions(t *testing.T) {
 	s, recs := newSim(t, pos, DefaultOptions(m))
 
 	s.ScheduleAt(1, func() {
-		ctx := &Context{sim: s, id: 0}
+		ctx := &Context[any]{sim: s, id: 0}
 		ctx.Broadcast(m.MaxPower(), "before")
 	})
 	s.ScheduleAt(2, func() { s.MoveNode(1, geom.Pt(300, 0)) })
 	s.ScheduleAt(3, func() {
-		ctx := &Context{sim: s, id: 0}
+		ctx := &Context[any]{sim: s, id: 0}
 		ctx.Broadcast(m.MaxPower(), "after")
 	})
 	if err := s.RunUntilQuiet(100); err != nil {
@@ -354,7 +355,7 @@ func TestAoANoise(t *testing.T) {
 	s, recs := newSim(t, pos, opts)
 	for i := 0; i < 200; i++ {
 		s.ScheduleAt(float64(i+1), func() {
-			ctx := &Context{sim: s, id: 0}
+			ctx := &Context[any]{sim: s, id: 0}
 			ctx.Broadcast(m.PowerFor(150), "ping")
 		})
 	}
@@ -382,8 +383,8 @@ func TestRunStopsAtDeadline(t *testing.T) {
 	m := testModel()
 	pos := []geom.Point{geom.Pt(0, 0)}
 	s, recs := newSim(t, pos, DefaultOptions(m))
-	recs[0].onInit = func(ctx *Context) { ctx.SetTimer(10, 0, 0) }
-	recs[0].onTimer = func(ctx *Context, kind int, v float64) {
+	recs[0].onInit = func(ctx *Context[any]) { ctx.SetTimer(10, 0, 0) }
+	recs[0].onTimer = func(ctx *Context[any], kind int, v float64) {
 		ctx.SetTimer(10, 0, 0) // forever
 	}
 	s.Run(35)
@@ -448,7 +449,7 @@ func TestAddNodeMidRun(t *testing.T) {
 	rec := &recorder{}
 	s.SetProcess(id, rec)
 	s.ScheduleAt(20, func() {
-		ctx := &Context{sim: s, id: 0}
+		ctx := &Context[any]{sim: s, id: 0}
 		ctx.Broadcast(m.PowerFor(200), "welcome")
 	})
 	if err := s.RunUntilQuiet(100); err != nil {

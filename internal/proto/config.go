@@ -129,20 +129,25 @@ func (c Config) Validate(m radio.Model) error {
 	return nil
 }
 
-// Message payloads. All carry their transmission power implicitly via
-// the Delivery envelope; helloMsg repeats it in-band as the paper's
-// Figure 1 does, and ackMsg echoes it so late Acks are tagged with the
-// round that solicited them.
-type (
-	helloMsg struct {
-		// Power is the broadcast power, included in the message ("the
-		// power used to broadcast the message is included").
-		Power float64
-	}
-	ackMsg struct {
-		// HelloPower echoes the Hello's power tag.
-		HelloPower float64
-	}
-	removeMsg struct{}
-	beaconMsg struct{}
+// Message is the protocol's one message type: a kind and a power, held
+// by value in the simulator's events and deliveries, so no message is
+// boxed. A Hello carries its broadcast power in-band, as the paper's
+// Figure 1 does ("the power used to broadcast the message is
+// included"), and the Ack echoes it so that late Acks are tagged with
+// the round that solicited them. Removal notices and beacons carry no
+// power; every transmission power reaches the receiver in the Delivery
+// envelope.
+type Message struct {
+	kind  msgKind
+	power float64
+}
+
+// msgKind discriminates Message.
+type msgKind uint8
+
+const (
+	msgHello msgKind = iota + 1
+	msgAck
+	msgRemove
+	msgBeacon
 )

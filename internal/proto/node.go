@@ -3,7 +3,6 @@ package proto
 import (
 	"math"
 	"slices"
-	"sort"
 
 	"cbtc/internal/core"
 	"cbtc/internal/geom"
@@ -20,88 +19,108 @@ const (
 // Node is the per-node protocol state machine: the CBTC(α) growing
 // phase, the always-on Ack responder, asymmetric-removal notifications,
 // and (optionally) the NDP with reconfiguration.
+//
+// Per-neighbor state lives in rows sorted by neighbor id rather than in
+// maps: the discovered set, the Acked Hello senders, the removal notices
+// received and the NDP's last-beacon record. Ascending iteration is then
+// the deterministic order the protocol emits messages in, with no sort,
+// and each row grows in place. Rows a configuration never uses — removal
+// notices without asymmetric removal, NDP state before the first finish
+// — are never allocated.
 type Node struct {
 	cfg Config
 
 	// Growing phase.
-	growing    bool
-	power      float64 // current broadcast power
-	round      int     // growing rounds executed (across regrows)
-	finished   bool    // at least one growing phase completed
-	boundary   bool
-	growPower  float64 // p_{u,α} of the most recent completed phase
-	discovered map[int]core.Discovery
+	growing   bool
+	power     float64 // current broadcast power
+	round     int     // growing rounds executed (across regrows)
+	finished  bool    // at least one growing phase completed
+	boundary  bool
+	growPower float64 // p_{u,α} of the most recent completed phase
+	// discovered is N_α(u) as found so far, sorted by ID.
+	discovered []core.Discovery
+	// dirs is the direction set of discovered, normalized and ascending,
+	// updated with every discovery, bearing update and departure. The
+	// per-round gap test is the hottest per-node path of the growing
+	// phase and reads it as is (HasGapSorted).
+	dirs []float64
 
-	// Ack bookkeeping: nodes we Acked and the power needed to reach them
-	// (these are exactly the reverse edges of E_α under reliable
-	// channels: every Hello sender discovers us through our Ack).
-	ackedTo map[int]float64
+	// acked holds the nodes we Acked and the power needed to reach them,
+	// sorted by id (these are exactly the reverse edges of E_α under
+	// reliable channels: every Hello sender discovers us through our Ack).
+	acked []ack
 
-	// Asymmetric-removal notices received: neighbors to exclude when the
-	// runtime constructs E⁻_α.
-	removed map[int]bool
+	// removed holds the senders of asymmetric-removal notices, ascending:
+	// neighbors to exclude when the runtime constructs E⁻_α.
+	removed []int
 
 	// NDP state.
-	reconf    *core.Reconfigurator
-	lastHeard map[int]float64
-	lastDir   map[int]float64
+	reconf *core.Reconfigurator
+	heard  []heard // last beacon per tracked neighbor, sorted by id
 
-	// dirs is the reusable buffer behind directions(): the per-round gap
-	// test is the hottest per-node path of the growing phase, and a fresh
-	// slice per round was its dominant allocation. It is maintained
-	// sorted (InsertSorted), so the gap test runs on HasGapSorted and
-	// never takes MaxGap's per-call sort copy.
-	dirs []float64
-	// nbrScratch and idScratch are the phase-end buffers: the sorted
-	// neighbor list handed to the Reconfigurator and the sorted Acked-id
-	// list for asymmetric-removal notices, reused across regrows.
+	// nbrScratch is the phase-end and per-beacon buffer of the sorted
+	// neighbor list; idScratch holds one leave scan's departed ids; the
+	// shrunk-power beacon rule shrinks into shrunk on runner's coverage
+	// scratch. All are reused across calls, and runner is allocated by
+	// the first shrunk-power beacon.
 	nbrScratch []core.Discovery
 	idScratch  []int
+	shrunk     []core.Discovery
+	runner     *core.NodeRunner
 
 	// Events observed, for tests and reporting.
 	Joins, Leaves, AngleChanges, Regrows int
 }
 
+// ack records one Acked Hello sender and the power needed to reach it.
+type ack struct {
+	id    int
+	power float64
+}
+
+// heard is the NDP's record of one neighbor: when its last beacon (or
+// Ack) arrived and the bearing it was last seen at.
+type heard struct {
+	id  int
+	at  float64
+	dir float64
+}
+
 // NewNode returns a protocol instance for one simulated node. The same
 // config must be used for every node of a network.
 func NewNode(cfg Config) *Node {
-	return &Node{
-		cfg:        cfg,
-		discovered: make(map[int]core.Discovery),
-		ackedTo:    make(map[int]float64),
-		removed:    make(map[int]bool),
-		lastHeard:  make(map[int]float64),
-		lastDir:    make(map[int]float64),
-	}
+	return &Node{cfg: cfg}
 }
 
 // Init starts the growing phase.
-func (n *Node) Init(ctx *netsim.Context) {
+func (n *Node) Init(ctx *netsim.Context[Message]) {
 	n.startGrowing(ctx, n.cfg.P0)
 }
 
-func (n *Node) startGrowing(ctx *netsim.Context, from float64) {
+func (n *Node) startGrowing(ctx *netsim.Context[Message], from float64) {
 	n.growing = true
 	n.power = math.Min(from, ctx.Model().MaxPower())
 	n.broadcastHello(ctx)
 }
 
-func (n *Node) broadcastHello(ctx *netsim.Context) {
+func (n *Node) broadcastHello(ctx *netsim.Context[Message]) {
 	n.round++
-	ctx.Broadcast(n.power, helloMsg{Power: n.power})
+	ctx.Broadcast(n.power, Message{kind: msgHello, power: n.power})
 	ctx.SetTimer(n.cfg.RoundDuration, timerRound, n.power)
 }
 
-// Recv dispatches on message type.
-func (n *Node) Recv(ctx *netsim.Context, d netsim.Delivery) {
-	switch msg := d.Payload.(type) {
-	case helloMsg:
-		n.onHello(ctx, d, msg)
-	case ackMsg:
-		n.onAck(ctx, d, msg)
-	case removeMsg:
-		n.removed[d.From] = true
-	case beaconMsg:
+// Recv dispatches on message kind.
+func (n *Node) Recv(ctx *netsim.Context[Message], d netsim.Delivery[Message]) {
+	switch d.Payload.kind {
+	case msgHello:
+		n.onHello(ctx, d)
+	case msgAck:
+		n.onAck(ctx, d)
+	case msgRemove:
+		if i, ok := slices.BinarySearch(n.removed, d.From); !ok {
+			n.removed = slices.Insert(n.removed, i, d.From)
+		}
+	case msgBeacon:
 		n.onBeacon(ctx, d)
 	}
 }
@@ -109,16 +128,21 @@ func (n *Node) Recv(ctx *netsim.Context, d netsim.Delivery) {
 // onHello answers every Hello with an Ack transmitted with exactly the
 // power needed to reach the sender, estimated from the transmission and
 // reception powers (the paper's §2 assumption).
-func (n *Node) onHello(ctx *netsim.Context, d netsim.Delivery, msg helloMsg) {
-	needed := ctx.Model().NeededPower(msg.Power, d.RxPower)
-	n.ackedTo[d.From] = needed
-	ctx.Unicast(d.From, needed, ackMsg{HelloPower: msg.Power})
+func (n *Node) onHello(ctx *netsim.Context[Message], d netsim.Delivery[Message]) {
+	hello := d.Payload.power
+	needed := ctx.Model().NeededPower(hello, d.RxPower)
+	if i, ok := n.findAcked(d.From); ok {
+		n.acked[i].power = needed
+	} else {
+		n.acked = slices.Insert(n.acked, i, ack{id: d.From, power: needed})
+	}
+	ctx.Unicast(d.From, needed, Message{kind: msgAck, power: hello})
 
 	// A finished node under asymmetric removal immediately tells Hello
 	// senders it never discovered to drop the asymmetric edge.
 	if n.cfg.AsymRemoval && n.finished && !n.growing {
-		if _, ok := n.discovered[d.From]; !ok {
-			ctx.Unicast(d.From, needed, removeMsg{})
+		if _, ok := n.findDiscovered(d.From); !ok {
+			ctx.Unicast(d.From, needed, Message{kind: msgRemove})
 		}
 	}
 }
@@ -126,33 +150,33 @@ func (n *Node) onHello(ctx *netsim.Context, d netsim.Delivery, msg helloMsg) {
 // onAck records a discovery: the Ack's transmission power is what the
 // neighbor needs to reach us; by channel symmetry it is also what we
 // need to reach the neighbor. The discovery is tagged with the power of
-// the Hello round that solicited it, as the shrink-back optimization
-// requires.
-func (n *Node) onAck(ctx *netsim.Context, d netsim.Delivery, msg ackMsg) {
-	if _, ok := n.discovered[d.From]; ok {
+// the Hello round that solicited it, which the Ack echoes, as the
+// shrink-back optimization requires.
+func (n *Node) onAck(ctx *netsim.Context[Message], d netsim.Delivery[Message]) {
+	i, ok := n.findDiscovered(d.From)
+	if ok {
 		return // duplicate (channel duplication or a re-grow round)
 	}
-	needed := ctx.Model().NeededPower(d.TxPower, d.RxPower)
 	disc := core.Discovery{
 		ID:    d.From,
 		Dist:  ctx.Model().EstimateDistance(d.TxPower, d.RxPower),
 		Dir:   d.Bearing,
-		Power: msg.HelloPower,
+		Power: d.Payload.power,
 	}
-	_ = needed // needed == PowerFor(disc.Dist); kept for clarity
-	n.discovered[d.From] = disc
+	n.discovered = slices.Insert(n.discovered, i, disc)
+	n.dirs = geom.InsertSorted(n.dirs, disc.Dir)
 	if n.reconf != nil {
 		n.reconf.Join(disc)
 		// Track liveness from now on, or the leave scanner would never
 		// notice this neighbor failing before its first beacon.
-		n.lastHeard[d.From] = ctx.Now()
-		n.lastDir[d.From] = d.Bearing
+		h := n.touch(d.From, ctx.Now())
+		h.dir = d.Bearing
 	}
 }
 
 // Timer dispatches on timer kind. Round timers carry the power of the
 // round that armed them.
-func (n *Node) Timer(ctx *netsim.Context, kind int, v float64) {
+func (n *Node) Timer(ctx *netsim.Context[Message], kind int, v float64) {
 	switch kind {
 	case timerRound:
 		n.onRoundEnd(ctx, v)
@@ -166,7 +190,7 @@ func (n *Node) Timer(ctx *netsim.Context, kind int, v float64) {
 // onRoundEnd evaluates the gap-α test over everything discovered so far
 // and either grows the power or terminates the phase (Figure 1's while
 // loop condition).
-func (n *Node) onRoundEnd(ctx *netsim.Context, roundPower float64) {
+func (n *Node) onRoundEnd(ctx *netsim.Context[Message], roundPower float64) {
 	if !n.growing || roundPower != n.power {
 		return // stale timer from an earlier round
 	}
@@ -179,7 +203,7 @@ func (n *Node) onRoundEnd(ctx *netsim.Context, roundPower float64) {
 	n.finishGrowing(ctx)
 }
 
-func (n *Node) finishGrowing(ctx *netsim.Context) {
+func (n *Node) finishGrowing(ctx *netsim.Context[Message]) {
 	n.growing = false
 	firstFinish := !n.finished
 	n.finished = true
@@ -188,30 +212,28 @@ func (n *Node) finishGrowing(ctx *netsim.Context) {
 
 	if n.cfg.AsymRemoval {
 		// Tell every Hello sender we did not discover to drop the
-		// asymmetric edge (§3.2), in ascending id order: map iteration
-		// would make the unicast emission order — and with it the
-		// simulator's event history — depend on map layout.
-		n.idScratch = n.idScratch[:0]
-		for v := range n.ackedTo {
-			n.idScratch = append(n.idScratch, v)
-		}
-		sort.Ints(n.idScratch)
-		for _, v := range n.idScratch {
-			if _, ok := n.discovered[v]; !ok {
-				ctx.Unicast(v, n.ackedTo[v], removeMsg{})
+		// asymmetric edge (§3.2), in ascending id order: both rows are
+		// id-sorted, so one merge walk finds the senders.
+		j := 0
+		for _, a := range n.acked {
+			for j < len(n.discovered) && n.discovered[j].ID < a.id {
+				j++
+			}
+			if j == len(n.discovered) || n.discovered[j].ID != a.id {
+				ctx.Unicast(a.id, a.power, Message{kind: msgRemove})
 			}
 		}
 	}
 
 	if n.cfg.EnableNDP && firstFinish {
 		// The Reconfigurator copies the list, so the phase-end neighbor
-		// sort runs in a reused buffer instead of a fresh map dump.
+		// sort runs in a reused buffer.
 		n.nbrScratch = n.AppendNeighbors(n.nbrScratch[:0])
 		n.reconf = core.NewReconfigurator(n.cfg.Alpha, ctx.Model(), n.nbrScratch)
 		now := ctx.Now()
-		for id := range n.discovered {
-			n.lastHeard[id] = now
-			n.lastDir[id] = n.discovered[id].Dir
+		for _, d := range n.discovered {
+			h := n.touch(d.ID, now)
+			h.dir = d.Dir
 		}
 		// Desynchronize beacons across nodes deterministically.
 		offset := n.cfg.BeaconPeriod * ctx.Rand().Float64()
@@ -222,22 +244,25 @@ func (n *Node) finishGrowing(ctx *netsim.Context) {
 
 // --- NDP ---
 
-func (n *Node) onBeaconTimer(ctx *netsim.Context) {
-	ctx.Broadcast(n.beaconPower(ctx), beaconMsg{})
+func (n *Node) onBeaconTimer(ctx *netsim.Context[Message]) {
+	ctx.Broadcast(n.beaconPower(ctx), Message{kind: msgBeacon})
 	ctx.SetTimer(n.cfg.BeaconPeriod, timerBeacon, 0)
 }
 
 // beaconPower applies the configured §4 rule.
-func (n *Node) beaconPower(ctx *netsim.Context) float64 {
+func (n *Node) beaconPower(ctx *netsim.Context[Message]) float64 {
 	switch n.cfg.Beacons {
 	case BeaconShrunkPower:
 		// The buggy rule: power for the shrunk-back neighbor set only.
-		// ShrinkNeighbors copies its input, so the per-beacon neighbor
-		// sort runs in the reused phase-end buffer.
+		// The neighbor sort and the shrink run in the node's reused
+		// buffers.
+		if n.runner == nil {
+			n.runner = new(core.NodeRunner)
+		}
 		n.nbrScratch = n.AppendNeighbors(n.nbrScratch[:0])
-		shrunk := core.ShrinkNeighbors(n.nbrScratch, n.cfg.Alpha)
+		n.shrunk = n.runner.ShrinkNeighborsInto(n.shrunk[:0], n.nbrScratch, n.cfg.Alpha)
 		var p float64
-		for _, d := range shrunk {
+		for _, d := range n.shrunk {
 			p = math.Max(p, ctx.Model().PowerFor(d.Dist))
 		}
 		if p == 0 {
@@ -250,12 +275,13 @@ func (n *Node) beaconPower(ctx *netsim.Context) float64 {
 		// and the basic algorithm's power for boundary nodes.
 		p := 0.0
 		if n.reconf != nil {
-			for _, d := range n.reconf.Neighbors() {
+			n.nbrScratch = n.reconf.AppendNeighbors(n.nbrScratch[:0])
+			for _, d := range n.nbrScratch {
 				p = math.Max(p, ctx.Model().PowerFor(d.Dist))
 			}
 		}
-		for _, needed := range n.ackedTo {
-			p = math.Max(p, needed)
+		for _, a := range n.acked {
+			p = math.Max(p, a.power)
 		}
 		if n.boundary {
 			p = math.Max(p, n.growPower)
@@ -269,31 +295,37 @@ func (n *Node) beaconPower(ctx *netsim.Context) float64 {
 
 // onBeacon processes a neighbor's liveness beacon: join for unknown
 // senders, aChange when the bearing moved.
-func (n *Node) onBeacon(ctx *netsim.Context, d netsim.Delivery) {
+func (n *Node) onBeacon(ctx *netsim.Context[Message], d netsim.Delivery[Message]) {
 	if n.reconf == nil {
 		return // still growing; beacons are handled once NDP starts
 	}
 	id := d.From
-	n.lastHeard[id] = ctx.Now()
+	h := n.touch(id, ctx.Now())
 
 	dist := ctx.Model().EstimateDistance(d.TxPower, d.RxPower)
 	needed := ctx.Model().NeededPower(d.TxPower, d.RxPower)
 
 	if !n.reconf.Has(id) {
 		n.Joins++
-		n.lastDir[id] = d.Bearing
+		h.dir = d.Bearing
 		disc := core.Discovery{ID: id, Dist: dist, Dir: d.Bearing, Power: needed}
-		n.discovered[id] = disc
+		if i, ok := n.findDiscovered(id); ok {
+			n.redirect(i, disc)
+		} else {
+			n.discovered = slices.Insert(n.discovered, i, disc)
+			n.dirs = geom.InsertSorted(n.dirs, disc.Dir)
+		}
 		n.reconf.Join(disc)
 		return
 	}
-	if geom.AngularDist(n.lastDir[id], d.Bearing) > n.cfg.AngleThreshold {
+	if geom.AngularDist(h.dir, d.Bearing) > n.cfg.AngleThreshold {
 		n.AngleChanges++
-		n.lastDir[id] = d.Bearing
-		if upd, ok := n.discovered[id]; ok {
+		h.dir = d.Bearing
+		if i, ok := n.findDiscovered(id); ok {
+			upd := n.discovered[i]
 			upd.Dir = d.Bearing
 			upd.Dist = dist
-			n.discovered[id] = upd
+			n.redirect(i, upd)
 		}
 		if n.reconf.AngleChange(id, d.Bearing) == core.ActionRegrow {
 			n.regrow(ctx)
@@ -302,21 +334,28 @@ func (n *Node) onBeacon(ctx *netsim.Context, d netsim.Delivery) {
 }
 
 // onLeaveScan detects failed neighbors: no beacon for LeaveTimeout.
-func (n *Node) onLeaveScan(ctx *netsim.Context) {
+// The departed are processed in ascending id order, the order of the
+// heard row.
+func (n *Node) onLeaveScan(ctx *netsim.Context[Message]) {
 	now := ctx.Now()
-	var gone []int
-	for id, last := range n.lastHeard {
-		if now-last > n.cfg.LeaveTimeout {
-			gone = append(gone, id)
+	gone := n.idScratch[:0]
+	kept := n.heard[:0]
+	for _, h := range n.heard {
+		if now-h.at > n.cfg.LeaveTimeout {
+			gone = append(gone, h.id)
+		} else {
+			kept = append(kept, h)
 		}
 	}
-	sort.Ints(gone) // deterministic processing order
+	n.heard = kept
+	n.idScratch = gone
 	needRegrow := false
 	for _, id := range gone {
 		n.Leaves++
-		delete(n.lastHeard, id)
-		delete(n.lastDir, id)
-		delete(n.discovered, id)
+		if i, ok := n.findDiscovered(id); ok {
+			n.dropDir(n.discovered[i].Dir)
+			n.discovered = slices.Delete(n.discovered, i, i+1)
+		}
 		if n.reconf.Leave(id) == core.ActionRegrow {
 			needRegrow = true
 		}
@@ -329,7 +368,7 @@ func (n *Node) onLeaveScan(ctx *netsim.Context) {
 
 // regrow re-enters the growing phase from p(rad⁻_{u,α}) as §4
 // prescribes. The phase runs concurrently with beaconing.
-func (n *Node) regrow(ctx *netsim.Context) {
+func (n *Node) regrow(ctx *netsim.Context[Message]) {
 	if n.growing {
 		return // already regrowing; the running phase will cover it
 	}
@@ -337,29 +376,56 @@ func (n *Node) regrow(ctx *netsim.Context) {
 	n.startGrowing(ctx, n.reconf.RegrowStartPower())
 }
 
+// --- Rows ---
+
+func (n *Node) findDiscovered(id int) (int, bool) {
+	return slices.BinarySearchFunc(n.discovered, id, func(d core.Discovery, id int) int { return d.ID - id })
+}
+
+func (n *Node) findAcked(id int) (int, bool) {
+	return slices.BinarySearchFunc(n.acked, id, func(a ack, id int) int { return a.id - id })
+}
+
+// touch records a beacon (or Ack) from id at time at and returns its
+// heard entry, inserting one with a zero bearing for a new neighbor. The
+// pointer is valid until the next insertion into the row.
+func (n *Node) touch(id int, at float64) *heard {
+	i, ok := slices.BinarySearchFunc(n.heard, id, func(h heard, id int) int { return h.id - id })
+	if !ok {
+		n.heard = slices.Insert(n.heard, i, heard{id: id})
+	}
+	n.heard[i].at = at
+	return &n.heard[i]
+}
+
+// redirect replaces discovered[i] with d, moving its direction in dirs.
+func (n *Node) redirect(i int, d core.Discovery) {
+	n.dropDir(n.discovered[i].Dir)
+	n.discovered[i] = d
+	n.dirs = geom.InsertSorted(n.dirs, d.Dir)
+}
+
+// dropDir removes one occurrence of dir from the sorted direction set.
+func (n *Node) dropDir(dir float64) {
+	i, _ := slices.BinarySearch(n.dirs, geom.Normalize(dir))
+	n.dirs = slices.Delete(n.dirs, i, i+1)
+}
+
 // --- State inspection (used by the runtime and tests) ---
 
 // directions returns the discovered direction set, normalized and
-// ascending, in the node's reusable buffer; the result is only valid
-// until the next directions call. Sorted maintenance (InsertSorted per
-// entry) replaces MaxGap's normalize-and-sort copy per gap test.
-func (n *Node) directions() []float64 {
-	out := n.dirs[:0]
-	for _, d := range n.discovered {
-		out = geom.InsertSorted(out, d.Dir)
-	}
-	n.dirs = out
-	return out
-}
+// ascending. The slice is the node's own and only valid until the next
+// discovery or departure.
+func (n *Node) directions() []float64 { return n.dirs }
 
-// AppendNeighbors appends the discovered set to dst (a reused buffer,
-// passed as dst[:0] or nil) sorted by (Power, Dist, ID) — the same
-// order core uses — and returns the extended slice.
+// AppendNeighbors appends the discovered set to dst sorted by (Power,
+// Dist, ID) — the same order core uses — and returns the extended slice.
+// Only the appended part is sorted, so dst may be a reused buffer
+// (passed as dst[:0]), nil, or an arena already holding other rows.
 func (n *Node) AppendNeighbors(dst []core.Discovery) []core.Discovery {
-	for _, d := range n.discovered {
-		dst = append(dst, d)
-	}
-	slices.SortFunc(dst, func(a, b core.Discovery) int {
+	start := len(dst)
+	dst = append(dst, n.discovered...)
+	slices.SortFunc(dst[start:], func(a, b core.Discovery) int {
 		switch {
 		case a.Power != b.Power:
 			if a.Power < b.Power {
@@ -408,12 +474,8 @@ func (n *Node) Boundary() bool { return n.boundary }
 // GrowPower returns p_{u,α} of the most recent completed phase.
 func (n *Node) GrowPower() float64 { return n.growPower }
 
-// RemovedBy reports the asymmetric-removal notices received.
+// RemovedBy reports the asymmetric-removal notices received, in
+// ascending id order.
 func (n *Node) RemovedBy() []int {
-	out := make([]int, 0, len(n.removed))
-	for id := range n.removed {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
+	return append(make([]int, 0, len(n.removed)), n.removed...)
 }

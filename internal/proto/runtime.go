@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"cbtc/internal/core"
 	"cbtc/internal/geom"
@@ -15,16 +16,21 @@ import (
 // and converts protocol state into the core package's artifacts so the
 // same analyses apply to distributed runs and oracle runs.
 type Runtime struct {
-	Sim   *netsim.Sim
+	Sim   *netsim.Sim[Message]
 	Nodes []*Node
 	cfg   Config
 }
+
+// rowRoom is the initial capacity of each node's discovered, direction
+// and Ack rows. At the paper's density a node discovers and Acks about
+// ten neighbors, so the room holds the whole row for most nodes.
+const rowRoom = 16
 
 // Start builds a simulator over the placement, installs a protocol node
 // everywhere, and returns the runtime without running it. Callers script
 // scenarios via rt.Sim and then call Run/RunUntilQuiet.
 func Start(pos []geom.Point, simOpts netsim.Options, cfg Config) (*Runtime, error) {
-	sim, err := netsim.New(pos, simOpts)
+	sim, err := netsim.New[Message](pos, simOpts)
 	if err != nil {
 		return nil, err
 	}
@@ -34,9 +40,26 @@ func Start(pos []geom.Point, simOpts netsim.Options, cfg Config) (*Runtime, erro
 	if err := cfg.Validate(simOpts.Model.Nominal()); err != nil {
 		return nil, err
 	}
-	nodes := make([]*Node, len(pos))
-	for i := range pos {
-		nodes[i] = NewNode(cfg)
+	// The initial nodes share one allocation, and so does each of their
+	// growing-phase rows: every node starts with room for rowRoom
+	// entries in a shared arena, capacity-capped so that a row that
+	// outgrows its room moves to an allocation of its own. Nodes added
+	// later by AddNode start empty.
+	n := len(pos)
+	slab := make([]Node, n)
+	discovered := make([]core.Discovery, n*rowRoom)
+	dirs := make([]float64, n*rowRoom)
+	acked := make([]ack, n*rowRoom)
+	nodes := make([]*Node, n)
+	for i := range slab {
+		lo, hi := i*rowRoom, (i+1)*rowRoom
+		slab[i] = Node{
+			cfg:        cfg,
+			discovered: discovered[lo:lo:hi],
+			dirs:       dirs[lo:lo:hi],
+			acked:      acked[lo:lo:hi],
+		}
+		nodes[i] = &slab[i]
 		sim.SetProcess(i, nodes[i])
 	}
 	return &Runtime{Sim: sim, Nodes: nodes, cfg: cfg}, nil
@@ -97,7 +120,9 @@ func (rt *Runtime) AddNode(at geom.Point) int {
 }
 
 // Execution snapshots the protocol state as a core.Execution, so every
-// optimization and metric of the core package applies unchanged.
+// optimization and metric of the core package applies unchanged. The
+// neighbor lists are packed into one arena, each capacity-capped so an
+// append to one never reaches the next.
 func (rt *Runtime) Execution() *core.Execution {
 	e := &core.Execution{
 		Alpha: rt.cfg.Alpha,
@@ -105,10 +130,17 @@ func (rt *Runtime) Execution() *core.Execution {
 		Pos:   make([]geom.Point, rt.Sim.Len()),
 		Nodes: make([]core.NodeResult, len(rt.Nodes)),
 	}
+	total := 0
+	for _, n := range rt.Nodes {
+		total += len(n.discovered)
+	}
+	arena := make([]core.Discovery, 0, total)
 	for i, n := range rt.Nodes {
 		e.Pos[i] = rt.Sim.Position(i)
+		start := len(arena)
+		arena = n.AppendNeighbors(arena)
 		e.Nodes[i] = core.NodeResult{
-			Neighbors: n.Neighbors(),
+			Neighbors: arena[start:len(arena):len(arena)],
 			GrowPower: n.GrowPower(),
 			Boundary:  n.Boundary(),
 		}
@@ -123,12 +155,8 @@ func (rt *Runtime) Execution() *core.Execution {
 func (rt *Runtime) AsymDigraph() *graph.Digraph {
 	d := graph.NewDigraph(len(rt.Nodes))
 	for u, n := range rt.Nodes {
-		removed := make(map[int]bool)
-		for _, id := range n.RemovedBy() {
-			removed[id] = true
-		}
-		for _, nb := range n.Neighbors() {
-			if !removed[nb.ID] {
+		for _, nb := range n.discovered {
+			if _, gone := slices.BinarySearch(n.removed, nb.ID); !gone {
 				d.AddArc(u, nb.ID)
 			}
 		}

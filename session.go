@@ -146,16 +146,19 @@ func (e *Engine) NewSession(ctx context.Context, nodes []Point) (*Session, error
 }
 
 // newSession is NewSession with an explicit worker budget; fleets pin
-// their shards' sessions to the shard plan's inner budget.
+// their shards' sessions to the shard plan's inner budget. The build is
+// one pass: the session's grid is built once and handed to the oracle,
+// whose gather also yields G_R, and the session keeps both.
 func (e *Engine) newSession(ctx context.Context, nodes []Point, workers int) (*Session, error) {
-	exec, err := core.RunParallel(ctx, nodes, e.prop, e.cfg.Alpha, workers)
+	idx := spatial.New(nodes, e.prop.MaxLinkRadius())
+	exec, gr, err := core.RunWithMaxPowerGraph(ctx, nodes, e.prop, e.cfg.Alpha, workers, idx)
 	if err != nil {
 		return nil, err
 	}
 	if e.schedule != nil {
 		exec = core.QuantizeTags(exec, e.schedule)
 	}
-	return e.sessionFromExec(ctx, nodes, exec, workers)
+	return e.sessionFromExec(ctx, nodes, exec, idx, gr, workers)
 }
 
 // NewProtocolSession builds a Session whose initial topology comes from
@@ -180,19 +183,24 @@ func (e *Engine) NewProtocolSession(ctx context.Context, nodes []Point, sim SimO
 // newProtocolSession is NewProtocolSession with an explicit worker
 // budget. Protocol tags are already drawn from the protocol's discrete
 // broadcast schedule, so the engine's quantization schedule — a model of
-// exactly that discreteness for oracle tags — is not reapplied.
+// exactly that discreteness for oracle tags — is not reapplied. The
+// session adopts the simulator's delivery grid as its index; the
+// protocol run yields no G_R, so buildTopology gathers it over that grid.
 func (e *Engine) newProtocolSession(ctx context.Context, nodes []Point, sim SimOptions, workers int) (*Session, error) {
-	exec, err := e.protoExec(ctx, nodes, sim)
+	exec, grid, err := e.protoExec(ctx, nodes, sim)
 	if err != nil {
 		return nil, err
 	}
-	return e.sessionFromExec(ctx, nodes, exec, workers)
+	return e.sessionFromExec(ctx, nodes, exec, grid, nil, workers)
 }
 
 // sessionFromExec builds the live session state around a completed
 // growing-phase execution — the shared back half of the oracle and
-// protocol constructors.
-func (e *Engine) sessionFromExec(ctx context.Context, nodes []Point, exec *core.Execution, workers int) (*Session, error) {
+// protocol constructors. idx must index exactly nodes at cell size
+// MaxLinkRadius, and the session takes it over. gr is G_R over nodes
+// when the caller has it (the oracle's by-product), or nil for
+// buildTopology to gather.
+func (e *Engine) sessionFromExec(ctx context.Context, nodes []Point, exec *core.Execution, idx *spatial.Grid, gr *graph.Graph, workers int) (*Session, error) {
 	s := &Session{
 		eng:     e,
 		workers: workers,
@@ -200,7 +208,8 @@ func (e *Engine) sessionFromExec(ctx context.Context, nodes []Point, exec *core.
 		alive:   make([]bool, len(nodes)),
 		nodes:   exec.Nodes,
 		recs:    make([]*core.Reconfigurator, len(nodes)),
-		idx:     spatial.New(nodes, e.prop.MaxLinkRadius()),
+		idx:     idx,
+		gr:      gr,
 		live:    len(nodes),
 	}
 	if e.battery {
@@ -223,17 +232,35 @@ func (e *Engine) sessionFromExec(ctx context.Context, nodes []Point, exec *core.
 // growing-phase rows, positions and liveness: the pruned rows, N_α, its
 // symmetrization gpre, the pairwise-pruned g with its kernel, the
 // ground-truth G_R with departed nodes isolated, and the Observe state.
-// The constructors and checkpoint restore share it.
+// The constructors and checkpoint restore share it. G_R is gathered over
+// the session grid only when s.gr is unset: on restore and for
+// protocol-built sessions; the oracle constructor installs its own.
 func (s *Session) buildTopology(ctx context.Context) error {
 	e := s.eng
 	n := len(s.pos)
 	workers := core.ResolveWorkers(s.workers, n)
 	runners := make([]core.NodeRunner, workers)
 	s.pruned = make([][]core.Discovery, n)
+	// Shrink-back writes every pruned row into one arena, in a region
+	// the size of the node's row, where a row-by-row prune would allocate
+	// a copy per node; without it the pruned rows are the node rows.
+	var arena []core.Discovery
+	var offs []int
+	if e.opts.ShrinkBack {
+		offs = make([]int, n+1)
+		for u := range s.nodes {
+			offs[u+1] = offs[u] + len(s.nodes[u].Neighbors)
+		}
+		arena = make([]core.Discovery, offs[n])
+	}
 	// The per-node prune (coverage arithmetic when shrink-back is on) is
 	// embarrassingly parallel, like the oracle itself.
 	if err := core.ParallelRange(ctx, n, workers, func(w, u int) {
-		s.pruned[u] = e.pruneNeighbors(s.nodes[u].Neighbors, &runners[w])
+		var dst []core.Discovery
+		if arena != nil {
+			dst = arena[offs[u]:offs[u+1]:offs[u+1]]
+		}
+		s.pruned[u] = e.pruneNeighbors(dst, s.nodes[u].Neighbors, &runners[w])
 	}); err != nil {
 		return err
 	}
@@ -247,11 +274,14 @@ func (s *Session) buildTopology(ctx context.Context) error {
 	if e.opts.PairwiseRemoval {
 		s.pairwise, s.g, _ = core.NewPairwise(s.gpre, s.pos, e.opts.PairwisePolicy)
 	}
-	// Reuse the session's own grid — it indexes exactly the live nodes.
-	s.gr = core.MaxPowerGraphParallelIndexed(s.pos, e.prop, s.idx, s.workers)
-	for u, alive := range s.alive {
-		if !alive {
-			s.gr.IsolateNode(u)
+	if s.gr == nil {
+		// Gather over the session's own grid — it indexes exactly the
+		// live nodes.
+		s.gr = core.MaxPowerGraphParallelIndexed(s.pos, e.prop, s.idx, s.workers)
+		for u, alive := range s.alive {
+			if !alive {
+				s.gr.IsolateNode(u)
+			}
 		}
 	}
 	// The O(changed) Observe state: the live component structure and the
@@ -264,11 +294,12 @@ func (s *Session) buildTopology(ctx context.Context) error {
 }
 
 // pruneNeighbors applies the engine's per-node-local optimization,
-// shrink-back (op1), on the worker's runner scratch. Pairwise removal
-// acts on edges, not rows, and never goes through here.
-func (e *Engine) pruneNeighbors(nbrs []core.Discovery, r *core.NodeRunner) []core.Discovery {
+// shrink-back (op1), on the worker's runner scratch, writing the shrunk
+// row into dst's backing array when it has room (nil allocates one).
+// Pairwise removal acts on edges, not rows, and never goes through here.
+func (e *Engine) pruneNeighbors(dst, nbrs []core.Discovery, r *core.NodeRunner) []core.Discovery {
 	if e.opts.ShrinkBack {
-		nbrs = r.ShrinkNeighbors(nbrs, e.cfg.Alpha)
+		nbrs = r.ShrinkNeighborsInto(dst, nbrs, e.cfg.Alpha)
 	}
 	return nbrs
 }
@@ -862,7 +893,7 @@ func (s *Session) recompute(ids []int) []int {
 		results[i] = recomputed{
 			nr:     nr,
 			rec:    core.NewReconfigurator(s.eng.cfg.Alpha, s.eng.model, nr.Neighbors),
-			pruned: s.eng.pruneNeighbors(nr.Neighbors, &runners[w]),
+			pruned: s.eng.pruneNeighbors(nil, nr.Neighbors, &runners[w]),
 		}
 	})
 
