@@ -49,9 +49,13 @@
 // The ack contract: a POST /events response is written only after the
 // accepted events are fsynced to the log and applied, so 202 (and the
 // "accepted" count of any response) means those events survive a
-// kill -9 and will be present after restart. 429 means the queue was
-// full and some events were refused (Retry-After says when to retry);
-// those were not logged.
+// kill -9 and will be present after restart. A post does not wait for
+// a clock: once its events are queued it starts a tick, which runs at
+// once if the previous tick began at least -tick ago and otherwise at
+// that boundary. An ack therefore costs its tick's log append, fsync
+// and repair, plus at most one -tick of spacing when the daemon is
+// busy. 429 means the queue was full and some events were refused
+// (Retry-After says when to retry); those were not logged.
 //
 // # Failure isolation
 //
@@ -88,19 +92,26 @@
 //	GET  /network/{i} one member's FleetNetworkReport as JSON
 //	POST /checkpoint  force a checkpoint write now
 //
-// Ingestion is decoupled from repair by a bounded queue: each tick
-// drains the queue, validates events against each network's projected
-// liveness (bad events are counted and dropped, never crash a
-// network), logs the survivors, and applies each network's burst as
-// one batched repair (Fleet.TickEvents). Only networks that received
+// Ingestion is decoupled from repair by a bounded queue. Ticks are
+// event-driven, a leading-edge group commit: queued work wakes the
+// loop, and ticks run at least -tick apart, so an idle daemon never
+// ticks and a busy one coalesces whatever queued since the previous
+// tick. Each tick drains the whole queue, validates events against
+// each network's projected liveness (bad events are counted and
+// dropped, never crash a network), logs the survivors as one record
+// with one fsync, and applies each network's burst as one batched
+// repair (Fleet.TickEvents). Only networks that received
 // traffic tick — the others' clocks stand still — so per-member tick
 // counts diverge under skewed traffic; /report and /healthz expose the
 // divergence as min/max watermarks plus per-member clocks. Queries run
 // concurrently off copy-on-write snapshots; they never block the tick
 // loop.
 //
-// SIGINT/SIGTERM drain the queue, apply a final tick, write a final
-// checkpoint, and exit 0.
+// SIGINT/SIGTERM first shut the HTTP server down: it stops accepting
+// connections and waits up to 5 s for the requests in flight, while
+// the loop keeps ticking for them, so a post whose body is still
+// arriving gets its 202. Then the loop drains the queue, applies a
+// final tick, writes a final checkpoint, and the daemon exits 0.
 package main
 
 import (
@@ -133,7 +144,7 @@ func main() {
 		ckptIvl  = flag.Duration("checkpoint-interval", 30*time.Second, "periodic checkpoint interval (0 = only on shutdown)")
 		gens     = flag.Int("generations", 2, "older checkpoint generations to retain (fleet.ckpt.1..N)")
 		httpAddr = flag.String("http", "", "HTTP listen address (empty = read events from stdin)")
-		tickIvl  = flag.Duration("tick", 100*time.Millisecond, "event-coalescing tick interval")
+		tickIvl  = flag.Duration("tick", 100*time.Millisecond, "minimum spacing of ticks: queued events tick at once, or this long after the previous tick began")
 		queueCap = flag.Int("queue", 4096, "ingestion queue capacity (backpressure bound)")
 		m        = flag.Int("m", 4, "networks in a fresh fleet")
 		n        = flag.Int("n", 100, "nodes per network in a fresh fleet")
@@ -163,6 +174,7 @@ func main() {
 
 	d := &daemon{
 		queue:   make(chan queueItem, *queueCap),
+		kick:    make(chan struct{}, 1),
 		tickIvl: *tickIvl,
 	}
 	if *ckptPath != "" {
@@ -196,13 +208,20 @@ func main() {
 		}()
 	}
 
-	d.loop(ctx, *tickIvl, *ckptIvl)
-
-	if srv != nil {
-		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(shutCtx)
-	}
+	// Shut the HTTP server down before the loop stops: Shutdown waits for
+	// the requests in flight, and their acks need the loop to keep
+	// ticking. The loop then runs its final tick and checkpoint.
+	loopCtx, stopLoop := context.WithCancel(context.Background())
+	go func() {
+		<-ctx.Done()
+		if srv != nil {
+			shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			_ = srv.Shutdown(shutCtx)
+		}
+		stopLoop()
+	}()
+	d.loop(loopCtx, *ckptIvl)
 	log.Printf("fleetd: shut down cleanly after %d ticks (%d events applied, %d rejected, %d dropped)",
 		d.ticks.Load(), d.applied.Load(), d.rejected.Load(), d.dropped.Load())
 }
@@ -240,7 +259,8 @@ type daemon struct {
 	store   *ckptStore // nil without -checkpoint
 	wal     *wal       // nil without -checkpoint
 	queue   chan queueItem
-	tickIvl time.Duration
+	kick    chan struct{} // buffer of one: queued work asks the loop for a tick
+	tickIvl time.Duration // minimum spacing of tick starts
 
 	// ckptMu serializes checkpoint writes: the tick loop's interval and
 	// shutdown checkpoints against POST /checkpoint handlers. The fleet
@@ -248,7 +268,7 @@ type daemon struct {
 	// generation rotation.
 	ckptMu sync.Mutex
 
-	ticks      atomic.Int64 // completed coalescing ticks
+	ticks      atomic.Int64 // completed ticks; each drained work, as the loop never ticks idle
 	applied    atomic.Int64 // events applied to sessions
 	rejected   atomic.Int64 // events dropped at validation (bad net/id/liveness/quarantine)
 	dropped    atomic.Int64 // events refused at ingestion (queue full)
@@ -422,7 +442,8 @@ const (
 // stays armed while the handler runs, and when it fires during
 // net/http's background read it cancels r.Context() — which POST
 // /events waits on for its durable ack. It therefore sits far above any
-// durable-ack wait, one tick plus a WAL fsync.
+// durable-ack wait: at most one -tick to the next tick boundary, plus
+// that tick's WAL fsync and repair.
 const (
 	readHeaderTimeout = 10 * time.Second
 	readTimeout       = time.Minute
@@ -442,12 +463,16 @@ func newServer(addr string, h http.Handler) *http.Server {
 	}
 }
 
-// loop is the daemon's single mutation path. Interval checkpoint
-// failures schedule a jittered-backoff retry instead of waiting a full
-// interval; /healthz reports degraded until one succeeds.
-func (d *daemon) loop(ctx context.Context, tickIvl, ckptIvl time.Duration) {
-	ticker := time.NewTicker(tickIvl)
-	defer ticker.Stop()
+// loop is the daemon's single mutation path. It ticks only when work
+// is queued: a kick runs a tick at once if the previous tick began at
+// least d.tickIvl ago, and otherwise arms the timer for that boundary,
+// so under load ticks stay d.tickIvl apart and each drains whatever
+// queued meanwhile. A tick that leaves work queued arms the timer too,
+// so nothing waits more than two intervals even if its kick was spent.
+// Interval checkpoint failures schedule a jittered-backoff retry
+// instead of waiting a full interval; /healthz reports degraded until
+// one succeeds.
+func (d *daemon) loop(ctx context.Context, ckptIvl time.Duration) {
 	var ckptC <-chan time.Time
 	if d.store != nil && ckptIvl > 0 {
 		ck := time.NewTicker(ckptIvl)
@@ -468,6 +493,24 @@ func (d *daemon) loop(ctx context.Context, tickIvl, ckptIvl time.Duration) {
 		}
 		retryC, backoff = nil, ckptRetryMin
 	}
+	var (
+		last  time.Time // when the latest tick began
+		timer = time.NewTimer(d.tickIvl)
+		dueC  <-chan time.Time // timer.C while a tick waits for its boundary
+	)
+	timer.Stop()
+	defer timer.Stop()
+	arm := func() {
+		timer.Reset(d.tickIvl - time.Since(last))
+		dueC = timer.C
+	}
+	tick := func() {
+		dueC, last = nil, time.Now()
+		d.tickOnce()
+		if len(d.queue) > 0 {
+			arm()
+		}
+	}
 	for {
 		select {
 		case <-ctx.Done():
@@ -480,8 +523,18 @@ func (d *daemon) loop(ctx context.Context, tickIvl, ckptIvl time.Duration) {
 				log.Printf("fleetd: final checkpoint failed (log retained): %v", err)
 			}
 			return
-		case <-ticker.C:
-			d.tickOnce()
+		case <-d.kick:
+			switch {
+			case dueC != nil || len(d.queue) == 0:
+				// A tick is already due, or an earlier tick took the work
+				// this kick announced.
+			case time.Since(last) >= d.tickIvl:
+				tick()
+			default:
+				arm()
+			}
+		case <-dueC:
+			tick()
 		case <-ckptC:
 			checkpoint()
 		case <-retryC:
@@ -490,74 +543,95 @@ func (d *daemon) loop(ctx context.Context, tickIvl, ckptIvl time.Duration) {
 	}
 }
 
-// tickOnce drains the queue, validates each event against its
+// drained is one tick's take from the queue.
+type drained struct {
+	items    int            // queue slots taken: events and waiters
+	accepted int            // events that passed validation
+	batches  [][]cbtc.Event // each network's accepted events; nil without traffic
+	wires    [][]wireEvent  // the same events in their logged form
+	waiters  []chan error   // durability waiters, answered once the tick commits
+}
+
+// drain empties the queue and validates each event against its
 // network's liveness as projected through the earlier events of the
-// same tick (mirroring ApplyBatch's rules, so one bad event is dropped
-// instead of voiding the whole batch), logs the accepted survivors,
-// ticks the networks that received traffic, and finally answers the
-// durability waiters drained alongside. Traffic-less networks keep a
-// nil batch and are skipped — their clocks stand still, which is where
-// ragged watermarks come from. Events addressed to a quarantined
-// network are rejected, and a network that panics during this tick is
-// quarantined by the fleet while the rest of the tick commits.
-func (d *daemon) tickOnce() {
+// same tick, mirroring Session.ValidateBatch, so one bad event is
+// dropped instead of voiding the whole batch. Rejected events, and
+// events addressed to a quarantined network, are counted in d.rejected
+// and left out. drain never fails; what a tick commits is tickOnce's
+// decision.
+func (d *daemon) drain() drained {
 	var (
-		batches = make([][]cbtc.Event, d.fleet.Size())
-		wires   = make([][]wireEvent, d.fleet.Size())
-		proj    = make([]liveProjection, d.fleet.Size())
-		waiters []chan error
-		applied int
-		quar    = quarantinedSet(d.fleet)
-	)
-drain:
-	for {
-		select {
-		case item := <-d.queue:
-			if item.ack != nil {
-				waiters = append(waiters, item.ack)
-				continue
-			}
-			ev := item.ev
-			if ev.Net < 0 || ev.Net >= d.fleet.Size() || quar[ev.Net] {
-				d.rejected.Add(1)
-				continue
-			}
-			p := &proj[ev.Net]
-			p.init(d.fleet.Session(ev.Net))
-			switch ev.Op {
-			case "join":
-				p.admit()
-			case "leave":
-				if !p.live(ev.ID) {
-					d.rejected.Add(1)
-					continue
-				}
-				p.depart(ev.ID)
-			case "move":
-				if !p.live(ev.ID) {
-					d.rejected.Add(1)
-					continue
-				}
-			default:
-				d.rejected.Add(1)
-				continue
-			}
-			batches[ev.Net] = append(batches[ev.Net], toEvent(ev))
-			wires[ev.Net] = append(wires[ev.Net], ev)
-			applied++
-		default:
-			break drain
+		t = drained{
+			batches: make([][]cbtc.Event, d.fleet.Size()),
+			wires:   make([][]wireEvent, d.fleet.Size()),
 		}
+		proj = make([]liveProjection, d.fleet.Size())
+		quar = quarantinedSet(d.fleet)
+	)
+	for {
+		var item queueItem
+		select {
+		case item = <-d.queue:
+		default:
+			return t
+		}
+		t.items++
+		if item.ack != nil {
+			t.waiters = append(t.waiters, item.ack)
+			continue
+		}
+		ev := item.ev
+		if ev.Net < 0 || ev.Net >= d.fleet.Size() || quar[ev.Net] {
+			d.rejected.Add(1)
+			continue
+		}
+		p := &proj[ev.Net]
+		p.init(d.fleet.Session(ev.Net))
+		switch ev.Op {
+		case "join":
+			p.admit()
+		case "leave":
+			if !p.live(ev.ID) {
+				d.rejected.Add(1)
+				continue
+			}
+			p.depart(ev.ID)
+		case "move":
+			if !p.live(ev.ID) {
+				d.rejected.Add(1)
+				continue
+			}
+		default:
+			d.rejected.Add(1)
+			continue
+		}
+		t.batches[ev.Net] = append(t.batches[ev.Net], toEvent(ev))
+		t.wires[ev.Net] = append(t.wires[ev.Net], ev)
+		t.accepted++
+	}
+}
+
+// tickOnce drains the queue, logs the accepted events, ticks the
+// networks that received traffic, and finally answers the durability
+// waiters drained alongside. An empty queue is no tick at all.
+// Traffic-less networks keep a nil batch and are skipped — their
+// clocks stand still, which is where ragged watermarks come from. A
+// network that panics during this tick is quarantined by the fleet
+// while the rest of the tick commits.
+func (d *daemon) tickOnce() {
+	t := d.drain()
+	if t.items == 0 {
+		return
 	}
 	finish := func(err error) {
-		for _, ack := range waiters {
+		for _, ack := range t.waiters {
 			ack <- err
 		}
 	}
-	if applied > 0 && d.wal != nil {
+	if t.accepted > 0 && d.wal != nil {
 		wm := d.fleet.Watermarks()
 		var rec walRecord
-		for i, evs := range wires {
+		for i, evs := range t.wires {
 			if evs != nil {
 				rec.Nets = append(rec.Nets, walBatch{Net: i, Tick: wm.Members[i].Ticks + 1, Events: evs})
 			}
@@ -570,7 +644,8 @@ drain:
 			d.fail(fmt.Errorf("write-ahead log append: %w", err))
 		}
 	}
-	err := d.fleet.TickEvents(context.Background(), batches)
+	applied := t.accepted
+	err := d.fleet.TickEvents(context.Background(), t.batches)
 	var qe *cbtc.QuarantineError
 	if errors.As(err, &qe) {
 		// The casualties' batches did not commit, but they are in the
@@ -578,7 +653,7 @@ drain:
 		// healthy members' batches committed; keep serving degraded.
 		for _, c := range qe.Casualties {
 			log.Printf("fleetd: quarantined network %d at tick %d: %s", c.Net, c.Tick, c.Err)
-			applied -= len(batches[c.Net])
+			applied -= len(t.batches[c.Net])
 		}
 		err = nil
 	}
@@ -713,7 +788,10 @@ func (d *daemon) readEvents(r io.Reader, block bool) ingestResult {
 			continue
 		}
 		if block {
+			// No durability waiter follows these events, so each one
+			// wakes the loop itself.
 			d.queue <- queueItem{ev: ev}
+			d.wake()
 			res.accepted++
 			continue
 		}
@@ -733,15 +811,34 @@ func (d *daemon) readEvents(r io.Reader, block bool) ingestResult {
 	return res
 }
 
-// awaitDurable enqueues a durability waiter behind the caller's events
-// and blocks until the tick loop has logged and applied them.
+// wake asks the loop for a tick. One pending kick is enough: a kick
+// sent while another is pending adds nothing.
+func (d *daemon) wake() {
+	select {
+	case d.kick <- struct{}{}:
+	default:
+	}
+}
+
+// awaitDurable enqueues a durability waiter behind the caller's events,
+// wakes the tick loop, and blocks until the loop has logged and applied
+// them. The waiter sits behind its post's events in the FIFO queue, so
+// the tick it wakes takes the whole post; a kick per event could tick
+// on part of a post and leave its waiter a full interval behind. A
+// waiter that finds the queue full wakes the loop before it blocks.
 func (d *daemon) awaitDurable(ctx context.Context) error {
 	ack := make(chan error, 1) // buffered: the loop never blocks on an abandoned waiter
 	select {
 	case d.queue <- queueItem{ack: ack}:
-	case <-ctx.Done():
-		return ctx.Err()
+	default:
+		d.wake()
+		select {
+		case d.queue <- queueItem{ack: ack}:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
 	}
+	d.wake()
 	select {
 	case err := <-ack:
 		return err
@@ -775,7 +872,9 @@ func (d *daemon) routes() http.Handler {
 			body["error"] = res.scanErr.Error()
 		case res.dropped > 0:
 			status = http.StatusTooManyRequests
-			// The queue drains every tick: that is when retrying can help.
+			// The waiter woke the loop, so the queue drains by the next
+			// tick boundary, at most one -tick away: that is when
+			// retrying can help.
 			secs := int(d.tickIvl.Round(time.Second) / time.Second)
 			w.Header().Set("Retry-After", strconv.Itoa(max(secs, 1)))
 		}

@@ -8,14 +8,20 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
+	"math"
+	"math/rand/v2"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"testing/iotest"
@@ -39,7 +45,7 @@ func TestMain(m *testing.M) {
 
 const testScenario = "uniform"
 
-func testEngine(t *testing.T, m, n int) (*cbtc.Engine, workload.FleetScenario) {
+func testEngine(t testing.TB, m, n int) (*cbtc.Engine, workload.FleetScenario) {
 	t.Helper()
 	sc := workload.Fleet(m, n, testScenario)
 	eng, err := cbtc.New(cbtc.WithMaxRadius(sc.Radius), cbtc.WithShrinkBack())
@@ -51,11 +57,12 @@ func testEngine(t *testing.T, m, n int) (*cbtc.Engine, workload.FleetScenario) {
 
 // testDaemon builds an in-process daemon the way main does, with an
 // optional checkpoint directory enabling the store and write-ahead log.
-func testDaemon(t *testing.T, m, n, queueCap int, ckptDir string) *daemon {
+func testDaemon(t testing.TB, m, n, queueCap int, ckptDir string) *daemon {
 	t.Helper()
 	eng, sc := testEngine(t, m, n)
 	d := &daemon{
 		queue:   make(chan queueItem, queueCap),
+		kick:    make(chan struct{}, 1),
 		tickIvl: 10 * time.Millisecond,
 	}
 	if ckptDir != "" {
@@ -143,6 +150,123 @@ func TestLiveProjectionCrossTickReuse(t *testing.T) {
 	if got := d.applied.Load(); got != 4 {
 		t.Errorf("applied %d events after tick 3, want 4", got)
 	}
+}
+
+// tickDrainOps are the ops FuzzTickDrain draws from: the three the wire
+// protocol knows and one it does not.
+var tickDrainOps = [4]string{"join", "leave", "move", "hop"}
+
+// decodeTicks turns fuzz bytes into ticks of at most limit wire events
+// in all, four bytes an event: the op, with bit 2 opening a new tick; the
+// net, −1 to 2; the id, −2 to 29, around a 20-node network's live range
+// and the ids its joins mint; and the position's two nibbles, a 16 × 16
+// grid over side.
+func decodeTicks(data []byte, side float64, limit int) [][]wireEvent {
+	var ticks [][]wireEvent
+	for k := 0; k < limit && len(data) >= 4; k, data = k+1, data[4:] {
+		if len(ticks) == 0 || data[0]&4 != 0 {
+			ticks = append(ticks, nil)
+		}
+		ticks[len(ticks)-1] = append(ticks[len(ticks)-1], wireEvent{
+			Op:  tickDrainOps[data[0]&3],
+			Net: int(data[1]%4) - 1,
+			ID:  int(data[2]%32) - 2,
+			X:   float64(data[3]&15) * side / 15,
+			Y:   float64(data[3]>>4) * side / 15,
+		})
+	}
+	return ticks
+}
+
+// encodeTicks is decodeTicks' inverse for the seed corpus, bar the
+// positions, which validation ignores.
+func encodeTicks(ticks [][]wireEvent) []byte {
+	var b []byte
+	for _, tk := range ticks {
+		for i, ev := range tk {
+			op := byte(slices.Index(tickDrainOps[:], ev.Op))
+			if i == 0 {
+				op |= 4
+			}
+			b = append(b, op, byte(ev.Net+1), byte(ev.ID+2), 0)
+		}
+	}
+	return b
+}
+
+// FuzzTickDrain puts tick boundaries anywhere in an event stream, as
+// event-driven ticks do, and checks the drain-and-validate half of each
+// tick. Every drained event is counted once, as accepted or rejected;
+// an event is accepted exactly when a restored reference copy of its
+// network passes Session.ValidateBatch on the tick's earlier accepted
+// events plus this one; and Fleet.TickEvents takes every drained batch.
+func FuzzTickDrain(f *testing.F) {
+	const m, n, maxEvents = 2, 20, 64
+	eng, sc := testEngine(f, m, n)
+	fleet, err := freshFleet(eng, sc, 7)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var ckpt bytes.Buffer
+	if err := fleet.Checkpoint(&ckpt); err != nil {
+		f.Fatal(err)
+	}
+	// The event streams of the two projection tests above.
+	f.Add(encodeTicks([][]wireEvent{{
+		{Op: "join", Net: 0}, {Op: "leave", Net: 0, ID: n}, {Op: "move", Net: 0, ID: n},
+	}}))
+	f.Add(encodeTicks([][]wireEvent{
+		{{Op: "leave", Net: 0, ID: 5}},
+		{{Op: "move", Net: 0, ID: 5}, {Op: "join", Net: 0}, {Op: "move", Net: 0, ID: n}},
+		{{Op: "move", Net: 0, ID: n}},
+	}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		restore := func() *cbtc.Fleet {
+			fl, err := eng.RestoreFleet(bytes.NewReader(ckpt.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fl
+		}
+		d := &daemon{fleet: restore(), queue: make(chan queueItem, maxEvents)}
+		ref := restore()
+		for k, tk := range decodeTicks(data, sc.Side, maxEvents) {
+			rejected := d.rejected.Load()
+			for _, ev := range tk {
+				d.queue <- queueItem{ev: ev}
+			}
+			got := d.drain()
+
+			want := make([][]cbtc.Event, m)
+			wantWires := make([][]wireEvent, m)
+			accepted := 0
+			for _, ev := range tk {
+				if ev.Net < 0 || ev.Net >= m || ev.Op == "hop" {
+					continue
+				}
+				next := append(slices.Clip(want[ev.Net]), toEvent(ev))
+				if ref.Session(ev.Net).ValidateBatch(next) != nil {
+					continue
+				}
+				want[ev.Net] = next
+				wantWires[ev.Net] = append(wantWires[ev.Net], ev)
+				accepted++
+			}
+			if got.items != len(tk) || got.accepted != accepted || d.rejected.Load()-rejected != int64(len(tk)-accepted) {
+				t.Fatalf("tick %d: drained %d of %d events, accepted %d, rejected %d; want %d accepted",
+					k, got.items, len(tk), got.accepted, d.rejected.Load()-rejected, accepted)
+			}
+			if !reflect.DeepEqual(got.batches, want) || !reflect.DeepEqual(got.wires, wantWires) {
+				t.Fatalf("tick %d of %v: drained %v, want %v", k, tk, got.wires, wantWires)
+			}
+			if err := d.fleet.TickEvents(context.Background(), got.batches); err != nil {
+				t.Fatalf("tick %d: TickEvents refused a drained batch: %v", k, err)
+			}
+			if err := ref.TickEvents(context.Background(), want); err != nil {
+				t.Fatalf("tick %d: reference: %v", k, err)
+			}
+		}
+	})
 }
 
 // An ingestion stream that dies mid-read — an oversized line or an
@@ -557,6 +681,184 @@ func TestDaemonQuarantineDegraded(t *testing.T) {
 	}
 }
 
+// --- the event-driven tick loop ---
+
+// runLoop runs the daemon's real tick loop until the test ends.
+func runLoop(tb testing.TB, d *daemon) {
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		d.loop(ctx, 0)
+	}()
+	tb.Cleanup(func() { cancel(); <-done })
+}
+
+// serve runs the tick loop and serves d's routes until the test ends.
+// Cleanups run last in, first out, so the server closes, answering the
+// requests in flight, before the loop stops.
+func serve(tb testing.TB, d *daemon) *httptest.Server {
+	runLoop(tb, d)
+	srv := httptest.NewServer(d.routes())
+	tb.Cleanup(srv.Close)
+	return srv
+}
+
+func moveLine(net, id int) string {
+	return fmt.Sprintf("{\"op\":\"move\",\"net\":%d,\"id\":%d,\"x\":%d,\"y\":%d}\n", net, id, 10+id, 20+id)
+}
+
+// A post is applied as soon as it is complete, not at the next beat of a
+// clock: under a one-hour -tick, a 3-event POST is acked within seconds
+// and /healthz counts its events applied.
+func TestPostAckedWithoutTickWait(t *testing.T) {
+	d := testDaemon(t, 2, 20, 64, t.TempDir())
+	d.tickIvl = time.Hour
+	srv := serve(t, d)
+	client := &http.Client{Timeout: 5 * time.Second}
+	body := moveLine(0, 1) + "{\"op\":\"leave\",\"net\":1,\"id\":2}\n{\"op\":\"join\",\"net\":1,\"x\":9,\"y\":9}\n"
+	resp, err := client.Post(srv.URL+"/events", "application/x-ndjson", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /events under a 1 h tick: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("status %d, want 202", resp.StatusCode)
+	}
+	resp, err = client.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h map[string]any
+	json.NewDecoder(resp.Body).Decode(&h)
+	resp.Body.Close()
+	if h["applied"] != 3.0 {
+		t.Errorf("healthz applied %v, want 3", h["applied"])
+	}
+}
+
+// Under load, ticks stay -tick apart and coalesce: three clients posting
+// back to back all get their 202s, the daemon ticks at most once per
+// interval after its leading tick, and every tick that applied events
+// wrote exactly one write-ahead log record.
+func TestTicksSpacedUnderLoad(t *testing.T) {
+	const (
+		clients = 3
+		posts   = 4
+		ivl     = 100 * time.Millisecond
+	)
+	d := testDaemon(t, 1, 30, 64, t.TempDir())
+	d.tickIvl = ivl
+	start := time.Now()
+	srv := serve(t, d)
+	client := &http.Client{Timeout: 10 * time.Second}
+	errs := make(chan error, clients*posts)
+	var wg sync.WaitGroup
+	for c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range posts {
+				id := c*posts + k
+				resp, err := client.Post(srv.URL+"/events", "application/x-ndjson", strings.NewReader(moveLine(0, id)+moveLine(0, id+15)))
+				if err != nil {
+					errs <- err
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusAccepted {
+					errs <- fmt.Errorf("client %d post %d: status %d", c, k, resp.StatusCode)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	ticks := d.ticks.Load()
+	elapsed := time.Since(start)
+	if limit := 1 + int64(math.Ceil(float64(elapsed)/float64(ivl))); ticks > limit {
+		t.Errorf("%d ticks in %v, want at most %d at one per %v", ticks, elapsed, limit, ivl)
+	}
+	if got := d.applied.Load(); got != 2*clients*posts {
+		t.Errorf("applied %d events, want %d", got, 2*clients*posts)
+	}
+	w, recs, err := openWAL(d.store.path + ".wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	// Every post targets network 0, so each tick that applied events
+	// advanced its clock by one.
+	if applying := d.fleet.Watermarks().Members[0].Ticks; len(recs) != applying || int64(applying) > ticks {
+		t.Errorf("%d log records for %d ticks that applied events (%d ticks in all)", len(recs), applying, ticks)
+	}
+}
+
+// A post that overflows the queue is still answered promptly: its
+// waiter wakes the loop before blocking on the full queue, so the 429
+// arrives within a tick or two, the events that fit are applied, and
+// the next post is acked.
+func TestFullQueueStillAcks(t *testing.T) {
+	const events = 20
+	d := testDaemon(t, 1, 30, 8, t.TempDir())
+	d.tickIvl = 100 * time.Millisecond
+	srv := serve(t, d)
+	client := &http.Client{Timeout: time.Second}
+	var body strings.Builder
+	for id := range events {
+		body.WriteString(moveLine(0, id))
+	}
+	resp, err := client.Post(srv.URL+"/events", "application/x-ndjson", strings.NewReader(body.String()))
+	if err != nil {
+		t.Fatalf("%d-event post into a queue of 8: %v", events, err)
+	}
+	var ack map[string]any
+	json.NewDecoder(resp.Body).Decode(&ack)
+	resp.Body.Close()
+	accepted, _ := ack["accepted"].(float64)
+	if resp.StatusCode != http.StatusTooManyRequests || accepted < 1 || accepted+ack["dropped"].(float64) != events {
+		t.Fatalf("overflowing post: status %d body %v, want 429 with accepted + dropped = %d", resp.StatusCode, ack, events)
+	}
+	if got := d.applied.Load(); float64(got) != accepted {
+		t.Errorf("applied %d events, want the %v accepted", got, accepted)
+	}
+	resp, err = client.Post(srv.URL+"/events", "application/x-ndjson", strings.NewReader(moveLine(0, 25)))
+	if err != nil {
+		t.Fatalf("post after the overflow: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("post after the overflow: status %d, want 202", resp.StatusCode)
+	}
+}
+
+// Events read from stdin queue no durability waiter, so each one wakes
+// the loop itself: a stream longer than the queue is applied in full
+// behind blocking backpressure, its tail included.
+func TestStdinEventsApplied(t *testing.T) {
+	const events = 40
+	d := testDaemon(t, 1, 30, 8, "")
+	d.tickIvl = 20 * time.Millisecond
+	runLoop(t, d)
+	var in strings.Builder
+	for k := range events {
+		in.WriteString(moveLine(0, k%30))
+	}
+	if res := d.readEvents(strings.NewReader(in.String()), true); res.accepted != events {
+		t.Fatalf("stdin: accepted %d of %d events", res.accepted, events)
+	}
+	deadline := time.Now().Add(time.Second)
+	for d.applied.Load() < events && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := d.applied.Load(); got != events {
+		t.Fatalf("applied %d of %d stdin events within 1 s", got, events)
+	}
+}
+
 // --- crash-kill recovery ---
 
 // refReport plays evs through a fresh in-process fleet one event per
@@ -757,4 +1059,148 @@ func TestCrashRecovery(t *testing.T) {
 	compareReports(t, "after clean restart", getReport(t, addr), wantAB)
 	c.cmd.Process.Signal(syscall.SIGTERM)
 	c.cmd.Wait()
+}
+
+// A post whose body is still arriving when SIGTERM lands gets its 202:
+// the daemon shuts its HTTP server down first, ticking for the request
+// in flight, and only then runs its final tick and checkpoint. The
+// events survive into the restarted daemon, and the shutdown takes far
+// less than the server's 5 s shutdown bound.
+func TestShutdownAcksPostInFlight(t *testing.T) {
+	const (
+		m    = 1
+		n    = 30
+		seed = 5
+	)
+	addr := freeAddr(t)
+	args := []string{
+		"-checkpoint", filepath.Join(t.TempDir(), "fleet.ckpt"), "-http", addr, "-tick", "5ms",
+		"-checkpoint-interval", "0", "-m", fmt.Sprint(m), "-n", fmt.Sprint(n), "-kind", testScenario, "-seed", fmt.Sprint(seed),
+	}
+	evs := []wireEvent{
+		{Op: "move", Net: 0, ID: 3, X: 55, Y: 60},
+		{Op: "leave", Net: 0, ID: 7},
+		{Op: "join", Net: 0, X: 120, Y: 33},
+	}
+	var body bytes.Buffer
+	for _, ev := range evs {
+		b, _ := json.Marshal(ev)
+		body.Write(b)
+		body.WriteByte('\n')
+	}
+	half := body.Len() / 2
+
+	c := startFleetd(t, addr, args...)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := fmt.Fprintf(conn, "POST /events HTTP/1.1\r\nHost: fleetd\r\nContent-Length: %d\r\n\r\n%s", body.Len(), body.Bytes()[:half]); err != nil {
+		t.Fatal(err)
+	}
+	// Give the server time to accept the connection and start reading the
+	// body; nothing outside the daemon can observe that it has.
+	time.Sleep(100 * time.Millisecond)
+	signalled := time.Now()
+	if err := c.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	// The daemon has acted on the signal once its listener is closed.
+	for {
+		probe, err := net.Dial("tcp", addr)
+		if err != nil {
+			break
+		}
+		probe.Close()
+		if time.Since(signalled) > 5*time.Second {
+			t.Fatal("listener still open 5 s after SIGTERM")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if _, err := conn.Write(body.Bytes()[half:]); err != nil {
+		t.Fatalf("finishing the body after SIGTERM: %v", err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		c.cmd.Wait() // the output buffer is safe to read once the child is gone
+		t.Fatalf("no response to a post in flight at SIGTERM: %v; output:\n%s", err, c.out.String())
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("post in flight at SIGTERM: status %d, want 202", resp.StatusCode)
+	}
+	if err := c.cmd.Wait(); err != nil {
+		t.Fatalf("shutdown: %v; output:\n%s", err, c.out.String())
+	}
+	if el := time.Since(signalled); el > 3*time.Second {
+		t.Errorf("exit %v after SIGTERM, want well under the 5 s shutdown bound", el)
+	}
+
+	c = startFleetd(t, addr, args...)
+	compareReports(t, "after restart", getReport(t, addr), refReport(t, m, n, seed, evs))
+	c.cmd.Process.Signal(syscall.SIGTERM)
+	c.cmd.Wait()
+}
+
+// BenchmarkDurableAck times POST /events to its 202 on a daemon set up
+// as perfbench's fleetd-ingest workload runs fleetd: 8 × 1000 uniform
+// members with shrink-back, the checkpoint store and write-ahead log on
+// disk, a 5 ms -tick and the real tick loop. Each op posts 16 moves,
+// each shifting a node by at most the workload's drift of R/8, and
+// waits for the ack. Between ops the timer stops for one to two ticks,
+// so each post, like fleetd-ingest's, arrives at a random phase with
+// the daemon idle. ticks/op reads the daemon's tick counter.
+func BenchmarkDurableAck(b *testing.B) {
+	const m, n, perPost = 8, 1000, 16
+	// The daemon's log lines would split the result line that go test
+	// prints around the run.
+	log.SetOutput(io.Discard)
+	b.Cleanup(func() { log.SetOutput(os.Stderr) })
+	d := testDaemon(b, m, n, 4096, b.TempDir())
+	d.tickIvl = 5 * time.Millisecond
+	srv := serve(b, d)
+	sc := workload.Fleet(m, n, testScenario)
+	rng := rand.New(rand.NewPCG(1, 2))
+	pos := make([][]cbtc.Point, m)
+	for i := range pos {
+		for id := range n {
+			pos[i] = append(pos[i], d.fleet.Session(i).Position(id))
+		}
+	}
+	drift := func(v float64) float64 { return max(0, min(v+(rng.Float64()*2-1)*sc.Jitter, sc.Side)) }
+	bodies := make([][]byte, b.N)
+	pauses := make([]time.Duration, b.N)
+	for k := range bodies {
+		var body bytes.Buffer
+		for range perPost {
+			net, id := rng.IntN(m), rng.IntN(n)
+			p := &pos[net][id]
+			p.X, p.Y = drift(p.X), drift(p.Y)
+			fmt.Fprintf(&body, "{\"op\":\"move\",\"net\":%d,\"id\":%d,\"x\":%g,\"y\":%g}\n", net, id, p.X, p.Y)
+		}
+		bodies[k] = body.Bytes()
+		pauses[k] = d.tickIvl + time.Duration(rng.Int64N(int64(d.tickIvl)))
+	}
+	client := srv.Client()
+	ticks := d.ticks.Load()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for k, body := range bodies {
+		resp, err := client.Post(srv.URL+"/events", "application/x-ndjson", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			b.Fatalf("post %d: status %d", k, resp.StatusCode)
+		}
+		b.StopTimer()
+		time.Sleep(pauses[k])
+		b.StartTimer()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(d.ticks.Load()-ticks)/float64(b.N), "ticks/op")
 }
