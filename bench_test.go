@@ -768,6 +768,144 @@ func BenchmarkNewFleet(b *testing.B) {
 	}
 }
 
+// BenchmarkTickEvents measures fleetd-ingest's tick without HTTP or the
+// write-ahead log: one Fleet.TickEvents per iteration over eight
+// 1000-node shrink-back members on 2 workers, 16 events per tick drawn
+// in advance by drawIngestTicks.
+func BenchmarkTickEvents(b *testing.B) {
+	const seed = 21
+	sc := workload.Fleet(8, 1000, "uniform")
+	placements := sc.Placements(seed)
+	members := make([]MemberSpec, len(placements))
+	for i := range members {
+		members[i].Placement = placements[i]
+	}
+	eng, err := New(WithMaxRadius(sc.Radius), WithShrinkBack())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	f, err := eng.NewFleet(ctx, FleetConfig{Members: members, Seed: seed, Workers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ticks := drawIngestTicks(sc, placements, seed, b.N, 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, batch := range ticks {
+		if err := f.TickEvents(ctx, batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// drawIngestTicks draws ticks batches of perTick events over the fleet
+// built from placements, the way fleetd-ingest's generator draws its
+// posts: each event picks a member, then is a join anywhere in the
+// region (1 in perTick), a leave of a live node (1 in perTick, while the
+// member keeps two) or a drift move of a live node by up to ±Jitter per
+// coordinate, clamped to the region. Each batch holds one slot per
+// member, nil where the tick drew no event for it.
+func drawIngestTicks(sc workload.FleetScenario, placements [][]Point, seed uint64, ticks, perTick int) [][][]Event {
+	rng := rand.New(rand.NewPCG(seed, workload.Mix(seed, 0x6c6f6164)))
+	type member struct {
+		pos  []Point
+		live []int
+	}
+	members := make([]member, len(placements))
+	for i, p := range placements {
+		members[i].pos = slices.Clone(p)
+		for id := range p {
+			members[i].live = append(members[i].live, id)
+		}
+	}
+	clamp := func(v float64) float64 { return max(0, min(v, sc.Side)) }
+	out := make([][][]Event, ticks)
+	for t := range out {
+		batch := make([][]Event, len(members))
+		for range perTick {
+			net := rng.IntN(len(members))
+			m := &members[net]
+			var ev Event
+			switch r := rng.IntN(perTick); {
+			case r == 0:
+				p := Pt(rng.Float64()*sc.Side, rng.Float64()*sc.Side)
+				ev = JoinEvent(p)
+				m.live = append(m.live, len(m.pos))
+				m.pos = append(m.pos, p)
+			case r == 1 && len(m.live) > 1:
+				i := rng.IntN(len(m.live))
+				ev = LeaveEvent(m.live[i])
+				m.live[i] = m.live[len(m.live)-1]
+				m.live = m.live[:len(m.live)-1]
+			default:
+				id := m.live[rng.IntN(len(m.live))]
+				p := m.pos[id]
+				p.X = clamp(p.X + (rng.Float64()*2-1)*sc.Jitter)
+				p.Y = clamp(p.Y + (rng.Float64()*2-1)*sc.Jitter)
+				m.pos[id] = p
+				ev = MoveEvent(id, p)
+			}
+			batch[net] = append(batch[net], ev)
+		}
+		out[t] = batch
+	}
+	return out
+}
+
+// TestApplyBatchAllocations bounds one 16-move ApplyBatch on a warmed
+// 1000-node shrink-back session at paper density: drift moves of up to
+// R/8 per coordinate, 32 measured batches after 8 warm-up ones. The
+// ceiling is 1.5× the 548 allocations a batch made when it was set.
+// Then each recomputed node allocated its new row, the component
+// structure its split searches, and graph rows that outgrew their room
+// a copy; nothing was allocated per candidate. Before the repair read
+// its candidates from G_R and its §4 machines from a per-batch pool, a
+// batch made 2 600.
+func TestApplyBatchAllocations(t *testing.T) {
+	const seed, moves = 3, 16
+	sc := workload.Fleet(1, 1000, "uniform")
+	pos := slices.Clone(sc.Placements(seed)[0])
+	eng, err := New(WithMaxRadius(sc.Radius), WithShrinkBack())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := eng.NewSession(context.Background(), pos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(seed, 1))
+	batches := make([][]Event, 8+33) // warm-up, then AllocsPerRun's 1 + 32 calls
+	for i := range batches {
+		for range moves {
+			id := rng.IntN(len(pos))
+			p := pos[id]
+			p.X = max(0, min(p.X+(rng.Float64()*2-1)*sc.Jitter, sc.Side))
+			p.Y = max(0, min(p.Y+(rng.Float64()*2-1)*sc.Jitter, sc.Side))
+			pos[id] = p
+			batches[i] = append(batches[i], MoveEvent(id, p))
+		}
+	}
+	apply := func(events []Event) {
+		if _, err := sess.ApplyBatch(events); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, events := range batches[:8] {
+		apply(events)
+	}
+	next := 8
+	allocs := testing.AllocsPerRun(32, func() {
+		apply(batches[next])
+		next++
+	})
+	const ceiling = 1.5 * 548
+	t.Logf("%.0f allocations per %d-move batch (ceiling %.0f)", allocs, moves, float64(ceiling))
+	if allocs > ceiling {
+		t.Fatalf("a %d-move ApplyBatch allocates %.0f objects, ceiling %.0f", moves, allocs, float64(ceiling))
+	}
+}
+
 // BenchmarkFleetAsync measures the PR 7 tentpole on a straggler-skewed
 // heterogeneous mix: 8 light networks (80 nodes, tick weight 4) plus
 // one heavyweight straggler (2000 nodes, weight 1), all at paper density.

@@ -135,11 +135,11 @@ func (e *Engine) RestoreSession(r io.Reader) (*Session, error) {
 
 // sessionFromState rebuilds a live session around decoded state. The
 // serialized vectors are adopted directly (the decoder built them
-// fresh), and everything else is derived from them, which is exact: a
-// reconfigurator's state is a pure function of its node's installed
-// neighbor row, the grid of the positions and liveness vector, and the
+// fresh), and everything else is derived from them, which is exact: the
+// grid is a pure function of the positions and liveness vector, and the
 // maintained topology (buildTopology, shared with the constructors) of
-// the node rows, positions and liveness.
+// the node rows, positions and liveness. No §4 state machine outlives a
+// batch; the next batch builds them from the restored rows.
 func (e *Engine) sessionFromState(st *codec.SessionState, workers int) (*Session, error) {
 	if err := e.checkFingerprint(st.Config); err != nil {
 		return nil, err
@@ -160,7 +160,6 @@ func (e *Engine) sessionFromState(st *codec.SessionState, workers int) (*Session
 		pos:     st.Pos,
 		alive:   st.Alive,
 		nodes:   st.Nodes,
-		recs:    make([]*core.Reconfigurator, n),
 		idx:     spatial.New(st.Pos, e.prop.MaxLinkRadius()),
 		stats: SessionStats{
 			Joins:        int(st.Stats.Joins),
@@ -177,7 +176,6 @@ func (e *Engine) sessionFromState(st *codec.SessionState, workers int) (*Session
 			continue
 		}
 		s.live++
-		s.recs[id] = core.NewReconfigurator(e.cfg.Alpha, e.model, st.Nodes[id].Neighbors)
 	}
 	// The battery vector is adopted directly; the residual moments Observe
 	// reports are folded fresh from it each read, so nothing else needs

@@ -9,6 +9,7 @@ import (
 
 	"cbtc/internal/geom"
 	"cbtc/internal/radio"
+	"cbtc/internal/spatial"
 )
 
 // This file keeps the from-scratch coverage implementation the
@@ -298,16 +299,94 @@ func TestShrinkNeighborsMatchesReference(t *testing.T) {
 	}
 }
 
+// ShrinkGrown equals the kernel on every row the growing phase
+// yields — pure and shadowed, tags quantized or not, at α = 2π/3 and
+// 5π/6 — and a row it keeps is the node row itself. The counts of rows
+// on each path keep the test from passing vacuously, and a hand-built
+// shadowed group whose members arrive farthest first must go to the
+// kernel, which reorders it.
+func TestShrinkGrownMatchesKernel(t *testing.T) {
+	pure := radio.Default(refRadius)
+	shadowed, err := radio.NewLogDistance(pure, 4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc, err := radio.Multiplicative(1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schedule, err := radio.Schedule(pure.MaxPower()/1024, pure.MaxPower(), inc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runner NodeRunner
+	kept, kernel := 0, 0
+	for shape := uint64(0); shape < refShapes; shape++ {
+		pos := refPlacement(t, shape, 3, 80)
+		grid := spatial.New(pos, shadowed.MaxLinkRadius())
+		for _, m := range []radio.Propagation{pure, shadowed} {
+			for _, quantized := range []bool{false, true} {
+				for _, alpha := range []float64{AlphaAsymmetric, AlphaConnectivity} {
+					for u := range pos {
+						nr := runner.RunNode(pos, nil, m, alpha, u, grid)
+						if quantized {
+							QuantizeNeighbors(nr.Neighbors, schedule)
+						}
+						got := runner.ShrinkGrown(nr, alpha)
+						requireSameDiscoveries(t, "ShrinkGrown", got, ShrinkNeighbors(nr.Neighbors, alpha))
+						if !keepsGrownRow(nr) {
+							kernel++
+							continue
+						}
+						kept++
+						if len(got) > 0 && &got[0] != &nr.Neighbors[0] {
+							t.Fatalf("shape %d node %d: a kept row must be the node row itself", shape, u)
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d rows kept whole without the kernel, %d sent to it", kept, kernel)
+	if kept == 0 || kernel == 0 {
+		t.Fatalf("every row took one path: %d kept, %d to the kernel", kept, kernel)
+	}
+
+	// One shadowed group, so one Power tag, covering the circle; its keys
+	// lie within tolerance but its distances descend, out of shrink order.
+	p := shadowed.LinkPower(0, 1, 300)
+	nr := NodeResult{Neighbors: []Discovery{
+		{ID: 1, Dist: 300, Dir: 0, Power: p},
+		{ID: 2, Dist: 200, Dir: 2.1, Power: p},
+		{ID: 3, Dist: 100, Dir: 4.2, Power: p},
+	}, GrowPower: p}
+	if keepsGrownRow(nr) {
+		t.Fatal("a row out of shrink order took the fast path")
+	}
+	got := runner.ShrinkGrown(nr, AlphaConnectivity)
+	requireSameDiscoveries(t, "reversed group", got, ShrinkNeighbors(nr.Neighbors, AlphaConnectivity))
+	if got[0].ID != 3 {
+		t.Fatalf("the kernel keeps the group in (Power, Dist, ID) order: %v", got)
+	}
+}
+
 // Random 30-step Join/Leave/AngleChange histories drive the kernel-backed
 // Reconfigurator and the from-scratch reference side by side: every
 // action and every neighbor set after every step must be identical.
+// Every other history reuses one machine through Reset, so stale
+// buffers would show.
 func TestReconfiguratorMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(16, 2))
 	m := radio.Default(500)
+	var reused Reconfigurator
 	for hist := 0; hist < 3000; hist++ {
 		alpha := refAlphas[rng.IntN(len(refAlphas))]
 		initial := refNeighbors(rng)
 		got := NewReconfigurator(alpha, m, initial)
+		if hist%2 == 1 {
+			reused.Reset(alpha, m, initial)
+			got = &reused
+		}
 		want := newRefReconfigurator(alpha, initial)
 		for step := 0; step < 30; step++ {
 			var ga, wa Action

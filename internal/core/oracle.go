@@ -166,6 +166,27 @@ func (r *NodeRunner) RunNode(pos []geom.Point, alive []bool, m radio.Propagation
 	return runNode(pos, alive, m, alpha, u, idx, &r.scr)
 }
 
+// RunNodeRow is RunNode over candidates the caller already holds: row
+// must list exactly u's live G_R neighbors, the nodes RunNode's gather
+// would admit, in any order — as a maintained max-power graph's row
+// does. It skips the index query and, on a radio with per-link terms,
+// the link-range re-check, and yields RunNode's result bit for bit.
+func (r *NodeRunner) RunNodeRow(pos []geom.Point, m radio.Propagation, alpha float64, u int, row []int32) NodeResult {
+	pure := m.DistancePure()
+	out := r.scr.cands[:0]
+	for _, v := range row {
+		d := pos[u].Dist(pos[v])
+		key := d
+		if !pure {
+			key = m.LinkPower(u, int(v), d)
+		}
+		out = append(out, candidate{id: int(v), dist: d, key: key})
+	}
+	r.scr.cands = out
+	sortCandidates(out)
+	return grow(pos, m, alpha, u, out, &r.scr)
+}
+
 // ShrinkNeighborsInto is the package-level ShrinkNeighbors on the
 // runner's coverage scratch, writing its sorted copy of neighbors into
 // dst[:0]'s backing array when it has room (a nil dst allocates one), so
@@ -177,13 +198,52 @@ func (r *NodeRunner) ShrinkNeighborsInto(dst, neighbors []Discovery, alpha float
 	return r.cov.shrinkNeighbors(dst[:0], neighbors, alpha)
 }
 
+// ShrinkGrown is ShrinkNeighborsInto(nil, ...) for a row fresh from the
+// growing phase — RunNode's or RunNodeRow's, its tags possibly
+// quantized — which lets it skip the kernel on interior rows: when
+// keepsGrownRow holds it returns nr.Neighbors itself, the result the
+// kernel would copy out. Any other row goes to the kernel.
+func (r *NodeRunner) ShrinkGrown(nr NodeResult, alpha float64) []Discovery {
+	if keepsGrownRow(nr) {
+		return nr.Neighbors
+	}
+	return r.ShrinkNeighborsInto(nil, nr.Neighbors, alpha)
+}
+
+// keepsGrownRow reports whether shrink-back keeps every neighbor of a
+// row fresh from the growing phase. It holds for an interior row
+// already in the kernel's shrinkOrder, which the kernel then walks as
+// given. Each of its power levels ends where a growing-phase group ends
+// (a group shares one Power tag, and quantizing tags only merges
+// adjacent levels), so every strict level prefix is a group prefix
+// after which the growing phase found an α-gap. An interior row's full
+// set has none, so the kernel's reference covers the whole circle, and
+// Cover.Same is then exactly !HasGapSorted over the same normalized
+// directions: it fails at every strict prefix and the whole row is
+// kept. A boundary row's reference has an α-gap, and a shadowed group
+// (keys within tolerance, distances in any order) can break the order;
+// both go to the kernel.
+func keepsGrownRow(nr NodeResult) bool {
+	if nr.Boundary {
+		return false
+	}
+	for i := 1; i < len(nr.Neighbors); i++ {
+		if shrinkOrder(nr.Neighbors[i-1], nr.Neighbors[i]) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // gatherScratch holds the per-worker gather buffers the oracle and the
 // G_R builder reuse across nodes. cands keeps the last gather's
 // candidates until the next gather, which is how the G_R sink reads a
 // node's row; arena packs one builder's half rows and is never reset.
+// nbrs and dirs are the growing phase's row and direction set.
 type gatherScratch struct {
 	ids   []int
 	cands []candidate
+	nbrs  []Discovery
 	dirs  []float64
 	arena []int32
 }
@@ -231,25 +291,31 @@ func RunNode(pos []geom.Point, alive []bool, m radio.Propagation, alpha float64,
 	return runNode(pos, alive, m, alpha, u, idx, &gatherScratch{})
 }
 
-// runNode is the growing phase for every radio: u admits its candidates
-// in key order, one group of (approximately) equal keys at a time — the
-// nodes that become reachable at the same power — and stops at the first
-// prefix whose direction set has no α-gap. On a distance-pure radio the
-// group's power is the nominal power for its farthest member's distance,
-// bit-identical to when the oracle hardcoded the power law; otherwise it
-// is the group's needed link power. Discovery.Power carries it, so the
-// quantized-tag and reconfiguration machinery downstream see one shape.
+// runNode is the growing phase over u's live G_R neighbors, gathered
+// from idx (or, with a nil idx, a full placement scan).
 func runNode(pos []geom.Point, alive []bool, m radio.Propagation, alpha float64, u int, idx Index, scr *gatherScratch) NodeResult {
+	return grow(pos, m, alpha, u, gatherCandidates(pos, alive, m, m.DistancePure(), u, idx, scr), scr)
+}
+
+// grow is the growing phase for every radio: u admits its candidates,
+// sorted by sortCandidates, one group of (approximately) equal keys at a
+// time — the nodes that become reachable at the same power — and stops
+// at the first prefix whose direction set has no α-gap. On a
+// distance-pure radio the group's power is the nominal power for its
+// farthest member's distance, bit-identical to when the oracle
+// hardcoded the power law; otherwise it is the group's needed link
+// power. Discovery.Power carries it, so the quantized-tag and
+// reconfiguration machinery downstream see one shape. The row is built
+// in the scratch and copied out once, at its exact size.
+func grow(pos []geom.Point, m radio.Propagation, alpha float64, u int, cands []candidate, scr *gatherScratch) NodeResult {
 	pure := m.DistancePure()
 	nominal := m.Nominal()
-	cands := gatherCandidates(pos, alive, m, pure, u, idx, scr)
-
-	neighbors := make([]Discovery, 0, len(cands))
 	// Directions are kept normalized and sorted incrementally, so the
 	// per-group gap test is a linear scan instead of a fresh sort — the
-	// arithmetic matches geom.HasGap bit-for-bit.
-	dirs := scr.dirs[:0]
-	defer func() { scr.dirs = dirs[:0] }()
+	// arithmetic matches geom.HasGap bit-for-bit. The row scratch grows
+	// to the candidate count at once, never by repeated appends.
+	nbrs, dirs := slices.Grow(scr.nbrs[:0], len(cands)), scr.dirs[:0]
+	defer func() { scr.nbrs, scr.dirs = nbrs[:0], dirs[:0] }()
 
 	i := 0
 	for i < len(cands) {
@@ -264,7 +330,7 @@ func runNode(pos []geom.Point, alive []bool, m radio.Propagation, alpha float64,
 		for ; i < groupEnd; i++ {
 			c := cands[i]
 			dir := pos[u].Bearing(pos[c.id])
-			neighbors = append(neighbors, Discovery{
+			nbrs = append(nbrs, Discovery{
 				ID:    c.id,
 				Dist:  c.dist,
 				Dir:   dir,
@@ -274,7 +340,7 @@ func runNode(pos []geom.Point, alive []bool, m radio.Propagation, alpha float64,
 		}
 		if !geom.HasGapSorted(dirs, alpha) {
 			return NodeResult{
-				Neighbors: neighbors,
+				Neighbors: append(make([]Discovery, 0, len(nbrs)), nbrs...),
 				GrowPower: groupPower,
 				Boundary:  false,
 			}
@@ -283,7 +349,7 @@ func runNode(pos []geom.Point, alive []bool, m radio.Propagation, alpha float64,
 	// Exhausted all reachable nodes with an α-gap remaining: u is a
 	// boundary node and has been broadcasting at maximum power.
 	return NodeResult{
-		Neighbors: neighbors,
+		Neighbors: append(make([]Discovery, 0, len(nbrs)), nbrs...),
 		GrowPower: nominal.MaxPower(),
 		Boundary:  true,
 	}
@@ -322,10 +388,15 @@ func gatherCandidates(pos []geom.Point, alive []bool, m radio.Propagation, pure 
 		}
 	}
 	scr.cands = out
-	// (key, dist, id) is a strict total order — ids are distinct — so any
-	// comparison sort yields the same unique sequence at every worker
-	// count; SortFunc avoids sort.Slice's reflection overhead on this hot
-	// path.
+	sortCandidates(out)
+	return out
+}
+
+// sortCandidates puts candidates in discovery order, (key, dist, id).
+// That is a strict total order — ids are distinct — so any comparison
+// sort yields the same unique sequence at every worker count; SortFunc
+// avoids sort.Slice's reflection overhead on this hot path.
+func sortCandidates(out []candidate) {
 	slices.SortFunc(out, func(a, b candidate) int {
 		if a.key != b.key {
 			if a.key < b.key {
@@ -341,7 +412,6 @@ func gatherCandidates(pos []geom.Point, alive []bool, m radio.Propagation, pure 
 		}
 		return a.id - b.id
 	})
-	return out
 }
 
 func sameDist(a, b float64) bool {
@@ -401,18 +471,22 @@ func MaxPowerGraphParallelIndexed(pos []geom.Point, m radio.Propagation, idx Ind
 
 // AppendMaxPowerNeighbors appends the ids of indexed nodes within
 // maximum-power range of pos[u] — exactly the nodes MaxPowerGraph would
-// connect to u — in the index's ascending-id order. Sessions use it to
-// maintain their ground-truth G_R incrementally instead of rebuilding
-// the full graph per snapshot.
-func AppendMaxPowerNeighbors(dst []int, pos []geom.Point, m radio.Propagation, u int, idx Index) []int {
+// connect to u — in ascending id order. The grid query appends into dst
+// and is filtered in place, so a reused dst makes the call
+// allocation-free. Sessions use it to maintain their ground-truth G_R
+// incrementally instead of rebuilding the full graph per snapshot.
+func AppendMaxPowerNeighbors(dst []int, pos []geom.Point, m radio.Propagation, u int, idx *spatial.Grid) []int {
 	rr, qr := maxPowerRadii(m)
 	pure := m.DistancePure()
-	for _, v := range idx.Within(pos[u], qr) {
+	start := len(dst)
+	dst = idx.AppendWithin(dst, pos[u], qr)
+	out := dst[:start]
+	for _, v := range dst[start:] {
 		if v != u && inMaxRange(m, pure, rr, u, v, pos[u].Dist(pos[v])) {
-			dst = append(dst, v)
+			out = append(out, v)
 		}
 	}
-	return dst
+	return out
 }
 
 // maxPowerRadii is the single source of the max-power rule's radii: the

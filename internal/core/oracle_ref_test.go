@@ -276,6 +276,35 @@ func checkRunNodeMatchesRef(t *testing.T, label string, pos []geom.Point, alive 
 	}
 }
 
+// checkRunNodeRowMatchesRunNode requires RunNodeRow over each live
+// node's row of the live G_R (departed nodes isolated, the row reversed
+// so its order cannot matter) to equal RunNode over the grid and the
+// alive mask, bit for bit. One runner serves every node, so stale
+// scratch would show.
+func checkRunNodeRowMatchesRunNode(t *testing.T, label string, pos []geom.Point, alive []bool, m radio.Propagation, alpha float64) {
+	t.Helper()
+	gr := MaxPowerGraph(pos, m)
+	for u := range pos {
+		if alive != nil && !alive[u] {
+			gr.IsolateNode(u)
+		}
+	}
+	grid := spatial.New(pos, m.MaxLinkRadius())
+	var r NodeRunner
+	for u := range pos {
+		if alive != nil && !alive[u] {
+			continue
+		}
+		row := slices.Clone(gr.Row(u))
+		slices.Reverse(row)
+		got := r.RunNodeRow(pos, m, alpha, u, row)
+		want := RunNode(pos, alive, m, alpha, u, grid)
+		if !sameNodeResultBits(got, want) {
+			t.Fatalf("%s, alpha %v, node %d: RunNodeRow\n got %+v\nwant %+v", label, alpha, u, got, want)
+		}
+	}
+}
+
 // refAliveMask kills about a fifth of the nodes.
 func refAliveMask(rng *rand.Rand, n int) []bool {
 	alive := make([]bool, n)
@@ -287,7 +316,8 @@ func refAliveMask(rng *rand.Rand, n int) []bool {
 
 // FuzzRunNode: the one growing-phase kernel equals the per-radio reference
 // kernels bit for bit on arbitrary placements, radios, cone angles, index
-// choices and alive masks.
+// choices and alive masks, and RunNodeRow over the live G_R rows equals
+// RunNode.
 func FuzzRunNode(f *testing.F) {
 	for shape := uint64(0); shape < refShapes; shape++ {
 		f.Add(shape, shape*13, uint8(shape), uint8(shape), uint8(shape*5))
@@ -302,7 +332,27 @@ func FuzzRunNode(f *testing.F) {
 			alive = refAliveMask(rand.New(rand.NewPCG(seed, 1)), len(pos))
 		}
 		checkRunNodeMatchesRef(t, "fuzz", pos, alive, m, alpha, &gatherScratch{})
+		checkRunNodeRowMatchesRunNode(t, "fuzz", pos, alive, m, alpha)
 	})
+}
+
+// RunNodeRow, fed each live node's G_R row, equals RunNode over the grid
+// and the alive mask on every shape, radio (the power law at exponents
+// 2, 3 and 4, and LogDistance shadowing up to σ = 8 dB) and cone angle,
+// with about a fifth of the nodes departed.
+func TestRunNodeRowMatchesRunNode(t *testing.T) {
+	radios := refRadios(t)
+	for shape := uint64(0); shape < refShapes; shape++ {
+		for seed := uint64(0); seed < 2; seed++ {
+			pos := refPlacement(t, shape, seed, 60)
+			alive := refAliveMask(workload.Rand(seed+200), len(pos))
+			for ri, m := range radios {
+				for _, alpha := range refOracleAlphas {
+					checkRunNodeRowMatchesRunNode(t, fmt.Sprintf("shape %d seed %d radio %d", shape, seed, ri), pos, alive, m, alpha)
+				}
+			}
+		}
+	}
 }
 
 // The ordinary test run sweeps every shape, radio and cone angle, with an

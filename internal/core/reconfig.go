@@ -38,11 +38,12 @@ func (a Action) String() string {
 // tells the protocol when a full regrow is needed.
 //
 // The neighbor set is a compact id-sorted slice (neighbor counts are
-// small and sessions build one machine per recomputed node, so the
-// slice beats a map on both allocation and iteration order — every
-// derived list is deterministic by construction). The Reconfigurator is
-// not safe for concurrent use; the discrete-event simulator serializes
-// all events of a node.
+// small and sessions build a machine for each observer whose table an
+// event touches, then reset it for the next batch, so the slice beats a
+// map on both allocation and iteration order — every derived list is
+// deterministic by construction). The Reconfigurator is not safe for
+// concurrent use; the discrete-event simulator serializes all events of
+// a node.
 type Reconfigurator struct {
 	alpha float64
 	model radio.Model
@@ -56,15 +57,20 @@ type Reconfigurator struct {
 // result. The initial list is copied, never retained, so callers may
 // pass a reused buffer.
 func NewReconfigurator(alpha float64, model radio.Model, initial []Discovery) *Reconfigurator {
-	r := &Reconfigurator{
-		alpha: alpha,
-		model: model,
-		nbrs:  make([]Discovery, 0, len(initial)),
-	}
+	r := new(Reconfigurator)
+	r.Reset(alpha, model, initial)
+	return r
+}
+
+// Reset makes r the machine NewReconfigurator(alpha, model, initial)
+// would build, reusing r's buffers. The zero Reconfigurator is ready
+// for Reset.
+func (r *Reconfigurator) Reset(alpha float64, model radio.Model, initial []Discovery) {
+	r.alpha, r.model = alpha, model
+	r.nbrs = slices.Grow(r.nbrs[:0], len(initial))
 	for _, d := range initial {
 		r.set(d)
 	}
-	return r
 }
 
 // find returns the position of id in the sorted neighbor slice.
@@ -122,7 +128,7 @@ func (r *Reconfigurator) Leave(id int) Action {
 // coverage unchanged.
 func (r *Reconfigurator) Join(d Discovery) Action {
 	r.set(d)
-	r.shrink()
+	r.shrink(r.sortedDirs())
 	return ActionNone
 }
 
@@ -135,10 +141,11 @@ func (r *Reconfigurator) AngleChange(id int, newDir float64) Action {
 		return ActionNone
 	}
 	r.nbrs[i].Dir = geom.Normalize(newDir)
-	if r.hasGap() {
+	dirs := r.sortedDirs()
+	if geom.HasGapSorted(dirs, r.alpha) {
 		return ActionRegrow
 	}
-	r.shrink()
+	r.shrink(dirs)
 	return ActionNone
 }
 
@@ -147,13 +154,14 @@ func (r *Reconfigurator) AngleChange(id int, newDir float64) Action {
 // Candidates are ordered by (distance descending, id ascending) — a
 // total order, so removal decisions are deterministic.
 //
-// The coverage kernel starts from the normalized direction set, and
-// each candidate's direction leaves its query set. After AngleChange
-// the set covers the whole circle (a gap would have regrown instead),
-// so each test is one delete from the sorted directions plus one gap
-// scan. The kernel is reset on every call, so stopping one direction
-// short of r.nbrs carries nothing over.
-func (r *Reconfigurator) shrink() {
+// The coverage kernel starts from dirs, the current set's sortedDirs
+// (AngleChange passes the ones its gap test just sorted), and each
+// candidate's direction leaves its query set. After AngleChange the set
+// covers the whole circle (a gap would have regrown instead), so each
+// test is one delete from the sorted directions plus one gap scan. The
+// kernel is reset on every call, so stopping one direction short of
+// r.nbrs carries nothing over.
+func (r *Reconfigurator) shrink(dirs []float64) {
 	r.dist = append(r.dist[:0], r.nbrs...)
 	slices.SortFunc(r.dist, func(a, b Discovery) int {
 		if a.Dist != b.Dist {
@@ -164,7 +172,7 @@ func (r *Reconfigurator) shrink() {
 		}
 		return a.ID - b.ID
 	})
-	r.cover.Reset(r.sortedDirs(), r.alpha)
+	r.cover.Reset(dirs, r.alpha)
 	for _, d := range r.dist {
 		i, ok := r.find(d.ID)
 		if !ok {

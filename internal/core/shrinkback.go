@@ -74,15 +74,7 @@ func (cs *coverScratch) shrinkNeighbors(dst, neighbors []Discovery, alpha float6
 		return neighbors
 	}
 	sorted := append(dst, neighbors...)
-	slices.SortFunc(sorted, func(a, b Discovery) int {
-		if c := cmp.Compare(a.Power, b.Power); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
-			return c
-		}
-		return a.ID - b.ID
-	})
+	slices.SortFunc(sorted, shrinkOrder)
 
 	// Walk the power levels (contiguous runs of equal Power) from the
 	// front: each level's directions join the kernel's query set, and
@@ -112,6 +104,18 @@ func (cs *coverScratch) shrinkNeighbors(dst, neighbors []Discovery, alpha float6
 	return sorted
 }
 
+// shrinkOrder is the order shrink-back walks a row in: by discovery
+// power, then distance, then id — a strict total order.
+func shrinkOrder(a, b Discovery) int {
+	if c := cmp.Compare(a.Power, b.Power); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
+		return c
+	}
+	return a.ID - b.ID
+}
+
 // QuantizeTags rounds the execution's discovery-power tags up to the
 // given broadcast schedule (e.g. the doubling schedule of Figure 1) and
 // returns e. It mutates e in place: pass an execution the caller owns,
@@ -124,23 +128,21 @@ func (cs *coverScratch) shrinkNeighbors(dst, neighbors []Discovery, alpha float6
 // entry are clamped to it.
 func QuantizeTags(e *Execution, schedule []float64) *Execution {
 	for u := range e.Nodes {
-		for i, nb := range e.Nodes[u].Neighbors {
-			e.Nodes[u].Neighbors[i].Power = quantizeUp(nb.Power, schedule)
-		}
+		QuantizeNeighbors(e.Nodes[u].Neighbors, schedule)
 	}
 	return e
 }
 
-// QuantizeNeighbors is the per-node form of QuantizeTags: it returns a
-// copy of the neighbor list with discovery-power tags rounded up to the
-// schedule. Incremental reconfiguration uses it to keep regrown nodes on
-// the same tag granularity as the initial execution.
+// QuantizeNeighbors is the per-node form of QuantizeTags: it rounds the
+// row's discovery-power tags up to the schedule in place and returns
+// the row, so pass one the caller owns. Incremental reconfiguration
+// uses it to keep regrown nodes on the same tag granularity as the
+// initial execution.
 func QuantizeNeighbors(neighbors []Discovery, schedule []float64) []Discovery {
-	out := append([]Discovery(nil), neighbors...)
-	for i, nb := range out {
-		out[i].Power = quantizeUp(nb.Power, schedule)
+	for i, nb := range neighbors {
+		neighbors[i].Power = quantizeUp(nb.Power, schedule)
 	}
-	return out
+	return neighbors
 }
 
 func quantizeUp(p float64, schedule []float64) float64 {

@@ -362,3 +362,52 @@ func TestDigraphFromRowsMatchesAddArc(t *testing.T) {
 		t.Fatal("mutual subgraphs differ")
 	}
 }
+
+// SetRow equals IsolateNode followed by AddEdge for every entry of the
+// new row, on random graphs — bulk-built, so rows start packed in one
+// arena — with random new rows that keep some old neighbors, drop others
+// and gain new ones, and the edge counts agree. Every other call follows
+// a Clone, which must be left unchanged; the calls between write the
+// rows they own in place.
+func TestSetRowMatchesIsolateAndAdd(t *testing.T) {
+	rng := rand.New(rand.NewPCG(25, 1))
+	for iter := 0; iter < 400; iter++ {
+		n := 2 + rng.IntN(40)
+		rows := make([][]int32, n)
+		for u := range rows {
+			for v := u + 1; v < n; v++ {
+				if rng.IntN(4) == 0 {
+					rows[u] = append(rows[u], int32(v))
+				}
+			}
+		}
+		g := NewFromHalfRows(rows)
+		ref := g.CloneDeep()
+		for step := 0; step < 6; step++ {
+			u := rng.IntN(n)
+			var next []int32
+			for v := 0; v < n; v++ {
+				keep := g.HasEdge(u, v) && rng.IntN(3) != 0
+				if v != u && (keep || rng.IntN(6) == 0) {
+					next = append(next, int32(v))
+				}
+			}
+			var snap, frozen *Graph
+			if step%2 == 0 {
+				snap = g.Clone()
+				frozen = snap.CloneDeep()
+			}
+			g.SetRow(u, next)
+			ref.IsolateNode(u)
+			for _, v := range next {
+				ref.AddEdge(u, int(v))
+			}
+			if !g.Equal(ref) || g.EdgeCount() != ref.EdgeCount() {
+				t.Fatalf("iter %d step %d: SetRow(%d, %v) left\n%v\nwant\n%v", iter, step, u, next, g.Edges(), ref.Edges())
+			}
+			if snap != nil && (!snap.Equal(frozen) || snap.EdgeCount() != frozen.EdgeCount()) {
+				t.Fatalf("iter %d step %d: SetRow changed a clone taken before it", iter, step)
+			}
+		}
+	}
+}

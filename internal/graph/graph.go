@@ -196,6 +196,47 @@ func (g *Graph) IsolateNode(u int) {
 	g.shared[u] = false
 }
 
+// SetRow makes next node u's neighbor row, patching only the edges
+// that change: one merge walk over the old and new rows removes u from
+// the rows of the neighbors it loses and inserts it into the rows of
+// those it gains, so the graph ends exactly as IsolateNode(u) followed
+// by AddEdge(u, v) for every v in next would leave it. next must ascend
+// strictly and must not name u; it is copied, never retained. Like
+// every mutation, SetRow copies a row still shared with a clone before
+// writing to it.
+func (g *Graph) SetRow(u int, next []int32) {
+	g.check(u)
+	for i, v := range next {
+		g.check(int(v))
+		if int(v) == u || (i > 0 && next[i-1] >= v) {
+			panic(fmt.Sprintf("graph: row %d invalid at %d", u, v))
+		}
+	}
+	old := g.adj[u]
+	i, j := 0, 0
+	for i < len(old) || j < len(next) {
+		switch {
+		case j == len(next) || (i < len(old) && old[i] < next[j]):
+			g.remove(int(old[i]), int32(u))
+			g.edges--
+			i++
+		case i == len(old) || next[j] < old[i]:
+			g.insert(int(next[j]), int32(u))
+			g.edges++
+			j++
+		default:
+			i++
+			j++
+		}
+	}
+	if g.shared[u] {
+		g.adj[u] = slices.Clone(next)
+		g.shared[u] = false
+	} else {
+		g.adj[u] = append(old[:0], next...)
+	}
+}
+
 // HasEdge reports whether the undirected edge {u, v} is present.
 func (g *Graph) HasEdge(u, v int) bool {
 	g.check(u)

@@ -99,15 +99,19 @@ func Stretch(base, sub *Graph, w WeightFunc) float64 {
 }
 
 // HopStretch compares hop-count routes the same way Stretch compares
-// weighted routes.
+// weighted routes. Its 2n BFS passes share two distance buffers and one
+// queue.
 func HopStretch(base, sub *Graph) float64 {
 	if base.Len() != sub.Len() {
 		return math.Inf(1)
 	}
+	n := base.Len()
+	hb, hs := make([]int, n), make([]int, n)
+	queue := make([]int32, 0, n)
 	worst := 1.0
-	for src := 0; src < base.Len(); src++ {
-		hb := HopDistances(base, src)
-		hs := HopDistances(sub, src)
+	for src := 0; src < n; src++ {
+		queue = hopsInto(base, src, hb, queue)
+		queue = hopsInto(sub, src, hs, queue)
 		for v := range hb {
 			if v == src || hb[v] <= 0 {
 				continue

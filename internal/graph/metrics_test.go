@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"cbtc/internal/geom"
@@ -112,5 +113,73 @@ func TestEdgeLengths(t *testing.T) {
 	}
 	if math.Abs(lengths[4]-math.Sqrt2) > 1e-12 {
 		t.Errorf("longest = %v, want √2", lengths[4])
+	}
+}
+
+// hopStretchRef is HopStretch as it stood before its BFS passes shared
+// buffers: a fresh distance slice and a shifted queue per pass.
+func hopStretchRef(base, sub *Graph) float64 {
+	bfs := func(g *Graph, src int) []int {
+		dist := make([]int, g.Len())
+		for i := range dist {
+			dist[i] = -1
+		}
+		dist[src] = 0
+		queue := []int{src}
+		for len(queue) > 0 {
+			u := queue[0]
+			queue = queue[1:]
+			for _, v := range g.Row(u) {
+				if dist[v] == -1 {
+					dist[v] = dist[u] + 1
+					queue = append(queue, int(v))
+				}
+			}
+		}
+		return dist
+	}
+	worst := 1.0
+	for src := 0; src < base.Len(); src++ {
+		hb, hs := bfs(base, src), bfs(sub, src)
+		for v := range hb {
+			if v == src || hb[v] <= 0 {
+				continue
+			}
+			if hs[v] < 0 {
+				return math.Inf(1)
+			}
+			if r := float64(hs[v]) / float64(hb[v]); r > worst {
+				worst = r
+			}
+		}
+	}
+	return worst
+}
+
+// HopStretch equals the per-pass reference bit for bit on 32 random
+// base graphs and subgraphs of them, connected or not, and makes three
+// allocations whatever the graph's size: two distance buffers and one
+// queue.
+func TestHopStretchMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(25, 2))
+	for iter := 0; iter < 32; iter++ {
+		n := 2 + rng.IntN(60)
+		base := New(n)
+		for i := 0; i < 3*n; i++ {
+			base.AddEdge(rng.IntN(n), rng.IntN(n))
+		}
+		sub := New(n)
+		for _, e := range base.Edges() {
+			if rng.IntN(4) != 0 {
+				sub.AddEdge(e.U, e.V)
+			}
+		}
+		got, want := HopStretch(base, sub), hopStretchRef(base, sub)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("iter %d: HopStretch %v, reference %v", iter, got, want)
+		}
+		if allocs := testing.AllocsPerRun(3, func() { HopStretch(base, sub) }); allocs > 3 {
+			t.Fatalf("iter %d: HopStretch on %d nodes allocates %.0f objects, want 3", iter, n, allocs)
+		}
 	}
 }

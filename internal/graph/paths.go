@@ -9,22 +9,30 @@ import (
 // for unreachable nodes.
 func HopDistances(g *Graph, src int) []int {
 	dist := make([]int, g.Len())
+	hopsInto(g, src, dist, make([]int32, 0, g.Len()))
+	return dist
+}
+
+// hopsInto is the one BFS kernel: it fills dist, of length g.Len(),
+// with the hop count from src to every node (-1 where unreachable). The
+// queue is appended into queue's backing array and never shifted, so a
+// queue with capacity g.Len() never grows; it is returned for reuse.
+func hopsInto(g *Graph, src int, dist []int, queue []int32) []int32 {
 	for i := range dist {
 		dist[i] = -1
 	}
 	dist[src] = 0
-	queue := []int{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.Row(u) {
+	queue = append(queue[:0], int32(src))
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for _, v := range g.adj[u] {
 			if dist[v] == -1 {
 				dist[v] = dist[u] + 1
-				queue = append(queue, int(v))
+				queue = append(queue, v)
 			}
 		}
 	}
-	return dist
+	return queue
 }
 
 // WeightFunc assigns a non-negative weight to the edge {u, v}.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"cbtc/internal/core"
@@ -35,6 +36,16 @@ var ErrBadEvent = errors.New("cbtc: invalid session event")
 // endpoints and their neighbors' positions, so a repair re-decides only
 // the edges at nodes within two hops of an edited or moved node.
 //
+// A repair reads the state the session maintains instead of rebuilding
+// it. Between batches a node's §4 state machine is a pure function of
+// its installed neighbor row, so the session stores none: a batch
+// builds a machine from the row when an event first touches a neighbor
+// in it. That neighbor's site lies within the observer's beacon, so the
+// same batch recomputes the observer, and the machine is dropped with
+// the batch. A recompute takes its candidates from the node's row of
+// the maintained G_R, which holds exactly its live maximum-power
+// neighbors.
+//
 // The maintained fixed point is exact: at any moment the live topology
 // equals what a fresh Engine.Run over the current live placement would
 // produce, so all of the paper's guarantees (connectivity for α ≤ 5π/6,
@@ -55,7 +66,6 @@ type Session struct {
 	pos    []Point
 	alive  []bool
 	nodes  []core.NodeResult
-	recs   []*core.Reconfigurator
 	idx    *spatial.Grid // live nodes only; maintained across events
 	stats  SessionStats
 	cached *Result
@@ -71,10 +81,9 @@ type Session struct {
 	// g is the topology: gpre after pairwise edge removal, which the
 	// pairwise kernel keeps in step with gpre. Without op3 pairwise is
 	// nil and g is gpre itself, as in core.BuildTopology.
-	g         *graph.Graph
-	pairwise  *core.Pairwise
-	gr        *graph.Graph // G_R over live nodes; departed nodes isolated
-	grScratch []int        // reusable max-power neighbor buffer
+	g        *graph.Graph
+	pairwise *core.Pairwise
+	gr       *graph.Graph // G_R over live nodes; departed nodes isolated
 
 	// live is the maintained live-node count, so LiveCount and Observe
 	// never rescan the liveness vector.
@@ -95,10 +104,28 @@ type Session struct {
 	pendRemove []graph.Edge
 
 	// mark/markGen implement allocation-free set membership for the
-	// per-event dedup passes (observer unions, recompute id sets): node u
-	// is in the current set iff mark[u] == markGen.
+	// per-event dedup passes (observer unions, recompute id sets, arc
+	// patches): node u is in the current set iff mark[u] == markGen.
 	mark    []int
 	markGen int
+
+	// The current batch's §4 machines: machines[i] belongs to node
+	// machineIDs[i], and machineOf[u] is 1 + that index, or 0 for a node
+	// the batch has not built one for. The machines are reset, not
+	// freed, when the next batch starts.
+	machines   []*core.Reconfigurator
+	machineIDs []int
+	machineOf  []int32
+
+	// Buffers reused across batches: the observer lists of one event, a
+	// batch's affected ids, its live recompute set and their results,
+	// one runner per repair worker, and the moved node's G_R row.
+	nearOld, nearNew, heard []int
+	affected, recompLive    []int
+	results                 []recomputed
+	runners                 []core.NodeRunner
+	grIDs                   []int
+	grRow                   []int32
 
 	// Battery state, allocated only for engines built WithBattery (on any
 	// optimization stack). battery[u] is node u's residual
@@ -207,7 +234,6 @@ func (e *Engine) sessionFromExec(ctx context.Context, nodes []Point, exec *core.
 		pos:     append([]Point(nil), nodes...),
 		alive:   make([]bool, len(nodes)),
 		nodes:   exec.Nodes,
-		recs:    make([]*core.Reconfigurator, len(nodes)),
 		idx:     idx,
 		gr:      gr,
 		live:    len(nodes),
@@ -220,7 +246,6 @@ func (e *Engine) sessionFromExec(ctx context.Context, nodes []Point, exec *core.
 	}
 	for i := range nodes {
 		s.alive[i] = true
-		s.recs[i] = core.NewReconfigurator(e.cfg.Alpha, e.model, exec.Nodes[i].Neighbors)
 	}
 	if err := s.buildTopology(ctx); err != nil {
 		return nil, err
@@ -345,7 +370,6 @@ func (s *Session) admit(p Point) int {
 	s.pos = append(s.pos, p)
 	s.alive = append(s.alive, true)
 	s.nodes = append(s.nodes, core.NodeResult{})
-	s.recs = append(s.recs, nil)
 	s.idx.Add(id, p)
 	s.live++
 	s.pruned = append(s.pruned, nil)
@@ -355,7 +379,7 @@ func (s *Session) admit(p Point) int {
 		s.g.Grow(1)
 	}
 	s.gr.Grow(1)
-	s.patchGR(id)
+	s.gr.SetRow(id, s.maxPowerRow(id))
 	// The newcomer starts as a singleton component with radius 0; the
 	// recompute's edge patches union and refresh it.
 	s.comps.Join(id)
@@ -382,27 +406,27 @@ func (s *Session) depart(id int) {
 }
 
 // relocate performs the structural half of a move and returns the old
-// position.
+// position. The moved node's G_R row is replaced by a diff: most of its
+// edges survive a short move.
 func (s *Session) relocate(id int, p Point) Point {
 	old := s.pos[id]
 	s.pos[id] = p
 	s.idx.Move(id, p)
-	s.gr.IsolateNode(id)
-	s.patchGR(id)
+	s.gr.SetRow(id, s.maxPowerRow(id))
 	s.pendMoved = append(s.pendMoved, id)
 	s.stats.Moves++
 	return old
 }
 
-// observeLeave classifies a leaveᵤ(id) event through each observer's §4
-// state machine, accumulating the regrow/repair counts into rep.
-// Observers without a state machine yet (nodes admitted earlier in the
-// same batch, awaiting their first recompute) never knew id and are
-// skipped, exactly as a non-neighbor is.
+// observeLeave classifies a leaveᵤ(id) event through the §4 state
+// machine of each observer whose neighbor table holds id, accumulating
+// the regrow/repair counts into rep. Any other observer never knew id,
+// or already dropped it earlier in the batch, and is skipped — as are
+// nodes admitted earlier in the same batch, whose rows are still empty.
 func (s *Session) observeLeave(id int, observers []int, rep *EventReport) {
 	for _, u := range observers {
-		rc := s.recs[u]
-		if rc == nil || !rc.Has(id) {
+		rc := s.table(u, id)
+		if rc == nil {
 			continue
 		}
 		if rc.Leave(id) == core.ActionRegrow {
@@ -414,39 +438,75 @@ func (s *Session) observeLeave(id int, observers []int, rep *EventReport) {
 }
 
 // observeMove classifies a move of node id to p at each observer: an
-// aChangeᵤ for observers that still reach it, a leaveᵤ for those it
-// left, a joinᵤ for those it approached. Observers without a state
-// machine yet treat a reachable mover as a joinᵤ.
+// aChangeᵤ for observers whose table holds id and that still reach it,
+// a leaveᵤ for those it left, a joinᵤ for those it approached.
 func (s *Session) observeMove(id int, p Point, observers []int, rep *EventReport) {
 	prop := s.eng.prop
 	pure := prop.DistancePure()
 	r := prop.MaxLinkRadius() * (1 + rangeSlack)
 	for _, u := range observers {
-		rc := s.recs[u]
-		was := rc != nil && rc.Has(id)
+		rc := s.table(u, id)
 		d := s.pos[u].Dist(p)
 		// Pure models keep the historical slack-widened distance test;
 		// link models re-check the exact per-link range predicate.
 		reaches := d <= r && (pure || prop.LinkInRange(u, id, d))
 		switch {
-		case was && reaches:
+		case rc != nil && reaches:
 			rep.AngleChanges++
 			if rc.AngleChange(id, s.pos[u].Bearing(p)) == core.ActionRegrow {
 				rep.Regrows++
 			} else {
 				rep.Repairs++
 			}
-		case was && !reaches:
+		case rc != nil:
 			if rc.Leave(id) == core.ActionRegrow {
 				rep.Regrows++
 			} else {
 				rep.Repairs++
 			}
-		case !was && reaches:
+		case reaches:
 			// A joinᵤ observation: always an in-place repair (§4).
 			rep.Repairs++
 		}
 	}
+}
+
+// table returns observer u's §4 state machine if its neighbor table
+// holds id, and nil otherwise. The table is the batch's machine for u
+// once one exists; before that it is u's installed row, and the machine
+// is built from that row, into the session's pool, the first time an
+// event touches a neighbor in it.
+func (s *Session) table(u, id int) *core.Reconfigurator {
+	if u < len(s.machineOf) && s.machineOf[u] != 0 {
+		if rc := s.machines[s.machineOf[u]-1]; rc.Has(id) {
+			return rc
+		}
+		return nil
+	}
+	row := s.nodes[u].Neighbors
+	if !slices.ContainsFunc(row, func(d core.Discovery) bool { return d.ID == id }) {
+		return nil
+	}
+	k := len(s.machineIDs)
+	if k == len(s.machines) {
+		s.machines = append(s.machines, new(core.Reconfigurator))
+	}
+	rc := s.machines[k]
+	rc.Reset(s.eng.cfg.Alpha, s.eng.model, row)
+	if len(s.machineOf) < len(s.pos) {
+		s.machineOf = append(s.machineOf, make([]int32, len(s.pos)-len(s.machineOf))...)
+	}
+	s.machineIDs = append(s.machineIDs, u)
+	s.machineOf[u] = int32(k + 1)
+	return rc
+}
+
+// resetMachines returns the previous batch's machines to the pool.
+func (s *Session) resetMachines() {
+	for _, u := range s.machineIDs {
+		s.machineOf[u] = 0
+	}
+	s.machineIDs = s.machineIDs[:0]
 }
 
 // applyStats folds one event report's classification counts into the
@@ -457,16 +517,19 @@ func (s *Session) applyStats(rep *EventReport) {
 	s.stats.Repairs += rep.Repairs
 }
 
-// patchGR re-links node id in the maintained ground-truth G_R: an edge
-// to every live node within maximum-power range of its current position,
-// under exactly MaxPowerGraph's distance predicate. The spatial index
-// holds exactly the live nodes, so the incremental graph stays equal to
-// a fresh MaxPowerGraph with departed nodes isolated.
-func (s *Session) patchGR(id int) {
-	s.grScratch = core.AppendMaxPowerNeighbors(s.grScratch[:0], s.pos, s.eng.prop, id, s.idx)
-	for _, v := range s.grScratch {
-		s.gr.AddEdge(id, v)
+// maxPowerRow returns node id's row of the maintained ground-truth G_R
+// at its current position, in the session's reused buffer: every live
+// node within maximum-power range, under exactly MaxPowerGraph's
+// distance predicate. The spatial index holds exactly the live nodes,
+// so patching these rows in keeps the incremental graph equal to a
+// fresh MaxPowerGraph with departed nodes isolated.
+func (s *Session) maxPowerRow(id int) []int32 {
+	s.grIDs = core.AppendMaxPowerNeighbors(s.grIDs[:0], s.pos, s.eng.prop, id, s.idx)
+	s.grRow = s.grRow[:0]
+	for _, v := range s.grIDs {
+		s.grRow = append(s.grRow, int32(v))
 	}
+	return s.grRow
 }
 
 // Snapshot returns the live topology as a Result — the same artifact
@@ -776,20 +839,19 @@ func (s *Session) Engine() *Engine { return s.eng }
 const rangeSlack = 1e-9
 
 // withinRange returns the live nodes other than self within the
-// propagation model's link-radius bound of p, in ascending id order. The
-// spatial index — which holds exactly the live nodes — answers the
-// radius query; the slightly widened query radius plus the exact
-// distance re-check reproduce the full-scan predicate. The bound is the
-// observer radius: no link — even a favorably-shadowed one — can exceed
-// it, so every node that could hear an event at p is included.
-func (s *Session) withinRange(self int, p Point) []int {
+// propagation model's link-radius bound of p, in ascending id order,
+// in dst's backing array. The spatial index — which holds exactly the
+// live nodes — answers the radius query; the slightly widened query
+// radius plus the exact distance re-check, filtered in place, reproduce
+// the full-scan predicate. The bound is the observer radius: no link —
+// even a favorably-shadowed one — can exceed it, so every node that
+// could hear an event at p is included.
+func (s *Session) withinRange(dst []int, self int, p Point) []int {
 	r := s.eng.prop.MaxLinkRadius() * (1 + rangeSlack)
-	out := make([]int, 0, 16)
-	for _, v := range s.idx.Within(p, r*(1+spatial.QuerySlack)) {
-		if v == self {
-			continue
-		}
-		if s.pos[v].Dist(p) <= r {
+	dst = s.idx.AppendWithin(dst[:0], p, r*(1+spatial.QuerySlack))
+	out := dst[:0]
+	for _, v := range dst {
+		if v != self && s.pos[v].Dist(p) <= r {
 			out = append(out, v)
 		}
 	}
@@ -845,27 +907,30 @@ const repairParallelMin = 16
 // serial phase 2 applies it.
 type recomputed struct {
 	nr     core.NodeResult
-	rec    *core.Reconfigurator
 	pruned []core.Discovery
 }
 
 // recompute rebuilds the exact minimal-power state of every listed node
-// over the current live placement and resets its §4 state machine. It
-// returns the ids actually recomputed (duplicates removed, in input
-// order) and invalidates the snapshot cache.
+// over the current live placement. It returns the ids actually
+// recomputed (duplicates removed, in input order) and invalidates the
+// snapshot cache. No §4 machine survives it: the next batch builds
+// machines from the rows installed here.
 //
 // The rebuild runs in two phases. Phase 1 computes each node's new
-// state — the RunNode cone test, its §4 state machine, and the pruned
-// neighbor list — against read-only session state, fanned across the
-// engine's worker pool when the recompute set is large (a drift tick
-// of dozens of moves reaches hundreds of beacons). Phase 2 serially
-// installs the results and patches the recomputed nodes' arcs into the
-// maintained topology graphs; with pairwise removal on, the kernel then
-// re-decides the edges around the patched and moved nodes.
+// state — the growing phase over the node's G_R row, its tags quantized
+// in place when the engine has a schedule, and the pruned neighbor list
+// — against read-only session state, fanned across the engine's worker
+// pool when the recompute set is large (a drift tick of dozens of moves
+// reaches hundreds of beacons). An interior row that shrink-back would
+// keep whole skips the coverage kernel (core.NodeRunner.ShrinkGrown)
+// and is its own pruned row. Phase 2 serially installs the results and
+// patches the recomputed nodes' arcs into the maintained topology
+// graphs; with pairwise removal on, the kernel then re-decides the edges
+// around the patched and moved nodes.
 func (s *Session) recompute(ids []int) []int {
 	s.newMarkEpoch()
 	out := make([]int, 0, len(ids))
-	live := make([]int, 0, len(ids))
+	live := s.recompLive[:0]
 	for _, u := range ids {
 		if s.marked(u) {
 			continue
@@ -880,26 +945,28 @@ func (s *Session) recompute(ids []int) []int {
 	if len(live) >= repairParallelMin && s.workers != 1 {
 		workers = core.ResolveWorkers(s.workers, len(live)*parallelGrain)
 	}
-	results := make([]recomputed, len(live))
-	runners := make([]core.NodeRunner, workers)
+	if len(s.runners) < workers {
+		s.runners = append(s.runners, make([]core.NodeRunner, workers-len(s.runners))...)
+	}
+	results := slices.Grow(s.results[:0], len(live))[:len(live)]
+	prop, alpha := s.eng.prop, s.eng.cfg.Alpha
 	// ctx is inert: repairs are short, lock-held critical sections with
 	// no caller-supplied context to honor.
 	_ = core.ParallelRange(context.Background(), len(live), workers, func(w, i int) {
-		u := live[i]
-		nr := runners[w].RunNode(s.pos, s.alive, s.eng.prop, s.eng.cfg.Alpha, u, s.idx)
+		u, r := live[i], &s.runners[w]
+		nr := r.RunNodeRow(s.pos, prop, alpha, u, s.gr.Row(u))
 		if s.eng.schedule != nil {
-			nr.Neighbors = core.QuantizeNeighbors(nr.Neighbors, s.eng.schedule)
+			core.QuantizeNeighbors(nr.Neighbors, s.eng.schedule)
 		}
-		results[i] = recomputed{
-			nr:     nr,
-			rec:    core.NewReconfigurator(s.eng.cfg.Alpha, s.eng.model, nr.Neighbors),
-			pruned: s.eng.pruneNeighbors(nil, nr.Neighbors, &runners[w]),
+		pruned := nr.Neighbors
+		if s.eng.opts.ShrinkBack {
+			pruned = r.ShrinkGrown(nr, alpha)
 		}
+		results[i] = recomputed{nr: nr, pruned: pruned}
 	})
 
 	for i, u := range live {
 		s.nodes[u] = results[i].nr
-		s.recs[u] = results[i].rec
 		s.patchArcs(u, results[i].pruned)
 	}
 	for _, u := range out {
@@ -907,7 +974,6 @@ func (s *Session) recompute(ids []int) []int {
 			continue
 		}
 		s.nodes[u] = core.NodeResult{}
-		s.recs[u] = nil
 		s.patchArcs(u, nil)
 	}
 	added, removed := s.pendAdd, s.pendRemove
@@ -916,6 +982,8 @@ func (s *Session) recompute(ids []int) []int {
 	}
 	s.applyObserveDelta(live, added, removed)
 	s.cached = nil
+	clear(results) // keep no replaced row reachable from the buffer
+	s.results, s.recompLive = results[:0], live[:0]
 	return out
 }
 
@@ -992,16 +1060,17 @@ const parallelGrain = 64
 // the new pruned neighbor set and patches the symmetric graph gpre edge
 // by edge, recording its diff in pendAdd/pendRemove. Processing every
 // recomputed node once, in any order, leaves both graphs exactly as a
-// from-scratch rebuild over the new state would.
+// from-scratch rebuild over the new state would. The new set is marked
+// in the session's stamp array.
 func (s *Session) patchArcs(u int, pruned []core.Discovery) {
 	mutual := s.eng.opts.AsymmetricRemoval
-	next := make(map[int]bool, len(pruned))
+	s.newMarkEpoch()
 	for _, nb := range pruned {
-		next[nb.ID] = true
+		s.marked(nb.ID)
 	}
 	for _, nb := range s.pruned[u] {
 		v := nb.ID
-		if next[v] {
+		if s.mark[v] == s.markGen {
 			continue
 		}
 		s.nalpha.RemoveArc(u, v)
@@ -1047,11 +1116,12 @@ func (s *Session) marked(u int) bool {
 	return false
 }
 
-// union merges two id lists preserving first-occurrence order, deduping
-// through the session's mark stamps instead of a per-call map.
-func (s *Session) union(a, b []int) []int {
+// union merges two id lists into dst's backing array, preserving
+// first-occurrence order and deduping through the session's mark stamps
+// instead of a per-call map.
+func (s *Session) union(dst, a, b []int) []int {
 	s.newMarkEpoch()
-	out := make([]int, 0, len(a)+len(b))
+	out := dst[:0]
 	for _, lst := range [2][]int{a, b} {
 		for _, v := range lst {
 			if !s.marked(v) {

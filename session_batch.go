@@ -127,38 +127,42 @@ func (s *Session) applyBatchLocked(events []Event) (BatchReport, error) {
 
 	// Apply the structural changes in event order. Each site — a join or
 	// leave position, either end of a move — is heard by the live nodes
-	// within R of it: their §4 state machines classify the event, and
-	// those whose installed beacon reaches the site join the recompute
-	// set, as the event node always does. Non-event nodes never move or
-	// leave within a batch, so both tests give the same answer at any
-	// point of it.
-	affected := make([]int, 0, 16*len(events))
+	// within R of it: the §4 state machines of those whose table holds the
+	// event node classify the event, and those whose installed beacon
+	// reaches the site join the recompute set, as the event node always
+	// does. Non-event nodes never move or leave within a batch, so both
+	// tests give the same answer at any point of it.
+	s.resetMachines()
+	affected := s.affected[:0]
 	for _, ev := range events {
 		switch ev.Kind {
 		case EventJoin:
 			id := s.admit(ev.Pos)
 			rep.JoinIDs = append(rep.JoinIDs, id)
-			observers := s.withinRange(id, ev.Pos)
+			s.nearOld = s.withinRange(s.nearOld, id, ev.Pos)
 			// §4 repairs every joinᵤ in place (insert, then shrink back).
-			rep.Repairs += len(observers)
-			affected = s.appendReached(append(affected, id), id, ev.Pos, observers)
+			rep.Repairs += len(s.nearOld)
+			affected = s.appendReached(append(affected, id), id, ev.Pos, s.nearOld)
 		case EventLeave:
 			site := s.pos[ev.ID]
 			s.depart(ev.ID)
-			observers := s.withinRange(ev.ID, site)
-			s.observeLeave(ev.ID, observers, &rep.EventReport)
-			affected = s.appendReached(append(affected, ev.ID), ev.ID, site, observers)
+			s.nearOld = s.withinRange(s.nearOld, ev.ID, site)
+			s.observeLeave(ev.ID, s.nearOld, &rep.EventReport)
+			affected = s.appendReached(append(affected, ev.ID), ev.ID, site, s.nearOld)
 		case EventMove:
 			old := s.relocate(ev.ID, ev.Pos)
-			atOld, atNew := s.withinRange(ev.ID, old), s.withinRange(ev.ID, ev.Pos)
-			s.observeMove(ev.ID, ev.Pos, s.union(atOld, atNew), &rep.EventReport)
+			s.nearOld = s.withinRange(s.nearOld, ev.ID, old)
+			s.nearNew = s.withinRange(s.nearNew, ev.ID, ev.Pos)
+			s.heard = s.union(s.heard, s.nearOld, s.nearNew)
+			s.observeMove(ev.ID, ev.Pos, s.heard, &rep.EventReport)
 			rep.Regrows++ // the moved node reruns its growing phase
-			affected = s.appendReached(append(affected, ev.ID), ev.ID, old, atOld)
-			affected = s.appendReached(affected, ev.ID, ev.Pos, atNew)
+			affected = s.appendReached(append(affected, ev.ID), ev.ID, old, s.nearOld)
+			affected = s.appendReached(affected, ev.ID, ev.Pos, s.nearNew)
 		}
 	}
 	s.applyStats(&rep.EventReport)
 	rep.Recomputed = s.recompute(affected)
+	s.affected = affected[:0]
 	return rep, nil
 }
 
