@@ -389,28 +389,61 @@ func TestReconfiguratorMatchesReference(t *testing.T) {
 		}
 		want := newRefReconfigurator(alpha, initial)
 		for step := 0; step < 30; step++ {
-			var ga, wa Action
-			var what string
-			switch k := rng.IntN(3); {
-			case k == 0 || len(want.nbrs) == 0:
-				d := Discovery{ID: rng.IntN(40) * 32, Dist: float64(10 + rng.IntN(60)), Dir: refDir(rng)}
-				d.Power = m.PowerFor(d.Dist)
-				what = "join"
-				ga, wa = got.Join(d), want.Join(d)
-			case k == 1:
-				id := want.nbrs[rng.IntN(len(want.nbrs))].ID
-				what = "leave"
-				ga, wa = got.Leave(id), want.Leave(id)
-			default:
-				id := want.nbrs[rng.IntN(len(want.nbrs))].ID
-				dir := refDir(rng)
-				what = "angle change"
-				ga, wa = got.AngleChange(id, dir), want.AngleChange(id, dir)
-			}
+			what, ga, wa := refStep(rng, m, got, want)
 			if ga != wa {
 				t.Fatalf("history %d step %d (%s, alpha=%v): action %v, reference %v", hist, step, what, alpha, ga, wa)
 			}
 			requireSameDiscoveries(t, what, got.Neighbors(), want.nbrs)
+		}
+	}
+}
+
+// refStep applies one random Join, Leave or AngleChange to a machine
+// and its reference, returning the event's name and both actions.
+func refStep(rng *rand.Rand, m radio.Model, got *Reconfigurator, want *refReconfigurator) (string, Action, Action) {
+	switch k := rng.IntN(3); {
+	case k == 0 || len(want.nbrs) == 0:
+		d := Discovery{ID: rng.IntN(40) * 32, Dist: float64(10 + rng.IntN(60)), Dir: refDir(rng)}
+		d.Power = m.PowerFor(d.Dist)
+		return "join", got.Join(d), want.Join(d)
+	case k == 1:
+		id := want.nbrs[rng.IntN(len(want.nbrs))].ID
+		return "leave", got.Leave(id), want.Leave(id)
+	default:
+		id := want.nbrs[rng.IntN(len(want.nbrs))].ID
+		dir := refDir(rng)
+		return "angle change", got.AngleChange(id, dir), want.AngleChange(id, dir)
+	}
+}
+
+// Machines from one MachinePool share their scratch and take their
+// neighbor sets from one arena. Driven in turn through random
+// histories whose joins outgrow their arena regions, over many Release
+// cycles, every machine must match its reference after every step of
+// any machine.
+func TestMachinePoolMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(17, 3))
+	m := radio.Default(500)
+	var pool MachinePool
+	for cycle := 0; cycle < 300; cycle++ {
+		pool.Release()
+		alpha := refAlphas[rng.IntN(len(refAlphas))]
+		got := make([]*Reconfigurator, 1+rng.IntN(8))
+		want := make([]*refReconfigurator, len(got))
+		for i := range got {
+			initial := refNeighbors(rng)
+			got[i] = pool.Get(alpha, m, initial)
+			want[i] = newRefReconfigurator(alpha, initial)
+		}
+		for step := 0; step < 40; step++ {
+			i := rng.IntN(len(got))
+			what, ga, wa := refStep(rng, m, got[i], want[i])
+			if ga != wa {
+				t.Fatalf("cycle %d step %d machine %d (%s, alpha=%v): action %v, reference %v", cycle, step, i, what, alpha, ga, wa)
+			}
+			for j := range got {
+				requireSameDiscoveries(t, what, got[j].Neighbors(), want[j].nbrs)
+			}
 		}
 	}
 }

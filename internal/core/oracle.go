@@ -469,24 +469,24 @@ func MaxPowerGraphParallelIndexed(pos []geom.Point, m radio.Propagation, idx Ind
 	return graph.NewFromHalfRows(rows)
 }
 
-// AppendMaxPowerNeighbors appends the ids of indexed nodes within
-// maximum-power range of pos[u] — exactly the nodes MaxPowerGraph would
-// connect to u — in ascending id order. The grid query appends into dst
-// and is filtered in place, so a reused dst makes the call
-// allocation-free. Sessions use it to maintain their ground-truth G_R
-// incrementally instead of rebuilding the full graph per snapshot.
-func AppendMaxPowerNeighbors(dst []int, pos []geom.Point, m radio.Propagation, u int, idx *spatial.Grid) []int {
-	rr, qr := maxPowerRadii(m)
+// AppendMaxPowerRow appends to dst, in ascending id order, the
+// candidates MaxPowerGraph would connect to u: cands[i], at distance
+// dist[i] from u, is kept when it is not u and passes the max-power
+// link rule. cands may come in any order but must hold every node
+// within MaxLinkRadius·(1+1e-12) of u. Sessions use it to maintain
+// their ground-truth G_R incrementally instead of rebuilding the full
+// graph per snapshot.
+func AppendMaxPowerRow(dst []int32, m radio.Propagation, u int, cands []int, dist []float64) []int32 {
+	rr, _ := maxPowerRadii(m)
 	pure := m.DistancePure()
 	start := len(dst)
-	dst = idx.AppendWithin(dst, pos[u], qr)
-	out := dst[:start]
-	for _, v := range dst[start:] {
-		if v != u && inMaxRange(m, pure, rr, u, v, pos[u].Dist(pos[v])) {
-			out = append(out, v)
+	for i, v := range cands {
+		if v != u && inMaxRange(m, pure, rr, u, v, dist[i]) {
+			dst = append(dst, int32(v))
 		}
 	}
-	return out
+	slices.Sort(dst[start:])
+	return dst
 }
 
 // maxPowerRadii is the single source of the max-power rule's radii: the

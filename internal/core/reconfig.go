@@ -39,18 +39,25 @@ func (a Action) String() string {
 //
 // The neighbor set is a compact id-sorted slice (neighbor counts are
 // small and sessions build a machine for each observer whose table an
-// event touches, then reset it for the next batch, so the slice beats a
-// map on both allocation and iteration order — every derived list is
-// deterministic by construction). The Reconfigurator is not safe for
-// concurrent use; the discrete-event simulator serializes all events of
-// a node.
+// event touches, from a MachinePool, so the slice beats a map on both
+// allocation and iteration order — every derived list is deterministic
+// by construction). The Reconfigurator is not safe for concurrent use;
+// the discrete-event simulator serializes all events of a node.
 type Reconfigurator struct {
 	alpha float64
 	model radio.Model
 	nbrs  []Discovery // current neighbor set, ascending ID
-	dirs  []float64   // scratch: sorted direction set for gap tests
-	dist  []Discovery // scratch: shrink's farthest-first order
-	cover geom.Cover  // scratch: shrink's coverage kernel
+	// scr is the gap-test and shrink scratch: the pool's when the
+	// machine came from a MachinePool, otherwise own.
+	scr *machineScratch
+	own machineScratch
+}
+
+// machineScratch is the per-call scratch of a §4 state machine, which
+// machines that never run concurrently may share.
+type machineScratch struct {
+	dirs  []float64  // sorted direction set for gap tests
+	cover geom.Cover // shrink's coverage kernel
 }
 
 // NewReconfigurator builds the state machine from the node's CBTC
@@ -73,6 +80,52 @@ func (r *Reconfigurator) Reset(alpha float64, model radio.Model, initial []Disco
 	}
 }
 
+// scratch returns the machine's gap-test and shrink scratch.
+func (r *Reconfigurator) scratch() *machineScratch {
+	if r.scr != nil {
+		return r.scr
+	}
+	return &r.own
+}
+
+// MachinePool builds §4 state machines for a caller that drives many
+// at once, one call at a time, and drops them together — as a session
+// does with the machines of the observers one event batch touches.
+// Pooled machines share one gap-test and shrink scratch and take their
+// neighbor sets from one arena, so a warmed pool builds machines
+// without allocating. The zero MachinePool is ready for use; a pool is
+// not safe for concurrent use.
+type MachinePool struct {
+	scr      machineScratch
+	machines []*Reconfigurator
+	used     int
+	arena    []Discovery
+}
+
+// Get returns a pooled machine in the state NewReconfigurator(alpha,
+// model, initial) would build. It is valid until the next Release.
+func (p *MachinePool) Get(alpha float64, model radio.Model, initial []Discovery) *Reconfigurator {
+	if p.used == len(p.machines) {
+		p.machines = append(p.machines, &Reconfigurator{scr: &p.scr})
+	}
+	r := p.machines[p.used]
+	p.used++
+	// The set's region of the arena has room for the initial list; a
+	// set that outgrows it moves to a slice of its own. An arena that
+	// outgrows its array leaves the earlier sets in the old one.
+	start := len(p.arena)
+	p.arena = append(p.arena, initial...)
+	r.nbrs = p.arena[start:start:len(p.arena)]
+	r.Reset(alpha, model, initial)
+	return r
+}
+
+// Release returns every machine Get built to the pool.
+func (p *MachinePool) Release() {
+	p.used = 0
+	p.arena = p.arena[:0]
+}
+
 // find returns the position of id in the sorted neighbor slice.
 func (r *Reconfigurator) find(id int) (int, bool) {
 	return slices.BinarySearchFunc(r.nbrs, id, func(d Discovery, id int) int {
@@ -93,11 +146,12 @@ func (r *Reconfigurator) set(d Discovery) {
 // sortedDirs fills the reusable direction scratch with the current
 // bearings in ascending (normalized) order, ready for HasGapSorted.
 func (r *Reconfigurator) sortedDirs() []float64 {
-	out := r.dirs[:0]
+	scr := r.scratch()
+	out := slices.Grow(scr.dirs[:0], len(r.nbrs))
 	for _, d := range r.nbrs {
 		out = geom.InsertSorted(out, d.Dir)
 	}
-	r.dirs = out
+	scr.dirs = out
 	return out
 }
 
@@ -154,37 +208,42 @@ func (r *Reconfigurator) AngleChange(id int, newDir float64) Action {
 // Candidates are ordered by (distance descending, id ascending) — a
 // total order, so removal decisions are deterministic.
 //
-// The coverage kernel starts from dirs, the current set's sortedDirs
-// (AngleChange passes the ones its gap test just sorted), and each
-// candidate's direction leaves its query set. After AngleChange the set
-// covers the whole circle (a gap would have regrown instead), so each
-// test is one delete from the sorted directions plus one gap scan. The
-// kernel is reset on every call, so stopping one direction short of
-// r.nbrs carries nothing over.
+// Every candidate tried before the last was removed, so the next one
+// is always the farthest neighbor left: a linear scan finds it, and the
+// common shrink — one that stops at its first candidate — sorts
+// nothing. The coverage kernel starts from dirs, the current set's
+// sortedDirs (AngleChange passes the ones its gap test just sorted),
+// and each candidate's direction leaves its query set. After
+// AngleChange the set covers the whole circle (a gap would have
+// regrown instead), so each test is one delete from the sorted
+// directions plus one gap scan. The kernel is reset on every call, so
+// stopping one direction short of r.nbrs carries nothing over.
 func (r *Reconfigurator) shrink(dirs []float64) {
-	r.dist = append(r.dist[:0], r.nbrs...)
-	slices.SortFunc(r.dist, func(a, b Discovery) int {
-		if a.Dist != b.Dist {
-			if a.Dist > b.Dist {
-				return -1
-			}
-			return 1
-		}
-		return a.ID - b.ID
-	})
-	r.cover.Reset(dirs, r.alpha)
-	for _, d := range r.dist {
-		i, ok := r.find(d.ID)
-		if !ok {
-			continue
-		}
+	cover := &r.scratch().cover
+	cover.Reset(dirs, r.alpha)
+	for len(r.nbrs) > 0 {
+		i := r.farthest()
+		d := r.nbrs[i]
 		r.nbrs = slices.Delete(r.nbrs, i, i+1)
-		r.cover.Remove(geom.Normalize(d.Dir))
-		if !r.cover.Same() {
-			r.set(d) // removal changed coverage: keep and stop
+		cover.Remove(geom.Normalize(d.Dir))
+		if !cover.Same() {
+			r.nbrs = slices.Insert(r.nbrs, i, d) // removal changed coverage: keep and stop
 			return
 		}
 	}
+}
+
+// farthest returns the position of the neighbor first in shrink's
+// order: the greatest distance, the smallest id among equal ones. The
+// slice ascends by id, so a strict comparison keeps the first of a tie.
+func (r *Reconfigurator) farthest() int {
+	best := 0
+	for i := 1; i < len(r.nbrs); i++ {
+		if r.nbrs[i].Dist > r.nbrs[best].Dist {
+			best = i
+		}
+	}
+	return best
 }
 
 // Neighbors returns the current neighbor set sorted by ID.

@@ -134,15 +134,13 @@ func QuantizeTags(e *Execution, schedule []float64) *Execution {
 }
 
 // QuantizeNeighbors is the per-node form of QuantizeTags: it rounds the
-// row's discovery-power tags up to the schedule in place and returns
-// the row, so pass one the caller owns. Incremental reconfiguration
-// uses it to keep regrown nodes on the same tag granularity as the
-// initial execution.
-func QuantizeNeighbors(neighbors []Discovery, schedule []float64) []Discovery {
+// row's discovery-power tags up to the schedule in place, so pass a row
+// the caller owns. Incremental reconfiguration uses it to keep regrown
+// nodes on the same tag granularity as the initial execution.
+func QuantizeNeighbors(neighbors []Discovery, schedule []float64) {
 	for i, nb := range neighbors {
 		neighbors[i].Power = quantizeUp(nb.Power, schedule)
 	}
-	return neighbors
 }
 
 func quantizeUp(p float64, schedule []float64) float64 {

@@ -58,7 +58,7 @@ type Cover struct {
 func (c *Cover) Reset(dirs []float64, alpha float64) {
 	c.alpha = alpha
 	c.dirs = append(c.dirs[:0], dirs...)
-	c.sorted = c.sorted[:0]
+	c.sorted = slices.Grow(c.sorted[:0], len(dirs))
 	for _, d := range dirs {
 		c.sorted = append(c.sorted, Normalize(d))
 	}

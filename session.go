@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -42,9 +43,11 @@ var ErrBadEvent = errors.New("cbtc: invalid session event")
 // builds a machine from the row when an event first touches a neighbor
 // in it. That neighbor's site lies within the observer's beacon, so the
 // same batch recomputes the observer, and the machine is dropped with
-// the batch. A recompute takes its candidates from the node's row of
-// the maintained G_R, which holds exactly its live maximum-power
-// neighbors.
+// the batch. The machines read only the installed rows and a log of
+// the batch's events, so a large batch runs them on their own goroutine
+// while the structural pass moves on. A recompute takes its candidates
+// from the node's row of the maintained G_R, which holds exactly its
+// live maximum-power neighbors.
 //
 // The maintained fixed point is exact: at any moment the live topology
 // equals what a fresh Engine.Run over the current live placement would
@@ -104,28 +107,32 @@ type Session struct {
 	pendRemove []graph.Edge
 
 	// mark/markGen implement allocation-free set membership for the
-	// per-event dedup passes (observer unions, recompute id sets, arc
-	// patches): node u is in the current set iff mark[u] == markGen.
+	// per-event dedup passes (a move's two observer lists, recompute id
+	// sets, arc patches): node u is in the current set iff
+	// mark[u] == markGen.
 	mark    []int
 	markGen int
 
-	// The current batch's §4 machines: machines[i] belongs to node
-	// machineIDs[i], and machineOf[u] is 1 + that index, or 0 for a node
-	// the batch has not built one for. The machines are reset, not
-	// freed, when the next batch starts.
+	// The current batch's §4 machines, built from pool: machines[i]
+	// belongs to node machineIDs[i], and machineOf[u] is 1 + that index,
+	// or 0 for a node the batch has not built one for. The next batch
+	// returns them to the pool.
+	pool       core.MachinePool
 	machines   []*core.Reconfigurator
 	machineIDs []int
 	machineOf  []int32
 
-	// Buffers reused across batches: the observer lists of one event, a
-	// batch's affected ids, its live recompute set and their results,
-	// one runner per repair worker, and the moved node's G_R row.
-	nearOld, nearNew, heard []int
-	affected, recompLive    []int
-	results                 []recomputed
-	runners                 []core.NodeRunner
-	grIDs                   []int
-	grRow                   []int32
+	// Buffers reused across batches: the observers of one event's old
+	// and new site, the batch's log of heard events and its classifier,
+	// its affected ids, its live recompute set and their results, one
+	// runner per repair worker, and the moved node's G_R row.
+	atOld, atNew         observers
+	heard                []heardEvent
+	cls                  classifier
+	affected, recompLive []int
+	results              []recomputed
+	runners              []core.NodeRunner
+	grRow                []int32
 
 	// Battery state, allocated only for engines built WithBattery (on any
 	// optimization stack). battery[u] is node u's residual
@@ -312,6 +319,11 @@ func (s *Session) buildTopology(ctx context.Context) error {
 	// The O(changed) Observe state: the live component structure and the
 	// per-node radius cache over g.
 	s.comps = graph.NewLiveComponents(s.g, s.alive)
+	// The repair's per-node scratch, its membership stamps and the
+	// batch's machine index, is sized here with the other per-node
+	// tables rather than by the first batch.
+	s.mark = make([]int, n)
+	s.machineOf = make([]int32, n)
 	s.radius = make([]float64, n)
 	return core.ParallelRange(ctx, n, workers, func(_, u int) {
 		s.radius[u] = graph.NodeRadius(s.g, s.pos, u)
@@ -363,9 +375,10 @@ func (s *Session) Move(id int, p Point) (EventReport, error) {
 }
 
 // admit performs the structural half of a join: it allocates the next
-// node id, inserts p into every maintained structure, and links the
-// newcomer into the incremental ground-truth G_R.
-func (s *Session) admit(p Point) int {
+// node id, inserts p into every maintained structure, gathers the
+// site's observers into o, and links the newcomer into the incremental
+// ground-truth G_R.
+func (s *Session) admit(p Point, o *observers) int {
 	id := len(s.pos)
 	s.pos = append(s.pos, p)
 	s.alive = append(s.alive, true)
@@ -379,7 +392,8 @@ func (s *Session) admit(p Point) int {
 		s.g.Grow(1)
 	}
 	s.gr.Grow(1)
-	s.gr.SetRow(id, s.maxPowerRow(id))
+	s.withinRange(o, id, p)
+	s.gr.SetRow(id, s.maxPowerRow(id, o))
 	// The newcomer starts as a singleton component with radius 0; the
 	// recompute's edge patches union and refresh it.
 	s.comps.Join(id)
@@ -405,31 +419,96 @@ func (s *Session) depart(id int) {
 	s.stats.Leaves++
 }
 
-// relocate performs the structural half of a move and returns the old
-// position. The moved node's G_R row is replaced by a diff: most of its
-// edges survive a short move.
-func (s *Session) relocate(id int, p Point) Point {
+// relocate performs the structural half of a move, gathers the
+// observers of the new site into o, and returns the old position. The
+// moved node's G_R row is replaced by a diff: most of its edges survive
+// a short move.
+func (s *Session) relocate(id int, p Point, o *observers) Point {
 	old := s.pos[id]
 	s.pos[id] = p
 	s.idx.Move(id, p)
-	s.gr.SetRow(id, s.maxPowerRow(id))
+	s.withinRange(o, id, p)
+	s.gr.SetRow(id, s.maxPowerRow(id, o))
 	s.pendMoved = append(s.pendMoved, id)
 	s.stats.Moves++
 	return old
 }
 
-// observeLeave classifies a leaveᵤ(id) event through the §4 state
-// machine of each observer whose neighbor table holds id, accumulating
-// the regrow/repair counts into rep. Any other observer never knew id,
-// or already dropped it earlier in the batch, and is skipped — as are
-// nodes admitted earlier in the same batch, whose rows are still empty.
-func (s *Session) observeLeave(id int, observers []int, rep *EventReport) {
-	for _, u := range observers {
-		rc := s.table(u, id)
-		if rc == nil {
+// heardEvent is one leave or move of a batch as its observers' §4
+// state machines see it: the event node, a move's new site, and every
+// observer of the event's sites.
+type heardEvent struct {
+	id  int
+	p   Point
+	obs []hearer
+}
+
+// hearer is one observer of a heard event: its position at the event,
+// and whether it still reaches a moved node there. Every observer of a
+// leave has lost the node.
+type hearer struct {
+	u       int
+	pos     Point
+	reaches bool
+}
+
+// hearLeave logs a leave of id into h for the observers in atOld.
+func (s *Session) hearLeave(h *heardEvent, id int) {
+	h.id = id
+	h.obs = h.obs[:0]
+	for _, u := range s.atOld.ids {
+		h.obs = append(h.obs, hearer{u: u})
+	}
+}
+
+// hearMove logs a move of id to p into h for the observers of either
+// site. An observer of the old site only is out of the new one's range,
+// so it no longer reaches id. On pure models reaching is the
+// slack-widened distance test that gathered atNew; link models re-check
+// the exact per-link range predicate.
+func (s *Session) hearMove(h *heardEvent, id int, p Point) {
+	prop := s.eng.prop
+	pure := prop.DistancePure()
+	h.id, h.p = id, p
+	h.obs = h.obs[:0]
+	s.newMarkEpoch()
+	for i, u := range s.atNew.ids {
+		s.marked(u)
+		h.obs = append(h.obs, hearer{u, s.pos[u], pure || prop.LinkInRange(u, id, s.atNew.dist[i])})
+	}
+	for _, u := range s.atOld.ids {
+		if !s.marked(u) {
+			h.obs = append(h.obs, hearer{u: u, pos: s.pos[u]})
+		}
+	}
+}
+
+// classify runs one heard event through the §4 state machine of each
+// observer whose neighbor table holds the event node, accumulating the
+// regrow/repair counts into rep: an aChangeᵤ where the observer still
+// reaches a moved node, a leaveᵤ where it does not. An observer whose
+// table does not hold the node never knew it, or dropped it earlier in
+// the batch; a moved node it reaches is a joinᵤ for it. rows are the
+// node rows installed when the batch began.
+func (s *Session) classify(rows []core.NodeResult, h *heardEvent, rep *EventReport) {
+	for i := range h.obs {
+		o := &h.obs[i]
+		rc := s.table(rows, o.u, h.id)
+		var act core.Action
+		switch {
+		case rc != nil && o.reaches:
+			rep.AngleChanges++
+			act = rc.AngleChange(h.id, o.pos.Bearing(h.p))
+		case rc != nil:
+			act = rc.Leave(h.id)
+		case o.reaches:
+			// A joinᵤ observation: always an in-place repair (§4).
+			rep.Repairs++
+			continue
+		default:
 			continue
 		}
-		if rc.Leave(id) == core.ActionRegrow {
+		if act == core.ActionRegrow {
 			rep.Regrows++
 		} else {
 			rep.Repairs++
@@ -437,76 +516,108 @@ func (s *Session) observeLeave(id int, observers []int, rep *EventReport) {
 	}
 }
 
-// observeMove classifies a move of node id to p at each observer: an
-// aChangeᵤ for observers whose table holds id and that still reach it,
-// a leaveᵤ for those it left, a joinᵤ for those it approached.
-func (s *Session) observeMove(id int, p Point, observers []int, rep *EventReport) {
-	prop := s.eng.prop
-	pure := prop.DistancePure()
-	r := prop.MaxLinkRadius() * (1 + rangeSlack)
-	for _, u := range observers {
-		rc := s.table(u, id)
-		d := s.pos[u].Dist(p)
-		// Pure models keep the historical slack-widened distance test;
-		// link models re-check the exact per-link range predicate.
-		reaches := d <= r && (pure || prop.LinkInRange(u, id, d))
-		switch {
-		case rc != nil && reaches:
-			rep.AngleChanges++
-			if rc.AngleChange(id, s.pos[u].Bearing(p)) == core.ActionRegrow {
-				rep.Regrows++
-			} else {
-				rep.Repairs++
-			}
-		case rc != nil:
-			if rc.Leave(id) == core.ActionRegrow {
-				rep.Regrows++
-			} else {
-				rep.Repairs++
-			}
-		case reaches:
-			// A joinᵤ observation: always an in-place repair (§4).
-			rep.Repairs++
-		}
-	}
-}
-
 // table returns observer u's §4 state machine if its neighbor table
 // holds id, and nil otherwise. The table is the batch's machine for u
-// once one exists; before that it is u's installed row, and the machine
+// once one exists; before that it is u's row in rows, and the machine
 // is built from that row, into the session's pool, the first time an
-// event touches a neighbor in it.
-func (s *Session) table(u, id int) *core.Reconfigurator {
-	if u < len(s.machineOf) && s.machineOf[u] != 0 {
-		if rc := s.machines[s.machineOf[u]-1]; rc.Has(id) {
+// event touches a neighbor in it. A node admitted during the batch is
+// past the end of rows: its row is still empty.
+func (s *Session) table(rows []core.NodeResult, u, id int) *core.Reconfigurator {
+	if u >= len(rows) {
+		return nil
+	}
+	if k := s.machineOf[u]; k != 0 {
+		if rc := s.machines[k-1]; rc.Has(id) {
 			return rc
 		}
 		return nil
 	}
-	row := s.nodes[u].Neighbors
+	row := rows[u].Neighbors
 	if !slices.ContainsFunc(row, func(d core.Discovery) bool { return d.ID == id }) {
 		return nil
 	}
-	k := len(s.machineIDs)
-	if k == len(s.machines) {
-		s.machines = append(s.machines, new(core.Reconfigurator))
-	}
-	rc := s.machines[k]
-	rc.Reset(s.eng.cfg.Alpha, s.eng.model, row)
-	if len(s.machineOf) < len(s.pos) {
-		s.machineOf = append(s.machineOf, make([]int32, len(s.pos)-len(s.machineOf))...)
-	}
+	rc := s.pool.Get(s.eng.cfg.Alpha, s.eng.model, row)
+	s.machines = append(s.machines, rc)
 	s.machineIDs = append(s.machineIDs, u)
-	s.machineOf[u] = int32(k + 1)
+	s.machineOf[u] = int32(len(s.machines))
 	return rc
 }
 
-// resetMachines returns the previous batch's machines to the pool.
+// resetMachines returns the previous batch's machines to the pool and
+// sizes the machine index for the current node rows.
 func (s *Session) resetMachines() {
 	for _, u := range s.machineIDs {
 		s.machineOf[u] = 0
 	}
 	s.machineIDs = s.machineIDs[:0]
+	s.machines = s.machines[:0]
+	s.pool.Release()
+	if len(s.machineOf) < len(s.nodes) {
+		s.machineOf = append(s.machineOf, make([]int32, len(s.nodes)-len(s.machineOf))...)
+	}
+}
+
+// classifyPipelineMin is the batch size from which the §4
+// classification runs on its own goroutine, alongside the structural
+// pass, when the session may use more than one core: each event's
+// structural work costs about as much as its classification, so a
+// batch of dozens of events finishes in little more than the time of
+// its structural pass, while a handful would lose more to the handoff
+// than they win.
+const classifyPipelineMin = 8
+
+// classifier runs a batch's heard events through the observers' §4
+// state machines in event order: inline, or on a goroutine that
+// follows the structural pass event by event. The goroutine owns the
+// machines, the pool and the machine index until wait returns, and
+// reads no state the structural pass writes: rows was installed before
+// the batch, and every position it needs is in the log.
+type classifier struct {
+	s    *Session
+	rows []core.NodeResult
+	feed chan *heardEvent
+	done chan struct{}
+	rep  EventReport
+}
+
+// start begins the classification of a batch of n events.
+func (c *classifier) start(s *Session, n int) {
+	*c = classifier{s: s, rows: s.nodes}
+	if n >= classifyPipelineMin && s.workers != 1 && runtime.GOMAXPROCS(0) > 1 {
+		c.feed = make(chan *heardEvent, n)
+		c.done = make(chan struct{})
+		go c.run()
+	}
+}
+
+// run is the classification goroutine.
+func (c *classifier) run() {
+	for h := range c.feed {
+		c.s.classify(c.rows, h, &c.rep)
+	}
+	close(c.done)
+}
+
+// hear classifies h, or hands it to the goroutine; h must not change
+// before wait returns.
+func (c *classifier) hear(h *heardEvent) {
+	if c.feed != nil {
+		c.feed <- h
+		return
+	}
+	c.s.classify(c.rows, h, &c.rep)
+}
+
+// wait returns the batch's classification counts once every heard
+// event is classified.
+func (c *classifier) wait() EventReport {
+	if c.feed != nil {
+		close(c.feed)
+		<-c.done
+	}
+	rep := c.rep
+	*c = classifier{}
+	return rep
 }
 
 // applyStats folds one event report's classification counts into the
@@ -519,16 +630,12 @@ func (s *Session) applyStats(rep *EventReport) {
 
 // maxPowerRow returns node id's row of the maintained ground-truth G_R
 // at its current position, in the session's reused buffer: every live
-// node within maximum-power range, under exactly MaxPowerGraph's
-// distance predicate. The spatial index holds exactly the live nodes,
-// so patching these rows in keeps the incremental graph equal to a
-// fresh MaxPowerGraph with departed nodes isolated.
-func (s *Session) maxPowerRow(id int) []int32 {
-	s.grIDs = core.AppendMaxPowerNeighbors(s.grIDs[:0], s.pos, s.eng.prop, id, s.idx)
-	s.grRow = s.grRow[:0]
-	for _, v := range s.grIDs {
-		s.grRow = append(s.grRow, int32(v))
-	}
+// node within maximum-power range, under exactly MaxPowerGraph's link
+// rule. o holds the observers of that position, a superset of the row
+// (see rangeSlack), so patching these rows in keeps the incremental
+// graph equal to a fresh MaxPowerGraph with departed nodes isolated.
+func (s *Session) maxPowerRow(id int, o *observers) []int32 {
+	s.grRow = core.AppendMaxPowerRow(s.grRow[:0], s.eng.prop, id, o.ids, o.dist)
 	return s.grRow
 }
 
@@ -835,27 +942,38 @@ func (s *Session) Engine() *Engine { return s.eng }
 // rangeSlack widens the observer test slightly beyond R so that
 // borderline candidates (admitted by the oracle's own distance
 // tolerance) are never missed. Over-inclusion only costs a recompute;
-// under-inclusion would let stale state survive.
+// under-inclusion would let stale state survive. Because it exceeds
+// that tolerance (1e-12), a site's observers also include every G_R
+// neighbor a node at the site has, which is how maxPowerRow finds them.
 const rangeSlack = 1e-9
 
-// withinRange returns the live nodes other than self within the
-// propagation model's link-radius bound of p, in ascending id order,
-// in dst's backing array. The spatial index — which holds exactly the
-// live nodes — answers the radius query; the slightly widened query
-// radius plus the exact distance re-check, filtered in place, reproduce
-// the full-scan predicate. The bound is the observer radius: no link —
-// even a favorably-shadowed one — can exceed it, so every node that
-// could hear an event at p is included.
-func (s *Session) withinRange(dst []int, self int, p Point) []int {
+// observers is one event site's observer list: the live nodes other
+// than the event node within the observer radius, in the spatial
+// index's order, and each one's distance to the site.
+type observers struct {
+	ids  []int
+	dist []float64
+}
+
+// withinRange gathers into o the live nodes other than self within the
+// propagation model's link-radius bound of p, reusing o's buffers. The
+// spatial index — which holds exactly the live nodes — answers the
+// radius query; the slightly widened query radius plus the exact
+// distance re-check, filtered in place, reproduce the full-scan
+// predicate. The bound is the observer radius: no link — even a
+// favorably-shadowed one — can exceed it, so every node that could hear
+// an event at p is included. The ids are not sorted: each use is
+// order-free except appendReached, which sorts what it keeps.
+func (s *Session) withinRange(o *observers, self int, p Point) {
 	r := s.eng.prop.MaxLinkRadius() * (1 + rangeSlack)
-	dst = s.idx.AppendWithin(dst[:0], p, r*(1+spatial.QuerySlack))
-	out := dst[:0]
-	for _, v := range dst {
-		if v != self && s.pos[v].Dist(p) <= r {
-			out = append(out, v)
+	all := s.idx.AppendWithinUnordered(o.ids[:0], p, r*(1+spatial.QuerySlack))
+	o.ids, o.dist = all[:0], o.dist[:0]
+	for _, v := range all {
+		if d := s.pos[v].Dist(p); v != self && d <= r {
+			o.ids = append(o.ids, v)
+			o.dist = append(o.dist, d)
 		}
 	}
-	return out
 }
 
 // reachSlack widens a node's beacon reach in appendReached. It must
@@ -878,12 +996,16 @@ const reachSlack = 1e-9
 // arcs, exactly as they were. A boundary node has GrowPower = P and so
 // hears every site within range. GrowPower is read as it stood before
 // the batch: repairs install new state only after the structural pass.
-func (s *Session) appendReached(dst []int, id int, q Point, observers []int) []int {
+//
+// The reached observers are appended in ascending id order, which fixes
+// the order of the batch's recompute set.
+func (s *Session) appendReached(dst []int, id int, o *observers) []int {
 	prop := s.eng.prop
 	pure := prop.DistancePure()
-	for _, u := range observers {
+	start := len(dst)
+	for i, u := range o.ids {
 		grow := s.nodes[u].GrowPower
-		d := s.pos[u].Dist(q)
+		d := o.dist[i]
 		var reached bool
 		if pure {
 			reached = d <= prop.RangeBound(grow)*(1+reachSlack)+reachSlack
@@ -894,6 +1016,7 @@ func (s *Session) appendReached(dst []int, id int, q Point, observers []int) []i
 			dst = append(dst, u)
 		}
 	}
+	slices.Sort(dst[start:])
 	return dst
 }
 
@@ -1114,20 +1237,4 @@ func (s *Session) marked(u int) bool {
 	}
 	s.mark[u] = s.markGen
 	return false
-}
-
-// union merges two id lists into dst's backing array, preserving
-// first-occurrence order and deduping through the session's mark stamps
-// instead of a per-call map.
-func (s *Session) union(dst, a, b []int) []int {
-	s.newMarkEpoch()
-	out := dst[:0]
-	for _, lst := range [2][]int{a, b} {
-		for _, v := range lst {
-			if !s.marked(v) {
-				out = append(out, v)
-			}
-		}
-	}
-	return out
 }

@@ -131,35 +131,45 @@ func (s *Session) applyBatchLocked(events []Event) (BatchReport, error) {
 	// event node classify the event, and those whose installed beacon
 	// reaches the site join the recompute set, as the event node always
 	// does. Non-event nodes never move or leave within a batch, so both
-	// tests give the same answer at any point of it.
+	// tests give the same answer at any point of it. The classification
+	// reads only the machines and the heard-event log, so a large batch
+	// runs it alongside the structural pass.
 	s.resetMachines()
+	if len(s.heard) < len(events) {
+		s.heard = append(s.heard, make([]heardEvent, len(events)-len(s.heard))...)
+	}
+	cls := &s.cls
+	cls.start(s, len(events))
 	affected := s.affected[:0]
-	for _, ev := range events {
+	for k, ev := range events {
 		switch ev.Kind {
 		case EventJoin:
-			id := s.admit(ev.Pos)
+			id := s.admit(ev.Pos, &s.atNew)
 			rep.JoinIDs = append(rep.JoinIDs, id)
-			s.nearOld = s.withinRange(s.nearOld, id, ev.Pos)
 			// §4 repairs every joinᵤ in place (insert, then shrink back).
-			rep.Repairs += len(s.nearOld)
-			affected = s.appendReached(append(affected, id), id, ev.Pos, s.nearOld)
+			rep.Repairs += len(s.atNew.ids)
+			affected = s.appendReached(append(affected, id), id, &s.atNew)
 		case EventLeave:
 			site := s.pos[ev.ID]
 			s.depart(ev.ID)
-			s.nearOld = s.withinRange(s.nearOld, ev.ID, site)
-			s.observeLeave(ev.ID, s.nearOld, &rep.EventReport)
-			affected = s.appendReached(append(affected, ev.ID), ev.ID, site, s.nearOld)
+			s.withinRange(&s.atOld, ev.ID, site)
+			s.hearLeave(&s.heard[k], ev.ID)
+			cls.hear(&s.heard[k])
+			affected = s.appendReached(append(affected, ev.ID), ev.ID, &s.atOld)
 		case EventMove:
-			old := s.relocate(ev.ID, ev.Pos)
-			s.nearOld = s.withinRange(s.nearOld, ev.ID, old)
-			s.nearNew = s.withinRange(s.nearNew, ev.ID, ev.Pos)
-			s.heard = s.union(s.heard, s.nearOld, s.nearNew)
-			s.observeMove(ev.ID, ev.Pos, s.heard, &rep.EventReport)
+			old := s.relocate(ev.ID, ev.Pos, &s.atNew)
+			s.withinRange(&s.atOld, ev.ID, old)
+			s.hearMove(&s.heard[k], ev.ID, ev.Pos)
+			cls.hear(&s.heard[k])
 			rep.Regrows++ // the moved node reruns its growing phase
-			affected = s.appendReached(append(affected, ev.ID), ev.ID, old, s.nearOld)
-			affected = s.appendReached(affected, ev.ID, ev.Pos, s.nearNew)
+			affected = s.appendReached(append(affected, ev.ID), ev.ID, &s.atOld)
+			affected = s.appendReached(affected, ev.ID, &s.atNew)
 		}
 	}
+	heard := cls.wait()
+	rep.AngleChanges += heard.AngleChanges
+	rep.Regrows += heard.Regrows
+	rep.Repairs += heard.Repairs
 	s.applyStats(&rep.EventReport)
 	rep.Recomputed = s.recompute(affected)
 	s.affected = affected[:0]

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math/rand/v2"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"cbtc/internal/workload"
@@ -254,4 +256,60 @@ func TestApplyBatchCorrelatedDrift(t *testing.T) {
 		}
 	}
 	requireSessionMatchesFreshRun(t, eng, s)
+}
+
+// A batch of classifyPipelineMin or more events on a session that may
+// use several cores classifies its events on a goroutine alongside the
+// structural pass. The same seeded histories, with joins, leaves, moves
+// and nodes moved twice in one batch, run with one repair worker (the
+// classification inline) and with two on two procs (pipelined) must
+// yield identical batch reports and session statistics.
+func TestClassificationPipelineMatchesInline(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const side = 1200.0
+	for _, opts := range [][]Option{
+		{WithMaxRadius(300), WithShrinkBack()},
+		{WithMaxRadius(300), WithShrinkBack(), WithShadowing(4, 5)},
+	} {
+		run := func(workers int) ([]BatchReport, SessionStats, int) {
+			eng, err := New(append([]Option{WithWorkers(workers)}, opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var reps []BatchReport
+			var stats SessionStats
+			piped := 0
+			for seed := uint64(0); seed < 3; seed++ {
+				sess, err := eng.NewSession(context.Background(), workload.Uniform(workload.Rand(seed), 120, side, side))
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewPCG(seed, 7))
+				for round := 0; round < 10; round++ {
+					events := randomBatch(rng, sess, 1+rng.IntN(40), side)
+					if len(events) >= classifyPipelineMin {
+						piped++
+					}
+					rep, err := sess.ApplyBatch(events)
+					if err != nil {
+						t.Fatal(err)
+					}
+					reps = append(reps, rep)
+				}
+				st := sess.Stats()
+				stats.AngleChanges += st.AngleChanges
+				stats.Regrows += st.Regrows
+				stats.Repairs += st.Repairs
+			}
+			return reps, stats, piped
+		}
+		inline, inlineStats, _ := run(1)
+		piped, pipedStats, n := run(2)
+		if n == 0 || inlineStats.AngleChanges == 0 || inlineStats.Regrows == 0 {
+			t.Fatalf("history too tame: %d pipelined batches, %+v", n, inlineStats)
+		}
+		if !reflect.DeepEqual(inline, piped) || inlineStats != pipedStats {
+			t.Fatalf("pipelined classification diverged: %+v inline, %+v pipelined", inlineStats, pipedStats)
+		}
+	}
 }

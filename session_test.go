@@ -115,7 +115,7 @@ func requireSessionMatchesKeyedRun(t *testing.T, s *Session) {
 		}
 		nr := core.RunNode(s.pos, s.alive, eng.prop, eng.cfg.Alpha, u, grid)
 		if eng.schedule != nil {
-			nr.Neighbors = core.QuantizeNeighbors(nr.Neighbors, eng.schedule)
+			core.QuantizeNeighbors(nr.Neighbors, eng.schedule)
 		}
 		exec.Nodes[u] = nr
 	}
