@@ -861,7 +861,8 @@ func drawIngestTicks(sc workload.FleetScenario, placements [][]Point, seed uint6
 // structure its split searches, and graph rows that outgrew their room
 // a copy; nothing was allocated per candidate. Before the repair read
 // its candidates from G_R and its §4 machines from a per-batch pool, a
-// batch made 2 600.
+// batch made 2 600; since the split searches run on the component
+// structure's reused scratch, about 190.
 func TestApplyBatchAllocations(t *testing.T) {
 	const seed, moves = 3, 16
 	sc := workload.Fleet(1, 1000, "uniform")

@@ -171,6 +171,8 @@ func (r *NodeRunner) RunNode(pos []geom.Point, alive []bool, m radio.Propagation
 // would admit, in any order — as a maintained max-power graph's row
 // does. It skips the index query and, on a radio with per-link terms,
 // the link-range re-check, and yields RunNode's result bit for bit.
+// Like RunNode it sorts nothing: grow draws the candidates in discovery
+// order from a heap and stops drawing at the first gap-free prefix.
 func (r *NodeRunner) RunNodeRow(pos []geom.Point, m radio.Propagation, alpha float64, u int, row []int32) NodeResult {
 	pure := m.DistancePure()
 	out := r.scr.cands[:0]
@@ -183,7 +185,6 @@ func (r *NodeRunner) RunNodeRow(pos []geom.Point, m radio.Propagation, alpha flo
 		out = append(out, candidate{id: int(v), dist: d, key: key})
 	}
 	r.scr.cands = out
-	sortCandidates(out)
 	return grow(pos, m, alpha, u, out, &r.scr)
 }
 
@@ -297,16 +298,22 @@ func runNode(pos []geom.Point, alive []bool, m radio.Propagation, alpha float64,
 	return grow(pos, m, alpha, u, gatherCandidates(pos, alive, m, m.DistancePure(), u, idx, scr), scr)
 }
 
-// grow is the growing phase for every radio: u admits its candidates,
-// sorted by sortCandidates, one group of (approximately) equal keys at a
-// time — the nodes that become reachable at the same power — and stops
-// at the first prefix whose direction set has no α-gap. On a
-// distance-pure radio the group's power is the nominal power for its
-// farthest member's distance, bit-identical to when the oracle
-// hardcoded the power law; otherwise it is the group's needed link
-// power. Discovery.Power carries it, so the quantized-tag and
-// reconfiguration machinery downstream see one shape. The row is built
-// in the scratch and copied out once, at its exact size.
+// grow is the growing phase for every radio: u admits its candidates in
+// discovery order, (key, dist, id), one group of (approximately) equal
+// keys at a time — the nodes that become reachable at the same power —
+// and stops at the first prefix whose direction set has no α-gap. The
+// candidates arrive in any order; grow heapifies them in place and pops
+// them in that order, so only the admitted prefix (and the heap's
+// Θ(k) build) is paid for, not a full sort of every candidate: at paper
+// density a node admits about 7 of its 32. A group's members are popped
+// while their key ties with its first member's, exactly the groups a
+// walk over the sorted list forms. On a distance-pure radio the group's
+// power is the nominal power for its farthest member's distance,
+// bit-identical to when the oracle hardcoded the power law; otherwise it
+// is the group's needed link power. Discovery.Power carries it, so the
+// quantized-tag and reconfiguration machinery downstream see one shape.
+// The row is built in the scratch and copied out once, at its exact
+// size. cands stays a permutation of the candidates it was given.
 func grow(pos []geom.Point, m radio.Propagation, alpha float64, u int, cands []candidate, scr *gatherScratch) NodeResult {
 	pure := m.DistancePure()
 	nominal := m.Nominal()
@@ -317,26 +324,23 @@ func grow(pos []geom.Point, m radio.Propagation, alpha float64, u int, cands []c
 	nbrs, dirs := slices.Grow(scr.nbrs[:0], len(cands)), scr.dirs[:0]
 	defer func() { scr.nbrs, scr.dirs = nbrs[:0], dirs[:0] }()
 
-	i := 0
-	for i < len(cands) {
-		groupEnd := i + 1
-		for groupEnd < len(cands) && sameDist(cands[groupEnd].key, cands[i].key) {
-			groupEnd++
-		}
-		groupPower := cands[groupEnd-1].key
-		if pure {
-			groupPower = nominal.PowerFor(cands[groupEnd-1].dist)
-		}
-		for ; i < groupEnd; i++ {
-			c := cands[i]
-			dir := pos[u].Bearing(pos[c.id])
-			nbrs = append(nbrs, Discovery{
-				ID:    c.id,
-				Dist:  c.dist,
-				Dir:   dir,
-				Power: groupPower,
-			})
+	heapifyCandidates(cands)
+	heap := cands
+	for len(heap) > 0 {
+		lead, start := heap[0].key, len(nbrs)
+		var last candidate
+		for len(heap) > 0 && sameDist(heap[0].key, lead) {
+			last, heap = popCandidate(heap)
+			dir := pos[u].Bearing(pos[last.id])
+			nbrs = append(nbrs, Discovery{ID: last.id, Dist: last.dist, Dir: dir})
 			dirs = geom.InsertSorted(dirs, dir)
+		}
+		groupPower := last.key
+		if pure {
+			groupPower = nominal.PowerFor(last.dist)
+		}
+		for i := start; i < len(nbrs); i++ {
+			nbrs[i].Power = groupPower
 		}
 		if !geom.HasGapSorted(dirs, alpha) {
 			return NodeResult{
@@ -355,11 +359,64 @@ func grow(pos []geom.Point, m radio.Propagation, alpha float64, u int, cands []c
 	}
 }
 
+// candidateLess is discovery order, (key, dist, id): a strict total
+// order — ids are distinct — so the heap pops one unique sequence at
+// every worker count, whatever order the gather produced.
+func candidateLess(a, b *candidate) bool {
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	if a.dist != b.dist {
+		return a.dist < b.dist
+	}
+	return a.id < b.id
+}
+
+// heapifyCandidates makes h a binary min-heap in discovery order.
+func heapifyCandidates(h []candidate) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDownCandidate(h, i)
+	}
+}
+
+// popCandidate removes the heap's minimum and returns it with the
+// shrunk heap. The minimum moves to the slot the heap gives up, so the
+// backing array keeps every candidate — the G_R sink reads them all.
+func popCandidate(h []candidate) (candidate, []candidate) {
+	top, n := h[0], len(h)-1
+	h[0], h[n] = h[n], top
+	if n > 1 {
+		siftDownCandidate(h[:n], 0)
+	}
+	return top, h[:n]
+}
+
+// siftDownCandidate restores the heap property below slot i.
+func siftDownCandidate(h []candidate, i int) {
+	x := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && candidateLess(&h[r], &h[c]) {
+			c = r
+		}
+		if !candidateLess(&h[c], &x) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = x
+}
+
 // gatherCandidates returns u's live G_R neighbors — the nodes inMaxRange
-// admits — sorted by (key, dist, id). With an index the gather only
-// touches nodes near u: the query radius is widened by
-// spatial.QuerySlack and the exact rule re-applied, so both paths admit
-// identical candidate sets.
+// admits — in gather order, each with its discovery key; grow imposes
+// the (key, dist, id) order itself, only as far as it admits. With an
+// index the gather only touches nodes near u: the query radius is
+// widened by spatial.QuerySlack and the exact rule re-applied, so both
+// paths admit identical candidate sets.
 func gatherCandidates(pos []geom.Point, alive []bool, m radio.Propagation, pure bool, u int, idx Index, scr *gatherScratch) []candidate {
 	rr, qr := maxPowerRadii(m)
 	out := scr.cands[:0]
@@ -388,30 +445,7 @@ func gatherCandidates(pos []geom.Point, alive []bool, m radio.Propagation, pure 
 		}
 	}
 	scr.cands = out
-	sortCandidates(out)
 	return out
-}
-
-// sortCandidates puts candidates in discovery order, (key, dist, id).
-// That is a strict total order — ids are distinct — so any comparison
-// sort yields the same unique sequence at every worker count; SortFunc
-// avoids sort.Slice's reflection overhead on this hot path.
-func sortCandidates(out []candidate) {
-	slices.SortFunc(out, func(a, b candidate) int {
-		if a.key != b.key {
-			if a.key < b.key {
-				return -1
-			}
-			return 1
-		}
-		if a.dist != b.dist {
-			if a.dist < b.dist {
-				return -1
-			}
-			return 1
-		}
-		return a.id - b.id
-	})
 }
 
 func sameDist(a, b float64) bool {

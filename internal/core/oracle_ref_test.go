@@ -316,8 +316,8 @@ func refAliveMask(rng *rand.Rand, n int) []bool {
 
 // FuzzRunNode: the one growing-phase kernel equals the per-radio reference
 // kernels bit for bit on arbitrary placements, radios, cone angles, index
-// choices and alive masks, and RunNodeRow over the live G_R rows equals
-// RunNode.
+// choices and alive masks, RunNodeRow over the live G_R rows equals
+// RunNode, and the heap-driven grow equals the sort-then-walk.
 func FuzzRunNode(f *testing.F) {
 	for shape := uint64(0); shape < refShapes; shape++ {
 		f.Add(shape, shape*13, uint8(shape), uint8(shape), uint8(shape*5))
@@ -333,6 +333,7 @@ func FuzzRunNode(f *testing.F) {
 		}
 		checkRunNodeMatchesRef(t, "fuzz", pos, alive, m, alpha, &gatherScratch{})
 		checkRunNodeRowMatchesRunNode(t, "fuzz", pos, alive, m, alpha)
+		checkGrowMatchesSortedWalk(t, "fuzz", pos, alive, m, alpha)
 	})
 }
 

@@ -3,6 +3,7 @@ package geom
 import (
 	"cmp"
 	"slices"
+	"sort"
 )
 
 // arc is a closed interval [start, end] on the circle with
@@ -36,17 +37,19 @@ const (
 // the reference. When the reference covers the whole circle — the case
 // of every interior node — coverage equality is exactly the absence of
 // an α-gap in the query set, a linear scan over a sorted slice kept
-// up to date by Add and Remove. Otherwise the query's arcs are merged
-// into reused scratch and compared with the reference's, up to 10·Eps
-// per arc endpoint after the split arc at 0 is joined. A warmed Cover
-// allocates nothing. The zero value is ready for Reset; a Cover is not
-// safe for concurrent use.
+// up to date by Add and Remove. Otherwise the query set's arc pieces
+// are kept too, ascending by start: Add and Remove insert or delete a
+// direction's one or two pieces by binary search, so Same merges them
+// in one linear pass, with no sort per test, and compares the merged
+// arcs with the reference's, up to 10·Eps per arc endpoint after the
+// split arc at 0 is joined. A warmed Cover allocates nothing. The zero
+// value is ready for Reset; a Cover is not safe for concurrent use.
 type Cover struct {
 	alpha   float64
 	ref     refKind
 	refArcs []arc     // merged arcs of the reference, when ref is refArcs
 	sorted  []float64 // query set, normalized and ascending
-	dirs    []float64 // query set as given: the arc endpoints derive from these
+	pieces  []arc     // query set's arc pieces ascending by start, when ref is refArcs
 	arcs    []arc     // scratch for the query's merged arcs
 }
 
@@ -57,12 +60,12 @@ type Cover struct {
 // defined on normalized directions passes normalized ones.
 func (c *Cover) Reset(dirs []float64, alpha float64) {
 	c.alpha = alpha
-	c.dirs = append(c.dirs[:0], dirs...)
 	c.sorted = slices.Grow(c.sorted[:0], len(dirs))
 	for _, d := range dirs {
 		c.sorted = append(c.sorted, Normalize(d))
 	}
 	slices.Sort(c.sorted)
+	c.pieces = c.pieces[:0]
 	switch {
 	case len(dirs) == 0:
 		c.ref = refEmpty
@@ -70,30 +73,50 @@ func (c *Cover) Reset(dirs []float64, alpha float64) {
 		c.ref = refFull
 	default:
 		c.ref = refArcs
-		c.refArcs = mergeArcs(c.refArcs[:0], dirs, alpha)
+		for _, d := range dirs {
+			c.pieces = appendPieces(c.pieces, d, alpha)
+		}
+		slices.SortFunc(c.pieces, func(a, b arc) int { return cmp.Compare(a.start, b.start) })
+		c.refArcs = mergePieces(c.refArcs[:0], c.pieces)
 	}
 }
 
 // Clear empties the query set; the reference is kept.
 func (c *Cover) Clear() {
 	c.sorted = c.sorted[:0]
-	c.dirs = c.dirs[:0]
+	c.pieces = c.pieces[:0]
 }
 
 // Add inserts direction d into the query set.
 func (c *Cover) Add(d float64) {
 	c.sorted = InsertSorted(c.sorted, d)
-	c.dirs = append(c.dirs, d)
+	if c.ref != refArcs {
+		return
+	}
+	var buf [2]arc
+	for _, p := range appendPieces(buf[:0], d, c.alpha) {
+		c.pieces = slices.Insert(c.pieces, pieceIndex(c.pieces, p.start), p)
+	}
 }
 
 // Remove deletes one occurrence of d, as passed to Reset or Add, from
 // the query set; d must be in it.
 func (c *Cover) Remove(d float64) {
-	j := slices.Index(c.dirs, d)
-	c.dirs[j] = c.dirs[len(c.dirs)-1]
-	c.dirs = c.dirs[:len(c.dirs)-1]
 	i, _ := slices.BinarySearch(c.sorted, Normalize(d))
 	c.sorted = slices.Delete(c.sorted, i, i+1)
+	if c.ref != refArcs {
+		return
+	}
+	// d derives the very pieces it added, so each is found bit for bit
+	// among the pieces that share its start.
+	var buf [2]arc
+	for _, p := range appendPieces(buf[:0], d, c.alpha) {
+		j := pieceIndex(c.pieces, p.start)
+		for c.pieces[j] != p {
+			j++
+		}
+		c.pieces = slices.Delete(c.pieces, j, j+1)
+	}
 }
 
 // Same reports whether the query set's α-coverage equals the
@@ -114,40 +137,48 @@ func (c *Cover) Same() bool {
 	if full {
 		return false
 	}
-	c.arcs = mergeArcs(c.arcs[:0], c.dirs, c.alpha)
+	c.arcs = mergePieces(c.arcs[:0], c.pieces)
 	return equalArcs(c.arcs, c.refArcs)
 }
 
-// mergeArcs appends to dst the union of the arcs [d−α/2, d+α/2] over
-// dirs, split at 0 where an arc crosses it, sorted by start and merged
-// where one arc starts within Eps of the previous end. Arcs with equal
-// starts merge to the same result in any order, so the sort need not
-// be stable.
-func mergeArcs(dst []arc, dirs []float64, alpha float64) []arc {
-	half := alpha / 2
-	for _, d := range dirs {
-		start := Normalize(d - half)
-		end := start + alpha
-		if end > TwoPi {
-			dst = append(dst, arc{start, TwoPi}, arc{0, end - TwoPi})
-		} else {
-			dst = append(dst, arc{start, end})
-		}
+// appendPieces appends the arc [d−α/2, d+α/2] to dst, split at 0 into
+// two pieces when it crosses it. The start is Normalize(d−α/2) with a
+// zero start made +0 (Normalize keeps the sign of a −0), so pieces with
+// equal starts are equal bit for bit and merge to the same arcs in any
+// order.
+func appendPieces(dst []arc, d, alpha float64) []arc {
+	start := Normalize(d - alpha/2)
+	if start == 0 {
+		start = 0
 	}
-	slices.SortFunc(dst, func(a, b arc) int { return cmp.Compare(a.start, b.start) })
+	end := start + alpha
+	if end > TwoPi {
+		return append(dst, arc{start, TwoPi}, arc{0, end - TwoPi})
+	}
+	return append(dst, arc{start, end})
+}
 
-	merged := dst[:1]
-	for _, a := range dst[1:] {
-		last := &merged[len(merged)-1]
-		if a.start <= last.end+Eps {
-			if a.end > last.end {
-				last.end = a.end
+// pieceIndex returns the position of the first piece whose start is at
+// least start, in pieces ascending by start.
+func pieceIndex(pieces []arc, start float64) int {
+	return sort.Search(len(pieces), func(i int) bool { return pieces[i].start >= start })
+}
+
+// mergePieces appends to dst the union of pieces, which ascend by
+// start, merging a piece into the previous arc when it starts within
+// Eps of that arc's end. The result is a sorted list of disjoint,
+// maximal arcs (except for the possible split at 0).
+func mergePieces(dst, pieces []arc) []arc {
+	for _, p := range pieces {
+		if n := len(dst); n > 0 && p.start <= dst[n-1].end+Eps {
+			if p.end > dst[n-1].end {
+				dst[n-1].end = p.end
 			}
 		} else {
-			merged = append(merged, a)
+			dst = append(dst, p)
 		}
 	}
-	return merged
+	return dst
 }
 
 // equalArcs compares two merged arc lists endpoint by endpoint within

@@ -1,6 +1,10 @@
 package graph
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // Delta describes one repair's worth of changes to a live graph, the
 // unit LiveComponents.Apply consumes. A Session accumulates one Delta
@@ -55,9 +59,23 @@ type LiveComponents struct {
 	// visit/owner/visitGen are the epoch-stamped scratch of Apply's
 	// rebuild-on-split search: node u is claimed this Apply iff
 	// visit[u] == visitGen, and then owner[u] is the claiming search.
-	visit    []int
-	owner    []int32
-	visitGen int
+	// A node is claimed once per Apply, so each search keeps its
+	// frontier stack and its claimed nodes as lists linked through
+	// nextQueued and nextClaimed, indexed by node like visit.
+	visit       []int
+	owner       []int32
+	nextQueued  []int32
+	nextClaimed []int32
+	visitGen    int
+
+	// The rest of the search's scratch, reused across Applies: one
+	// search per seed, the seed indices grouped by root, the union-find
+	// over searches, and per union-find slot 1 + the group number of
+	// the root it names (0 outside splitRepair's grouping).
+	searches  []lcSearch
+	groups    []int32
+	sparent   []int32
+	rootGroup []int32
 }
 
 // NewLiveComponents builds the structure for g restricted to the live
@@ -158,12 +176,17 @@ func (lc *LiveComponents) Apply(g *Graph, d Delta) {
 	}
 }
 
-// lcSearch is one seed's region of Apply's rebuild-on-split race.
+// lcSearch is one seed's region of Apply's rebuild-on-split race. Its
+// frontier is a stack linked through LiveComponents.nextQueued, top
+// first; its claimed nodes (the fragment's members, if carved) a list
+// linked through nextClaimed. -1 ends a list.
 type lcSearch struct {
-	queue []int32 // BFS frontier
-	nodes []int32 // every node claimed (fragment members, if carved)
-	root  int32   // the old component's root slot
-	dead  bool    // absorbed into another search of the same fragment
+	top, bottom int32 // the frontier stack's ends, -1 when empty
+	first, last int32 // the claimed list's ends; a search claims its seed
+	claimed     int32 // how many nodes the claimed list holds
+	root        int32 // the old component's root slot
+	group       int32 // the number of root among the call's roots, first seen first
+	dead        bool  // absorbed into another search of the same fragment
 }
 
 // splitRepair re-derives the components of every set that lost an edge.
@@ -177,7 +200,7 @@ type lcSearch struct {
 // final graph still has cannot have caused a split.
 func (lc *LiveComponents) splitRepair(g *Graph, removed []Edge) {
 	gen := lc.nextGen()
-	var searches []*lcSearch
+	lc.searches = lc.searches[:0]
 	for _, e := range removed {
 		if g.HasEdge(e.U, e.V) {
 			continue
@@ -188,35 +211,61 @@ func (lc *LiveComponents) splitRepair(g *Graph, removed []Edge) {
 				continue
 			}
 			lc.visit[u] = gen
-			lc.owner[u] = int32(len(searches))
-			searches = append(searches, &lcSearch{
-				queue: []int32{int32(u)},
-				nodes: []int32{int32(u)},
-				root:  lc.find(slot),
+			lc.owner[u] = int32(len(lc.searches))
+			lc.nextQueued[u], lc.nextClaimed[u] = -1, -1
+			lc.searches = append(lc.searches, lcSearch{
+				top: int32(u), bottom: int32(u),
+				first: int32(u), last: int32(u), claimed: 1,
+				root: lc.find(slot),
 			})
 		}
 	}
-	// Group seeds by root in first-seen order, so slot allocation — and
-	// with it the whole structure — is deterministic in the input.
-	byRoot := make(map[int32][]int32, 2)
-	var rootOrder []int32
-	for i, s := range searches {
-		if _, ok := byRoot[s.root]; !ok {
-			rootOrder = append(rootOrder, s.root)
+	// Group seeds by root, roots in first-seen order and seeds in seed
+	// order within a group, so slot allocation — and with it the whole
+	// structure — is deterministic in the input.
+	if n := len(lc.parent); len(lc.rootGroup) < n {
+		lc.rootGroup = append(lc.rootGroup, make([]int32, n-len(lc.rootGroup))...)
+	}
+	var roots int32
+	lc.groups, lc.sparent = lc.groups[:0], lc.sparent[:0]
+	for i := range lc.searches {
+		s := &lc.searches[i]
+		if lc.rootGroup[s.root] == 0 {
+			roots++
+			lc.rootGroup[s.root] = roots
 		}
-		byRoot[s.root] = append(byRoot[s.root], int32(i))
+		s.group = lc.rootGroup[s.root] - 1
+		lc.groups = append(lc.groups, int32(i))
+		// sparent is a small union-find over search indices: searches
+		// whose frontiers meet belong to the same fragment.
+		lc.sparent = append(lc.sparent, int32(i))
 	}
-	// sparent is a small union-find over search indices: searches whose
-	// frontiers meet belong to the same fragment.
-	sparent := make([]int32, len(searches))
-	for i := range sparent {
-		sparent[i] = int32(i)
+	for i := range lc.searches {
+		lc.rootGroup[lc.searches[i].root] = 0
 	}
-	for _, root := range rootOrder {
-		if members := byRoot[root]; len(members) > 1 {
-			lc.raceSearches(g, gen, searches, sparent, members)
+	slices.SortStableFunc(lc.groups, func(a, b int32) int {
+		return cmp.Compare(lc.searches[a].group, lc.searches[b].group)
+	})
+	for rest := lc.groups; len(rest) > 0; {
+		n := 1
+		for n < len(rest) && lc.searches[rest[n]].group == lc.searches[rest[0]].group {
+			n++
 		}
+		if n > 1 {
+			lc.raceSearches(g, gen, rest[:n])
+		}
+		rest = rest[n:]
 	}
+}
+
+// sfind returns search x's representative in the search union-find,
+// with path halving.
+func (lc *LiveComponents) sfind(x int32) int32 {
+	for lc.sparent[x] != x {
+		lc.sparent[x] = lc.sparent[lc.sparent[x]]
+		x = lc.sparent[x]
+	}
+	return x
 }
 
 // raceSearches expands the group's searches round-robin, one frontier
@@ -227,45 +276,55 @@ func (lc *LiveComponents) splitRepair(g *Graph, removed []Edge) {
 // fragment — plus anything never reached, which by the seed invariant is
 // part of the same fragment — keeps the old slot, so the dominant
 // surviving fragment is never fully traversed.
-func (lc *LiveComponents) raceSearches(g *Graph, gen int, searches []*lcSearch, sparent []int32, members []int32) {
-	sfind := func(x int32) int32 {
-		for sparent[x] != x {
-			sparent[x] = sparent[sparent[x]]
-			x = sparent[x]
-		}
-		return x
-	}
+func (lc *LiveComponents) raceSearches(g *Graph, gen int, members []int32) {
 	remaining := members
 	for len(remaining) > 1 {
 		next := remaining[:0]
 		for _, si := range remaining {
-			s := searches[si]
+			s := &lc.searches[si]
 			if s.dead {
 				continue
 			}
-			if len(s.queue) == 0 {
+			if s.top < 0 {
 				// Completed while others still expand: a full fragment.
-				lc.carve(s.root, s.nodes)
+				lc.carve(s)
 				continue
 			}
-			x := s.queue[len(s.queue)-1]
-			s.queue = s.queue[:len(s.queue)-1]
+			x := s.top
+			if s.top = lc.nextQueued[x]; s.top < 0 {
+				s.bottom = -1
+			}
 			for _, v := range g.Row(int(x)) {
 				if lc.visit[v] == gen {
-					if j := sfind(lc.owner[v]); j != si {
-						// Frontiers met: same fragment. Absorb j into si.
-						o := searches[j]
-						s.queue = append(s.queue, o.queue...)
-						s.nodes = append(s.nodes, o.nodes...)
-						o.queue, o.nodes, o.dead = nil, nil, true
-						sparent[j] = si
+					if j := lc.sfind(lc.owner[v]); j != si {
+						// Frontiers met: same fragment. Absorb j into si:
+						// its frontier goes on top of si's, in its order.
+						o := &lc.searches[j]
+						if o.top >= 0 {
+							lc.nextQueued[o.bottom] = s.top
+							if s.top < 0 {
+								s.bottom = o.bottom
+							}
+							s.top = o.top
+						}
+						lc.nextClaimed[o.last] = s.first
+						s.first = o.first
+						s.claimed += o.claimed
+						o.dead = true
+						lc.sparent[j] = si
 					}
 					continue
 				}
 				lc.visit[v] = gen
 				lc.owner[v] = si
-				s.queue = append(s.queue, v)
-				s.nodes = append(s.nodes, v)
+				lc.nextQueued[v] = s.top
+				if s.top < 0 {
+					s.bottom = v
+				}
+				s.top = v
+				lc.nextClaimed[v] = s.first
+				s.first = v
+				s.claimed++
 			}
 			next = append(next, si)
 		}
@@ -273,22 +332,23 @@ func (lc *LiveComponents) raceSearches(g *Graph, gen int, searches []*lcSearch, 
 	}
 }
 
-// carve moves one completed fragment out of its old component into a
-// fresh slot. A fragment covering everything still in the old set is
-// the remainder — every sibling fragment was carved before it — and
-// keeps the old slot instead, so the component count stays exact even
-// when the race's last two searches complete in the same round.
-func (lc *LiveComponents) carve(root int32, nodes []int32) {
-	r := lc.find(root)
-	if int(lc.size[r]) == len(nodes) {
+// carve moves one completed fragment, search s's claimed nodes, out of
+// its old component into a fresh slot. A fragment covering everything
+// still in the old set is the remainder — every sibling fragment was
+// carved before it — and keeps the old slot instead, so the component
+// count stays exact even when the race's last two searches complete in
+// the same round.
+func (lc *LiveComponents) carve(s *lcSearch) {
+	r := lc.find(s.root)
+	if lc.size[r] == s.claimed {
 		return
 	}
 	slot := lc.newSlot()
-	lc.size[slot] = int32(len(nodes))
-	for _, u := range nodes {
+	lc.size[slot] = s.claimed
+	for u := s.first; u >= 0; u = lc.nextClaimed[u] {
 		lc.node2set[u] = slot
 	}
-	lc.size[r] -= int32(len(nodes))
+	lc.size[r] -= s.claimed
 	lc.count++
 }
 
@@ -330,9 +390,11 @@ func (lc *LiveComponents) newSlot() int32 {
 
 // nextGen starts a fresh visit epoch over the current id space.
 func (lc *LiveComponents) nextGen() int {
-	if len(lc.visit) < len(lc.node2set) {
-		lc.visit = append(lc.visit, make([]int, len(lc.node2set)-len(lc.visit))...)
-		lc.owner = append(lc.owner, make([]int32, len(lc.node2set)-len(lc.owner))...)
+	if n := len(lc.node2set) - len(lc.visit); n > 0 {
+		lc.visit = append(lc.visit, make([]int, n)...)
+		lc.owner = append(lc.owner, make([]int32, n)...)
+		lc.nextQueued = append(lc.nextQueued, make([]int32, n)...)
+		lc.nextClaimed = append(lc.nextClaimed, make([]int32, n)...)
 	}
 	lc.visitGen++
 	return lc.visitGen

@@ -71,9 +71,18 @@ func (m Model) Validate() error {
 
 // PowerFor returns p(d), the minimum transmission power needed to reach a
 // receiver at distance d. PowerFor(0) = 0.
+//
+// The free-space law squares d with one multiplication where d·d is a
+// finite normal number, 2⁻⁵¹¹ ≤ d < 2⁵¹¹: there math.Pow(d, 2) rounds
+// the same product of d's mantissa with itself and only rescales it
+// exactly, so both give the same bits. Every other distance and
+// exponent goes through math.Pow.
 func (m Model) PowerFor(d float64) float64 {
 	if d <= 0 {
 		return 0
+	}
+	if m.Exponent == 2 && d >= 0x1p-511 && d < 0x1p511 {
+		return m.RefLoss * (d * d)
 	}
 	return m.RefLoss * math.Pow(d, m.Exponent)
 }

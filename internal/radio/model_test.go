@@ -142,3 +142,47 @@ func TestPowerMonotoneProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPowerForSquareMatchesPow: the free-space law's multiplication
+// equals RefLoss·math.Pow(d, 2) bit for bit — on random bit patterns
+// inside its guard 2⁻⁵¹¹ ≤ d < 2⁵¹¹, at both guard ends and their
+// neighbours, on random patterns outside it (the math.Pow fallback,
+// subnormals and infinity included), at unit and non-unit reference
+// losses.
+func TestPowerForSquareMatchesPow(t *testing.T) {
+	const lo, hi = 0x1p-511, 0x1p511
+	ds := []float64{1, 2, 500, math.Pi, math.SmallestNonzeroFloat64, math.MaxFloat64, math.Inf(1)}
+	for _, b := range []float64{lo, hi} {
+		ds = append(ds, b, math.Nextafter(b, 0), math.Nextafter(b, math.Inf(1)))
+	}
+	rng := rand.New(rand.NewPCG(26, 2))
+	const mantissa = 1<<52 - 1
+	inside := 0
+	for range 1 << 17 {
+		// Inside: a biased exponent for 2⁻⁵¹¹ … 2⁵¹⁰ and a random mantissa.
+		e := uint64(1023-511) + rng.Uint64N(1022)
+		ds = append(ds, math.Float64frombits(e<<52|rng.Uint64()&mantissa))
+		// Anywhere among the positive non-NaN bit patterns.
+		if d := math.Float64frombits(rng.Uint64() >> 1); !math.IsNaN(d) && d > 0 {
+			ds = append(ds, d)
+		}
+	}
+	for _, d := range ds {
+		if d >= lo && d < hi {
+			inside++
+		}
+	}
+	if inside < 1<<17 || inside == len(ds) {
+		t.Fatalf("%d of %d draws inside the guard: both sides must be covered", inside, len(ds))
+	}
+	for _, refLoss := range []float64{1, 2.5, 0.1} {
+		m := Model{Exponent: FreeSpaceExponent, MaxRadius: 500, RefLoss: refLoss}
+		for _, d := range ds {
+			got, want := m.PowerFor(d), refLoss*math.Pow(d, 2)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("RefLoss %v: PowerFor(%v) = %v (%#x), RefLoss·Pow(d, 2) = %v (%#x)",
+					refLoss, d, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}
