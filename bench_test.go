@@ -1098,6 +1098,75 @@ func BenchmarkCheckpoint(b *testing.B) {
 	})
 }
 
+// BenchmarkFleetCheckpoint measures fleetd's checkpoint path on
+// fleetd-ingest's fleet: eight 1000-node shrink-back members. /encode
+// writes the fleet checkpoint into a buffer grown to the previous
+// checkpoint's size, as fleetd's store does; /verify runs every restore
+// check on those bytes without building a member
+// (VerifyFleetCheckpoint: fleetd's verify-on-write and its read of the
+// oldest generation's clocks); /restore rebuilds the whole fleet
+// (RestoreFleet: fleetd's boot from an existing checkpoint).
+func BenchmarkFleetCheckpoint(b *testing.B) {
+	const seed = 13
+	sc := workload.Fleet(8, 1000, "uniform")
+	placements := sc.Placements(seed)
+	members := make([]MemberSpec, len(placements))
+	for i := range members {
+		members[i].Placement = placements[i]
+	}
+	eng, err := New(WithMaxRadius(sc.Radius), WithShrinkBack())
+	if err != nil {
+		b.Fatal(err)
+	}
+	f, err := eng.NewFleet(context.Background(), FleetConfig{Members: members, Seed: seed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var raw bytes.Buffer
+	if err := f.Checkpoint(&raw); err != nil {
+		b.Fatal(err)
+	}
+
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var buf bytes.Buffer
+			buf.Grow(raw.Len())
+			if err := f.Checkpoint(&buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(raw.Len()), "checkpoint-bytes")
+	})
+	b.Run("verify", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			wm, err := eng.VerifyFleetCheckpoint(bytes.NewReader(raw.Bytes()))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(wm.Members) != len(members) {
+				b.Fatal("verified checkpoint lost members")
+			}
+		}
+	})
+	b.Run("restore", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			restored, err := eng.RestoreFleet(bytes.NewReader(raw.Bytes()))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if restored.Size() != len(members) {
+				b.Fatal("restored fleet lost members")
+			}
+		}
+	})
+}
+
 // BenchmarkObserve is the PR 9 tentpole gate: per-tick metric reads off
 // the session's maintained aggregates (live count, edge count, dynamic
 // connectivity, cached radii) against the reference full scan — a

@@ -130,30 +130,40 @@ func (e *Engine) RestoreSession(r io.Reader) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.sessionFromState(st, e.workers)
+	if err := e.checkSessionState(st); err != nil {
+		return nil, err
+	}
+	return e.sessionFromState(st, e.workers), nil
 }
 
-// sessionFromState rebuilds a live session around decoded state. The
-// serialized vectors are adopted directly (the decoder built them
-// fresh), and everything else is derived from them, which is exact: the
-// grid is a pure function of the positions and liveness vector, and the
-// maintained topology (buildTopology, shared with the constructors) of
-// the node rows, positions and liveness. No §4 state machine outlives a
-// batch; the next batch builds them from the restored rows.
-func (e *Engine) sessionFromState(st *codec.SessionState, workers int) (*Session, error) {
+// checkSessionState runs every check restore makes on decoded session
+// state beyond the decoder's own: the engine fingerprint, the battery
+// vector's presence and length, and the node rows (validateNodeRows).
+// State that passes restores: building the session from it
+// (sessionFromState) derives the grid and the topology, which are pure
+// functions of the checked vectors, and checks nothing further.
+func (e *Engine) checkSessionState(st *codec.SessionState) error {
 	if err := e.checkFingerprint(st.Config); err != nil {
-		return nil, err
+		return err
 	}
 	if (st.Battery != nil) != e.battery {
-		return nil, fmt.Errorf("%w: battery vector present %v under battery model %v", ErrCheckpointCorrupt, st.Battery != nil, e.battery)
+		return fmt.Errorf("%w: battery vector present %v under battery model %v", ErrCheckpointCorrupt, st.Battery != nil, e.battery)
 	}
-	n := len(st.Pos)
-	if st.Battery != nil && len(st.Battery) != n {
-		return nil, fmt.Errorf("%w: battery vector holds %d nodes, session has %d", ErrCheckpointCorrupt, len(st.Battery), n)
+	if st.Battery != nil && len(st.Battery) != len(st.Pos) {
+		return fmt.Errorf("%w: battery vector holds %d nodes, session has %d", ErrCheckpointCorrupt, len(st.Battery), len(st.Pos))
 	}
-	if err := validateNodeRows(st); err != nil {
-		return nil, err
-	}
+	return validateNodeRows(st)
+}
+
+// sessionFromState builds a live session around decoded state that
+// checkSessionState accepted. The serialized vectors are adopted
+// directly (the decoder built them fresh), and everything else is
+// derived from them, which is exact: the grid is a pure function of the
+// positions and liveness vector, and the maintained topology
+// (buildTopology, shared with the constructors) of the node rows,
+// positions and liveness. No §4 state machine outlives a batch; the
+// next batch builds them from the restored rows.
+func (e *Engine) sessionFromState(st *codec.SessionState, workers int) *Session {
 	s := &Session{
 		eng:     e,
 		workers: workers,
@@ -184,7 +194,7 @@ func (e *Engine) sessionFromState(st *codec.SessionState, workers int) (*Session
 	// buildTopology fails only on cancellation, and restore has no caller
 	// context: the background one never cancels.
 	_ = s.buildTopology(context.Background())
-	return s, nil
+	return s
 }
 
 // validateNodeRows checks the node rows restore rebuilds the topology
@@ -324,50 +334,81 @@ func engineFromFingerprint(fc codec.EngineConfig, workers int) (*Engine, error) 
 // RestoreFleet rebuilds a Fleet from a checkpoint written by
 // Fleet.Checkpoint, under this engine's worker budget (build the engine
 // with WithWorkers to restore onto a different pool size — per-network
-// results are worker-count invariant either way). The members are
-// rebuilt on the same shard pool NewFleet builds them on. The
-// checkpoint's base fingerprint must match this engine exactly
-// (ErrConfigMismatch); heterogeneous members rebuild their derived
-// engines from their own embedded fingerprints. Invalid input yields
-// the same typed errors as RestoreSession, for the lowest-index member
-// that fails. The restored fleet's sessions are edge-identical to
-// the originals, its RNG streams and per-member tick clocks resume at
-// their exact positions — including ragged ones — and continuing it
-// (Run, Advance or TickEvents) produces byte-identical per-member
-// results to the uninterrupted fleet.
+// results are worker-count invariant either way). The checkpoint's base
+// fingerprint must match this engine exactly (ErrConfigMismatch);
+// heterogeneous members rebuild their derived engines from their own
+// embedded fingerprints. Invalid input yields the same typed errors as
+// RestoreSession, for the lowest-index member that fails: every check
+// runs over all members in index order before any member is built, and
+// the members are then built on the same shard pool NewFleet builds
+// them on. The restored fleet's sessions are edge-identical to the
+// originals, its RNG streams and per-member tick clocks resume at their
+// exact positions — including ragged ones — and continuing it (Run,
+// Advance or TickEvents) produces byte-identical per-member results to
+// the uninterrupted fleet.
 func (e *Engine) RestoreFleet(r io.Reader) (*Fleet, error) {
-	st, err := codec.DecodeFleet(r)
+	st, nets, err := e.decodeFleet(r)
 	if err != nil {
 		return nil, err
 	}
-	if err := e.checkFingerprint(st.Config); err != nil {
-		return nil, err
-	}
-	m := len(st.Nets)
-	if m == 0 {
-		return nil, fmt.Errorf("%w: fleet checkpoint holds no networks", ErrCheckpointCorrupt)
-	}
-	f := &Fleet{eng: e, workers: e.workers, nets: make([]*fleetNetwork, m)}
-	plan := planShards(f.workers, m)
-	errs := make([]error, m)
-	// Every member runs, so the error returned does not depend on
-	// scheduling; the pool itself never sees one and never cancels.
-	_ = plan.run(context.Background(), m, func(_ context.Context, i int) error {
-		f.nets[i], errs[i] = e.networkFromState(i, &st.Nets[i], plan.inner)
+	f := &Fleet{eng: e, workers: e.workers, nets: nets}
+	plan := planShards(f.workers, len(nets))
+	// Building checks nothing, so it cannot fail; the pool never
+	// cancels.
+	_ = plan.run(context.Background(), len(nets), func(_ context.Context, i int) error {
+		nets[i].sess = nets[i].eng.sessionFromState(&st.Nets[i].Session, plan.inner)
 		return nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
 	return f, nil
 }
 
-// networkFromState rebuilds one fleet member slot from its checkpointed
-// state, deriving the member engine from its embedded fingerprint when
-// it differs from the restoring engine's.
-func (e *Engine) networkFromState(i int, ns *codec.NetworkState, inner int) (*fleetNetwork, error) {
+// VerifyFleetCheckpoint runs every check RestoreFleet makes on a fleet
+// checkpoint and returns the clocks the restored fleet's Watermarks
+// would report, without building the fleet: no member gets a spatial
+// index, a G_R or a topology. It rejects exactly the input RestoreFleet
+// rejects, with the same error. Building would add no check: once the
+// node rows validate, a member's derived graphs are pure functions of
+// its rows, positions and liveness, so a checkpoint that verifies
+// restores.
+func (e *Engine) VerifyFleetCheckpoint(r io.Reader) (FleetWatermarks, error) {
+	_, nets, err := e.decodeFleet(r)
+	if err != nil {
+		return FleetWatermarks{}, err
+	}
+	return (&Fleet{nets: nets}).Watermarks(), nil
+}
+
+// decodeFleet decodes a fleet checkpoint and runs every check restore
+// makes on it: the base fingerprint, then each member's in index order,
+// so the error reported is the lowest-index member's. It returns every
+// member's slot without its session, which the caller builds from the
+// returned state.
+func (e *Engine) decodeFleet(r io.Reader) (*codec.FleetState, []*fleetNetwork, error) {
+	st, err := codec.DecodeFleet(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := e.checkFingerprint(st.Config); err != nil {
+		return nil, nil, err
+	}
+	if len(st.Nets) == 0 {
+		return nil, nil, fmt.Errorf("%w: fleet checkpoint holds no networks", ErrCheckpointCorrupt)
+	}
+	nets := make([]*fleetNetwork, len(st.Nets))
+	for i := range st.Nets {
+		if nets[i], err = e.networkFromState(i, &st.Nets[i]); err != nil {
+			return nil, nil, err
+		}
+	}
+	return st, nets, nil
+}
+
+// networkFromState checks one fleet member's checkpointed state and
+// rebuilds its slot, all but the session: the member engine (derived
+// from the embedded fingerprint when it differs from the restoring
+// engine's), the RNG stream, the clocks, the event counter and the
+// accumulators. The caller builds the session with sessionFromState.
+func (e *Engine) networkFromState(i int, ns *codec.NetworkState) (*fleetNetwork, error) {
 	eng := e
 	if ns.Config != e.fingerprint() {
 		var err error
@@ -379,13 +420,11 @@ func (e *Engine) networkFromState(i int, ns *codec.NetworkState, inner int) (*fl
 	if err := src.UnmarshalBinary(ns.RNG); err != nil {
 		return nil, fmt.Errorf("%w: network %d rng state: %v", ErrCheckpointCorrupt, i, err)
 	}
-	sess, err := eng.sessionFromState(&ns.Session, inner)
-	if err != nil {
+	if err := eng.checkSessionState(&ns.Session); err != nil {
 		return nil, fmt.Errorf("network %d: %w", i, err)
 	}
 	net := &fleetNetwork{
 		net:    i,
-		sess:   sess,
 		eng:    eng,
 		kind:   MemberKind(ns.Kind),
 		weight: int(ns.Weight),
@@ -440,10 +479,11 @@ func (f *Fleet) Readmit(i int, r io.Reader) error {
 	if len(st.Nets) != len(f.nets) {
 		return fmt.Errorf("%w: checkpoint holds %d networks, fleet has %d", ErrConfigMismatch, len(st.Nets), len(f.nets))
 	}
-	net, err := f.eng.networkFromState(i, &st.Nets[i], planShards(f.workers, len(f.nets)).inner)
+	net, err := f.eng.networkFromState(i, &st.Nets[i])
 	if err != nil {
 		return err
 	}
+	net.sess = net.eng.sessionFromState(&st.Nets[i].Session, planShards(f.workers, len(f.nets)).inner)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	old := f.nets[i]

@@ -37,19 +37,27 @@ var syncDir = func(dir string) error {
 // ckptStore writes and restores fleet checkpoints with generational
 // rotation: the newest checkpoint lives at path, the previous one at
 // path.1, and so on up to path.<gens>. Every write is verified before
-// it is committed — the encoded bytes are decoded back through the
-// engine — so a generation on disk was readable at least once; restore
-// still tries newest to oldest so that later disk corruption of one
-// generation (or a crash between the rotation renames) falls back to
-// the next instead of killing the daemon. Combined with the
-// write-ahead log, falling back to an older generation loses nothing:
-// the log is only reset after a verified checkpoint, so it still holds
-// every acked event past any retained generation's watermarks.
+// it is committed, so a generation on disk was restorable at least
+// once; restore still tries newest to oldest so that later disk
+// corruption of one generation (or a crash between the rotation
+// renames) falls back to the next instead of killing the daemon.
+// Combined with the write-ahead log, falling back to an older
+// generation loses nothing: the log is only reset after a verified
+// checkpoint, so it still holds every acked event past any retained
+// generation's watermarks.
+//
+// Verification (Engine.VerifyFleetCheckpoint) decodes the bytes and
+// runs every check a restore runs: the base and member engine
+// fingerprints, each member's RNG state, battery vector and node rows.
+// It builds no member. A member's grid, N_α, G and G_R are pure
+// functions of its positions, liveness and node rows, so building them
+// would check nothing more; a checkpoint that verifies restores.
 type ckptStore struct {
 	eng  *cbtc.Engine
 	path string
 	gens int    // older generations retained beyond path itself
 	seq  uint64 // write attempts, for the fault hook
+	size int    // bytes of the last checkpoint encoded, to size the next
 }
 
 // gen returns the path of generation i (0 = newest).
@@ -61,9 +69,9 @@ func (s *ckptStore) gen(i int) string {
 }
 
 // Write checkpoints the fleet as the new newest generation: encode to
-// memory, verify by decoding, write and fsync a temp file, rotate the
-// existing generations down, rename the temp file into place, and fsync
-// the directory so the renames survive power loss. A failure before the
+// memory, verify, write and fsync a temp file, rotate the existing
+// generations down, rename the temp file into place, and fsync the
+// directory so the renames survive power loss. A failure before the
 // rotation leaves the previous generations untouched.
 func (s *ckptStore) Write(fleet *cbtc.Fleet) error {
 	seq := s.seq
@@ -73,14 +81,18 @@ func (s *ckptStore) Write(fleet *cbtc.Fleet) error {
 			return err
 		}
 	}
+	// A fleet's checkpoint size changes only with its node and edge
+	// counts, so the previous one sizes the buffer in one allocation.
 	var buf bytes.Buffer
+	buf.Grow(s.size)
 	if err := fleet.Checkpoint(&buf); err != nil {
 		return err
 	}
-	// Verify-on-write: what we are about to commit must decode. This
+	s.size = buf.Len()
+	// Verify-on-write: what we are about to commit must restore. This
 	// catches encoding bugs and injected corruption before a bad byte
 	// stream can shadow the good generations below it.
-	if _, err := s.eng.RestoreFleet(bytes.NewReader(buf.Bytes())); err != nil {
+	if _, err := s.eng.VerifyFleetCheckpoint(bytes.NewReader(buf.Bytes())); err != nil {
 		return fmt.Errorf("checkpoint failed verification: %w", err)
 	}
 	tmp := s.path + ".tmp"
@@ -149,22 +161,23 @@ func (s *ckptStore) Restore() (*cbtc.Fleet, string, error) {
 	return nil, "", fmt.Errorf("no readable checkpoint generation: %w", errors.Join(errs...))
 }
 
-// oldestWatermarks decodes the oldest readable generation and returns
-// its per-member tick clocks — the floor below which no fallback
-// restore can land, and therefore the line behind which the
-// write-ahead log may be compacted.
+// oldestWatermarks verifies the generations oldest first and returns
+// the per-member tick clocks of the first that would restore — the
+// floor below which no fallback restore can land, and therefore the
+// line behind which the write-ahead log may be compacted. It builds no
+// fleet.
 func (s *ckptStore) oldestWatermarks() (cbtc.FleetWatermarks, bool) {
 	for i := s.gens; i >= 0; i-- {
 		f, err := os.Open(s.gen(i))
 		if err != nil {
 			continue
 		}
-		fleet, err := s.eng.RestoreFleet(f)
+		wm, err := s.eng.VerifyFleetCheckpoint(f)
 		f.Close()
 		if err != nil {
 			continue
 		}
-		return fleet.Watermarks(), true
+		return wm, true
 	}
 	return cbtc.FleetWatermarks{}, false
 }

@@ -30,11 +30,16 @@
 //     or acknowledged. A torn tail from a crash mid-append is detected
 //     and truncated on restart.
 //
-//   - Generational checkpoints. Each checkpoint write is verified by
-//     decoding it back before it is committed, then the previous
-//     generations rotate down: <checkpoint> is newest, <checkpoint>.1
-//     older, up to -generations. Restore tries newest to oldest, so a
-//     generation corrupted on disk falls back to the next one.
+//   - Generational checkpoints. Each checkpoint write is verified
+//     before it is committed: the bytes are decoded and put through
+//     every check a restore makes (engine fingerprints, RNG states,
+//     battery vectors, node rows). Verification builds no grid or
+//     graph: those are pure functions of the checked rows, positions
+//     and liveness, so building them would check nothing more. Then
+//     the previous generations rotate down: <checkpoint> is newest,
+//     <checkpoint>.1 older, up to -generations. Restore tries newest
+//     to oldest, so a generation corrupted on disk falls back to the
+//     next one.
 //
 // On startup the daemon restores the newest readable generation,
 // replays the log past the restored per-member watermarks (replay is
@@ -743,9 +748,9 @@ func (d *daemon) writeCheckpoint() error {
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
 	err := d.store.Write(d.fleet)
-	// A write's transient working set, the encoded fleet plus the fleet
-	// decoded back from it for verification, is about as large as the
-	// live fleet. Collect it as soon as the write returns: a GC cycle
+	// A write's transient working set, the encoded fleet plus the state
+	// decoded back from it for verification, is a sizable fraction of
+	// the live fleet. Collect it as soon as the write returns: a GC cycle
 	// that started mid-write would size the next heap goal from that
 	// transient peak, leaving the daemon's peak resident set to where
 	// the cycle happened to fall.

@@ -611,8 +611,136 @@ func TestCheckpointFaultDegradesHealth(t *testing.T) {
 	}
 }
 
+// A checkpoint that fails verification is never committed: a fleet
+// built under another engine encodes a fingerprint the store's engine
+// refuses, so the write fails with ErrConfigMismatch and leaves every
+// generation and no temp file behind.
+func TestCheckpointWriteVerifies(t *testing.T) {
+	dir := t.TempDir()
+	d := testDaemon(t, 2, 20, 64, dir)
+	for range 2 { // with recovery's, one checkpoint per generation
+		if err := d.writeCheckpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := make(map[string][]byte)
+	for i := 0; i <= d.store.gens; i++ {
+		data, err := os.ReadFile(d.store.gen(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[d.store.gen(i)] = data
+	}
+	eng, sc := testEngine(t, 2, 20)
+	other, err := cbtc.New(cbtc.WithMaxRadius(sc.Radius/2), cbtc.WithShrinkBack())
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := freshFleet(other, sc, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &ckptStore{eng: eng, path: d.store.path, gens: d.store.gens}
+	if err := store.Write(foreign); !errors.Is(err, cbtc.ErrConfigMismatch) {
+		t.Fatalf("write of a checkpoint the store's engine refuses: got %v, want ErrConfigMismatch", err)
+	}
+	for path, want := range before {
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s changed by a refused write (err %v)", path, err)
+		}
+	}
+	if _, err := os.Stat(d.store.path + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("a refused write left a temp file: stat %v", err)
+	}
+}
+
+// With two older generations kept, a corrupt oldest generation is
+// skipped: oldestWatermarks returns the next generation's clocks, the
+// ones RestoreFleet reads from that file. After a restart, recovery's
+// compaction keeps exactly the logged records that generation does not
+// cover.
+func TestOldestWatermarksSkipCorruptGeneration(t *testing.T) {
+	dir := t.TempDir()
+	d := testDaemon(t, 2, 20, 64, dir)
+	// Four ticks and three checkpoints: member 0 moves every tick and
+	// member 1 every other one, so the generations' clocks differ per
+	// member.
+	var clocks []cbtc.FleetWatermarks
+	for k := 1; k <= 4; k++ {
+		evs := []wireEvent{{Op: "move", Net: 0, ID: k, X: 100, Y: float64(100 * k)}}
+		if k%2 == 0 {
+			evs = append(evs, wireEvent{Op: "move", Net: 1, ID: k, X: 200, Y: float64(100 * k)})
+		}
+		d.enqueue(t, evs...)
+		d.tickOnce()
+		if k == 4 {
+			break // the last tick is logged but not checkpointed
+		}
+		if err := d.writeCheckpoint(); err != nil {
+			t.Fatal(err)
+		}
+		clocks = append(clocks, d.fleet.Watermarks())
+	}
+	oldest, next := d.store.gen(2), d.store.gen(1)
+	data, err := os.ReadFile(oldest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(oldest, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := d.store.eng.RestoreFleet(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := restored.Watermarks()
+	if !reflect.DeepEqual(want, clocks[1]) {
+		t.Fatalf("%s restores clocks %+v, want the second checkpoint's %+v", next, want, clocks[1])
+	}
+	wm, ok := d.store.oldestWatermarks()
+	if !ok || !reflect.DeepEqual(wm, want) {
+		t.Fatalf("oldestWatermarks with %s corrupt: %+v (ok %v), want %s's %+v", oldest, wm, ok, next, want)
+	}
+
+	// Restart. Recovery restores the newest generation, replays the last
+	// tick, checkpoints (the rotation moves the next generation into the
+	// oldest slot) and compacts the log by the oldest generation's clocks.
+	logged, recs, err := openWAL(d.store.path + ".wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged.Close()
+	d.wal.Close()
+	d = testDaemon(t, 2, 20, 64, dir)
+	var kept []walRecord
+	for _, rec := range recs {
+		for _, nb := range rec.Nets {
+			if nb.Tick > want.Members[nb.Net].Ticks {
+				kept = append(kept, rec)
+				break
+			}
+		}
+	}
+	if len(recs) != 4 || len(kept) != 2 {
+		t.Fatalf("the log held %d records, %d past the next generation; want 4 and 2", len(recs), len(kept))
+	}
+	compacted, got, err := openWAL(d.store.path + ".wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	compacted.Close()
+	if !reflect.DeepEqual(got, kept) {
+		t.Fatalf("compacted log %+v, want the records past the next generation %+v", got, kept)
+	}
+}
+
 // A checkpoint write collects its own transient state (the encoded
-// fleet and the fleet restored from it for verification) before it
+// fleet and the state decoded back from it for verification) before it
 // returns, so the next heap goal is sized from the live fleet alone.
 func TestCheckpointCollectsTransientState(t *testing.T) {
 	d := testDaemon(t, 2, 50, 16, t.TempDir())

@@ -547,6 +547,8 @@ func TestRadioOptionConflicts(t *testing.T) {
 		{WithMaxRadius(500), WithBattery(10, math.Inf(1))},
 		{WithMaxRadius(500), WithShadowing(-1, 0)},
 		{WithMaxRadius(500), WithShadowing(math.NaN(), 0)},
+		{WithMaxRadius(500), WithShadowing(126976, 0)}, // widens R past the float range
+		{WithMaxRadius(math.Inf(1))},
 	}
 	for i, opts := range bad {
 		if _, err := New(opts...); !errors.Is(err, ErrBadConfig) {

@@ -288,6 +288,77 @@ func TestEncodeDeterministic(t *testing.T) {
 	}
 }
 
+// largeSession builds a session state whose encoding is several times
+// the encoder's 64 KiB buffer: 4000 live nodes with one to eight
+// neighbors each, and batteries.
+func largeSession() *SessionState {
+	const n = 4000
+	rng := rand.New(rand.NewPCG(5, 6))
+	st := &SessionState{
+		Config:  testConfig(),
+		Pos:     make([]geom.Point, n),
+		Alive:   make([]bool, n),
+		Nodes:   make([]core.NodeResult, n),
+		Battery: make([]float64, n),
+		Stats:   SessionCounters{Joins: 7, Moves: 9},
+	}
+	for u := range st.Nodes {
+		st.Pos[u] = geom.Point{X: rng.Float64() * 1e4, Y: rng.Float64() * 1e4}
+		st.Alive[u] = true
+		st.Battery[u] = rng.Float64()
+		row := make([]core.Discovery, 1+rng.IntN(8))
+		for i := range row {
+			row[i] = core.Discovery{ID: (u + 1 + i) % n, Dist: rng.Float64() * 500, Dir: rng.Float64() * 6, Power: rng.Float64()}
+		}
+		st.Nodes[u] = core.NodeResult{Neighbors: row, GrowPower: rng.Float64(), Boundary: u%3 == 0}
+	}
+	return st
+}
+
+// failingWriter accepts limit bytes, then fails every write with err.
+type failingWriter struct {
+	buf   bytes.Buffer
+	limit int
+	err   error
+}
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	n := min(len(p), w.limit-w.buf.Len())
+	w.buf.Write(p[:n])
+	if n < len(p) {
+		return n, w.err
+	}
+	return n, nil
+}
+
+// State larger than the encoder's buffer round-trips, so the fields
+// appended across each buffer boundary land intact, and a writer that
+// fails anywhere fails the encode with its own error after receiving a
+// prefix of the full encoding.
+func TestEncodeAcrossBufferAndWriteErrors(t *testing.T) {
+	want := largeSession()
+	full := encodeSession(t, want)
+	if len(full) < 3<<16 {
+		t.Fatalf("encoding of %d bytes does not span several buffers", len(full))
+	}
+	got, err := DecodeSession(bytes.NewReader(full))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSessionEqual(t, want, got)
+
+	errWrite := errors.New("injected write failure")
+	for _, limit := range []int{0, 1, 1<<16 - 1, 1 << 16, 1<<16 + 1, len(full) / 2, len(full) - 1} {
+		w := &failingWriter{limit: limit, err: errWrite}
+		if err := EncodeSession(w, want); !errors.Is(err, errWrite) {
+			t.Fatalf("writer failing after %d bytes: got %v, want the write error", limit, err)
+		}
+		if !bytes.HasPrefix(full, w.buf.Bytes()) {
+			t.Fatalf("writer failing after %d bytes received bytes that are not a prefix of the encoding", limit)
+		}
+	}
+}
+
 func FuzzDecodeSession(f *testing.F) {
 	valid := encodeSession(f, validSession())
 	f.Add(valid)

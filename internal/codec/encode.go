@@ -51,12 +51,18 @@ func EncodeFleet(w io.Writer, st *FleetState) error {
 }
 
 // encoder wraps a buffered writer with the primitive little-endian
-// writes the format is made of. The first write error sticks; every
-// subsequent write is a no-op, so encoding code reads straight-line.
+// writes the format is made of. Fixed-width fields are appended
+// straight into the writer's free space (AvailableBuffer) and committed
+// with one Write when that space runs out. The first write error
+// sticks; every subsequent write is a no-op, so encoding code reads
+// straight-line.
 type encoder struct {
 	w   *bufio.Writer
-	buf [8]byte
+	b   []byte // fields appended into w's free space, not yet written
 	err error
+	// spare takes the fields appended after an error, which are never
+	// written.
+	spare [discoveryBytes]byte
 }
 
 func newEncoder(w io.Writer) *encoder {
@@ -64,34 +70,72 @@ func newEncoder(w io.Writer) *encoder {
 }
 
 func (e *encoder) flush() error {
+	e.commit()
 	if e.err != nil {
 		return e.err
 	}
 	return e.w.Flush()
 }
 
-func (e *encoder) write(p []byte) {
-	if e.err != nil {
-		return
+// commit writes the appended fields. They already sit where the Write
+// puts them, so it only advances the writer past them.
+func (e *encoder) commit() {
+	if e.err == nil && len(e.b) > 0 {
+		_, e.err = e.w.Write(e.b)
 	}
-	_, e.err = e.w.Write(p)
+	e.b = nil
 }
 
-func (e *encoder) u8(v uint8) { e.write([]byte{v}) }
+// room makes space to append k more bytes to e.b, for k up to one
+// discovery entry, committing the appended fields and flushing the
+// writer when its free space is short. Callers test for the space
+// first, so that test inlines into every field write.
+func (e *encoder) room(k int) {
+	e.commit()
+	if e.err == nil && e.w.Available() < k {
+		e.err = e.w.Flush()
+	}
+	if e.err != nil {
+		e.b = e.spare[:0]
+		return
+	}
+	e.b = e.w.AvailableBuffer()
+}
+
+// write writes an opaque byte section after the appended fields.
+func (e *encoder) write(p []byte) {
+	e.commit()
+	if e.err == nil {
+		_, e.err = e.w.Write(p)
+	}
+}
+
+func (e *encoder) u8(v uint8) {
+	if len(e.b) == cap(e.b) {
+		e.room(1)
+	}
+	e.b = append(e.b, v)
+}
 
 func (e *encoder) u16(v uint16) {
-	binary.LittleEndian.PutUint16(e.buf[:2], v)
-	e.write(e.buf[:2])
+	if cap(e.b)-len(e.b) < 2 {
+		e.room(2)
+	}
+	e.b = binary.LittleEndian.AppendUint16(e.b, v)
 }
 
 func (e *encoder) u32(v uint32) {
-	binary.LittleEndian.PutUint32(e.buf[:4], v)
-	e.write(e.buf[:4])
+	if cap(e.b)-len(e.b) < 4 {
+		e.room(4)
+	}
+	e.b = binary.LittleEndian.AppendUint32(e.b, v)
 }
 
 func (e *encoder) u64(v uint64) {
-	binary.LittleEndian.PutUint64(e.buf[:8], v)
-	e.write(e.buf[:8])
+	if cap(e.b)-len(e.b) < 8 {
+		e.room(8)
+	}
+	e.b = binary.LittleEndian.AppendUint64(e.b, v)
 }
 
 func (e *encoder) i64(v int64)   { e.u64(uint64(v)) }
@@ -216,9 +260,12 @@ func (e *encoder) bitset(bits []bool) {
 // entries: id int32, dist, dir, power float64 — 28 bytes each.
 func (e *encoder) discoveries(row []core.Discovery) {
 	for _, d := range row {
-		e.u32(uint32(int32(d.ID)))
-		e.f64(d.Dist)
-		e.f64(d.Dir)
-		e.f64(d.Power)
+		if cap(e.b)-len(e.b) < discoveryBytes {
+			e.room(discoveryBytes)
+		}
+		b := binary.LittleEndian.AppendUint32(e.b, uint32(int32(d.ID)))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(d.Dist))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(d.Dir))
+		e.b = binary.LittleEndian.AppendUint64(b, math.Float64bits(d.Power))
 	}
 }

@@ -398,6 +398,32 @@ func TestReconfiguratorMatchesReference(t *testing.T) {
 	}
 }
 
+// An initial list that repeats IDs builds the set the reference's
+// one-by-one inserts leave, each repeated ID keeping its last entry,
+// through NewReconfigurator, a reused machine's Reset and a pool's Get.
+func TestReconfiguratorResetRepeatedIDs(t *testing.T) {
+	rng := rand.New(rand.NewPCG(18, 4))
+	m := radio.Default(500)
+	var reused Reconfigurator
+	var pool MachinePool
+	for hist := 0; hist < 1000; hist++ {
+		alpha := refAlphas[rng.IntN(len(refAlphas))]
+		initial := refNeighbors(rng)
+		for k := 1 + rng.IntN(4); k > 0; k-- {
+			d := initial[rng.IntN(len(initial))]
+			d.Dist++
+			d.Dir = refDir(rng)
+			initial = slices.Insert(initial, rng.IntN(len(initial)+1), d)
+		}
+		want := newRefReconfigurator(alpha, initial).nbrs
+		requireSameDiscoveries(t, "NewReconfigurator", NewReconfigurator(alpha, m, initial).Neighbors(), want)
+		reused.Reset(alpha, m, initial)
+		requireSameDiscoveries(t, "Reset", reused.Neighbors(), want)
+		pool.Release()
+		requireSameDiscoveries(t, "MachinePool.Get", pool.Get(alpha, m, initial).Neighbors(), want)
+	}
+}
+
 // refStep applies one random Join, Leave or AngleChange to a machine
 // and its reference, returning the event's name and both actions.
 func refStep(rng *rand.Rand, m radio.Model, got *Reconfigurator, want *refReconfigurator) (string, Action, Action) {

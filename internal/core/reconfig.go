@@ -71,13 +71,22 @@ func NewReconfigurator(alpha float64, model radio.Model, initial []Discovery) *R
 
 // Reset makes r the machine NewReconfigurator(alpha, model, initial)
 // would build, reusing r's buffers. The zero Reconfigurator is ready
-// for Reset.
+// for Reset. The set is the initial list copied and sorted by ID once;
+// an ID the list repeats keeps its last entry, as set would leave it.
 func (r *Reconfigurator) Reset(alpha float64, model radio.Model, initial []Discovery) {
 	r.alpha, r.model = alpha, model
-	r.nbrs = slices.Grow(r.nbrs[:0], len(initial))
-	for _, d := range initial {
-		r.set(d)
+	nbrs := append(r.nbrs[:0], initial...)
+	slices.SortStableFunc(nbrs, func(a, b Discovery) int { return a.ID - b.ID })
+	w := 0
+	for _, d := range nbrs {
+		if w > 0 && nbrs[w-1].ID == d.ID {
+			nbrs[w-1] = d
+			continue
+		}
+		nbrs[w] = d
+		w++
 	}
+	r.nbrs = nbrs[:w]
 }
 
 // scratch returns the machine's gap-test and shrink scratch.

@@ -61,8 +61,8 @@ func (m Model) Validate() error {
 	switch {
 	case math.IsNaN(m.Exponent) || m.Exponent < 1:
 		return fmt.Errorf("%w: exponent %v must be ≥ 1", ErrBadModel, m.Exponent)
-	case math.IsNaN(m.MaxRadius) || m.MaxRadius <= 0:
-		return fmt.Errorf("%w: max radius %v must be > 0", ErrBadModel, m.MaxRadius)
+	case math.IsNaN(m.MaxRadius) || math.IsInf(m.MaxRadius, 0) || m.MaxRadius <= 0:
+		return fmt.Errorf("%w: max radius %v must be finite and > 0", ErrBadModel, m.MaxRadius)
 	case math.IsNaN(m.RefLoss) || m.RefLoss <= 0:
 		return fmt.Errorf("%w: reference loss %v must be > 0", ErrBadModel, m.RefLoss)
 	}

@@ -139,6 +139,10 @@ func (l LogDistance) Validate() error {
 	if math.IsNaN(l.SigmaDB) || math.IsInf(l.SigmaDB, 0) || l.SigmaDB < 0 {
 		return fmt.Errorf("%w: shadowing sigma %v dB must be finite and ≥ 0", ErrBadModel, l.SigmaDB)
 	}
+	// Grids are built with the widened radius, so it must stay finite.
+	if math.IsInf(l.MaxLinkRadius(), 0) {
+		return fmt.Errorf("%w: shadowing sigma %v dB widens max radius %v past the float range", ErrBadModel, l.SigmaDB, l.Base.MaxRadius)
+	}
 	return nil
 }
 
