@@ -737,13 +737,12 @@ func BenchmarkFleet(b *testing.B) {
 	}
 }
 
-// BenchmarkNewFleet measures fleet construction on fleet-mobility's
-// member mix: eight 1000-node members at paper density on 2 workers —
-// five shrink-back oracle members, one all-optimizations member, one
-// shadowed member (σ = 4 dB) and one protocol-built member, whose
-// Figure 1 simulation is the longest single build.
-func BenchmarkNewFleet(b *testing.B) {
-	const seed = 7
+// mobilityFleet returns fleet-mobility's scenario, engine and fleet
+// configuration at seed: eight 1000-node members at paper density on 2
+// workers — five shrink-back oracle members, one all-optimizations
+// member, one shadowed member (σ = 4 dB) and one protocol-built member.
+func mobilityFleet(tb testing.TB, seed uint64) (workload.FleetScenario, *Engine, FleetConfig) {
+	tb.Helper()
 	sc := workload.Fleet(8, 1000, "uniform")
 	placements := sc.Placements(seed)
 	members := make([]MemberSpec, len(placements))
@@ -755,16 +754,108 @@ func BenchmarkNewFleet(b *testing.B) {
 	members[7].Kind = MemberProtocol
 	eng, err := New(WithMaxRadius(sc.Radius), WithShrinkBack())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return sc, eng, FleetConfig{Members: members, Seed: seed, Workers: 2}
+}
+
+// BenchmarkNewFleet measures fleet construction on fleet-mobility's
+// member mix (mobilityFleet), whose protocol-built member's Figure 1
+// simulation is the longest single build.
+func BenchmarkNewFleet(b *testing.B) {
+	_, eng, cfg := mobilityFleet(b, 7)
 	ctx := context.Background()
-	cfg := FleetConfig{Members: members, Seed: seed, Workers: 2}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.NewFleet(ctx, cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkFleetNetworkReport times fleet-mobility's query: the first
+// report of one member after a fleet round of drift ticks on its member
+// mix (mobilityFleet), members taken in turn. /maintained is
+// Fleet.NetworkReport, read from the state each session maintains;
+// /reference is the snapshot-based read it replaced
+// (referenceMemberReport), which labels G and G_R from scratch.
+func BenchmarkFleetNetworkReport(b *testing.B) {
+	sc, eng, cfg := mobilityFleet(b, 7)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name   string
+		report func(f *Fleet, i int) bool
+	}{
+		{"maintained", func(f *Fleet, i int) bool {
+			nr, err := f.NetworkReport(i)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return nr.Preserved
+		}},
+		{"reference", func(f *Fleet, i int) bool {
+			return referenceMemberReport(b, f.Session(i)).Preserved
+		}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			f, err := eng.NewFleet(ctx, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tick := fleetTick(sc)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if err := f.Advance(ctx, 1, tick); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if !tc.report(f, i%f.Size()) {
+					b.Fatalf("round %d: member %d lost G_R's partition", i, i%f.Size())
+				}
+			}
+		})
+	}
+}
+
+// TestNetworkReportAllocations bounds the allocations of one
+// Fleet.NetworkReport of a 1000-node shrink-back member right after a
+// drift tick, averaged over 16 ticks. It makes two: the report itself
+// and the degree histogram's bins. The snapshot-based report it
+// replaced made 49.6 under the same measure.
+func TestNetworkReportAllocations(t *testing.T) {
+	sc := workload.Fleet(1, 1000, "uniform")
+	eng, err := New(WithMaxRadius(sc.Radius), WithShrinkBack())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	f, err := eng.NewFleet(ctx, FleetConfig{Members: oracleMembers(sc.Placements(3)), Seed: 3, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tick := fleetTick(sc)
+	const ticks, ceiling = 16, 4
+	var before, after runtime.MemStats
+	var mallocs uint64
+	for range ticks {
+		if err := f.Advance(ctx, 1, tick); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&before)
+		nr, err := f.NetworkReport(0)
+		runtime.ReadMemStats(&after)
+		if err != nil || !nr.Preserved {
+			t.Fatalf("report %+v, error %v", nr, err)
+		}
+		mallocs += after.Mallocs - before.Mallocs
+	}
+	allocs := float64(mallocs) / ticks
+	t.Logf("%.1f allocations per report after a tick (ceiling %d)", allocs, ceiling)
+	if allocs > ceiling {
+		t.Fatalf("a NetworkReport after a tick allocates %.1f objects, ceiling %d", allocs, ceiling)
 	}
 }
 

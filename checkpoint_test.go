@@ -368,11 +368,12 @@ func TestRestoreErrorPaths(t *testing.T) {
 	}
 }
 
-// TestRestoreFleetLowestIndexError: members restore concurrently on the
-// shard pool, yet a checkpoint with several corrupt members always
-// reports the lowest-index one, at every worker count. Member 2 is the
-// large one and its corrupt row is near its end, so on a pool its error
-// comes later in time than those of members 3 and 5.
+// TestRestoreFleetLowestIndexError: a checkpoint with several corrupt
+// members reports the lowest-index one, at every worker count. Restore
+// checks every member in index order before it builds any on the shard
+// pool, so the report must not depend on which member is large or where
+// its bad row lies: member 2 is the large one, with its corrupt row near
+// its end, and members 3 and 5 are corrupt too.
 func TestRestoreFleetLowestIndexError(t *testing.T) {
 	base, err := New(WithMaxRadius(500), WithShrinkBack())
 	if err != nil {

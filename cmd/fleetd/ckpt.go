@@ -58,6 +58,9 @@ type ckptStore struct {
 	gens int    // older generations retained beyond path itself
 	seq  uint64 // write attempts, for the fault hook
 	size int    // bytes of the last checkpoint encoded, to size the next
+	// committed holds the clocks verification returned for the bytes the
+	// last Write renamed into path, nil until a Write commits.
+	committed *cbtc.FleetWatermarks
 }
 
 // gen returns the path of generation i (0 = newest).
@@ -92,7 +95,8 @@ func (s *ckptStore) Write(fleet *cbtc.Fleet) error {
 	// Verify-on-write: what we are about to commit must restore. This
 	// catches encoding bugs and injected corruption before a bad byte
 	// stream can shadow the good generations below it.
-	if _, err := s.eng.VerifyFleetCheckpoint(bytes.NewReader(buf.Bytes())); err != nil {
+	wm, err := s.eng.VerifyFleetCheckpoint(bytes.NewReader(buf.Bytes()))
+	if err != nil {
 		return fmt.Errorf("checkpoint failed verification: %w", err)
 	}
 	tmp := s.path + ".tmp"
@@ -113,6 +117,7 @@ func (s *ckptStore) Write(fleet *cbtc.Fleet) error {
 	}
 	// Rotate: path.(gens-1) → path.gens, …, path → path.1. A missing
 	// source (first writes, or a crash mid-rotation) is skipped.
+	s.committed = nil
 	for i := s.gens - 1; i >= 0; i-- {
 		if err := os.Rename(s.gen(i), s.gen(i+1)); err != nil && !os.IsNotExist(err) {
 			return err
@@ -121,6 +126,7 @@ func (s *ckptStore) Write(fleet *cbtc.Fleet) error {
 	if err := os.Rename(tmp, s.path); err != nil {
 		return err
 	}
+	s.committed = &wm
 	return syncDir(filepath.Dir(s.path))
 }
 
@@ -165,9 +171,15 @@ func (s *ckptStore) Restore() (*cbtc.Fleet, string, error) {
 // the per-member tick clocks of the first that would restore — the
 // floor below which no fallback restore can land, and therefore the
 // line behind which the write-ahead log may be compacted. It builds no
-// fleet.
+// fleet. Reaching path itself after a committed Write, it returns the
+// clocks that Write verified instead of reading the file again: a fresh
+// boot, whose only generation is the one recovery just wrote, verifies
+// it once.
 func (s *ckptStore) oldestWatermarks() (cbtc.FleetWatermarks, bool) {
 	for i := s.gens; i >= 0; i-- {
+		if i == 0 && s.committed != nil {
+			return *s.committed, true
+		}
 		f, err := os.Open(s.gen(i))
 		if err != nil {
 			continue

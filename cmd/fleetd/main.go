@@ -108,9 +108,15 @@
 // repair (Fleet.TickEvents). Only networks that received
 // traffic tick — the others' clocks stand still — so per-member tick
 // counts diverge under skewed traffic; /report and /healthz expose the
-// divergence as min/max watermarks plus per-member clocks. Queries run
-// concurrently off copy-on-write snapshots; they never block the tick
-// loop.
+// divergence as min/max watermarks plus per-member clocks. The queries
+// that read topology — /report, /network/{i} and /healthz's component
+// count — take the fleet lock, which a tick holds for its whole repair:
+// a query waits for a tick in flight, and a tick waits for the queries
+// in flight. Each member's part of a query is read from the state its
+// session maintains through every repair (counters, components,
+// degrees), with no snapshot or graph traversal, so the lock is held
+// for tens of microseconds per member. Clocks and health are read
+// without the lock.
 //
 // SIGINT/SIGTERM first shut the HTTP server down: it stops accepting
 // connections and waits up to 5 s for the requests in flight, while
@@ -853,8 +859,10 @@ func (d *daemon) awaitDurable(ctx context.Context) error {
 }
 
 // routes builds the HTTP query/ingestion surface. Queries read the
-// fleet through its own synchronized, snapshot-backed methods and never
-// block the tick loop beyond a lock handoff.
+// fleet through its synchronized methods. Report, NetworkReport and
+// Observe take the fleet lock, so they wait for a tick in flight and
+// delay the next tick by their own read, which comes from each
+// member's maintained state; Watermarks and Health are lock-free.
 func (d *daemon) routes() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /events", func(w http.ResponseWriter, r *http.Request) {

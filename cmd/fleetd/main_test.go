@@ -739,6 +739,61 @@ func TestOldestWatermarksSkipCorruptGeneration(t *testing.T) {
 	}
 }
 
+// A fresh boot verifies its only checkpoint once: the write that
+// commits it keeps the clocks verification returned, and recovery's
+// compaction reads them back through oldestWatermarks without opening
+// the file, so a generation damaged after the write still yields them.
+// Once an older generation is on disk, oldestWatermarks opens and
+// verifies it as before.
+func TestOldestWatermarksReuseCommittedClocks(t *testing.T) {
+	d := testDaemon(t, 2, 20, 64, t.TempDir())
+	boot := d.fleet.Watermarks()
+	for i := 1; i <= d.store.gens; i++ {
+		if _, err := os.Stat(d.store.gen(i)); !os.IsNotExist(err) {
+			t.Fatalf("a fresh boot left generation %d: stat %v", i, err)
+		}
+	}
+	if c := d.store.committed; c == nil || !reflect.DeepEqual(*c, boot) {
+		t.Fatalf("the boot's checkpoint committed clocks %+v, want the fleet's %+v", c, boot)
+	}
+	data, err := os.ReadFile(d.store.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	garbage := []byte("not a checkpoint")
+	if err := os.WriteFile(d.store.path, garbage, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if wm, ok := d.store.oldestWatermarks(); !ok || !reflect.DeepEqual(wm, boot) {
+		t.Fatalf("oldestWatermarks over a damaged only generation: %+v (ok %v), want the committed %+v", wm, ok, boot)
+	}
+	if err := os.WriteFile(d.store.path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// A tick and a checkpoint later the boot's checkpoint is generation 1.
+	// oldestWatermarks reads its clocks from the file; damaged, it falls
+	// through to the newest generation's committed clocks.
+	d.enqueue(t, wireEvent{Op: "move", Net: 0, ID: 1, X: 100, Y: 100})
+	d.tickOnce()
+	if err := d.writeCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	now := d.fleet.Watermarks()
+	if reflect.DeepEqual(now, boot) {
+		t.Fatal("the tick left the clocks where the boot checkpoint had them")
+	}
+	if wm, ok := d.store.oldestWatermarks(); !ok || !reflect.DeepEqual(wm, boot) {
+		t.Fatalf("oldestWatermarks: %+v (ok %v), want %s's %+v", wm, ok, d.store.gen(1), boot)
+	}
+	if err := os.WriteFile(d.store.gen(1), garbage, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if wm, ok := d.store.oldestWatermarks(); !ok || !reflect.DeepEqual(wm, now) {
+		t.Fatalf("oldestWatermarks with %s damaged: %+v (ok %v), want the newest %+v", d.store.gen(1), wm, ok, now)
+	}
+}
+
 // A checkpoint write collects its own transient state (the encoded
 // fleet and the state decoded back from it for verification) before it
 // returns, so the next heap goal is sized from the live fleet alone.

@@ -1041,19 +1041,18 @@ func (f *Fleet) NetworkReport(i int) (*FleetNetworkReport, error) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	nr, err := f.networkReportLocked(i)
-	if err != nil {
-		return nil, err
-	}
+	nr := f.networkReportLocked(i)
 	return &nr, nil
 }
 
-// networkReportLocked builds one member's report slot. A quarantined
-// member's session is never touched — it may be mid-mutation from the
-// panicking tick — so its slot carries the clock, the accumulated
-// history (events, series) and the quarantine record, with the
-// live-state fields (Final, Preserved, Stats, DegreeDist) zeroed.
-func (f *Fleet) networkReportLocked(i int) (FleetNetworkReport, error) {
+// networkReportLocked builds one member's report slot. A healthy
+// member's live-state fields (Final, Preserved, Stats, DegreeDist) are
+// read from the state its session maintains (Session.report). A
+// quarantined member's session is never touched — it may be
+// mid-mutation from the panicking tick — so its slot carries the clock,
+// the accumulated history (events, series) and the quarantine record,
+// with the live-state fields zeroed.
+func (f *Fleet) networkReportLocked(i int) FleetNetworkReport {
 	net := f.nets[i]
 	nr := FleetNetworkReport{
 		Net:    i,
@@ -1075,32 +1074,17 @@ func (f *Fleet) networkReportLocked(i int) (FleetNetworkReport, error) {
 		rec := net.quarRecord()
 		nr.Health = MemberQuarantined
 		nr.Quarantine = &rec
-		return nr, nil
+		return nr
 	}
-	snap, err := net.sess.Snapshot()
-	if err != nil {
-		return FleetNetworkReport{}, fmt.Errorf("network %d snapshot: %w", i, err)
-	}
-	ts, err := net.sess.Observe()
-	if err != nil {
-		return FleetNetworkReport{}, fmt.Errorf("network %d: %w", i, err)
-	}
-	nr.Final = ts
-	nr.Preserved = snap.PreservesConnectivity()
-	nr.Stats = net.sess.Stats()
-	for id := 0; id < net.sess.Len(); id++ {
-		if net.sess.Alive(id) {
-			nr.DegreeDist.Add(snap.G.Degree(id))
-		}
-	}
-	return nr, nil
+	nr.Final, nr.Stats, nr.DegreeDist, nr.Preserved = net.sess.report()
+	return nr
 }
 
 // reportLocked assembles the report in two phases: the per-member
-// snapshots fan across the shard pool into disjoint slots, then the
+// reads fan across the shard pool into disjoint slots, then the
 // aggregate accumulators merge serially in fleet order — so the merged
 // floats, like everything else in the report except Sched, are
-// independent of scheduling. Cancelling ctx aborts between snapshots.
+// independent of scheduling. Cancelling ctx aborts between members.
 func (f *Fleet) reportLocked(ctx context.Context) (*FleetReport, error) {
 	rep := &FleetReport{
 		Networks:   len(f.nets),
@@ -1108,11 +1092,7 @@ func (f *Fleet) reportLocked(ctx context.Context) (*FleetReport, error) {
 	}
 	plan := planShards(f.workers, len(f.nets))
 	err := plan.run(ctx, len(f.nets), func(_ context.Context, i int) error {
-		nr, err := f.networkReportLocked(i)
-		if err != nil {
-			return err
-		}
-		rep.PerNetwork[i] = nr
+		rep.PerNetwork[i] = f.networkReportLocked(i)
 		return nil
 	})
 	if err != nil {
@@ -1163,7 +1143,7 @@ type FleetReport struct {
 	// Live and Edges total the live nodes and topology edges at report
 	// time.
 	Live, Edges int
-	// Preserved counts members whose snapshot preserves the ground-truth
+	// Preserved counts members whose topology preserves the ground-truth
 	// partition (Theorem 2.1's guarantee). Quarantined members are never
 	// counted.
 	Preserved int
@@ -1216,8 +1196,9 @@ type FleetNetworkReport struct {
 	Events int
 	// Final is the member's topology metrics at report time.
 	Final TickStats
-	// Preserved reports whether the member's snapshot preserves the
-	// ground-truth partition.
+	// Preserved reports whether the member's topology preserves the
+	// ground-truth partition: G and G_R connect the same pairs of nodes,
+	// as Result.PreservesConnectivity checks on a snapshot.
 	Preserved bool
 	// Stats are the session's cumulative §4 reconfiguration counts.
 	Stats SessionStats

@@ -606,8 +606,8 @@ func TestFleetRejectsNilTickFunc(t *testing.T) {
 }
 
 // A -race soak: a heterogeneous work-stealing run with concurrent
-// direct session reads and lock-free Watermarks polls from outside the
-// pool. Sessions serialize internally, member state is handed off
+// direct session reads (Observe and the member report's read) and
+// lock-free Watermarks polls from outside the pool. Sessions serialize internally, member state is handed off
 // through the ready queue, the clocks are atomics — the race detector
 // sees the whole machinery under load.
 func TestFleetRaceSoak(t *testing.T) {
@@ -642,6 +642,7 @@ func TestFleetRaceSoak(t *testing.T) {
 					reads <- err
 					return
 				}
+				_, _, _, _ = fleet.Session(i).report()
 			}
 		}
 	}()

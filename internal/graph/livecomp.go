@@ -129,6 +129,32 @@ func (lc *LiveComponents) Same(u, v int) bool {
 	return lc.find(su) == lc.find(sv)
 }
 
+// Label returns the label of u's component, or -1 once u has departed:
+// two live nodes share a component iff their labels are equal. Labels
+// hold until the next Join or Apply.
+func (lc *LiveComponents) Label(u int) int32 {
+	slot := lc.node2set[u]
+	if slot < 0 {
+		return -1
+	}
+	return lc.find(slot)
+}
+
+// Largest returns the label of a largest live component (the one first
+// met in id order among equals), or -1 when no node is live.
+func (lc *LiveComponents) Largest() int32 {
+	best := int32(-1)
+	for _, slot := range lc.node2set {
+		if slot < 0 {
+			continue
+		}
+		if r := lc.find(slot); best < 0 || lc.size[r] > lc.size[best] {
+			best = r
+		}
+	}
+	return best
+}
+
 // Len returns the size of the node id space.
 func (lc *LiveComponents) Len() int { return len(lc.node2set) }
 

@@ -43,6 +43,32 @@ func checkAgainstReference(t *testing.T, step int, lc *LiveComponents, g *Graph,
 	if got := lc.Count(); got != want {
 		t.Fatalf("step %d: Count = %d, want %d", step, got, want)
 	}
+	// Label partitions the live nodes exactly as the BFS does, and
+	// Largest names a component of maximum size.
+	ref := map[int32]int{} // lc label → BFS label
+	size := map[int]int{}  // BFS label → live members
+	biggest := 0
+	for u, live := range alive {
+		l := lc.Label(u)
+		if !live {
+			if l != -1 {
+				t.Fatalf("step %d: departed node %d has label %d", step, u, l)
+			}
+			continue
+		}
+		if r, ok := ref[l]; ok && r != label[u] {
+			t.Fatalf("step %d: label %d spans BFS components %d and %d", step, l, r, label[u])
+		}
+		ref[l] = label[u]
+		size[label[u]]++
+		biggest = max(biggest, size[label[u]])
+	}
+	if len(ref) != want {
+		t.Fatalf("step %d: %d distinct labels for %d components", step, len(ref), want)
+	}
+	if l := lc.Largest(); want == 0 && l != -1 || want > 0 && size[ref[l]] != biggest {
+		t.Fatalf("step %d: Largest = %d with %d members, largest has %d", step, l, size[ref[l]], biggest)
+	}
 	n := g.Len()
 	if n == 0 {
 		return

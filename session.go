@@ -88,6 +88,21 @@ type Session struct {
 	pairwise *core.Pairwise
 	gr       *graph.Graph // G_R over live nodes; departed nodes isolated
 
+	// gInGR records that g ⊆ G_R: every installed arc u→v joins two
+	// nodes adjacent in G_R. preservedLocked relies on it to read the
+	// maintained components instead of labelling both graphs. An oracle
+	// build has it by construction: its rows come from the same gather as
+	// its G_R. buildTopology checks it where it gathers G_R itself
+	// (restores and protocol builds). Repairs keep it. A join only adds
+	// G_R edges, and G_R loses edge {u,v} only when u or v moves or
+	// leaves. That node recomputes from its new G_R row, or drops its
+	// arcs as it leaves. A node with an arc to it discovered it at or
+	// below its GrowPower, at the site the event vacates, so
+	// appendReached recomputes that node too, from its new row. (A
+	// restored row's GrowPower is trusted here as every repair trusts
+	// it.) Once false, the flag stays false until the next build.
+	gInGR bool
+
 	// live is the maintained live-node count, so LiveCount and Observe
 	// never rescan the liveness vector.
 	live int
@@ -306,6 +321,7 @@ func (s *Session) buildTopology(ctx context.Context) error {
 	if e.opts.PairwiseRemoval {
 		s.pairwise, s.g, _ = core.NewPairwise(s.gpre, s.pos, e.opts.PairwisePolicy)
 	}
+	s.gInGR = true
 	if s.gr == nil {
 		// Gather over the session's own grid — it indexes exactly the
 		// live nodes.
@@ -315,6 +331,9 @@ func (s *Session) buildTopology(ctx context.Context) error {
 				s.gr.IsolateNode(u)
 			}
 		}
+		// Rows a protocol run or a checkpoint installed may name a node
+		// outside G_R (validateNodeRows accepts it), so check every arc.
+		s.gInGR = s.arcsInGR()
 	}
 	// The O(changed) Observe state: the live component structure and the
 	// per-node radius cache over g.
@@ -328,6 +347,20 @@ func (s *Session) buildTopology(ctx context.Context) error {
 	return core.ParallelRange(ctx, n, workers, func(_, u int) {
 		s.radius[u] = graph.NodeRadius(s.g, s.pos, u)
 	})
+}
+
+// arcsInGR reports whether every arc of the pruned rows joins two nodes
+// adjacent in G_R, which makes g, a subgraph of their symmetric
+// closure, a subgraph of G_R.
+func (s *Session) arcsInGR() bool {
+	for u, row := range s.pruned {
+		for _, nb := range row {
+			if !s.gr.HasEdge(u, nb.ID) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // pruneNeighbors applies the engine's per-node-local optimization,
@@ -792,6 +825,73 @@ func (s *Session) observeLocked() TickStats {
 	}
 	s.observeBattery(&ts)
 	return ts
+}
+
+// report reads a fleet member report's live state under one acquisition
+// of the session lock: the Observe stats, the §4 counters, the degree
+// distribution of g over live nodes, and whether g induces G_R's
+// partition (Theorem 2.1). Every field comes from maintained state. It
+// builds no Snapshot, whose clones would make the next repair copy
+// every row it writes.
+func (s *Session) report() (final TickStats, st SessionStats, degrees stats.IntHist, preserved bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.observeLocked(), s.stats, s.degreesLocked(), s.preservedLocked()
+}
+
+// degreesLocked returns the distribution of g's degrees over live nodes,
+// its bins sized in one allocation.
+func (s *Session) degreesLocked() stats.IntHist {
+	top := -1
+	for u, alive := range s.alive {
+		if alive {
+			top = max(top, s.g.Degree(u))
+		}
+	}
+	var h stats.IntHist
+	if top < 0 {
+		return h
+	}
+	h.Counts = make([]int64, top+1)
+	for u, alive := range s.alive {
+		if alive {
+			h.Counts[s.g.Degree(u)]++
+		}
+	}
+	return h
+}
+
+// preservedLocked reports whether g and G_R induce the same partition,
+// as Result.PreservesConnectivity does on a Snapshot. While g ⊆ G_R
+// (gInGR) every g component lies inside one G_R component, so the two
+// agree iff no G_R edge joins two g components. That holds at once when
+// g's live nodes form one component; otherwise only the G_R rows of
+// nodes outside g's largest component need a look, since such an edge
+// has an endpoint outside it. Without the invariant both live graphs
+// are labelled from scratch.
+func (s *Session) preservedLocked() bool {
+	if !s.gInGR {
+		return graph.SamePartition(s.gr, s.g)
+	}
+	if s.comps.Count() <= 1 {
+		return true
+	}
+	largest := s.comps.Largest()
+	for u, alive := range s.alive {
+		if !alive {
+			continue
+		}
+		c := s.comps.Label(u)
+		if c == largest {
+			continue
+		}
+		for _, v := range s.gr.Row(u) {
+			if s.comps.Label(int(v)) != c {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // observeBattery fills the battery fields of ts by folding the residual
