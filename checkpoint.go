@@ -91,9 +91,9 @@ func (s *Session) Checkpoint(w io.Writer) error {
 // liveness and batteries are copied outright; the node rows copy only
 // the outer slice header (installed discovery rows are immutable —
 // every repair installs freshly-built rows). Everything else a live
-// session holds (the pruned rows, N_α, G, G_R, the pairwise kernel, the
-// reconfigurators, the spatial index, the Observe state) is derived
-// state that restore rebuilds from these.
+// session holds (the pruned rows, G, G_R, the pairwise kernel, the
+// spatial index, the Observe state) is derived state that restore
+// rebuilds from these.
 func (s *Session) exportLocked() *codec.SessionState {
 	st := &codec.SessionState{
 		Config: s.eng.fingerprint(),
@@ -123,8 +123,8 @@ func (s *Session) exportLocked() *codec.SessionState {
 // ErrCheckpointVersion, ErrCheckpointKind, ErrCheckpointCorrupt), never
 // a panic. The node rows are validated and the topology is rebuilt from
 // them, so the restored session is edge-identical to the checkpointed
-// one — N_α, G and the ground-truth G_R — and evolves identically under
-// the same events, at any worker count.
+// one — its pruned rows, G and the ground-truth G_R — and evolves
+// identically under the same events, at any worker count.
 func (e *Engine) RestoreSession(r io.Reader) (*Session, error) {
 	st, err := codec.DecodeSession(r)
 	if err != nil {
@@ -152,7 +152,7 @@ func (e *Engine) checkSessionState(st *codec.SessionState) error {
 	if st.Battery != nil && len(st.Battery) != len(st.Pos) {
 		return fmt.Errorf("%w: battery vector holds %d nodes, session has %d", ErrCheckpointCorrupt, len(st.Battery), len(st.Pos))
 	}
-	return validateNodeRows(st)
+	return e.validateNodeRows(st)
 }
 
 // sessionFromState builds a live session around decoded state that
@@ -199,12 +199,18 @@ func (e *Engine) sessionFromState(st *codec.SessionState, workers int) *Session 
 
 // validateNodeRows checks the node rows restore rebuilds the topology
 // from, beyond the per-entry checks of the decoder (ids in range, never
-// the node itself, finite fields): no row names a neighbor twice, and
+// the node itself, finite fields): no row names a neighbor twice,
 // departed nodes are isolated — their rows are empty and no row names
-// them.
-func validateNodeRows(st *codec.SessionState) error {
+// them — and every node a row names is one its node's beacon discovers:
+// a G_R neighbor (the max-power link rule) within reach of the node's
+// GrowPower (the reach test repairs use). A session's g ⊆ G_R rests on
+// the last two, and repairs keep a row current only while they hold:
+// an event outside a node's reach never recomputes it.
+func (e *Engine) validateNodeRows(st *codec.SessionState) error {
+	pure := e.prop.DistancePure()
 	seen := make([]int, len(st.Nodes)) // seen[v] == u+1: row u named v
 	for u, nr := range st.Nodes {
+		reach := newBeaconReach(e.prop, pure, nr.GrowPower)
 		for _, nb := range nr.Neighbors {
 			v := nb.ID
 			if !st.Alive[u] || !st.Alive[v] {
@@ -214,6 +220,13 @@ func validateNodeRows(st *codec.SessionState) error {
 				return fmt.Errorf("%w: node %d names neighbor %d twice", ErrCheckpointCorrupt, u, v)
 			}
 			seen[v] = u + 1
+			d := st.Pos[u].Dist(st.Pos[v])
+			if !core.MaxPowerLink(e.prop, u, v, d) {
+				return fmt.Errorf("%w: node %d names %d, which is not its G_R neighbor", ErrCheckpointCorrupt, u, v)
+			}
+			if !reach.reaches(u, v, d) {
+				return fmt.Errorf("%w: node %d names %d beyond the reach of its GrowPower", ErrCheckpointCorrupt, u, v)
+			}
 		}
 	}
 	return nil

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"cbtc/internal/codec"
+	"cbtc/internal/core"
 	"cbtc/internal/workload"
 )
 
@@ -37,8 +40,8 @@ var checkpointStacks = []struct {
 
 // requireSessionsIdentical asserts two sessions expose identical state:
 // same snapshot graphs (G and the ground-truth G_R), radii, powers,
-// liveness, statistics — and identical maintained internal graphs,
-// N_α and the pre-pairwise graph included.
+// liveness, statistics — and identical maintained internal state, the
+// pruned rows (N_α) and the pre-pairwise graph included.
 func requireSessionsIdentical(t *testing.T, a, b *Session) {
 	t.Helper()
 	if a.Len() != b.Len() {
@@ -55,8 +58,13 @@ func requireSessionsIdentical(t *testing.T, a, b *Session) {
 	if a.Stats() != b.Stats() {
 		t.Fatalf("stats %+v != %+v", a.Stats(), b.Stats())
 	}
-	if !a.nalpha.Equal(b.nalpha) {
-		t.Fatal("maintained N_α differs")
+	if len(a.pruned) != len(b.pruned) {
+		t.Fatalf("pruned rows for %d and %d nodes", len(a.pruned), len(b.pruned))
+	}
+	for u := range a.pruned {
+		if !slices.Equal(a.pruned[u], b.pruned[u]) {
+			t.Fatalf("node %d's pruned row (its N_α arcs) differs", u)
+		}
 	}
 	if !a.gpre.Equal(b.gpre) {
 		t.Fatal("maintained pre-pairwise graph differs")
@@ -320,8 +328,9 @@ func TestRestoreErrorPaths(t *testing.T) {
 	}
 
 	// Restore rebuilds the topology from the node rows on every stack: a
-	// departed node with neighbors, a row naming a departed neighbor, or a
-	// row naming a neighbor twice must be refused rather than rebuilt.
+	// departed node with neighbors, a row naming a departed neighbor, a
+	// row naming a neighbor twice, or a row naming a node its beacon
+	// cannot discover must be refused rather than rebuilt.
 	for _, stack := range []struct {
 		name string
 		opts []Option
@@ -344,11 +353,15 @@ func TestRestoreErrorPaths(t *testing.T) {
 		if err := sess.Checkpoint(&buf); err != nil {
 			t.Fatal(err)
 		}
-		for name, mangle := range map[string]func(st *codec.SessionState){
+		mangles := map[string]func(st *codec.SessionState){
 			"departed row":       func(st *codec.SessionState) { st.Nodes[3].Neighbors = st.Nodes[4].Neighbors },
 			"departed neighbor":  func(st *codec.SessionState) { st.Nodes[4].Neighbors[0].ID = 3 },
 			"duplicate neighbor": func(st *codec.SessionState) { st.Nodes[4].Neighbors[1] = st.Nodes[4].Neighbors[0] },
-		} {
+		}
+		for _, plant := range rowPlants {
+			mangles[plant.name] = func(st *codec.SessionState) { plantRow(t, eng, st, plant) }
+		}
+		for name, mangle := range mangles {
 			st, err := codec.DecodeSession(bytes.NewReader(buf.Bytes()))
 			if err != nil {
 				t.Fatal(err)
@@ -363,6 +376,114 @@ func TestRestoreErrorPaths(t *testing.T) {
 			}
 			if _, err := eng.RestoreSession(&mangled); !errors.Is(err, ErrCheckpointCorrupt) {
 				t.Errorf("%s checkpoint with a %s: got %v, want ErrCheckpointCorrupt", stack.name, name, err)
+			}
+		}
+	}
+}
+
+// rowPlant names node pairs (u, v) at distance d whose arc u→v no
+// beacon of u discovers, for plantRow to plant one. Restore must refuse
+// a row holding such an arc.
+type rowPlant struct {
+	name string
+	pick func(eng *Engine, u core.NodeResult, d float64) bool
+	// reach raises u's GrowPower until its beacon reaches v, so that
+	// only the max-power link rule refuses the arc.
+	reach bool
+}
+
+// rowPlants are the two arcs restore refuses: to a live node beyond
+// maximum range, outside G_R, from a node whose GrowPower was raised to
+// reach it; and to a G_R neighbor beyond the reach of the node's
+// GrowPower.
+var rowPlants = []rowPlant{
+	{"row outside G_R", func(eng *Engine, _ core.NodeResult, d float64) bool {
+		return d > 1.01*eng.model.MaxRadius
+	}, true},
+	{"row beyond GrowPower", func(eng *Engine, u core.NodeResult, d float64) bool {
+		return !u.Boundary && d < 0.99*eng.model.MaxRadius && d > 1.01*eng.model.RangeFor(u.GrowPower)
+	}, false},
+}
+
+// plantRow plants p's arc in the row of the first live node u of st
+// with a live node v that p picks, and fails the test if there is no
+// such pair.
+func plantRow(t testing.TB, eng *Engine, st *codec.SessionState, p rowPlant) {
+	t.Helper()
+	for u, alive := range st.Alive {
+		for v := range st.Alive {
+			d := st.Pos[u].Dist(st.Pos[v])
+			if !alive || !st.Alive[v] || v == u || !p.pick(eng, st.Nodes[u], d) {
+				continue
+			}
+			plantArc(eng, st, u, v)
+			if p.reach {
+				st.Nodes[u].GrowPower = 2 * eng.prop.LinkPower(u, v, d)
+			}
+			return
+		}
+	}
+	t.Fatal("no node pair to plant the arc on")
+}
+
+// TestProtocolSessionRowsValidate: a protocol node discovers only nodes
+// its own beacon reaches, at most at maximum power, so every row of a
+// protocol-built session passes the check restore makes
+// (validateNodeRows), and its checkpoint restores to an identical
+// session. It runs every stack under lossy, duplicating, jittered and
+// noisy channels and a slow power schedule.
+func TestProtocolSessionRowsValidate(t *testing.T) {
+	stacks := []struct {
+		name string
+		opts []Option
+	}{
+		{"basic", nil},
+		{"shrink-back", []Option{WithShrinkBack()}},
+		{"all-ops-2pi3", []Option{WithAlpha(AlphaAsymmetric), WithAllOptimizations()}},
+		{"sigma-4dB", []Option{WithShrinkBack(), WithShadowing(4, 11)}},
+		{"sigma-8dB", []Option{WithAllOptimizations(), WithShadowing(8, 12)}},
+		{"path-loss-4", []Option{WithShrinkBack(), WithPathLoss(4)}},
+		{"alpha-pi", []Option{WithAlpha(math.Pi)}},
+	}
+	sims := []SimOptions{
+		{},
+		{DropProb: 0.3, DupProb: 0.2},
+		{Latency: 2, Jitter: 1.5},
+		{AoANoise: 0.08},
+		{IncreaseFactor: 1.3, InitialPower: 1e-3},
+	}
+	ctx := context.Background()
+	for _, stack := range stacks {
+		eng, err := New(append([]Option{WithMaxRadius(300)}, stack.opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, sim := range sims {
+			if sim.InitialPower != 0 {
+				sim.InitialPower *= eng.model.MaxPower()
+			}
+			for seed := uint64(1); seed <= 8; seed++ {
+				sim.Seed = seed
+				pos := workload.Uniform(workload.Rand(seed*8+uint64(k)), 40, 1200, 1200)
+				s, err := eng.NewProtocolSession(ctx, pos, sim)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.mu.Lock()
+				err = eng.validateNodeRows(s.exportLocked())
+				s.mu.Unlock()
+				if err != nil {
+					t.Fatalf("%s, sim %+v: %v", stack.name, sim, err)
+				}
+				var buf bytes.Buffer
+				if err := s.Checkpoint(&buf); err != nil {
+					t.Fatal(err)
+				}
+				r, err := eng.RestoreSession(&buf)
+				if err != nil {
+					t.Fatalf("%s, sim %+v: %v", stack.name, sim, err)
+				}
+				requireSessionsIdentical(t, s, r)
 			}
 		}
 	}

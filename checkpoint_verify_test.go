@@ -265,6 +265,34 @@ func TestVerifyFleetCheckpointMatchesRestore(t *testing.T) {
 		}
 		t.Logf("%s: %v", tc.name, err)
 	}
+
+	// A row naming a node its beacon cannot discover is refused with one
+	// error on every restore path: RestoreSession on the member's state,
+	// and RestoreFleet, VerifyFleetCheckpoint and Readmit naming the
+	// member.
+	for _, plant := range rowPlants {
+		data := mangleFleet(t, fbuf, func(st *codec.FleetState) { plantRow(t, eng, &st.Nets[1].Session, plant) })
+		ferr := verifyMatchesRestore(t, eng, data)
+		st, err := codec.DecodeFleet(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var member bytes.Buffer
+		if err := codec.EncodeSession(&member, &st.Nets[1].Session); err != nil {
+			t.Fatal(err)
+		}
+		_, serr := eng.RestoreSession(&member)
+		if !errors.Is(serr, ErrCheckpointCorrupt) {
+			t.Fatalf("%s: RestoreSession got %v, want ErrCheckpointCorrupt", plant.name, serr)
+		}
+		if ferr == nil || ferr.Error() != "network 1: "+serr.Error() {
+			t.Fatalf("%s: RestoreFleet got %v, RestoreSession %v", plant.name, ferr, serr)
+		}
+		if rerr := fleet.Readmit(1, bytes.NewReader(data)); rerr == nil || rerr.Error() != ferr.Error() {
+			t.Fatalf("%s: Readmit got %v, RestoreFleet %v", plant.name, rerr, ferr)
+		}
+		t.Logf("%s: %v", plant.name, ferr)
+	}
 }
 
 // FuzzVerifyFleetCheckpoint: on any input, VerifyFleetCheckpoint and

@@ -10,24 +10,6 @@ import (
 	"cbtc/internal/spatial"
 )
 
-// Index is the candidate provider the oracle's hot paths query instead
-// of scanning the whole placement: Within(p, r) must return every node id
-// whose position lies within distance r of p, in ascending id order.
-// *spatial.Grid satisfies it. For RunNode a nil Index means a full
-// placement scan — the naive path RunNaive takes; the G_R builders
-// require a non-nil one.
-type Index interface {
-	Within(p geom.Point, r float64) []int
-}
-
-// unorderedIndex is the optional fast path an Index can provide when the
-// caller imposes its own total order on the candidates (as the oracle's
-// (key, dist, id) sort does), making the index's ascending-id sort
-// redundant.
-type unorderedIndex interface {
-	AppendWithinUnordered(dst []int, p geom.Point, r float64) []int
-}
-
 // distTieTol is the relative tolerance under which two candidate keys —
 // distances on a distance-pure radio, link powers otherwise — are
 // treated as equal. Equidistant nodes become reachable at the same
@@ -94,17 +76,17 @@ func RunNaive(ctx context.Context, pos []geom.Point, m radio.Propagation, alpha 
 	return runContext(ctx, pos, m, alpha, nil, 1, nil)
 }
 
-// RunWithMaxPowerGraph is RunParallel over a caller-built candidate
-// index that also returns G_R, the graph every Result's connectivity is
-// checked against. idx must be non-nil and index exactly pos; callers
-// that keep a grid over the placement anyway (sessions maintain theirs
-// across events) build it once with spatial.New(pos, m.MaxLinkRadius())
-// and pass it here. A node's candidate list is exactly its G_R row, so
+// RunWithMaxPowerGraph is RunParallel over a caller-built grid that
+// also returns G_R, the graph every Result's connectivity is checked
+// against. idx must be non-nil and index exactly pos; callers that keep
+// a grid over the placement anyway (sessions maintain theirs across
+// events) build it once with spatial.New(pos, m.MaxLinkRadius()) and
+// pass it here. A node's candidate list is exactly its G_R row, so
 // G_R is a by-product of the one grid and the one gather the oracle runs
 // anyway: each worker packs the candidates above u into u's ascending
 // half row in its own arena. Both outputs are identical at every worker
 // count, and G_R equals MaxPowerGraph's.
-func RunWithMaxPowerGraph(ctx context.Context, pos []geom.Point, m radio.Propagation, alpha float64, workers int, idx Index) (*Execution, *graph.Graph, error) {
+func RunWithMaxPowerGraph(ctx context.Context, pos []geom.Point, m radio.Propagation, alpha float64, workers int, idx *spatial.Grid) (*Execution, *graph.Graph, error) {
 	if err := validateInput(pos, m, alpha); err != nil {
 		return nil, nil, err
 	}
@@ -121,7 +103,7 @@ func RunWithMaxPowerGraph(ctx context.Context, pos []geom.Point, m radio.Propaga
 // non-nil halfRows (one slot per node) is the G_R sink: after node u's
 // growing phase, its candidates above u are stored there as its
 // ascending half row.
-func runContext(ctx context.Context, pos []geom.Point, m radio.Propagation, alpha float64, idx Index, workers int, halfRows [][]int32) (*Execution, error) {
+func runContext(ctx context.Context, pos []geom.Point, m radio.Propagation, alpha float64, idx *spatial.Grid, workers int, halfRows [][]int32) (*Execution, error) {
 	exec := &Execution{
 		Alpha: alpha,
 		Model: m.Nominal(),
@@ -162,7 +144,7 @@ type NodeRunner struct {
 
 // RunNode computes N_α(u) exactly as the package-level RunNode does,
 // reusing the runner's scratch buffers.
-func (r *NodeRunner) RunNode(pos []geom.Point, alive []bool, m radio.Propagation, alpha float64, u int, idx Index) NodeResult {
+func (r *NodeRunner) RunNode(pos []geom.Point, alive []bool, m radio.Propagation, alpha float64, u int, idx *spatial.Grid) NodeResult {
 	return runNode(pos, alive, m, alpha, u, idx, &r.scr)
 }
 
@@ -249,15 +231,11 @@ type gatherScratch struct {
 	arena []int32
 }
 
-// query returns the index's ids within r of p in the scratch's id
-// buffer, skipping the index's ascending-id sort when it offers that:
-// every caller either re-sorts or filters to a half row it sorts itself.
-func (s *gatherScratch) query(idx Index, p geom.Point, r float64) []int {
-	if g, ok := idx.(unorderedIndex); ok {
-		s.ids = g.AppendWithinUnordered(s.ids[:0], p, r)
-	} else {
-		s.ids = append(s.ids[:0], idx.Within(p, r)...)
-	}
+// query returns the grid's ids within r of p in the scratch's id
+// buffer, without the grid's ascending-id sort: every caller either
+// re-sorts or filters to a half row it sorts itself.
+func (s *gatherScratch) query(idx *spatial.Grid, p geom.Point, r float64) []int {
+	s.ids = idx.AppendWithinUnordered(s.ids[:0], p, r)
 	return s.ids
 }
 
@@ -288,13 +266,13 @@ type candidate struct {
 // candidate set changed need recomputing. The candidates are exactly u's
 // live G_R neighbors; idx restricts the gather to nodes near u, and nil
 // falls back to a full placement scan that admits the same set.
-func RunNode(pos []geom.Point, alive []bool, m radio.Propagation, alpha float64, u int, idx Index) NodeResult {
+func RunNode(pos []geom.Point, alive []bool, m radio.Propagation, alpha float64, u int, idx *spatial.Grid) NodeResult {
 	return runNode(pos, alive, m, alpha, u, idx, &gatherScratch{})
 }
 
 // runNode is the growing phase over u's live G_R neighbors, gathered
 // from idx (or, with a nil idx, a full placement scan).
-func runNode(pos []geom.Point, alive []bool, m radio.Propagation, alpha float64, u int, idx Index, scr *gatherScratch) NodeResult {
+func runNode(pos []geom.Point, alive []bool, m radio.Propagation, alpha float64, u int, idx *spatial.Grid, scr *gatherScratch) NodeResult {
 	return grow(pos, m, alpha, u, gatherCandidates(pos, alive, m, m.DistancePure(), u, idx, scr), scr)
 }
 
@@ -413,11 +391,11 @@ func siftDownCandidate(h []candidate, i int) {
 
 // gatherCandidates returns u's live G_R neighbors — the nodes inMaxRange
 // admits — in gather order, each with its discovery key; grow imposes
-// the (key, dist, id) order itself, only as far as it admits. With an
-// index the gather only touches nodes near u: the query radius is
+// the (key, dist, id) order itself, only as far as it admits. With a
+// grid the gather only touches nodes near u: the query radius is
 // widened by spatial.QuerySlack and the exact rule re-applied, so both
 // paths admit identical candidate sets.
-func gatherCandidates(pos []geom.Point, alive []bool, m radio.Propagation, pure bool, u int, idx Index, scr *gatherScratch) []candidate {
+func gatherCandidates(pos []geom.Point, alive []bool, m radio.Propagation, pure bool, u int, idx *spatial.Grid, scr *gatherScratch) []candidate {
 	rr, qr := maxPowerRadii(m)
 	out := scr.cands[:0]
 	admit := func(v int, pv geom.Point) {
@@ -475,14 +453,14 @@ func MaxPowerGraphParallel(pos []geom.Point, m radio.Propagation, workers int) *
 }
 
 // MaxPowerGraphParallelIndexed builds G_R over a caller-supplied, non-nil
-// candidate index (Sessions pass their live-node grid, baselines their
-// shared one, to avoid rebuilding a grid over the same placement). Each
-// node's half row is the part of its max-power gather above u, packed
-// and sorted in the worker's arena; the gathers — the Θ(n·k) part — run
-// on the worker pool over the read-only index (one worker runs inline),
-// and the half rows feed the packed bulk constructor, so the graph is
-// identical at every worker count.
-func MaxPowerGraphParallelIndexed(pos []geom.Point, m radio.Propagation, idx Index, workers int) *graph.Graph {
+// grid (Sessions pass their live-node grid, baselines their shared one,
+// to avoid rebuilding a grid over the same placement). Each node's half
+// row is the part of its max-power gather above u, packed and sorted in
+// the worker's arena; the gathers — the Θ(n·k) part — run on the worker
+// pool over the read-only grid (one worker runs inline), and the half
+// rows feed the packed bulk constructor, so the graph is identical at
+// every worker count.
+func MaxPowerGraphParallelIndexed(pos []geom.Point, m radio.Propagation, idx *spatial.Grid, workers int) *graph.Graph {
 	workers = ResolveWorkers(workers, len(pos))
 	rows := make([][]int32, len(pos))
 	scratch := make([]gatherScratch, workers)
@@ -532,6 +510,14 @@ func AppendMaxPowerRow(dst []int32, m radio.Propagation, u int, cands []int, dis
 func maxPowerRadii(m radio.Propagation) (rr, qr float64) {
 	rr = m.MaxLinkRadius() * (1 + distTieTol)
 	return rr, rr * (1 + spatial.QuerySlack)
+}
+
+// MaxPowerLink reports whether u and v at distance d are G_R neighbors
+// under m: the max-power link rule of every G_R construction and of the
+// oracle's gather, for one pair.
+func MaxPowerLink(m radio.Propagation, u, v int, d float64) bool {
+	rr, _ := maxPowerRadii(m)
+	return inMaxRange(m, m.DistancePure(), rr, u, v, d)
 }
 
 // inMaxRange is the max-power link rule: u and v at distance d are G_R

@@ -28,14 +28,14 @@ type refCandidate struct {
 }
 
 // runNodeRef dispatches on the radio's purity, as the oracle used to.
-func runNodeRef(pos []geom.Point, alive []bool, m radio.Propagation, alpha float64, u int, idx Index) NodeResult {
+func runNodeRef(pos []geom.Point, alive []bool, m radio.Propagation, alpha float64, u int, idx *spatial.Grid) NodeResult {
 	if m.DistancePure() {
 		return runNodePureRef(pos, alive, m.Nominal(), alpha, u, idx)
 	}
 	return runNodeLinkRef(pos, alive, m, alpha, u, idx)
 }
 
-func runNodePureRef(pos []geom.Point, alive []bool, m radio.Model, alpha float64, u int, idx Index) NodeResult {
+func runNodePureRef(pos []geom.Point, alive []bool, m radio.Model, alpha float64, u int, idx *spatial.Grid) NodeResult {
 	cands := reachableCandidatesRef(pos, alive, m, u, idx)
 	neighbors := make([]Discovery, 0, len(cands))
 	var dirs []float64
@@ -59,7 +59,7 @@ func runNodePureRef(pos []geom.Point, alive []bool, m radio.Model, alpha float64
 	return NodeResult{Neighbors: neighbors, GrowPower: m.MaxPower(), Boundary: true}
 }
 
-func runNodeLinkRef(pos []geom.Point, alive []bool, m radio.Propagation, alpha float64, u int, idx Index) NodeResult {
+func runNodeLinkRef(pos []geom.Point, alive []bool, m radio.Propagation, alpha float64, u int, idx *spatial.Grid) NodeResult {
 	cands := linkCandidatesRef(pos, alive, m, u, idx)
 	neighbors := make([]Discovery, 0, len(cands))
 	var dirs []float64
@@ -85,27 +85,21 @@ func runNodeLinkRef(pos []geom.Point, alive []bool, m radio.Propagation, alpha f
 
 // refGather applies admit to every node the index returns for the query
 // radius qr around u, or to every node when idx is nil.
-func refGather(pos []geom.Point, u int, idx Index, qr float64, admit func(v int)) {
+func refGather(pos []geom.Point, u int, idx *spatial.Grid, qr float64, admit func(v int)) {
 	if idx == nil {
 		for v := range pos {
 			admit(v)
 		}
 		return
 	}
-	var ids []int
-	if g, ok := idx.(unorderedIndex); ok {
-		ids = g.AppendWithinUnordered(nil, pos[u], qr)
-	} else {
-		ids = idx.Within(pos[u], qr)
-	}
-	for _, v := range ids {
+	for _, v := range idx.AppendWithinUnordered(nil, pos[u], qr) {
 		admit(v)
 	}
 }
 
 // reachableCandidatesRef is the power-law gather: nodes within
 // MaxRadius·(1+distTieTol), sorted by (dist, id).
-func reachableCandidatesRef(pos []geom.Point, alive []bool, m radio.Model, u int, idx Index) []refCandidate {
+func reachableCandidatesRef(pos []geom.Point, alive []bool, m radio.Model, u int, idx *spatial.Grid) []refCandidate {
 	rr := m.MaxRadius * (1 + distTieTol)
 	var out []refCandidate
 	refGather(pos, u, idx, rr*(1+spatial.QuerySlack), func(v int) {
@@ -131,7 +125,7 @@ func reachableCandidatesRef(pos []geom.Point, alive []bool, m radio.Model, u int
 // linkCandidatesRef is the per-link gather: nodes within
 // MaxLinkRadius·(1+distTieTol) whose link LinkInRange admits, sorted by
 // (need, dist, id).
-func linkCandidatesRef(pos []geom.Point, alive []bool, m radio.Propagation, u int, idx Index) []refCandidate {
+func linkCandidatesRef(pos []geom.Point, alive []bool, m radio.Propagation, u int, idx *spatial.Grid) []refCandidate {
 	rr := m.MaxLinkRadius() * (1 + distTieTol)
 	var out []refCandidate
 	refGather(pos, u, idx, rr*(1+spatial.QuerySlack), func(v int) {
@@ -265,7 +259,7 @@ func refPlacement(t testing.TB, shape, seed uint64, n int) []geom.Point {
 // reference kernels, with and without the grid and the alive mask.
 func checkRunNodeMatchesRef(t *testing.T, label string, pos []geom.Point, alive []bool, m radio.Propagation, alpha float64, scr *gatherScratch) {
 	t.Helper()
-	for _, idx := range []Index{spatial.New(pos, m.MaxLinkRadius()), nil} {
+	for _, idx := range []*spatial.Grid{spatial.New(pos, m.MaxLinkRadius()), nil} {
 		for u := range pos {
 			got := runNode(pos, alive, m, alpha, u, idx, scr)
 			want := runNodeRef(pos, alive, m, alpha, u, idx)
@@ -391,7 +385,7 @@ func TestCandidatesAreMaxPowerRows(t *testing.T) {
 		pos := refPlacement(t, shape, 5, 120)
 		for _, m := range []radio.Propagation{pure, shadowed} {
 			gr := MaxPowerGraph(pos, m)
-			for _, idx := range []Index{spatial.New(pos, m.MaxLinkRadius()), nil} {
+			for _, idx := range []*spatial.Grid{spatial.New(pos, m.MaxLinkRadius()), nil} {
 				for u := range pos {
 					var ids []int32
 					for _, c := range gatherCandidates(pos, nil, m, m.DistancePure(), u, idx, &scr) {

@@ -38,7 +38,9 @@ type Topology struct {
 	// Exec is the (possibly shrunk) execution the graph was derived from.
 	Exec *Execution
 	// Nalpha is the directed neighbor relation after per-node pruning
-	// (shrink-back).
+	// (shrink-back). BuildTopology sets it. A Session snapshot leaves it
+	// nil: a session keeps N_α only as its pruned rows, which the
+	// snapshot's Exec.Nodes hold, so Exec.Nalpha() rebuilds it.
 	Nalpha *graph.Digraph
 	// G is the final symmetric graph: E_α, E^s_α, E⁻_α or the pairwise-
 	// pruned variant, depending on Options.

@@ -117,8 +117,8 @@ func (e *Execution) Nalpha() *graph.Digraph {
 // NalphaOf returns the directed relation over n nodes in which node u's
 // successors are the ids of nbrs(u), bulk-built into one packed arena:
 // each (Power, Dist, ID)-ordered discovery list is re-sorted by id into
-// its successor row. Sessions build their N_α from the pruned rows
-// with it.
+// its successor row. A session builds a throwaway one from its pruned
+// rows to symmetrize them.
 func NalphaOf(n int, nbrs func(u int) []Discovery) *graph.Digraph {
 	total := 0
 	for u := 0; u < n; u++ {

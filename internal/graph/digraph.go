@@ -8,22 +8,18 @@ import (
 // Digraph is a directed simple graph over nodes 0..N-1. It represents
 // the asymmetric neighbor relation N_α = {(u,v) : v ∈ N_α(u)} computed
 // by CBTC before any symmetrization. Like Graph it stores packed sorted
-// successor rows with copy-on-write clones; see the package comment.
+// successor rows. A digraph is built once, by AddArc or in bulk, and
+// then only read: it has no clones and no arc removal.
 type Digraph struct {
-	n      int
-	arcs   int       // cached arc count
-	out    [][]int32 // per-node sorted successor rows
-	shared []bool    // see Graph.shared
+	n    int
+	arcs int       // cached arc count
+	out  [][]int32 // per-node sorted successor rows
 }
 
 // NewDigraph returns an empty directed graph with n nodes.
 func NewDigraph(n int) *Digraph {
 	checkNodeCount(n)
-	return &Digraph{
-		n:      n,
-		out:    make([][]int32, n),
-		shared: make([]bool, n),
-	}
+	return &Digraph{n: n, out: make([][]int32, n)}
 }
 
 // NewDigraphFromRows builds a digraph from per-node successor rows
@@ -42,12 +38,7 @@ func NewDigraphFromRows(rows [][]int32) *Digraph {
 		total += len(row)
 	}
 	arena := make([]int32, 0, total)
-	d := &Digraph{
-		n:      n,
-		arcs:   total,
-		out:    make([][]int32, n),
-		shared: make([]bool, n),
-	}
+	d := &Digraph{n: n, arcs: total, out: make([][]int32, n)}
 	for u, row := range rows {
 		start := len(arena)
 		arena = append(arena, row...)
@@ -58,16 +49,6 @@ func NewDigraphFromRows(rows [][]int32) *Digraph {
 
 // Len returns the number of nodes.
 func (d *Digraph) Len() int { return d.n }
-
-// owned returns node u's row ready for in-place mutation, copying it
-// first if a clone may still reference the storage.
-func (d *Digraph) owned(u int) []int32 {
-	if d.shared[u] {
-		d.out[u] = slices.Clone(d.out[u])
-		d.shared[u] = false
-	}
-	return d.out[u]
-}
 
 // AddArc inserts the directed edge u→v. Self-loops are ignored.
 func (d *Digraph) AddArc(u, v int) {
@@ -80,20 +61,8 @@ func (d *Digraph) AddArc(u, v int) {
 	if found {
 		return
 	}
-	d.out[u] = slices.Insert(d.owned(u), i, int32(v))
+	d.out[u] = slices.Insert(d.out[u], i, int32(v))
 	d.arcs++
-}
-
-// RemoveArc deletes the directed edge u→v if present.
-func (d *Digraph) RemoveArc(u, v int) {
-	d.check(u)
-	d.check(v)
-	i, found := slices.BinarySearch(d.out[u], int32(v))
-	if !found {
-		return
-	}
-	d.out[u] = slices.Delete(d.owned(u), i, i+1)
-	d.arcs--
 }
 
 // HasArc reports whether the directed edge u→v is present.
@@ -112,7 +81,7 @@ func (d *Digraph) OutDegree(u int) int {
 
 // Row returns node u's successor row: ascending node ids, backed by the
 // digraph's internal storage. The caller must not mutate it, and the
-// row is only valid until the digraph's next mutation.
+// row is only valid until the next AddArc.
 func (d *Digraph) Row(u int) []int32 {
 	d.check(u)
 	return d.out[u]
@@ -221,54 +190,6 @@ func (d *Digraph) AsymmetricArcs() []Edge {
 		}
 	}
 	return arcs
-}
-
-// Grow appends k nodes with no arcs, extending the id space to Len()+k.
-func (d *Digraph) Grow(k int) {
-	if k < 0 {
-		panic(fmt.Sprintf("graph: negative growth %d", k))
-	}
-	checkNodeCount(d.n + k)
-	d.out = append(d.out, make([][]int32, k)...)
-	d.shared = append(d.shared, make([]bool, k)...)
-	d.n += k
-}
-
-// Clone returns a copy-on-write clone sharing every successor row until
-// one side mutates it; see Graph.Clone for the sharing contract (Clone
-// counts as a mutation of the original for concurrency purposes).
-func (d *Digraph) Clone() *Digraph {
-	for i := range d.shared {
-		d.shared[i] = true
-	}
-	c := &Digraph{
-		n:      d.n,
-		arcs:   d.arcs,
-		out:    slices.Clone(d.out),
-		shared: make([]bool, d.n),
-	}
-	for i := range c.shared {
-		c.shared[i] = true
-	}
-	return c
-}
-
-// CloneDeep returns a fully materialized copy sharing no storage with
-// the original; the reference for tests and clone benchmarks.
-func (d *Digraph) CloneDeep() *Digraph {
-	arena := make([]int32, 0, d.arcs)
-	c := &Digraph{
-		n:      d.n,
-		arcs:   d.arcs,
-		out:    make([][]int32, d.n),
-		shared: make([]bool, d.n),
-	}
-	for u := 0; u < d.n; u++ {
-		start := len(arena)
-		arena = append(arena, d.out[u]...)
-		c.out[u] = arena[start:len(arena):len(arena)]
-	}
-	return c
 }
 
 // Equal reports whether two digraphs have identical node and arc sets.

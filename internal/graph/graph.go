@@ -12,12 +12,14 @@
 // Both Graph and Digraph store packed sorted adjacency: one ascending
 // []int32 row per node, bulk-built graphs packing all rows into a single
 // shared arena (CSR-style). Iteration order is therefore ascending by
-// construction — every consumer is deterministic for free — and clones
-// are copy-on-write: Clone shares the per-node rows with the original and
-// either side copies a row only when it first mutates it. A long-lived
-// Session snapshotting a 10k-node topology pays O(n) slice-header copies
-// per snapshot plus O(dirty rows) copies per repair, instead of a full
-// adjacency rebuild.
+// construction — every consumer is deterministic for free.
+//
+// Only Graph clones, and its clones are copy-on-write: Clone shares the
+// per-node rows with the original and either side copies a row only when
+// it first mutates it. A long-lived Session snapshotting a 10k-node
+// topology pays O(n) slice-header copies per snapshot plus O(dirty rows)
+// copies per repair, instead of a full adjacency rebuild. A Digraph is
+// built once and then only read, so it has no clones to share with.
 //
 // Rows returned by Row are the live internal storage: callers must not
 // mutate them, and a row is only valid until the graph's next mutation.

@@ -32,9 +32,9 @@ func mutualSubgraphRef(d *Digraph) *Graph {
 }
 
 // FuzzSymmetrize: on random digraphs — any size, arc density and share
-// of reversed arcs, with some arcs removed again so rows shrink in place
-// — SymmetricClosure and MutualSubgraph equal the per-edge references,
-// and mutating a result leaves a second build untouched.
+// of reversed arcs — SymmetricClosure and MutualSubgraph equal the
+// per-edge references, and mutating a result leaves a second build
+// untouched.
 func FuzzSymmetrize(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(0), uint8(0))
 	f.Add(uint64(2), uint8(1), uint8(255), uint8(255))
@@ -55,9 +55,6 @@ func FuzzSymmetrize(f *testing.F) {
 					d.AddArc(v, u)
 				}
 			}
-		}
-		for i := 0; n > 0 && i < n/4; i++ {
-			d.RemoveArc(rng.IntN(n), rng.IntN(n))
 		}
 		for _, tc := range []struct {
 			name      string

@@ -58,31 +58,28 @@ func referenceMemberReport(tb testing.TB, s *Session) memberReport {
 
 // reportTally counts what the member-report checks exercised.
 type reportTally struct {
-	preserved, split, fallback int // Preserved true; false with g in several components; reads without g ⊆ G_R
+	preserved, split int // Preserved true; false with g in several components
 }
 
 // requireMemberReport requires got, a report of s, to equal the
-// snapshot reference field for field, and s's g ⊆ G_R flag to hold
-// wherever it is set.
+// snapshot reference field for field, and s's g to be a subgraph of its
+// G_R, which the maintained report relies on.
 func requireMemberReport(tb testing.TB, step string, s *Session, got memberReport, tally *reportTally) {
 	tb.Helper()
 	if want := referenceMemberReport(tb, s); !reflect.DeepEqual(got, want) {
 		tb.Fatalf("%s: report %+v, snapshot reference %+v", step, got, want)
 	}
 	s.mu.Lock()
-	claimed, holds := s.gInGR, s.g.IsSubgraphOf(s.gr)
+	inGR := s.g.IsSubgraphOf(s.gr)
 	s.mu.Unlock()
-	if claimed && !holds {
-		tb.Fatalf("%s: session claims g ⊆ G_R, but g has an edge outside G_R", step)
+	if !inGR {
+		tb.Fatalf("%s: g has an edge outside G_R", step)
 	}
 	switch {
 	case got.Preserved:
 		tally.preserved++
 	case got.Final.Components > 1:
 		tally.split++
-	}
-	if !claimed {
-		tally.fallback++
 	}
 }
 
@@ -116,8 +113,8 @@ const (
 // through a checkpoint and restore half way. After every tick each
 // member's NetworkReport must equal the snapshot reference. A fixed
 // placement then splits g where its largest component is not involved,
-// and a restored session whose node row names a live node outside G_R
-// drives the fallback; both must agree with the reference too.
+// which must agree with the reference too, and a checkpoint whose node
+// row names a live node outside G_R must not restore.
 func TestMemberReportMatchesSnapshot(t *testing.T) {
 	ctx := context.Background()
 	var tally reportTally
@@ -169,11 +166,6 @@ func TestMemberReportMatchesSnapshot(t *testing.T) {
 				requireMemberReport(t, fmt.Sprintf("seed %d round %d %s", seed, round, st.name), f.Session(i), got, &tally)
 			}
 		}
-		for i := range memberReportStacks {
-			if s := f.Session(i); !s.gInGR {
-				t.Errorf("seed %d: %s member lost g ⊆ G_R without an outside row", seed, memberReportStacks[i].name)
-			}
-		}
 	}
 	if tally.preserved == 0 || tally.split == 0 {
 		t.Fatalf("histories never exercised both Preserved values: %+v", tally)
@@ -203,54 +195,28 @@ func TestMemberReportMatchesSnapshot(t *testing.T) {
 		t.Fatalf("star and two pairs: Preserved %v over %d components, want false over 3", got.Preserved, got.Final.Components)
 	}
 
+	// Two 24-node clusters 2R apart, with node 0 of the first given an
+	// arc to the last node of the second: the arc would join two G_R
+	// components in g, so restore refuses it.
 	for seed := uint64(1); seed <= 2; seed++ {
-		s := outsideRowSession(t, seed)
-		before := tally.fallback
-		rng := rand.New(rand.NewPCG(seed, 31))
-		requireMemberReport(t, fmt.Sprintf("fallback seed %d restored", seed), s, sessionReport(s), &tally)
-		for round := 0; round < 8; round++ {
-			if _, err := s.ApplyBatch(randomBatch(rng, s, 1+rng.IntN(8), 2*reportSide)); err != nil {
-				t.Fatal(err)
-			}
-			requireMemberReport(t, fmt.Sprintf("fallback seed %d round %d", seed, round), s, sessionReport(s), &tally)
+		pts := workload.Uniform(workload.Rand(seed), 24, 2*reportRadius, 2*reportRadius)
+		for _, p := range workload.Uniform(workload.Rand(seed+100), 24, 2*reportRadius, 2*reportRadius) {
+			pts = append(pts, Pt(p.X+4*reportRadius, p.Y+4*reportRadius))
 		}
-		if tally.fallback-before != 9 {
-			t.Fatalf("fallback seed %d: %d of 9 reads took the fallback", seed, tally.fallback-before)
+		eng, err := New(WithMaxRadius(reportRadius))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := eng.NewSession(context.Background(), pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = restoreEdited(t, eng, s, func(st *codec.SessionState) { plantArc(eng, st, 0, len(pts)-1) })
+		if !errors.Is(err, ErrCheckpointCorrupt) {
+			t.Fatalf("seed %d: a row naming a node in another G_R component restored with %v, want ErrCheckpointCorrupt", seed, err)
 		}
 	}
 	t.Logf("%+v", tally)
-}
-
-// outsideRowSession restores a session whose first node's row names a
-// live node outside G_R: two 24-node clusters 2R apart, with node 0 of
-// the first given an arc to the last node of the second. The arc joins
-// two G_R components in g, so the restored session's Preserved is false
-// and only the fallback can see it.
-func outsideRowSession(t *testing.T, seed uint64) *Session {
-	t.Helper()
-	eng, err := New(WithMaxRadius(reportRadius))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := workload.Uniform(workload.Rand(seed), 24, 2*reportRadius, 2*reportRadius)
-	for _, p := range workload.Uniform(workload.Rand(seed+100), 24, 2*reportRadius, 2*reportRadius) {
-		pts = append(pts, Pt(p.X+4*reportRadius, p.Y+4*reportRadius))
-	}
-	s, err := eng.NewSession(context.Background(), pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := restoreEdited(t, eng, s, func(st *codec.SessionState) { plantArc(eng, st, 0, len(pts)-1) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.gInGR {
-		t.Fatal("a restored row outside G_R left g ⊆ G_R set")
-	}
-	if got := sessionReport(r); got.Preserved {
-		t.Fatal("an arc across two G_R components preserved the partition")
-	}
-	return r
 }
 
 // restoreEdited checkpoints s, applies edit (when non-nil) to the
@@ -283,8 +249,8 @@ func plantArc(eng *Engine, st *codec.SessionState, u, v int) {
 // of memberReportStacks, a placement seed and node count, then steps —
 // a randomBatch burst applied as one Tick, a checkpoint and restore, or
 // a restore with one node's row given an arc to a live node outside
-// G_R. After every step the session's report must equal the snapshot
-// reference, and its g ⊆ G_R flag must hold wherever it is set.
+// G_R, which must be refused. After every step the session's report
+// must equal the snapshot reference, and its g must lie inside G_R.
 func FuzzMemberReport(f *testing.F) {
 	for i := range memberReportStacks {
 		f.Add([]byte{byte(i), byte(7 * i), 30, 0, 12, 2, 1, 5, 3, 0, 20, 2, 3, 0, 9})
@@ -316,7 +282,6 @@ func FuzzMemberReport(f *testing.F) {
 		var tally reportTally
 		requireMemberReport(t, "initial", s, sessionReport(s), &tally)
 		rng := rand.New(rand.NewPCG(seed, 37))
-		planted := false
 		for k := 0; k < len(steps); k++ {
 			switch steps[k] % 4 {
 			case 0, 1:
@@ -335,9 +300,9 @@ func FuzzMemberReport(f *testing.F) {
 					t.Fatal(err)
 				}
 			case 2:
-				s = restoredSession(t, eng, s, nil, &planted)
+				s = restoredSession(t, eng, s, nil)
 			case 3:
-				s = restoredSession(t, eng, s, rng, &planted)
+				s = restoredSession(t, eng, s, rng)
 			}
 			requireMemberReport(t, fmt.Sprintf("step %d (%d)", k, steps[k]), s, sessionReport(s), &tally)
 		}
@@ -346,15 +311,11 @@ func FuzzMemberReport(f *testing.F) {
 
 // restoredSession checkpoints s and restores it under eng. With a
 // non-nil rng it first plants, in a random live node's row, an arc to a
-// random live node outside its G_R row, when there is one, and sets
-// *planted.
-//
-// Such an arc lies beyond its node's GrowPower, so no repair revisits
-// it: once its target leaves, the row names a departed node and the
-// session's checkpoint no longer restores. Once a row was planted, a
-// checkpoint that fails as corrupt keeps the session as it is.
-func restoredSession(t *testing.T, eng *Engine, s *Session, rng *rand.Rand, planted *bool) *Session {
+// random live node outside its G_R row, when there is one. Restore must
+// refuse such a row as corrupt, and s is then kept as it is.
+func restoredSession(t *testing.T, eng *Engine, s *Session, rng *rand.Rand) *Session {
 	t.Helper()
+	planted := false
 	var edit func(st *codec.SessionState)
 	if rng != nil {
 		edit = func(st *codec.SessionState) {
@@ -371,12 +332,15 @@ func restoredSession(t *testing.T, eng *Engine, s *Session, rng *rand.Rand, plan
 			named := slices.ContainsFunc(st.Nodes[u].Neighbors, func(nb core.Discovery) bool { return nb.ID == v })
 			if v != u && !named && !s.gr.HasEdge(u, v) {
 				plantArc(eng, st, u, v)
-				*planted = true
+				planted = true
 			}
 		}
 	}
 	r, err := restoreEdited(t, eng, s, edit)
-	if *planted && errors.Is(err, ErrCheckpointCorrupt) {
+	if planted {
+		if !errors.Is(err, ErrCheckpointCorrupt) {
+			t.Fatalf("a row planted outside G_R restored with %v, want ErrCheckpointCorrupt", err)
+		}
 		return s
 	}
 	if err != nil {

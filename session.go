@@ -10,6 +10,7 @@ import (
 
 	"cbtc/internal/core"
 	"cbtc/internal/graph"
+	"cbtc/internal/radio"
 	"cbtc/internal/spatial"
 	"cbtc/internal/stats"
 )
@@ -78,30 +79,18 @@ type Session struct {
 	// O(live nodes) slice-header copies — instead of rebuilding the
 	// topology and ground-truth G_R from scratch, and later repairs copy
 	// only the rows they actually touch.
-	pruned [][]core.Discovery // per-node neighbor lists after op1/degree pruning
-	nalpha *graph.Digraph     // pruned directed relation N_α
-	gpre   *graph.Graph       // its symmetrization per the optimization stack
+	//
+	// pruned is N_α: node u's row after shrink-back (op1) lists its arcs
+	// u→v. It is the relation's only copy; patchArcs scans a neighbor's
+	// row for the reverse arc.
+	pruned [][]core.Discovery
+	gpre   *graph.Graph // the symmetrization of N_α per the optimization stack
 	// g is the topology: gpre after pairwise edge removal, which the
 	// pairwise kernel keeps in step with gpre. Without op3 pairwise is
 	// nil and g is gpre itself, as in core.BuildTopology.
 	g        *graph.Graph
 	pairwise *core.Pairwise
 	gr       *graph.Graph // G_R over live nodes; departed nodes isolated
-
-	// gInGR records that g ⊆ G_R: every installed arc u→v joins two
-	// nodes adjacent in G_R. preservedLocked relies on it to read the
-	// maintained components instead of labelling both graphs. An oracle
-	// build has it by construction: its rows come from the same gather as
-	// its G_R. buildTopology checks it where it gathers G_R itself
-	// (restores and protocol builds). Repairs keep it. A join only adds
-	// G_R edges, and G_R loses edge {u,v} only when u or v moves or
-	// leaves. That node recomputes from its new G_R row, or drops its
-	// arcs as it leaves. A node with an arc to it discovered it at or
-	// below its GrowPower, at the site the event vacates, so
-	// appendReached recomputes that node too, from its new row. (A
-	// restored row's GrowPower is trusted here as every repair trusts
-	// it.) Once false, the flag stays false until the next build.
-	gInGR bool
 
 	// live is the maintained live-node count, so LiveCount and Observe
 	// never rescan the liveness vector.
@@ -276,8 +265,8 @@ func (e *Engine) sessionFromExec(ctx context.Context, nodes []Point, exec *core.
 }
 
 // buildTopology derives the maintained topology from the installed
-// growing-phase rows, positions and liveness: the pruned rows, N_α, its
-// symmetrization gpre, the pairwise-pruned g with its kernel, the
+// growing-phase rows, positions and liveness: the pruned rows (N_α),
+// their symmetrization gpre, the pairwise-pruned g with its kernel, the
 // ground-truth G_R with departed nodes isolated, and the Observe state.
 // The constructors and checkpoint restore share it. G_R is gathered over
 // the session grid only when s.gr is unset: on restore and for
@@ -311,17 +300,16 @@ func (s *Session) buildTopology(ctx context.Context) error {
 	}); err != nil {
 		return err
 	}
-	s.nalpha = core.NalphaOf(n, func(u int) []core.Discovery { return s.pruned[u] })
+	nalpha := core.NalphaOf(n, func(u int) []core.Discovery { return s.pruned[u] })
 	if e.opts.AsymmetricRemoval {
-		s.gpre = s.nalpha.MutualSubgraph()
+		s.gpre = nalpha.MutualSubgraph()
 	} else {
-		s.gpre = s.nalpha.SymmetricClosure()
+		s.gpre = nalpha.SymmetricClosure()
 	}
 	s.g = s.gpre
 	if e.opts.PairwiseRemoval {
 		s.pairwise, s.g, _ = core.NewPairwise(s.gpre, s.pos, e.opts.PairwisePolicy)
 	}
-	s.gInGR = true
 	if s.gr == nil {
 		// Gather over the session's own grid — it indexes exactly the
 		// live nodes.
@@ -331,9 +319,6 @@ func (s *Session) buildTopology(ctx context.Context) error {
 				s.gr.IsolateNode(u)
 			}
 		}
-		// Rows a protocol run or a checkpoint installed may name a node
-		// outside G_R (validateNodeRows accepts it), so check every arc.
-		s.gInGR = s.arcsInGR()
 	}
 	// The O(changed) Observe state: the live component structure and the
 	// per-node radius cache over g.
@@ -347,20 +332,6 @@ func (s *Session) buildTopology(ctx context.Context) error {
 	return core.ParallelRange(ctx, n, workers, func(_, u int) {
 		s.radius[u] = graph.NodeRadius(s.g, s.pos, u)
 	})
-}
-
-// arcsInGR reports whether every arc of the pruned rows joins two nodes
-// adjacent in G_R, which makes g, a subgraph of their symmetric
-// closure, a subgraph of G_R.
-func (s *Session) arcsInGR() bool {
-	for u, row := range s.pruned {
-		for _, nb := range row {
-			if !s.gr.HasEdge(u, nb.ID) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // pruneNeighbors applies the engine's per-node-local optimization,
@@ -419,7 +390,6 @@ func (s *Session) admit(p Point, o *observers) int {
 	s.idx.Add(id, p)
 	s.live++
 	s.pruned = append(s.pruned, nil)
-	s.nalpha.Grow(1)
 	s.gpre.Grow(1)
 	if s.pairwise != nil {
 		s.g.Grow(1)
@@ -712,11 +682,10 @@ func (s *Session) snapshotLocked() *Result {
 		gpre = s.gpre.Clone()
 	}
 	topo := &core.Topology{
-		Exec:   exec,
-		Nalpha: s.nalpha.Clone(),
-		G:      g,
-		Gpre:   gpre,
-		Opts:   s.eng.opts,
+		Exec: exec,
+		G:    g,
+		Gpre: gpre,
+		Opts: s.eng.opts,
 	}
 	// The radius cache already holds NodeRadius(g, pos, u) for every slot
 	// (0 for departed nodes), so the snapshot folds it instead of
@@ -862,17 +831,25 @@ func (s *Session) degreesLocked() stats.IntHist {
 }
 
 // preservedLocked reports whether g and G_R induce the same partition,
-// as Result.PreservesConnectivity does on a Snapshot. While g ⊆ G_R
-// (gInGR) every g component lies inside one G_R component, so the two
-// agree iff no G_R edge joins two g components. That holds at once when
-// g's live nodes form one component; otherwise only the G_R rows of
-// nodes outside g's largest component need a look, since such an edge
-// has an endpoint outside it. Without the invariant both live graphs
-// are labelled from scratch.
+// as Result.PreservesConnectivity does on a Snapshot. Since g ⊆ G_R,
+// every g component lies inside one G_R component, so the two agree iff
+// no G_R edge joins two g components. That holds at once when g's live
+// nodes form one component; otherwise only the G_R rows of nodes outside
+// g's largest component need a look, since such an edge has an endpoint
+// outside it.
+//
+// g ⊆ G_R holds because every pruned arc u→v, a subset of u's node row,
+// joins two nodes adjacent in G_R. An oracle build's rows come from the
+// same gather as its G_R. A protocol node discovers only nodes its own
+// beacon reaches, at most at maximum power. A restore accepts a row
+// only if each node it names is a G_R neighbor within the node's beacon
+// reach (validateNodeRows). Repairs keep it. A join only adds G_R
+// edges, and G_R loses edge {u,v} only when u or v moves or leaves.
+// That node recomputes from its new G_R row, or drops its arcs as it
+// leaves. A node with an arc to it discovered it at or below its
+// GrowPower, at the site the event vacates, so appendReached recomputes
+// that node too, from its new row.
 func (s *Session) preservedLocked() bool {
-	if !s.gInGR {
-		return graph.SamePartition(s.gr, s.g)
-	}
 	if s.comps.Count() <= 1 {
 		return true
 	}
@@ -1076,7 +1053,7 @@ func (s *Session) withinRange(o *observers, self int, p Point) {
 	}
 }
 
-// reachSlack widens a node's beacon reach in appendReached. It must
+// reachSlack widens a node's beacon reach (beaconReach). It must
 // dominate two tolerances: the oracle's distTieTol grouping (a candidate
 // within 1e-12·(1+d) of the stopping group's distance — or, on a
 // link-dependent radio, its power — joins that group) and the rounding
@@ -1104,20 +1081,44 @@ func (s *Session) appendReached(dst []int, id int, o *observers) []int {
 	pure := prop.DistancePure()
 	start := len(dst)
 	for i, u := range o.ids {
-		grow := s.nodes[u].GrowPower
-		d := o.dist[i]
-		var reached bool
-		if pure {
-			reached = d <= prop.RangeBound(grow)*(1+reachSlack)+reachSlack
-		} else {
-			reached = prop.LinkPower(u, id, d) <= grow*(1+reachSlack)+reachSlack
-		}
-		if reached {
+		if newBeaconReach(prop, pure, s.nodes[u].GrowPower).reaches(u, id, o.dist[i]) {
 			dst = append(dst, u)
 		}
 	}
 	slices.Sort(dst[start:])
 	return dst
+}
+
+// beaconReach is the reach test of a beacon sent at power grow, a node's
+// installed GrowPower, shared by the repairs (appendReached) and the
+// restore check (validateNodeRows): on a distance-pure radio a node is
+// reached within RangeBound(grow) of the sender, on a link-dependent
+// radio when its link needs at most grow, both widened by reachSlack.
+// The bound is computed once per beacon, so a caller testing many links
+// of one node pays RangeBound once.
+type beaconReach struct {
+	prop  radio.Propagation
+	pure  bool
+	limit float64
+}
+
+// newBeaconReach returns the reach test of a beacon at power grow; pure
+// is prop.DistancePure().
+func newBeaconReach(prop radio.Propagation, pure bool, grow float64) beaconReach {
+	b := beaconReach{prop: prop, pure: pure, limit: grow*(1+reachSlack) + reachSlack}
+	if pure {
+		b.limit = prop.RangeBound(grow)*(1+reachSlack) + reachSlack
+	}
+	return b
+}
+
+// reaches reports whether the beacon of node u reaches node v at
+// distance d.
+func (b beaconReach) reaches(u, v int, d float64) bool {
+	if b.pure {
+		return d <= b.limit
+	}
+	return b.prop.LinkPower(u, v, d) <= b.limit
 }
 
 // repairParallelMin is the recompute-set size below which a repair
@@ -1279,45 +1280,61 @@ func (s *Session) applyObserveDelta(recomputed []int, added, removed []graph.Edg
 // the latter) would otherwise keep mid-sized repairs on one core.
 const parallelGrain = 64
 
-// patchArcs replaces node u's outgoing arcs in the maintained N_α with
-// the new pruned neighbor set and patches the symmetric graph gpre edge
-// by edge, recording its diff in pendAdd/pendRemove. Processing every
-// recomputed node once, in any order, leaves both graphs exactly as a
-// from-scratch rebuild over the new state would. The new set is marked
-// in the session's stamp array.
+// patchArcs replaces node u's row of N_α, its pruned row, with the new
+// one and patches the symmetric graph gpre edge by edge, recording its
+// diff in pendAdd/pendRemove. Processing every recomputed node once, in
+// any order, leaves gpre exactly as a from-scratch rebuild over the new
+// rows would. Arc membership is marked in the session's stamp array:
+// first the new row, to find the arcs u drops, then the old one, to
+// find the arcs it gains.
 func (s *Session) patchArcs(u int, pruned []core.Discovery) {
 	mutual := s.eng.opts.AsymmetricRemoval
+	old := s.pruned[u]
 	s.newMarkEpoch()
 	for _, nb := range pruned {
 		s.marked(nb.ID)
 	}
-	for _, nb := range s.pruned[u] {
+	for _, nb := range old {
 		v := nb.ID
 		if s.mark[v] == s.markGen {
 			continue
 		}
-		s.nalpha.RemoveArc(u, v)
 		// A closure edge survives the arc removal iff the reverse arc
 		// remains; a mutual edge never does.
-		if mutual || !s.nalpha.HasArc(v, u) {
+		if mutual || !s.hasArc(v, u) {
 			if s.gpre.RemoveEdge(u, v) {
 				s.pendRemove = append(s.pendRemove, graph.NewEdge(u, v))
 			}
 		}
 	}
+	s.newMarkEpoch()
+	for _, nb := range old {
+		s.marked(nb.ID)
+	}
 	for _, nb := range pruned {
 		v := nb.ID
-		if s.nalpha.HasArc(u, v) {
+		if s.marked(v) {
 			continue
 		}
-		s.nalpha.AddArc(u, v)
-		if !mutual || s.nalpha.HasArc(v, u) {
+		if !mutual || s.hasArc(v, u) {
 			if s.gpre.AddEdge(u, v) {
 				s.pendAdd = append(s.pendAdd, graph.NewEdge(u, v))
 			}
 		}
 	}
 	s.pruned[u] = pruned
+}
+
+// hasArc reports whether N_α holds the arc u→v: whether u's pruned row
+// names v. A row holds a handful of neighbors, so a scan is as cheap as
+// a lookup.
+func (s *Session) hasArc(u, v int) bool {
+	for _, nb := range s.pruned[u] {
+		if nb.ID == v {
+			return true
+		}
+	}
+	return false
 }
 
 // newMarkEpoch starts a fresh membership set over the session's current
