@@ -20,6 +20,7 @@ package cbtc
 import (
 	"bytes"
 	"context"
+	"math"
 	"math/rand/v2"
 	"runtime"
 	"slices"
@@ -69,6 +70,36 @@ func BenchmarkTable1(b *testing.B) {
 	}
 }
 
+// table1Engine builds the engine of one of Table 1's CBTC columns the
+// way RunTable1 does, tags quantized with WithShrinkBackSchedule(1.5).
+func table1Engine(b *testing.B, c Table1Column) *Engine {
+	opts := []Option{WithMaxRadius(workload.PaperRadius), WithAlpha(c.Alpha), WithShrinkBackSchedule(table1ScheduleFactor)}
+	if c.Opts.ShrinkBack {
+		opts = append(opts, WithShrinkBack())
+	}
+	if c.Opts.AsymmetricRemoval {
+		opts = append(opts, WithAsymmetricRemoval())
+	}
+	if c.Opts.PairwiseRemoval {
+		opts = append(opts, WithPairwiseRemoval(PairwiseLengthFiltered))
+	}
+	eng, err := New(opts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return eng
+}
+
+// table1Placements are the 16 paper networks the Table 1 op benchmarks
+// take in turn.
+func table1Placements() [][]Point {
+	placements := make([][]Point, 16)
+	for i := range placements {
+		placements[i] = workload.PaperNetwork(uint64(i))
+	}
+	return placements
+}
+
 // BenchmarkEngineTable1Op is one op of the end-to-end paper-table1
 // workload through the public API: Engine.Run on the seven CBTC stacks
 // of Table 1 (tags quantized with WithShrinkBackSchedule(1.5), as
@@ -80,29 +111,11 @@ func BenchmarkEngineTable1Op(b *testing.B) {
 	ctx := context.Background()
 	var engines []*Engine
 	for _, c := range Table1Columns() {
-		if c.MaxPower {
-			continue
+		if !c.MaxPower {
+			engines = append(engines, table1Engine(b, c))
 		}
-		opts := []Option{WithMaxRadius(workload.PaperRadius), WithAlpha(c.Alpha), WithShrinkBackSchedule(table1ScheduleFactor)}
-		if c.Opts.ShrinkBack {
-			opts = append(opts, WithShrinkBack())
-		}
-		if c.Opts.AsymmetricRemoval {
-			opts = append(opts, WithAsymmetricRemoval())
-		}
-		if c.Opts.PairwiseRemoval {
-			opts = append(opts, WithPairwiseRemoval(PairwiseLengthFiltered))
-		}
-		eng, err := New(opts...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		engines = append(engines, eng)
 	}
-	placements := make([][]Point, 16)
-	for i := range placements {
-		placements[i] = workload.PaperNetwork(uint64(i))
-	}
+	placements := table1Placements()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -118,6 +131,35 @@ func BenchmarkEngineTable1Op(b *testing.B) {
 		if _, err := engines[0].Simulate(ctx, nodes, SimOptions{Seed: uint64(i), Jitter: 0.5}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkHopStretch is paper-table1's query: Result.HopStretch on the
+// "all α=5π/6" result of each of BenchmarkEngineTable1Op's 16 paper
+// networks in turn, the column perfbench's query reads after every op.
+func BenchmarkHopStretch(b *testing.B) {
+	var results []*Result
+	for _, c := range Table1Columns() {
+		if c.Name != "all α=5π/6" {
+			continue
+		}
+		eng := table1Engine(b, c)
+		for _, nodes := range table1Placements() {
+			r, err := eng.Run(context.Background(), nodes)
+			if err != nil {
+				b.Fatal(err)
+			}
+			results = append(results, r)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var stretch float64
+	for i := 0; i < b.N; i++ {
+		stretch = max(stretch, results[i%len(results)].HopStretch())
+	}
+	if stretch < 1 || math.IsInf(stretch, 1) {
+		b.Fatalf("hop stretch %v, want finite and at least 1", stretch)
 	}
 }
 

@@ -224,7 +224,7 @@ func TestVerifyFleetCheckpointMatchesRestore(t *testing.T) {
 		{"bad rng state", eng, mangleFleet(t, fbuf, func(st *codec.FleetState) {
 			st.Nets[1].RNG = st.Nets[1].RNG[:len(st.Nets[1].RNG)-1]
 		}), ErrCheckpointCorrupt},
-		{"battery vector one short", batEng, mangleFleet(t, batBuf, func(st *codec.FleetState) {
+		{"battery vector one short misaligns the codec stream", batEng, mangleFleet(t, batBuf, func(st *codec.FleetState) {
 			bat := st.Nets[2].Session.Battery
 			st.Nets[2].Session.Battery = bat[:len(bat)-1]
 		}), ErrCheckpointCorrupt},
@@ -293,6 +293,30 @@ func TestVerifyFleetCheckpointMatchesRestore(t *testing.T) {
 		}
 		t.Logf("%s: %v", plant.name, ferr)
 	}
+}
+
+// TestCheckSessionStateBatteryLength: checkSessionState refuses a
+// battery vector whose length differs from the session's. The codec
+// writes one value per node after a presence flag, with no length, so a
+// shortened vector cannot reach the check through encoded bytes (it
+// misaligns the stream, and the decoder refuses what follows); the check
+// is driven on decoded state instead.
+func TestCheckSessionStateBatteryLength(t *testing.T) {
+	eng, f := mixedBatteryFleet(t)
+	st, err := codec.DecodeFleet(bytes.NewReader(fleetBytes(t, f)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	member := &st.Nets[0].Session
+	if err := eng.checkSessionState(member); err != nil {
+		t.Fatalf("decoded member 0: %v", err)
+	}
+	member.Battery = member.Battery[:len(member.Battery)-1]
+	err = eng.checkSessionState(member)
+	if !errors.Is(err, ErrCheckpointCorrupt) {
+		t.Fatalf("battery vector one short: got %v, want ErrCheckpointCorrupt", err)
+	}
+	t.Log(err)
 }
 
 // FuzzVerifyFleetCheckpoint: on any input, VerifyFleetCheckpoint and

@@ -291,13 +291,3 @@ func (ix *Index) EnergyMST(residual []float64) *graph.Graph {
 	}
 	return graph.MST(gr, w)
 }
-
-// EnergyRadii assigns each node its longest incident edge in the given
-// spanning structure — the per-node broadcast radius that realizes it.
-func (ix *Index) EnergyRadii(forest *graph.Graph) []float64 {
-	radii := make([]float64, len(ix.pos))
-	for u := range ix.pos {
-		radii[u] = graph.NodeRadius(forest, ix.pos, u)
-	}
-	return radii
-}

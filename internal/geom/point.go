@@ -36,12 +36,6 @@ func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
 // Cross returns the z-component of the cross product p × q.
 func (p Point) Cross(q Point) float64 { return p.X*q.Y - p.Y*q.X }
 
-// Norm returns the Euclidean length of p viewed as a vector.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
-
-// Norm2 returns the squared Euclidean length of p viewed as a vector.
-func (p Point) Norm2() float64 { return p.X*p.X + p.Y*p.Y }
-
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
 

@@ -49,14 +49,22 @@ func AvgInterference(g *Graph, pos []geom.Point) float64 {
 }
 
 // Diameter returns the largest hop distance between any connected pair
-// of nodes (0 for graphs with no multi-node component).
+// of nodes (0 for graphs with no multi-node component). Each node runs
+// one full BFS, whose last node queued is the farthest it reaches.
 func Diameter(g *Graph) int {
+	dist := make([]int, g.Len())
+	for i := range dist {
+		dist[i] = -1
+	}
+	queue := make([]int32, 0, g.Len())
 	max := 0
-	for u := 0; u < g.Len(); u++ {
-		for _, d := range HopDistances(g, u) {
-			if d > max {
-				max = d
-			}
+	for u := range dist {
+		queue, _ = hopsInto(g, u, dist, 0, queue)
+		if d := dist[queue[len(queue)-1]]; d > max {
+			max = d
+		}
+		for _, v := range queue {
+			dist[v] = -1
 		}
 	}
 	return max

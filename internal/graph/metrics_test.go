@@ -3,10 +3,33 @@ package graph
 import (
 	"math"
 	"math/rand/v2"
+	"sort"
 	"testing"
 
 	"cbtc/internal/geom"
 )
+
+// MaxDegree returns the largest node degree.
+func MaxDegree(g *Graph) int {
+	max := 0
+	for u := 0; u < g.Len(); u++ {
+		if d := g.Degree(u); d > max {
+			max = d
+		}
+	}
+	return max
+}
+
+// EdgeLengths returns the sorted list of Euclidean edge lengths of g.
+func EdgeLengths(g *Graph, pos []geom.Point) []float64 {
+	edges := g.Edges()
+	out := make([]float64, len(edges))
+	for i, e := range edges {
+		out[i] = pos[e.U].Dist(pos[e.V])
+	}
+	sort.Float64s(out)
+	return out
+}
 
 func squareLayout() ([]geom.Point, *Graph) {
 	// Unit square: 0 bottom-left, 1 bottom-right, 2 top-right, 3 top-left.
@@ -116,9 +139,13 @@ func TestEdgeLengths(t *testing.T) {
 	}
 }
 
-// hopStretchRef is HopStretch as it stood before its BFS passes shared
-// buffers: a fresh distance slice and a shifted queue per pass.
+// hopStretchRef is HopStretch by its definition: a BFS over both graphs
+// from every source, with a fresh distance slice and a shifted queue per
+// pass, and the ratio of every pair connected in base.
 func hopStretchRef(base, sub *Graph) float64 {
+	if base.Len() != sub.Len() {
+		return math.Inf(1)
+	}
 	bfs := func(g *Graph, src int) []int {
 		dist := make([]int, g.Len())
 		for i := range dist {
@@ -156,12 +183,36 @@ func hopStretchRef(base, sub *Graph) float64 {
 	return worst
 }
 
-// HopStretch equals the per-pass reference bit for bit on 32 random
-// base graphs and subgraphs of them, connected or not, and makes three
-// allocations whatever the graph's size: two distance buffers and one
-// queue.
-func TestHopStretchMatchesReference(t *testing.T) {
+// relativeNeighborhood returns the relative-neighbourhood graph of g:
+// the edges uv of g with no node w closer to both u and v than they are
+// to each other. On a unit-disk graph it keeps the Euclidean minimum
+// spanning forest, and so g's components.
+func relativeNeighborhood(g *Graph, pos []geom.Point) *Graph {
+	out := New(g.Len())
+	for _, e := range g.Edges() {
+		d := pos[e.U].Dist2(pos[e.V])
+		lune := false
+		for w := range pos {
+			if pos[w].Dist2(pos[e.U]) < d && pos[w].Dist2(pos[e.V]) < d {
+				lune = true
+				break
+			}
+		}
+		if !lune {
+			out.AddEdge(e.U, e.V)
+		}
+	}
+	return out
+}
+
+// hopStretchCases returns the (base, sub) pairs of
+// TestHopStretchMatchesReference: 32 random edge sets with random
+// subsets of them, connected or not, then 32 unit-disk graphs of random
+// radius with their relative-neighbourhood graphs, which are sparse and
+// keep the base's components, as G_α keeps G_R's.
+func hopStretchCases() [][2]*Graph {
 	rng := rand.New(rand.NewPCG(25, 2))
+	var cases [][2]*Graph
 	for iter := 0; iter < 32; iter++ {
 		n := 2 + rng.IntN(60)
 		base := New(n)
@@ -174,12 +225,109 @@ func TestHopStretchMatchesReference(t *testing.T) {
 				sub.AddEdge(e.U, e.V)
 			}
 		}
+		cases = append(cases, [2]*Graph{base, sub})
+	}
+	for iter := 0; iter < 32; iter++ {
+		n := 2 + rng.IntN(63)
+		pos := make([]geom.Point, n)
+		for i := range pos {
+			pos[i] = geom.Pt(rng.Float64(), rng.Float64())
+		}
+		r2 := math.Pow(0.15+0.25*rng.Float64(), 2)
+		base := New(n)
+		for u := range pos {
+			for v := u + 1; v < n; v++ {
+				if pos[u].Dist2(pos[v]) <= r2 {
+					base.AddEdge(u, v)
+				}
+			}
+		}
+		cases = append(cases, [2]*Graph{base, relativeNeighborhood(base, pos)})
+	}
+	return cases
+}
+
+// HopStretch equals the all-pairs reference bit for bit on every
+// hopStretchCases pair, and makes at most three allocations whatever the
+// graph's size. It makes two: the distance buffer and the queue that its
+// searches share.
+func TestHopStretchMatchesReference(t *testing.T) {
+	for i, c := range hopStretchCases() {
+		base, sub := c[0], c[1]
 		got, want := HopStretch(base, sub), hopStretchRef(base, sub)
 		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("iter %d: HopStretch %v, reference %v", iter, got, want)
+			t.Fatalf("case %d: HopStretch %v, reference %v", i, got, want)
 		}
 		if allocs := testing.AllocsPerRun(3, func() { HopStretch(base, sub) }); allocs > 3 {
-			t.Fatalf("iter %d: HopStretch on %d nodes allocates %.0f objects, want 3", iter, n, allocs)
+			t.Fatalf("case %d: HopStretch on %d nodes allocates %.0f objects, want at most 3", i, base.Len(), allocs)
 		}
 	}
+}
+
+// encodeHopStretch writes base and sub in FuzzHopStretch's input format.
+func encodeHopStretch(base, sub *Graph) []byte {
+	data := []byte{byte(base.Len()), byte(sub.Len())}
+	for _, e := range base.Edges() {
+		mode := byte(1)
+		if e.V < sub.Len() && sub.HasEdge(e.U, e.V) {
+			mode = 0
+		}
+		data = append(data, mode<<6|byte(e.U), byte(e.V))
+	}
+	for _, e := range sub.Edges() {
+		if e.V >= base.Len() || !base.HasEdge(e.U, e.V) {
+			data = append(data, 2<<6|byte(e.U), byte(e.V))
+		}
+	}
+	return data
+}
+
+// decodeHopStretch reads FuzzHopStretch's input: the sizes of base and
+// sub (each mod 65), then one edge per byte pair. The low six bits of
+// each byte give an endpoint, taken mod the graph's size; the first
+// byte's top two bits name the graphs that get the edge: 1 base alone,
+// 2 sub alone, 0 or 3 both.
+func decodeHopStretch(data []byte) (base, sub *Graph) {
+	if len(data) < 2 {
+		return New(0), New(0)
+	}
+	base, sub = New(int(data[0])%65), New(int(data[1])%65)
+	add := func(g *Graph, u, v int) {
+		if n := g.Len(); n > 0 {
+			g.AddEdge(u%n, v%n)
+		}
+	}
+	for i := 2; i+1 < len(data); i += 2 {
+		mode, u, v := data[i]>>6, int(data[i]&63), int(data[i+1]&63)
+		if mode != 2 {
+			add(base, u, v)
+		}
+		if mode != 1 {
+			add(sub, u, v)
+		}
+	}
+	return base, sub
+}
+
+// FuzzHopStretch: on any two graphs of up to 64 nodes, HopStretch equals
+// the all-pairs reference bit for bit. sub may hold edges outside base,
+// isolated nodes and disconnected parts, and the graphs may differ in
+// size. The corpus starts from TestHopStretchMatchesReference's pairs.
+func FuzzHopStretch(f *testing.F) {
+	for _, c := range hopStretchCases() {
+		f.Add(encodeHopStretch(c[0], c[1]))
+	}
+	ring := pathGraph(6)
+	ring.AddEdge(0, 5)
+	f.Add(encodeHopStretch(pathGraph(6), ring))
+	f.Add(encodeHopStretch(ring, pathGraph(7)))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		base, sub := decodeHopStretch(data)
+		got, want := HopStretch(base, sub), hopStretchRef(base, sub)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("base %d nodes %v, sub %d nodes %v: HopStretch %v, reference %v",
+				base.Len(), base.Edges(), sub.Len(), sub.Edges(), got, want)
+		}
+	})
 }

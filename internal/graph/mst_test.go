@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -248,5 +249,19 @@ func TestDiameter(t *testing.T) {
 	}
 	if got := Diameter(New(3)); got != 0 {
 		t.Errorf("edgeless diameter = %d, want 0", got)
+	}
+	// Diameter's walks share one distance buffer: on graphs where node 0
+	// need not end a longest path, it must equal the largest label of
+	// fresh single-source walks.
+	for i, c := range hopStretchCases() {
+		for _, g := range c {
+			want := 0
+			for src := 0; src < g.Len(); src++ {
+				want = max(want, slices.Max(HopDistances(g, src)))
+			}
+			if got := Diameter(g); got != want {
+				t.Fatalf("case %d: Diameter %d, largest hop distance %d", i, got, want)
+			}
+		}
 	}
 }

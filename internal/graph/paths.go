@@ -5,34 +5,34 @@ import (
 	"math"
 )
 
-// HopDistances returns the BFS hop count from src to every node, with -1
-// for unreachable nodes.
-func HopDistances(g *Graph, src int) []int {
-	dist := make([]int, g.Len())
-	hopsInto(g, src, dist, make([]int32, 0, g.Len()))
-	return dist
-}
-
-// hopsInto is the one BFS kernel: it fills dist, of length g.Len(),
-// with the hop count from src to every node (-1 where unreachable). The
-// queue is appended into queue's backing array and never shifted, so a
-// queue with capacity g.Len() never grows; it is returned for reuse.
-func hopsInto(g *Graph, src int, dist []int, queue []int32) []int32 {
-	for i := range dist {
-		dist[i] = -1
-	}
+// hopsInto is the one BFS kernel. It labels dist[v] with the hop count
+// from src to v in g, reaching nodes in order of hop count, and returns
+// them in that order in queue's backing array, which it appends to and
+// never shifts, so a queue with capacity g.Len() never grows. On entry
+// every entry of dist is negative: -1 at an ordinary node, -2 at a
+// target. The walk stops as soon as it has labelled `targets` targets,
+// so the last node queued is the farthest of them; with no -2 entry it
+// labels every node reachable from src. It also returns the number of
+// targets left unlabelled. The caller restores dist to -1 over the
+// returned queue before the next walk.
+func hopsInto(g *Graph, src int, dist []int, targets int, queue []int32) ([]int32, int) {
 	dist[src] = 0
 	queue = append(queue[:0], int32(src))
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
 		for _, v := range g.adj[u] {
-			if dist[v] == -1 {
+			if mark := dist[v]; mark < 0 {
 				dist[v] = dist[u] + 1
 				queue = append(queue, v)
+				if mark == -2 {
+					if targets--; targets == 0 {
+						return queue, 0
+					}
+				}
 			}
 		}
 	}
-	return queue
+	return queue, targets
 }
 
 // WeightFunc assigns a non-negative weight to the edge {u, v}.

