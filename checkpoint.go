@@ -89,12 +89,16 @@ func (s *Session) Checkpoint(w io.Writer) error {
 
 // exportLocked freezes the session state for encoding. Positions,
 // liveness and batteries are copied outright; the node rows copy only
-// the outer slice header (installed discovery rows are immutable —
-// every repair installs freshly-built rows). Everything else a live
-// session holds (the pruned rows, G, G_R, the pairwise kernel, the
-// spatial index, the Observe state) is derived state that restore
-// rebuilds from these.
+// the outer slice header. The encoder reads the rows themselves after
+// the lock is released, so the export marks them shared (shareGen): a
+// row is overwritten only by its own node's next repair, and only while
+// no Result and no export can read it, so repairs after this one
+// install their rows in fresh memory. Everything else a live session
+// holds (the pruned rows, G, G_R, the pairwise kernel, the spatial
+// index, the Observe state) is derived state that restore rebuilds
+// from these.
 func (s *Session) exportLocked() *codec.SessionState {
+	s.shareGen++
 	st := &codec.SessionState{
 		Config: s.eng.fingerprint(),
 		Pos:    append([]Point(nil), s.pos...),

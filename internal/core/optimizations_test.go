@@ -207,7 +207,7 @@ func TestRedundantEdgesDefinition(t *testing.T) {
 	g := graph.New(3)
 	g.AddEdge(0, 1)
 	g.AddEdge(0, 2)
-	red := redundantEdges(g, pos).edges
+	red := redundantEdges(g, pos, true).edges
 	if !red[graph.NewEdge(0, 2)] {
 		t.Errorf("(0,2) must be redundant")
 	}
@@ -222,7 +222,7 @@ func TestRedundantEdgesWideAngle(t *testing.T) {
 	g := graph.New(3)
 	g.AddEdge(0, 1)
 	g.AddEdge(0, 2)
-	if red := redundantEdges(g, pos).edges; len(red) != 0 {
+	if red := redundantEdges(g, pos, true).edges; len(red) != 0 {
 		t.Errorf("no redundancy expected at wide angles, got %v", red)
 	}
 }
@@ -238,7 +238,7 @@ func TestRedundantEdgesTiebreak(t *testing.T) {
 	g := graph.New(3)
 	g.AddEdge(0, 1)
 	g.AddEdge(0, 2)
-	red := redundantEdges(g, pos).edges
+	red := redundantEdges(g, pos, true).edges
 	if len(red) != 1 {
 		t.Fatalf("exactly one of the equal edges must be redundant, got %v", red)
 	}

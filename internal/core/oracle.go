@@ -62,7 +62,7 @@ func RunParallel(ctx context.Context, pos []geom.Point, m radio.Propagation, alp
 	if err := validateInput(pos, m, alpha); err != nil {
 		return nil, err
 	}
-	return runContext(ctx, pos, m, alpha, spatial.New(pos, m.MaxLinkRadius()), workers, nil)
+	return runContext(ctx, pos, m, alpha, spatial.New(pos, m.MaxLinkRadius()), workers, nil, false)
 }
 
 // RunNaive is RunContext without the spatial index: every candidate
@@ -73,7 +73,7 @@ func RunNaive(ctx context.Context, pos []geom.Point, m radio.Propagation, alpha 
 	if err := validateInput(pos, m, alpha); err != nil {
 		return nil, err
 	}
-	return runContext(ctx, pos, m, alpha, nil, 1, nil)
+	return runContext(ctx, pos, m, alpha, nil, 1, nil, false)
 }
 
 // RunWithMaxPowerGraph is RunParallel over a caller-built grid that
@@ -85,13 +85,16 @@ func RunNaive(ctx context.Context, pos []geom.Point, m radio.Propagation, alpha 
 // G_R is a by-product of the one grid and the one gather the oracle runs
 // anyway: each worker packs the candidates above u into u's ascending
 // half row in its own arena. Both outputs are identical at every worker
-// count, and G_R equals MaxPowerGraph's.
-func RunWithMaxPowerGraph(ctx context.Context, pos []geom.Point, m radio.Propagation, alpha float64, workers int, idx *spatial.Grid) (*Execution, *graph.Graph, error) {
+// count, and G_R equals MaxPowerGraph's. With ownRows every node's
+// discovery row is an allocation of its own, as RunNode's is, for a
+// caller that replaces rows one node at a time (a session): a row in an
+// arena would keep the whole arena live until its last row was gone.
+func RunWithMaxPowerGraph(ctx context.Context, pos []geom.Point, m radio.Propagation, alpha float64, workers int, idx *spatial.Grid, ownRows bool) (*Execution, *graph.Graph, error) {
 	if err := validateInput(pos, m, alpha); err != nil {
 		return nil, nil, err
 	}
 	rows := make([][]int32, len(pos))
-	exec, err := runContext(ctx, pos, m, alpha, idx, workers, rows)
+	exec, err := runContext(ctx, pos, m, alpha, idx, workers, rows, ownRows)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -102,8 +105,11 @@ func RunWithMaxPowerGraph(ctx context.Context, pos []geom.Point, m radio.Propaga
 // A nil idx (RunNaive) scans the full placement for every gather. A
 // non-nil halfRows (one slot per node) is the G_R sink: after node u's
 // growing phase, its candidates above u are stored there as its
-// ascending half row.
-func runContext(ctx context.Context, pos []geom.Point, m radio.Propagation, alpha float64, idx *spatial.Grid, workers int, halfRows [][]int32) (*Execution, error) {
+// ascending half row. Each worker copies its nodes' rows into one arena
+// for the run, through the staging path a session repair's
+// NodeRunner.RunNodeRow takes; with ownRows each row is a fresh
+// allocation instead.
+func runContext(ctx context.Context, pos []geom.Point, m radio.Propagation, alpha float64, idx *spatial.Grid, workers int, halfRows [][]int32, ownRows bool) (*Execution, error) {
 	exec := &Execution{
 		Alpha: alpha,
 		Model: m.Nominal(),
@@ -114,7 +120,13 @@ func runContext(ctx context.Context, pos []geom.Point, m radio.Propagation, alph
 	scratch := make([]gatherScratch, workers)
 	err := ParallelRange(ctx, len(pos), workers, func(w, u int) {
 		scr := &scratch[w]
-		exec.Nodes[u] = runNode(pos, nil, m, alpha, u, idx, scr)
+		if ownRows {
+			exec.Nodes[u] = runNode(pos, nil, m, alpha, u, idx, scr)
+		} else {
+			nr := grow(pos, m, alpha, u, gatherCandidates(pos, nil, m, m.DistancePure(), u, idx, scr), scr)
+			nr.Neighbors = scr.stage(nr.Neighbors)
+			exec.Nodes[u] = nr
+		}
 		if halfRows != nil {
 			start := len(scr.arena)
 			for _, c := range scr.cands {
@@ -137,15 +149,31 @@ func runContext(ctx context.Context, pos []geom.Point, m radio.Propagation, alph
 // batch repair, the parallel oracle's workers) amortize the buffers
 // across calls. A NodeRunner is not safe for concurrent use — give each
 // worker its own.
+//
+// RunNodeRow and ShrinkGrown return their rows in the runner's staging
+// buffer rather than in fresh allocations: each call appends its row
+// behind the ones before it, and ResetStage starts the buffer over, so
+// a caller that resets once per batch of nodes reuses one buffer for
+// every batch. The oracle's run copies its rows through the same path
+// into a buffer it never resets, the run's arena.
 type NodeRunner struct {
 	scr gatherScratch
 	cov coverScratch
 }
 
 // RunNode computes N_α(u) exactly as the package-level RunNode does,
-// reusing the runner's scratch buffers.
+// reusing the runner's scratch buffers. Its row is a fresh allocation,
+// not a staged one.
 func (r *NodeRunner) RunNode(pos []geom.Point, alive []bool, m radio.Propagation, alpha float64, u int, idx *spatial.Grid) NodeResult {
 	return runNode(pos, alive, m, alpha, u, idx, &r.scr)
+}
+
+// ResetStage starts the runner's staging buffer over. The rows
+// RunNodeRow and ShrinkGrown returned before it share memory with the
+// rows the calls after it return, so the caller must be done with them,
+// or have copied them out, first.
+func (r *NodeRunner) ResetStage() {
+	r.scr.rows = r.scr.rows[:0]
 }
 
 // RunNodeRow is RunNode over candidates the caller already holds: row
@@ -155,6 +183,12 @@ func (r *NodeRunner) RunNode(pos []geom.Point, alive []bool, m radio.Propagation
 // the link-range re-check, and yields RunNode's result bit for bit.
 // Like RunNode it sorts nothing: grow draws the candidates in discovery
 // order from a heap and stops drawing at the first gap-free prefix.
+//
+// The row is staged (see NodeRunner) and valid until the next
+// ResetStage; quantizing its tags in place is safe. Session repairs
+// copy it into the node's installed row, and a row is overwritten
+// only by its own node's next repair, and only while no Result and no
+// checkpoint export can read it.
 func (r *NodeRunner) RunNodeRow(pos []geom.Point, m radio.Propagation, alpha float64, u int, row []int32) NodeResult {
 	pure := m.DistancePure()
 	out := r.scr.cands[:0]
@@ -167,7 +201,9 @@ func (r *NodeRunner) RunNodeRow(pos []geom.Point, m radio.Propagation, alpha flo
 		out = append(out, candidate{id: int(v), dist: d, key: key})
 	}
 	r.scr.cands = out
-	return grow(pos, m, alpha, u, out, &r.scr)
+	nr := grow(pos, m, alpha, u, out, &r.scr)
+	nr.Neighbors = r.scr.stage(nr.Neighbors)
+	return nr
 }
 
 // ShrinkNeighborsInto is the package-level ShrinkNeighbors on the
@@ -181,16 +217,23 @@ func (r *NodeRunner) ShrinkNeighborsInto(dst, neighbors []Discovery, alpha float
 	return r.cov.shrinkNeighbors(dst[:0], neighbors, alpha)
 }
 
-// ShrinkGrown is ShrinkNeighborsInto(nil, ...) for a row fresh from the
-// growing phase — RunNode's or RunNodeRow's, its tags possibly
-// quantized — which lets it skip the kernel on interior rows: when
-// keepsGrownRow holds it returns nr.Neighbors itself, the result the
-// kernel would copy out. Any other row goes to the kernel.
+// ShrinkGrown is shrink-back for a row fresh from the growing phase —
+// RunNode's or RunNodeRow's, its tags possibly quantized — which lets it
+// skip the kernel on interior rows: when keepsGrownRow holds it returns
+// nr.Neighbors itself, the result the kernel would copy out. Any other
+// row goes to the kernel, which writes its kept row into the runner's
+// staging buffer, as RunNodeRow stages the grown one.
 func (r *NodeRunner) ShrinkGrown(nr NodeResult, alpha float64) []Discovery {
 	if keepsGrownRow(nr) {
 		return nr.Neighbors
 	}
-	return r.ShrinkNeighborsInto(nil, nr.Neighbors, alpha)
+	// Room for the kernel's sorted copy, behind every staged row, so the
+	// copy never overlaps nr.Neighbors; only the kept prefix stays staged.
+	r.scr.reserve(len(nr.Neighbors))
+	start := len(r.scr.rows)
+	kept := r.cov.shrinkNeighbors(r.scr.rows[start:start], nr.Neighbors, alpha)
+	r.scr.rows = r.scr.rows[:start+len(kept)]
+	return kept[:len(kept):len(kept)]
 }
 
 // keepsGrownRow reports whether shrink-back keeps every neighbor of a
@@ -222,13 +265,16 @@ func keepsGrownRow(nr NodeResult) bool {
 // G_R builder reuse across nodes. cands keeps the last gather's
 // candidates until the next gather, which is how the G_R sink reads a
 // node's row; arena packs one builder's half rows and is never reset.
-// nbrs and dirs are the growing phase's row and direction set.
+// nbrs and dirs are the growing phase's row and direction set, and rows
+// is the staging buffer its finished rows are copied into: a repair
+// batch's, or an oracle run's arena.
 type gatherScratch struct {
 	ids   []int
 	cands []candidate
 	nbrs  []Discovery
 	dirs  []float64
 	arena []int32
+	rows  []Discovery
 }
 
 // query returns the grid's ids within r of p in the scratch's id
@@ -237,6 +283,24 @@ type gatherScratch struct {
 func (s *gatherScratch) query(idx *spatial.Grid, p geom.Point, r float64) []int {
 	s.ids = idx.AppendWithinUnordered(s.ids[:0], p, r)
 	return s.ids
+}
+
+// stage appends row to the staging buffer and returns the copy,
+// capacity-capped so the buffer's later appends never write into it.
+func (s *gatherScratch) stage(row []Discovery) []Discovery {
+	s.reserve(len(row))
+	start := len(s.rows)
+	s.rows = append(s.rows, row...)
+	return s.rows[start:len(s.rows):len(s.rows)]
+}
+
+// reserve makes room for n more staged entries. A full buffer is not
+// grown by copying: the next rows go to a fresh one twice its size, and
+// the rows already staged stay where they are.
+func (s *gatherScratch) reserve(n int) {
+	if cap(s.rows)-len(s.rows) < n {
+		s.rows = make([]Discovery, 0, max(n, 2*cap(s.rows)))
+	}
 }
 
 // sealRow sorts the ids appended to the arena since start and returns
@@ -271,9 +335,12 @@ func RunNode(pos []geom.Point, alive []bool, m radio.Propagation, alpha float64,
 }
 
 // runNode is the growing phase over u's live G_R neighbors, gathered
-// from idx (or, with a nil idx, a full placement scan).
+// from idx (or, with a nil idx, a full placement scan). Its row is a
+// fresh copy of exactly its size.
 func runNode(pos []geom.Point, alive []bool, m radio.Propagation, alpha float64, u int, idx *spatial.Grid, scr *gatherScratch) NodeResult {
-	return grow(pos, m, alpha, u, gatherCandidates(pos, alive, m, m.DistancePure(), u, idx, scr), scr)
+	nr := grow(pos, m, alpha, u, gatherCandidates(pos, alive, m, m.DistancePure(), u, idx, scr), scr)
+	nr.Neighbors = append(make([]Discovery, 0, len(nr.Neighbors)), nr.Neighbors...)
+	return nr
 }
 
 // grow is the growing phase for every radio: u admits its candidates in
@@ -290,8 +357,10 @@ func runNode(pos []geom.Point, alive []bool, m radio.Propagation, alpha float64,
 // bit-identical to when the oracle hardcoded the power law; otherwise it
 // is the group's needed link power. Discovery.Power carries it, so the
 // quantized-tag and reconfiguration machinery downstream see one shape.
-// The row is built in the scratch and copied out once, at its exact
-// size. cands stays a permutation of the candidates it was given.
+// The row is built in the scratch's nbrs and returned there, valid until
+// the scratch's next growing phase: each caller copies it out once, to a
+// fresh row (runNode) or a staging buffer (runContext, RunNodeRow).
+// cands stays a permutation of the candidates it was given.
 func grow(pos []geom.Point, m radio.Propagation, alpha float64, u int, cands []candidate, scr *gatherScratch) NodeResult {
 	pure := m.DistancePure()
 	nominal := m.Nominal()
@@ -321,20 +390,12 @@ func grow(pos []geom.Point, m radio.Propagation, alpha float64, u int, cands []c
 			nbrs[i].Power = groupPower
 		}
 		if !geom.HasGapSorted(dirs, alpha) {
-			return NodeResult{
-				Neighbors: append(make([]Discovery, 0, len(nbrs)), nbrs...),
-				GrowPower: groupPower,
-				Boundary:  false,
-			}
+			return NodeResult{Neighbors: nbrs, GrowPower: groupPower, Boundary: false}
 		}
 	}
 	// Exhausted all reachable nodes with an α-gap remaining: u is a
 	// boundary node and has been broadcasting at maximum power.
-	return NodeResult{
-		Neighbors: append(make([]Discovery, 0, len(nbrs)), nbrs...),
-		GrowPower: nominal.MaxPower(),
-		Boundary:  true,
-	}
+	return NodeResult{Neighbors: nbrs, GrowPower: nominal.MaxPower(), Boundary: true}
 }
 
 // candidateLess is discovery order, (key, dist, id): a strict total

@@ -94,8 +94,20 @@ func (a EdgeID) Less(b EdgeID) bool {
 //
 // Every decision is a pure function of (gpre, pos), so the order in
 // which nodes and edges are visited never changes a result.
+//
+// On a radio that is not distance-pure, redundancy also requires the
+// two neighbors the test compares to be adjacent in gpre. Theorem 3.6's
+// proof joins v and w by edges of smaller eid: on the power law the
+// triangle gives d(v,w) < d(u,v) ≤ R, so v–w is a G_R edge, and the
+// argument behind Theorem 2.1 connects its endpoints in gpre. Per-link
+// shadowing can cut that link, or leave it out of gpre, so there the
+// kernel demands the edge itself. Then every removed edge (u,v) has the
+// path v–w–u in gpre, both of smaller eid, since d(v,w) < d(u,v) is
+// geometry on any radio; by induction over eid, g keeps gpre's
+// components.
 type Pairwise struct {
 	policy  PairwisePolicy
+	pure    bool      // the radio is distance-pure: no adjacency test
 	apex    [][]int32 // apex[u]: ascending v with (u,v) redundant at apex u
 	longest []float64 // longest[u]: 0 when u has no non-redundant edge
 
@@ -111,12 +123,13 @@ type Pairwise struct {
 }
 
 // NewPairwise evaluates pairwise edge removal over the whole symmetric
-// graph gpre under the given policy (zero means PairwiseLengthFiltered).
-// It returns the kernel state, the pruned graph g and the edges removed,
-// in canonical (U, V) order. gpre is not modified.
-func NewPairwise(gpre *graph.Graph, pos []geom.Point, policy PairwisePolicy) (*Pairwise, *graph.Graph, []graph.Edge) {
+// graph gpre under the given policy (zero means PairwiseLengthFiltered)
+// on a radio whose DistancePure is pure. It returns the kernel state,
+// the pruned graph g and the edges removed, in canonical (U, V) order.
+// gpre is not modified.
+func NewPairwise(gpre *graph.Graph, pos []geom.Point, policy PairwisePolicy, pure bool) (*Pairwise, *graph.Graph, []graph.Edge) {
 	n := gpre.Len()
-	p := &Pairwise{policy: policy}
+	p := &Pairwise{policy: policy, pure: pure}
 	p.grow(n)
 	// One arena holds every apex list: a list never outgrows its node's
 	// degree, so only a later repair that raises the degree reallocates.
@@ -154,9 +167,9 @@ func NewPairwise(gpre *graph.Graph, pos []geom.Point, policy PairwisePolicy) (*P
 // PairwiseRemoval applies the pairwise edge removal optimization to the
 // symmetric graph g and returns the pruned graph together with the edges
 // it removed, in canonical (U, V) order. It is one full pass of the
-// Pairwise kernel.
+// Pairwise kernel on a distance-pure radio.
 func PairwiseRemoval(g *graph.Graph, pos []geom.Point, policy PairwisePolicy) (*graph.Graph, []graph.Edge) {
-	_, out, removed := NewPairwise(g, pos, policy)
+	_, out, removed := NewPairwise(g, pos, policy, true)
 	return out, removed
 }
 
@@ -175,7 +188,10 @@ func PairwiseRemoval(g *graph.Graph, pos []geom.Point, policy PairwisePolicy) (*
 // both endpoints' apex state and longest edge, so every gpre edge
 // incident to S₂ is re-decided. N(·) means neighbors in the edited gpre:
 // a node that lost its edge to a changed node is itself an endpoint of
-// the diff.
+// the diff. On a radio that is not distance-pure, apex redundancy of u
+// also reads whether two of u's neighbors are adjacent, and S₁ still
+// covers that read: an edit of v–w puts v and w in changed, so every
+// common neighbor of v and w lies in N(changed).
 func (p *Pairwise) Repair(gpre, g *graph.Graph, pos []geom.Point, gone []graph.Edge, changed []int) (added, removed []graph.Edge) {
 	p.grow(gpre.Len())
 	added, removed = p.added[:0], p.removed[:0]
@@ -242,10 +258,10 @@ func (p *Pairwise) visit(set []int, stamp []int, u int) []int {
 }
 
 // evalApex evaluates Definition 3.5 at apex u: (u,v) is redundant if u
-// has another neighbor w with ∠vuw < π/3 and eid(u,w) < eid(u,v). The
-// angle comparison is strict (an Eps guard keeps exactly-π/3
-// configurations non-redundant, as the triangle argument of the proof
-// requires).
+// has another neighbor w with ∠vuw < π/3 and eid(u,w) < eid(u,v) — and,
+// on a radio that is not distance-pure, w–v ∈ gpre. The angle
+// comparison is strict (an Eps guard keeps exactly-π/3 configurations
+// non-redundant, as the triangle argument of the proof requires).
 func (p *Pairwise) evalApex(gpre *graph.Graph, pos []geom.Point, u int) {
 	const third = math.Pi / 3
 	row := gpre.Row(u)
@@ -256,8 +272,9 @@ func (p *Pairwise) evalApex(gpre *graph.Graph, pos []geom.Point, u int) {
 	}
 	out := p.apex[u][:0]
 	for i, v := range row {
-		for j := range row {
-			if j != i && ids[j].Less(ids[i]) && geom.AngularDist(bearings[i], bearings[j]) < third-geom.Eps {
+		for j, w := range row {
+			if j != i && ids[j].Less(ids[i]) && geom.AngularDist(bearings[i], bearings[j]) < third-geom.Eps &&
+				(p.pure || gpre.HasEdge(int(v), int(w))) {
 				out = append(out, v)
 				break
 			}

@@ -9,6 +9,7 @@ import (
 
 	"cbtc/internal/geom"
 	"cbtc/internal/graph"
+	"cbtc/internal/radio"
 	"cbtc/internal/workload"
 )
 
@@ -34,10 +35,11 @@ type redundancy struct {
 
 // redundantEdges evaluates Definition 3.5 over the whole graph: (u,v) is
 // redundant if u has another neighbor w with ∠vuw < π/3 and
-// eid(u,w) < eid(u,v). The angle comparison is strict (an Eps guard
-// keeps exactly-π/3 configurations non-redundant, as the triangle
-// argument of the proof requires).
-func redundantEdges(g *graph.Graph, pos []geom.Point) redundancy {
+// eid(u,w) < eid(u,v) — and, unless the radio is distance-pure, w–v is
+// an edge of g. The angle comparison is strict (an Eps guard keeps
+// exactly-π/3 configurations non-redundant, as the triangle argument of
+// the proof requires).
+func redundantEdges(g *graph.Graph, pos []geom.Point, pure bool) redundancy {
 	red := redundancy{
 		edges:  make(map[graph.Edge]bool),
 		atApex: make([]map[int]bool, g.Len()),
@@ -55,7 +57,7 @@ func redundantEdges(g *graph.Graph, pos []geom.Point) redundancy {
 					continue
 				}
 				angle := geom.AngularDist(pos[u].Bearing(pos[v]), pos[u].Bearing(pos[w]))
-				if angle < third-geom.Eps && edgeID(pos, u, w).Less(eidUV) {
+				if angle < third-geom.Eps && edgeID(pos, u, w).Less(eidUV) && (pure || g.HasEdge(v, w)) {
 					e := graph.NewEdge(u, v)
 					if !red.edges[e] {
 						red.edges[e] = true
@@ -73,8 +75,8 @@ func redundantEdges(g *graph.Graph, pos []geom.Point) redundancy {
 // pairwiseRemovalRef applies the pairwise edge removal optimization to the
 // symmetric graph g and returns the pruned graph together with the edges
 // it removed (sorted canonically, for reporting).
-func pairwiseRemovalRef(g *graph.Graph, pos []geom.Point, policy PairwisePolicy) (*graph.Graph, []graph.Edge) {
-	red := redundantEdges(g, pos)
+func pairwiseRemovalRef(g *graph.Graph, pos []geom.Point, policy PairwisePolicy, pure bool) (*graph.Graph, []graph.Edge) {
+	red := redundantEdges(g, pos, pure)
 	out := g.Clone()
 	var removed []graph.Edge
 
@@ -143,30 +145,41 @@ var refPolicies = []PairwisePolicy{
 
 // Full removal must match the reference graph for graph and removed
 // edge for edge, in order, under every policy — on E_α and on the
-// shrunk-back E^s_α, at both cone angles the paper's stacks use.
+// shrunk-back E^s_α, at both cone angles the paper's stacks use, on the
+// power law and on a shadowed radio.
 func TestPairwiseMatchesReference(t *testing.T) {
 	m := defaultModel()
+	shadowed, err := radio.NewLogDistance(m, 4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for seed := uint64(0); seed < 20; seed++ {
 		pos := workload.Uniform(workload.Rand(seed), 90, 1500, 1500)
 		alpha := AlphaConnectivity
 		if seed%2 == 1 {
 			alpha = AlphaAsymmetric
 		}
-		e := mustRun(t, pos, m, alpha)
-		for _, shrink := range []bool{false, true} {
-			exec := e
-			if shrink {
-				exec = ShrinkBack(e)
+		for _, prop := range []radio.Propagation{m, shadowed} {
+			pure := prop.DistancePure()
+			e, err := Run(pos, prop, alpha)
+			if err != nil {
+				t.Fatal(err)
 			}
-			gpre := exec.Nalpha().SymmetricClosure()
-			for _, policy := range refPolicies {
-				got, gotRemoved := PairwiseRemoval(gpre, pos, policy)
-				want, wantRemoved := pairwiseRemovalRef(gpre, pos, policy)
-				if !got.Equal(want) {
-					t.Fatalf("seed %d shrink %v %v: pruned graph differs from the reference", seed, shrink, policy)
+			for _, shrink := range []bool{false, true} {
+				exec := e
+				if shrink {
+					exec = ShrinkBack(e)
 				}
-				if !slices.Equal(gotRemoved, wantRemoved) {
-					t.Fatalf("seed %d shrink %v %v: removed %v, reference %v", seed, shrink, policy, gotRemoved, wantRemoved)
+				gpre := exec.Nalpha().SymmetricClosure()
+				for _, policy := range refPolicies {
+					_, got, gotRemoved := NewPairwise(gpre, pos, policy, pure)
+					want, wantRemoved := pairwiseRemovalRef(gpre, pos, policy, pure)
+					if !got.Equal(want) {
+						t.Fatalf("seed %d pure %v shrink %v %v: pruned graph differs from the reference", seed, pure, shrink, policy)
+					}
+					if !slices.Equal(gotRemoved, wantRemoved) {
+						t.Fatalf("seed %d pure %v shrink %v %v: removed %v, reference %v", seed, pure, shrink, policy, gotRemoved, wantRemoved)
+					}
 				}
 			}
 		}
@@ -177,6 +190,8 @@ func TestPairwiseMatchesReference(t *testing.T) {
 // additions, edge removals, node moves and joins — grouped into repairs.
 // After every Repair the maintained g must equal the reference removal
 // over the edited gpre. Each op is three bytes: kind, node a, argument b.
+// An odd seed builds gpre on a shadowed radio, whose redundancy test
+// also reads adjacency in gpre.
 func FuzzPairwiseRepair(f *testing.F) {
 	for seed := uint64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 77))
@@ -196,13 +211,26 @@ func FuzzPairwiseRepair(f *testing.F) {
 		}
 		policy := refPolicies[int(pick)%len(refPolicies)]
 		pos := workload.Uniform(rand.New(rand.NewPCG(seed, 3)), 30, 1200, 1200)
-		gpre := mustRun(t, pos, defaultModel(), AlphaConnectivity).Nalpha().SymmetricClosure()
-		p, g, _ := NewPairwise(gpre, pos, policy)
+		var prop radio.Propagation = defaultModel()
+		if seed%2 == 1 {
+			shadowed, err := radio.NewLogDistance(defaultModel(), 4, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prop = shadowed
+		}
+		pure := prop.DistancePure()
+		exec, err := Run(pos, prop, AlphaConnectivity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gpre := exec.Nalpha().SymmetricClosure()
+		p, g, _ := NewPairwise(gpre, pos, policy, pure)
 		var gone []graph.Edge
 		var changed []int
 		repair := func(step int) {
 			p.Repair(gpre, g, pos, gone, changed)
-			if want, _ := pairwiseRemovalRef(gpre, pos, policy); !g.Equal(want) {
+			if want, _ := pairwiseRemovalRef(gpre, pos, policy, pure); !g.Equal(want) {
 				t.Fatalf("%v, op %d: repaired graph differs from the reference", policy, step)
 			}
 			gone, changed = gone[:0], changed[:0]

@@ -17,7 +17,9 @@ import (
 //
 // The result is a new Execution whose neighbor sets are N^s_α(u);
 // GrowPower is preserved because reconfiguration beacons must still use
-// the basic algorithm's power (§4).
+// the basic algorithm's power (§4). Its rows share one arena: each is
+// written in a region the size of its input row, capacity-capped there,
+// where a row-by-row shrink would allocate a copy per node.
 func ShrinkBack(e *Execution) *Execution {
 	out := &Execution{
 		Alpha: e.Alpha,
@@ -25,14 +27,20 @@ func ShrinkBack(e *Execution) *Execution {
 		Pos:   append([]geom.Point(nil), e.Pos...),
 		Nodes: make([]NodeResult, len(e.Nodes)),
 	}
+	total := 0
+	for _, nr := range e.Nodes {
+		total += len(nr.Neighbors)
+	}
+	arena := make([]Discovery, total)
 	var cs coverScratch
 	for u, nr := range e.Nodes {
-		// shrinkNeighbors returns a fresh copy of a non-empty list, so the
+		// shrinkNeighbors copies a non-empty list into its region, so the
 		// input needs no clone; an empty list is nil, as Clone leaves it.
-		if len(nr.Neighbors) == 0 {
+		if k := len(nr.Neighbors); k == 0 {
 			nr.Neighbors = nil
 		} else {
-			nr.Neighbors = cs.shrinkNeighbors(nil, nr.Neighbors, e.Alpha)
+			nr.Neighbors = cs.shrinkNeighbors(arena[:0:k], nr.Neighbors, e.Alpha)
+			arena = arena[k:]
 		}
 		out.Nodes[u] = nr
 	}

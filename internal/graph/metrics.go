@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 
 	"cbtc/internal/geom"
 )
@@ -103,13 +104,16 @@ func Stretch(base, sub *Graph, w WeightFunc) float64 {
 // integer, and a correctly rounded quotient of integers whose exact
 // value is at most t is never above it.
 //
-// Each node u with an edge in base runs one BFS over sub, which stops as
-// soon as every base neighbour of u has a label; HopStretch returns +Inf
-// if a search runs out of nodes first. A search thus reaches only as far
-// as u's worst edge needs, and no BFS runs over base. The searches share
-// one distance buffer and one queue, the call's two allocations. On the
+// Each edge of base is measured once, from its lower endpoint: hop
+// distance in the undirected sub is symmetric. Each node u with a base
+// neighbour above it runs one BFS over sub, which stops as soon as every
+// base neighbour v > u has a label — rows are sorted, so they are the
+// tail of u's row; HopStretch returns +Inf if a search runs out of nodes
+// first. A search thus reaches only as far as u's worst upward edge
+// needs, and no BFS runs over base. The searches share one distance
+// buffer and one queue, the call's two allocations. On the
 // all-optimizations G of a 100-node paper network (average degree about
-// 3, against 25.6 in G_R) a call takes 0.12–0.14 ms on a 2-core Xeon
+// 3, against 25.6 in G_R) a call takes 0.09–0.11 ms on a 2-core Xeon
 // host.
 func HopStretch(base, sub *Graph) float64 {
 	if base.Len() != sub.Len() {
@@ -123,7 +127,8 @@ func HopStretch(base, sub *Graph) float64 {
 	queue := make([]int32, 0, n)
 	t := 1
 	for u, row := range base.adj {
-		if len(row) == 0 {
+		above, _ := slices.BinarySearch(row, int32(u)+1)
+		if row = row[above:]; len(row) == 0 {
 			continue
 		}
 		for _, v := range row {

@@ -13,6 +13,11 @@ import (
 // the live session state (either side copies a row before mutating it),
 // so a Result stays frozen at its snapshot moment at O(nodes) cost.
 // Treat G and GR as immutable; clone them before making local edits.
+// A snapshot's discovery rows are the session's own pruned rows, not
+// copies. They stay frozen too: a session overwrites a row only in its
+// own node's next repair, and only while no Result and no checkpoint
+// export can read it, so every repair after a snapshot installs its
+// rows in fresh memory.
 type Result struct {
 	// G is the final symmetric communication graph.
 	G *Graph

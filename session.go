@@ -92,6 +92,21 @@ type Session struct {
 	pairwise *core.Pairwise
 	gr       *graph.Graph // G_R over live nodes; departed nodes isolated
 
+	// Row ownership. A repair writes a node's new rows into the memory
+	// of its old ones (installRows), which is safe only while nothing
+	// outside the session can read them. Rows leave the session in two
+	// places: a Snapshot's Result aliases the pruned rows, and a
+	// checkpoint export hands the node rows to an encoder that runs after
+	// the lock is released. Each bumps shareGen. rowGen[u] is the
+	// shareGen at which node u's rows were installed; they are the
+	// session's to overwrite only while it is still current. The rows a
+	// session is built with count as shared: some lie in arenas (the
+	// shrink-back prune's, the protocol run's) that are freed only once
+	// no row in them is left, so each node's first repair moves it to
+	// memory of its own rather than pinning an arena.
+	shareGen int
+	rowGen   []int
+
 	// live is the maintained live-node count, so LiveCount and Observe
 	// never rescan the liveness vector.
 	live int
@@ -186,10 +201,12 @@ func (e *Engine) NewSession(ctx context.Context, nodes []Point) (*Session, error
 // newSession is NewSession with an explicit worker budget; fleets pin
 // their shards' sessions to the shard plan's inner budget. The build is
 // one pass: the session's grid is built once and handed to the oracle,
-// whose gather also yields G_R, and the session keeps both.
+// whose gather also yields G_R, and the session keeps both. The oracle
+// gives each node row an allocation of its own, since repairs replace
+// rows one node at a time.
 func (e *Engine) newSession(ctx context.Context, nodes []Point, workers int) (*Session, error) {
 	idx := spatial.New(nodes, e.prop.MaxLinkRadius())
-	exec, gr, err := core.RunWithMaxPowerGraph(ctx, nodes, e.prop, e.cfg.Alpha, workers, idx)
+	exec, gr, err := core.RunWithMaxPowerGraph(ctx, nodes, e.prop, e.cfg.Alpha, workers, idx, true)
 	if err != nil {
 		return nil, err
 	}
@@ -308,7 +325,7 @@ func (s *Session) buildTopology(ctx context.Context) error {
 	}
 	s.g = s.gpre
 	if e.opts.PairwiseRemoval {
-		s.pairwise, s.g, _ = core.NewPairwise(s.gpre, s.pos, e.opts.PairwisePolicy)
+		s.pairwise, s.g, _ = core.NewPairwise(s.gpre, s.pos, e.opts.PairwisePolicy, !e.opts.LinkDependent)
 	}
 	if s.gr == nil {
 		// Gather over the session's own grid — it indexes exactly the
@@ -328,6 +345,8 @@ func (s *Session) buildTopology(ctx context.Context) error {
 	// tables rather than by the first batch.
 	s.mark = make([]int, n)
 	s.machineOf = make([]int32, n)
+	s.rowGen = make([]int, n)
+	s.shareGen = 1 // the built rows count as shared (see rowGen)
 	s.radius = make([]float64, n)
 	return core.ParallelRange(ctx, n, workers, func(_, u int) {
 		s.radius[u] = graph.NodeRadius(s.g, s.pos, u)
@@ -390,6 +409,7 @@ func (s *Session) admit(p Point, o *observers) int {
 	s.idx.Add(id, p)
 	s.live++
 	s.pruned = append(s.pruned, nil)
+	s.rowGen = append(s.rowGen, s.shareGen)
 	s.gpre.Grow(1)
 	if s.pairwise != nil {
 		s.g.Grow(1)
@@ -651,7 +671,9 @@ func (s *Session) maxPowerRow(id int, o *observers) []int32 {
 // The snapshot is assembled from the maintained graphs — repairs only
 // ever rebuilt the recomputed nodes' arcs and re-decided pairwise
 // removal around them — and costs copy-on-write clones instead of a
-// topology and G_R rebuild. The error is always nil.
+// topology and G_R rebuild. Its Exec rows are the session's pruned rows
+// themselves; repairs after it install new rows in fresh memory, never
+// in those. The error is always nil.
 func (s *Session) Snapshot() (*Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -663,6 +685,7 @@ func (s *Session) snapshotLocked() *Result {
 	if s.cached != nil {
 		return s.cached
 	}
+	s.shareGen++ // the Result aliases every pruned row
 	exec := &core.Execution{
 		Alpha: s.eng.cfg.Alpha,
 		Model: s.eng.model,
@@ -1128,7 +1151,8 @@ const repairParallelMin = 16
 
 // recomputed is one node's phase-1 output: everything derivable from the
 // read-only session state, computed (possibly concurrently) before the
-// serial phase 2 applies it.
+// serial phase 2 applies it. Its rows are staged in the worker's runner;
+// pruned is nr.Neighbors itself when shrink-back keeps the whole row.
 type recomputed struct {
 	nr     core.NodeResult
 	pruned []core.Discovery
@@ -1147,10 +1171,14 @@ type recomputed struct {
 // pool when the recompute set is large (a drift tick of dozens of moves
 // reaches hundreds of beacons). An interior row that shrink-back would
 // keep whole skips the coverage kernel (core.NodeRunner.ShrinkGrown)
-// and is its own pruned row. Phase 2 serially installs the results and
-// patches the recomputed nodes' arcs into the maintained topology
-// graphs; with pairwise removal on, the kernel then re-decides the edges
-// around the patched and moved nodes.
+// and is its own pruned row. Phase 1 stages its rows in the workers'
+// runners, whose buffers the session keeps across batches. Phase 2
+// serially patches the recomputed nodes' arcs into the maintained
+// topology graphs and installs the staged rows (installRows); with
+// pairwise removal on, the kernel then re-decides the edges around the
+// patched and moved nodes. Phase 1 reads only positions and G_R, which
+// phase 2 never writes, so a serial repair runs the two phases node by
+// node, and its runner stages one node's rows at a time.
 func (s *Session) recompute(ids []int) []int {
 	s.newMarkEpoch()
 	out := make([]int, 0, len(ids))
@@ -1172,12 +1200,8 @@ func (s *Session) recompute(ids []int) []int {
 	if len(s.runners) < workers {
 		s.runners = append(s.runners, make([]core.NodeRunner, workers-len(s.runners))...)
 	}
-	results := slices.Grow(s.results[:0], len(live))[:len(live)]
 	prop, alpha := s.eng.prop, s.eng.cfg.Alpha
-	// ctx is inert: repairs are short, lock-held critical sections with
-	// no caller-supplied context to honor.
-	_ = core.ParallelRange(context.Background(), len(live), workers, func(w, i int) {
-		u, r := live[i], &s.runners[w]
+	regrow := func(r *core.NodeRunner, u int) recomputed {
 		nr := r.RunNodeRow(s.pos, prop, alpha, u, s.gr.Row(u))
 		if s.eng.schedule != nil {
 			core.QuantizeNeighbors(nr.Neighbors, s.eng.schedule)
@@ -1186,12 +1210,30 @@ func (s *Session) recompute(ids []int) []int {
 		if s.eng.opts.ShrinkBack {
 			pruned = r.ShrinkGrown(nr, alpha)
 		}
-		results[i] = recomputed{nr: nr, pruned: pruned}
-	})
-
-	for i, u := range live {
-		s.nodes[u] = results[i].nr
-		s.patchArcs(u, results[i].pruned)
+		return recomputed{nr: nr, pruned: pruned}
+	}
+	if workers == 1 {
+		r := &s.runners[0]
+		for _, u := range live {
+			r.ResetStage()
+			res := regrow(r, u)
+			s.installRows(u, &res)
+		}
+	} else {
+		for i := range s.runners {
+			s.runners[i].ResetStage() // the last batch installed copies of its rows
+		}
+		results := slices.Grow(s.results[:0], len(live))[:len(live)]
+		// ctx is inert: repairs are short, lock-held critical sections
+		// with no caller-supplied context to honor.
+		_ = core.ParallelRange(context.Background(), len(live), workers, func(w, i int) {
+			results[i] = regrow(&s.runners[w], live[i])
+		})
+		for i, u := range live {
+			s.installRows(u, &results[i])
+		}
+		clear(results) // keep no outgrown staging array reachable from the buffer
+		s.results = results[:0]
 	}
 	for _, u := range out {
 		if s.alive[u] {
@@ -1206,9 +1248,49 @@ func (s *Session) recompute(ids []int) []int {
 	}
 	s.applyObserveDelta(live, added, removed)
 	s.cached = nil
-	clear(results) // keep no replaced row reachable from the buffer
-	s.results, s.recompLive = results[:0], live[:0]
+	s.recompLive = live[:0]
 	return out
+}
+
+// installRows patches node u's recomputed pruned row into the topology
+// and installs its staged rows. patchArcs runs first, since it reads the
+// old pruned row. Each staged row is then copied into the memory of the
+// row it replaces, and a fresh row is allocated only when that memory
+// is too small or no longer the session's own (see shareGen). A fresh
+// row gets the capacity of its allocation's size class, which leaves
+// most later repairs of the node room to write in place.
+func (s *Session) installRows(u int, r *recomputed) {
+	oldGrown, oldPruned := s.nodes[u].Neighbors, s.pruned[u]
+	s.patchArcs(u, r.pruned)
+	if s.rowGen[u] != s.shareGen {
+		oldGrown, oldPruned = nil, nil
+	}
+	if sameRow(oldPruned, oldGrown) {
+		oldPruned = nil // one memory, which the grown row takes
+	}
+	nr := r.nr
+	nr.Neighbors = reuseRow(oldGrown, r.nr.Neighbors)
+	pruned := nr.Neighbors
+	if !sameRow(r.pruned, r.nr.Neighbors) {
+		pruned = reuseRow(oldPruned, r.pruned)
+	}
+	s.nodes[u], s.pruned[u] = nr, pruned
+	s.rowGen[u] = s.shareGen
+}
+
+// reuseRow copies row into dst's memory when it has room, and into a
+// fresh allocation otherwise.
+func reuseRow(dst, row []core.Discovery) []core.Discovery {
+	if cap(dst) >= len(row) {
+		return append(dst[:0], row...)
+	}
+	return append([]core.Discovery(nil), row...)
+}
+
+// sameRow reports whether a and b are one row: a pruned row that
+// shrink-back kept whole is its node row itself.
+func sameRow(a, b []core.Discovery) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // repairPairwise re-decides pairwise edge removal around one repair's

@@ -6,8 +6,10 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
+	"cbtc/internal/core"
 	"cbtc/internal/workload"
 )
 
@@ -44,6 +46,107 @@ func randomBatch(rng *rand.Rand, s *Session, size int, side float64) []Event {
 		}
 	}
 	return events
+}
+
+// frozenResult is a deep copy of everything a Result reads: its
+// discovery rows, both graphs, the per-node tables and the statistics.
+type frozenResult struct {
+	rows           [][]core.Discovery
+	g, gpre, gr    []Edge
+	radii, powers  []float64
+	boundary       []bool
+	degree, radius float64
+	summary        core.Summary
+	beacons        []float64
+	removed        []Edge
+}
+
+func freezeResult(r *Result) frozenResult {
+	f := frozenResult{
+		g:        r.G.Edges(),
+		gpre:     r.topo.Gpre.Edges(),
+		gr:       r.GR.Edges(),
+		radii:    slices.Clone(r.Radii),
+		powers:   slices.Clone(r.Powers),
+		boundary: slices.Clone(r.Boundary),
+		degree:   r.AvgDegree,
+		radius:   r.AvgRadius,
+		summary:  r.topo.Summarize(),
+		removed:  r.RemovedRedundant(),
+	}
+	for u, nr := range r.topo.Exec.Nodes {
+		f.rows = append(f.rows, slices.Clone(nr.Neighbors))
+		f.beacons = append(f.beacons, r.BeaconPower(u))
+	}
+	return f
+}
+
+// TestSnapshotSurvivesRepairs: a Snapshot's Exec rows are the session's
+// pruned rows themselves, and repairs write regrown rows into the
+// memory of the rows they replace whenever nothing outside the session
+// can read it. A snapshot held across 24 further batches — teleports,
+// joins, leaves and short drifts, which mostly regrow rows that fit
+// where their old ones were — must read exactly as it did when taken,
+// on every stack. Were a snapshot not to mark the rows shared, the
+// repairs would write into the snapshot's rows.
+func TestSnapshotSurvivesRepairs(t *testing.T) {
+	const side = 1200.0
+	ctx := context.Background()
+	for _, opts := range [][]Option{
+		{WithMaxRadius(300)},
+		{WithMaxRadius(300), WithShrinkBack()},
+		{WithMaxRadius(300), WithAllOptimizations()},
+		{WithMaxRadius(300), WithShrinkBack(), WithShadowing(4, 3), WithShrinkBackSchedule(1.5)},
+	} {
+		eng, err := New(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := eng.NewSession(ctx, workload.Uniform(workload.Rand(11), 150, side, side))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := workload.Rand(12)
+		step := func(i int) {
+			events := randomBatch(rng, sess, 3, side)
+			if i%2 == 1 {
+				events = events[:0]
+				for len(events) < 16 {
+					id := rng.IntN(sess.Len())
+					if !sess.Alive(id) || slices.ContainsFunc(events, func(ev Event) bool { return ev.ID == id }) {
+						continue
+					}
+					p := sess.Position(id)
+					p.X = max(0, min(side, p.X+(rng.Float64()*2-1)*40))
+					p.Y = max(0, min(side, p.Y+(rng.Float64()*2-1)*40))
+					events = append(events, MoveEvent(id, p))
+				}
+			}
+			if _, err := sess.ApplyBatch(events); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range 8 {
+			step(i) // the rows the snapshot reads are now repairs' rows
+		}
+		snap, err := sess.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := freezeResult(snap)
+		for i := range 24 {
+			step(i)
+		}
+		if got := freezeResult(snap); !reflect.DeepEqual(got, want) {
+			for u := range want.rows {
+				if !reflect.DeepEqual(got.rows[u], want.rows[u]) {
+					t.Fatalf("%d options: node %d's snapshot row changed under later repairs:\n got %v\nwant %v", len(opts), u, got.rows[u], want.rows[u])
+				}
+			}
+			t.Fatalf("%d options: the snapshot changed under later repairs", len(opts))
+		}
+		requireSessionMatchesFreshRun(t, eng, sess)
+	}
 }
 
 // TestApplyBatchEqualsSequential proves the batched path's tentpole
