@@ -227,8 +227,9 @@ func (r *NodeRunner) ShrinkGrown(nr NodeResult, alpha float64) []Discovery {
 	if keepsGrownRow(nr) {
 		return nr.Neighbors
 	}
-	// Room for the kernel's sorted copy, behind every staged row, so the
-	// copy never overlaps nr.Neighbors; only the kept prefix stays staged.
+	// Room for the kernel's sorted copy after the staged rows, or in a
+	// fresh buffer, so the copy never overlaps nr.Neighbors; only the
+	// kept prefix stays staged.
 	r.scr.reserve(len(nr.Neighbors))
 	start := len(r.scr.rows)
 	kept := r.cov.shrinkNeighbors(r.scr.rows[start:start], nr.Neighbors, alpha)
