@@ -93,7 +93,6 @@ func newEngine(s settings) (*Engine, error) {
 			return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 		}
 		eng.prop = ld
-		eng.opts.LinkDependent = !ld.DistancePure()
 		eng.shadowed = true
 		eng.shadowSigma = s.shadowSigma
 		eng.shadowSeed = s.shadowSeed
@@ -193,7 +192,7 @@ func (e *Engine) Run(ctx context.Context, nodes []Point) (*Result, error) {
 // engine's propagation authority.
 func (e *Engine) run(ctx context.Context, nodes []Point, workers int) (*Result, error) {
 	idx := spatial.New(nodes, e.prop.MaxLinkRadius())
-	exec, gr, err := core.RunWithMaxPowerGraph(ctx, nodes, e.prop, e.cfg.Alpha, workers, idx, false)
+	exec, gr, err := core.RunWithMaxPowerGraph(ctx, nodes, e.prop, e.cfg.Alpha, workers, idx)
 	if err != nil {
 		return nil, err
 	}

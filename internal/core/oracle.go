@@ -62,7 +62,7 @@ func RunParallel(ctx context.Context, pos []geom.Point, m radio.Propagation, alp
 	if err := validateInput(pos, m, alpha); err != nil {
 		return nil, err
 	}
-	return runContext(ctx, pos, m, alpha, spatial.New(pos, m.MaxLinkRadius()), workers, nil, false)
+	return runContext(ctx, pos, m, alpha, spatial.New(pos, m.MaxLinkRadius()), workers, nil)
 }
 
 // RunNaive is RunContext without the spatial index: every candidate
@@ -73,7 +73,7 @@ func RunNaive(ctx context.Context, pos []geom.Point, m radio.Propagation, alpha 
 	if err := validateInput(pos, m, alpha); err != nil {
 		return nil, err
 	}
-	return runContext(ctx, pos, m, alpha, nil, 1, nil, false)
+	return runContext(ctx, pos, m, alpha, nil, 1, nil)
 }
 
 // RunWithMaxPowerGraph is RunParallel over a caller-built grid that
@@ -85,16 +85,13 @@ func RunNaive(ctx context.Context, pos []geom.Point, m radio.Propagation, alpha 
 // G_R is a by-product of the one grid and the one gather the oracle runs
 // anyway: each worker packs the candidates above u into u's ascending
 // half row in its own arena. Both outputs are identical at every worker
-// count, and G_R equals MaxPowerGraph's. With ownRows every node's
-// discovery row is an allocation of its own, as RunNode's is, for a
-// caller that replaces rows one node at a time (a session): a row in an
-// arena would keep the whole arena live until its last row was gone.
-func RunWithMaxPowerGraph(ctx context.Context, pos []geom.Point, m radio.Propagation, alpha float64, workers int, idx *spatial.Grid, ownRows bool) (*Execution, *graph.Graph, error) {
+// count, and G_R equals MaxPowerGraph's.
+func RunWithMaxPowerGraph(ctx context.Context, pos []geom.Point, m radio.Propagation, alpha float64, workers int, idx *spatial.Grid) (*Execution, *graph.Graph, error) {
 	if err := validateInput(pos, m, alpha); err != nil {
 		return nil, nil, err
 	}
 	rows := make([][]int32, len(pos))
-	exec, err := runContext(ctx, pos, m, alpha, idx, workers, rows, ownRows)
+	exec, err := runContext(ctx, pos, m, alpha, idx, workers, rows)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -105,28 +102,20 @@ func RunWithMaxPowerGraph(ctx context.Context, pos []geom.Point, m radio.Propaga
 // A nil idx (RunNaive) scans the full placement for every gather. A
 // non-nil halfRows (one slot per node) is the G_R sink: after node u's
 // growing phase, its candidates above u are stored there as its
-// ascending half row. Each worker copies its nodes' rows into one arena
-// for the run, through the staging path a session repair's
-// NodeRunner.RunNodeRow takes; with ownRows each row is a fresh
-// allocation instead.
-func runContext(ctx context.Context, pos []geom.Point, m radio.Propagation, alpha float64, idx *spatial.Grid, workers int, halfRows [][]int32, ownRows bool) (*Execution, error) {
+// ascending half row.
+func runContext(ctx context.Context, pos []geom.Point, m radio.Propagation, alpha float64, idx *spatial.Grid, workers int, halfRows [][]int32) (*Execution, error) {
 	exec := &Execution{
-		Alpha: alpha,
-		Model: m.Nominal(),
-		Pos:   append([]geom.Point(nil), pos...),
-		Nodes: make([]NodeResult, len(pos)),
+		Alpha:         alpha,
+		Model:         m.Nominal(),
+		LinkDependent: !m.DistancePure(),
+		Pos:           append([]geom.Point(nil), pos...),
+		Nodes:         make([]NodeResult, len(pos)),
 	}
 	workers = ResolveWorkers(workers, len(pos))
 	scratch := make([]gatherScratch, workers)
 	err := ParallelRange(ctx, len(pos), workers, func(w, u int) {
 		scr := &scratch[w]
-		if ownRows {
-			exec.Nodes[u] = runNode(pos, nil, m, alpha, u, idx, scr)
-		} else {
-			nr := grow(pos, m, alpha, u, gatherCandidates(pos, nil, m, m.DistancePure(), u, idx, scr), scr)
-			nr.Neighbors = scr.stage(nr.Neighbors)
-			exec.Nodes[u] = nr
-		}
+		exec.Nodes[u] = runNode(pos, nil, m, alpha, u, idx, scr)
 		if halfRows != nil {
 			start := len(scr.arena)
 			for _, c := range scr.cands {
@@ -154,8 +143,7 @@ func runContext(ctx context.Context, pos []geom.Point, m radio.Propagation, alph
 // buffer rather than in fresh allocations: each call appends its row
 // behind the ones before it, and ResetStage starts the buffer over, so
 // a caller that resets once per batch of nodes reuses one buffer for
-// every batch. The oracle's run copies its rows through the same path
-// into a buffer it never resets, the run's arena.
+// every batch.
 type NodeRunner struct {
 	scr gatherScratch
 	cov coverScratch
@@ -267,8 +255,7 @@ func keepsGrownRow(nr NodeResult) bool {
 // candidates until the next gather, which is how the G_R sink reads a
 // node's row; arena packs one builder's half rows and is never reset.
 // nbrs and dirs are the growing phase's row and direction set, and rows
-// is the staging buffer its finished rows are copied into: a repair
-// batch's, or an oracle run's arena.
+// is the staging buffer a repair batch's finished rows are copied into.
 type gatherScratch struct {
 	ids   []int
 	cands []candidate
@@ -360,7 +347,7 @@ func runNode(pos []geom.Point, alive []bool, m radio.Propagation, alpha float64,
 // quantized-tag and reconfiguration machinery downstream see one shape.
 // The row is built in the scratch's nbrs and returned there, valid until
 // the scratch's next growing phase: each caller copies it out once, to a
-// fresh row (runNode) or a staging buffer (runContext, RunNodeRow).
+// fresh row (runNode) or the staging buffer (RunNodeRow).
 // cands stays a permutation of the candidates it was given.
 func grow(pos []geom.Point, m radio.Propagation, alpha float64, u int, cands []candidate, scr *gatherScratch) NodeResult {
 	pure := m.DistancePure()

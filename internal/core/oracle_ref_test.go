@@ -439,7 +439,7 @@ func TestRunWithMaxPowerGraphMatchesReference(t *testing.T) {
 			}
 			idx := spatial.New(tc.pos, m.MaxLinkRadius())
 			for _, workers := range []int{1, 2, 8} {
-				exec, gr, err := RunWithMaxPowerGraph(ctx, tc.pos, m, AlphaConnectivity, workers, idx, workers%2 == 0)
+				exec, gr, err := RunWithMaxPowerGraph(ctx, tc.pos, m, AlphaConnectivity, workers, idx)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"context"
 	"slices"
 
 	"cbtc/internal/geom"
@@ -15,36 +16,45 @@ import (
 // shrink; for interior nodes the final power level closed the last gap
 // and cannot be dropped.
 //
-// The result is a new Execution whose neighbor sets are N^s_α(u);
-// GrowPower is preserved because reconfiguration beacons must still use
-// the basic algorithm's power (§4). Its rows share one arena: each is
-// written in a region the size of its input row, capacity-capped there,
-// where a row-by-row shrink would allocate a copy per node.
+// The result is a new Execution whose neighbor sets are N^s_α(u), the
+// rows of ShrinkRows; GrowPower is preserved because reconfiguration
+// beacons must still use the basic algorithm's power (§4).
 func ShrinkBack(e *Execution) *Execution {
 	out := &Execution{
-		Alpha: e.Alpha,
-		Model: e.Model,
-		Pos:   append([]geom.Point(nil), e.Pos...),
-		Nodes: make([]NodeResult, len(e.Nodes)),
+		Alpha:         e.Alpha,
+		Model:         e.Model,
+		LinkDependent: e.LinkDependent,
+		Pos:           append([]geom.Point(nil), e.Pos...),
+		Nodes:         append(make([]NodeResult, 0, len(e.Nodes)), e.Nodes...),
 	}
-	total := 0
-	for _, nr := range e.Nodes {
-		total += len(nr.Neighbors)
-	}
-	arena := make([]Discovery, total)
-	var cs coverScratch
-	for u, nr := range e.Nodes {
-		// shrinkNeighbors copies a non-empty list into its region, so the
-		// input needs no clone; an empty list is nil, as Clone leaves it.
-		if k := len(nr.Neighbors); k == 0 {
-			nr.Neighbors = nil
-		} else {
-			nr.Neighbors = cs.shrinkNeighbors(arena[:0:k], nr.Neighbors, e.Alpha)
-			arena = arena[k:]
-		}
-		out.Nodes[u] = nr
+	// The context is inert: one worker and no deadline.
+	rows, _ := ShrinkRows(context.Background(), e.Nodes, e.Alpha, 1)
+	for u, row := range rows {
+		out.Nodes[u].Neighbors = row
 	}
 	return out
+}
+
+// ShrinkRows is shrink-back over every node's discovery row: it returns
+// N^s_α(u) for each u, fanned across workers (see ParallelRange). The
+// rows share one arena: each is written in a region the size of its
+// node's row, capacity-capped there, where a row-by-row shrink would
+// allocate a copy per node. An empty row is nil.
+func ShrinkRows(ctx context.Context, nodes []NodeResult, alpha float64, workers int) ([][]Discovery, error) {
+	offs := make([]int, len(nodes)+1)
+	for u, nr := range nodes {
+		offs[u+1] = offs[u] + len(nr.Neighbors)
+	}
+	arena := make([]Discovery, offs[len(nodes)])
+	rows := make([][]Discovery, len(nodes))
+	workers = ResolveWorkers(workers, len(nodes))
+	scratch := make([]coverScratch, workers)
+	err := ParallelRange(ctx, len(nodes), workers, func(w, u int) {
+		if lo, hi := offs[u], offs[u+1]; lo < hi {
+			rows[u] = scratch[w].shrinkNeighbors(arena[lo:lo:hi], nodes[u].Neighbors, alpha)
+		}
+	})
+	return rows, err
 }
 
 // ShrinkNeighbors performs the shrink-back operation for a single node:

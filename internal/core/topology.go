@@ -22,11 +22,6 @@ type Options struct {
 	// PairwisePolicy selects the op3 removal rule; the zero value means
 	// PairwiseLengthFiltered, the paper's practical rule.
 	PairwisePolicy PairwisePolicy
-	// LinkDependent marks a radio with per-link terms, one that is not
-	// DistancePure. Op3 then also requires the two neighbors its
-	// redundancy test compares to be adjacent in the pre-removal graph
-	// (see Pairwise). The zero value is the distance-pure rule.
-	LinkDependent bool
 }
 
 // Validate checks option consistency against the cone angle.
@@ -89,7 +84,7 @@ func BuildTopology(e *Execution, opts Options) (*Topology, error) {
 		if policy == 0 {
 			policy = PairwiseLengthFiltered
 		}
-		_, g, removed = NewPairwise(g, exec.Pos, policy, !opts.LinkDependent)
+		_, g, removed = NewPairwise(g, exec.Pos, policy, !exec.LinkDependent)
 	}
 
 	return &Topology{

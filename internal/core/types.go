@@ -99,6 +99,12 @@ type Execution struct {
 	// Model is the nominal power-law radio model in effect (the Nominal()
 	// of the propagation model the execution ran under).
 	Model radio.Model
+	// LinkDependent records that the propagation model was not
+	// DistancePure: its links carry per-link terms, as shadowing's do.
+	// Pairwise removal then also requires the two neighbors its
+	// redundancy test compares to be adjacent (see Pairwise). The zero
+	// value is a distance-pure radio, the power law Model describes.
+	LinkDependent bool
 	// Pos holds node positions; node i is Pos[i].
 	Pos []geom.Point
 	// Nodes holds the per-node results; Nodes[i] belongs to node i.
@@ -142,10 +148,11 @@ func NalphaOf(n int, nbrs func(u int) []Discovery) *graph.Digraph {
 // keep an execution QuantizeTags would otherwise mutate.
 func (e *Execution) Clone() *Execution {
 	c := &Execution{
-		Alpha: e.Alpha,
-		Model: e.Model,
-		Pos:   append([]geom.Point(nil), e.Pos...),
-		Nodes: make([]NodeResult, len(e.Nodes)),
+		Alpha:         e.Alpha,
+		Model:         e.Model,
+		LinkDependent: e.LinkDependent,
+		Pos:           append([]geom.Point(nil), e.Pos...),
+		Nodes:         make([]NodeResult, len(e.Nodes)),
 	}
 	for i, nr := range e.Nodes {
 		c.Nodes[i] = NodeResult{

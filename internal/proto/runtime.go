@@ -125,10 +125,11 @@ func (rt *Runtime) AddNode(at geom.Point) int {
 // append to one never reaches the next.
 func (rt *Runtime) Execution() *core.Execution {
 	e := &core.Execution{
-		Alpha: rt.cfg.Alpha,
-		Model: rt.Sim.Model(),
-		Pos:   make([]geom.Point, rt.Sim.Len()),
-		Nodes: make([]core.NodeResult, len(rt.Nodes)),
+		Alpha:         rt.cfg.Alpha,
+		Model:         rt.Sim.Model(),
+		LinkDependent: !rt.Sim.Propagation().DistancePure(),
+		Pos:           make([]geom.Point, rt.Sim.Len()),
+		Nodes:         make([]core.NodeResult, len(rt.Nodes)),
 	}
 	total := 0
 	for _, n := range rt.Nodes {

@@ -201,12 +201,10 @@ func (e *Engine) NewSession(ctx context.Context, nodes []Point) (*Session, error
 // newSession is NewSession with an explicit worker budget; fleets pin
 // their shards' sessions to the shard plan's inner budget. The build is
 // one pass: the session's grid is built once and handed to the oracle,
-// whose gather also yields G_R, and the session keeps both. The oracle
-// gives each node row an allocation of its own, since repairs replace
-// rows one node at a time.
+// whose gather also yields G_R, and the session keeps both.
 func (e *Engine) newSession(ctx context.Context, nodes []Point, workers int) (*Session, error) {
 	idx := spatial.New(nodes, e.prop.MaxLinkRadius())
-	exec, gr, err := core.RunWithMaxPowerGraph(ctx, nodes, e.prop, e.cfg.Alpha, workers, idx, true)
+	exec, gr, err := core.RunWithMaxPowerGraph(ctx, nodes, e.prop, e.cfg.Alpha, workers, idx)
 	if err != nil {
 		return nil, err
 	}
@@ -292,30 +290,21 @@ func (s *Session) buildTopology(ctx context.Context) error {
 	e := s.eng
 	n := len(s.pos)
 	workers := core.ResolveWorkers(s.workers, n)
-	runners := make([]core.NodeRunner, workers)
-	s.pruned = make([][]core.Discovery, n)
-	// Shrink-back writes every pruned row into one arena, in a region
-	// the size of the node's row, where a row-by-row prune would allocate
-	// a copy per node; without it the pruned rows are the node rows.
-	var arena []core.Discovery
-	var offs []int
+	// Shrink-back (op1) is the one per-node-local optimization, and the
+	// prune is embarrassingly parallel, like the oracle itself; without
+	// it the pruned rows are the node rows. Pairwise removal acts on
+	// edges, not rows.
 	if e.opts.ShrinkBack {
-		offs = make([]int, n+1)
+		rows, err := core.ShrinkRows(ctx, s.nodes, e.cfg.Alpha, workers)
+		if err != nil {
+			return err
+		}
+		s.pruned = rows
+	} else {
+		s.pruned = make([][]core.Discovery, n)
 		for u := range s.nodes {
-			offs[u+1] = offs[u] + len(s.nodes[u].Neighbors)
+			s.pruned[u] = s.nodes[u].Neighbors
 		}
-		arena = make([]core.Discovery, offs[n])
-	}
-	// The per-node prune (coverage arithmetic when shrink-back is on) is
-	// embarrassingly parallel, like the oracle itself.
-	if err := core.ParallelRange(ctx, n, workers, func(w, u int) {
-		var dst []core.Discovery
-		if arena != nil {
-			dst = arena[offs[u]:offs[u+1]:offs[u+1]]
-		}
-		s.pruned[u] = e.pruneNeighbors(dst, s.nodes[u].Neighbors, &runners[w])
-	}); err != nil {
-		return err
 	}
 	nalpha := core.NalphaOf(n, func(u int) []core.Discovery { return s.pruned[u] })
 	if e.opts.AsymmetricRemoval {
@@ -325,7 +314,7 @@ func (s *Session) buildTopology(ctx context.Context) error {
 	}
 	s.g = s.gpre
 	if e.opts.PairwiseRemoval {
-		s.pairwise, s.g, _ = core.NewPairwise(s.gpre, s.pos, e.opts.PairwisePolicy, !e.opts.LinkDependent)
+		s.pairwise, s.g, _ = core.NewPairwise(s.gpre, s.pos, e.opts.PairwisePolicy, e.prop.DistancePure())
 	}
 	if s.gr == nil {
 		// Gather over the session's own grid — it indexes exactly the
@@ -351,17 +340,6 @@ func (s *Session) buildTopology(ctx context.Context) error {
 	return core.ParallelRange(ctx, n, workers, func(_, u int) {
 		s.radius[u] = graph.NodeRadius(s.g, s.pos, u)
 	})
-}
-
-// pruneNeighbors applies the engine's per-node-local optimization,
-// shrink-back (op1), on the worker's runner scratch, writing the shrunk
-// row into dst's backing array when it has room (nil allocates one).
-// Pairwise removal acts on edges, not rows, and never goes through here.
-func (e *Engine) pruneNeighbors(dst, nbrs []core.Discovery, r *core.NodeRunner) []core.Discovery {
-	if e.opts.ShrinkBack {
-		nbrs = r.ShrinkNeighborsInto(dst, nbrs, e.cfg.Alpha)
-	}
-	return nbrs
 }
 
 // Join introduces a new node at p — the §4 join scenario. It returns
@@ -687,10 +665,11 @@ func (s *Session) snapshotLocked() *Result {
 	}
 	s.shareGen++ // the Result aliases every pruned row
 	exec := &core.Execution{
-		Alpha: s.eng.cfg.Alpha,
-		Model: s.eng.model,
-		Pos:   append([]Point(nil), s.pos...),
-		Nodes: make([]core.NodeResult, len(s.pos)),
+		Alpha:         s.eng.cfg.Alpha,
+		Model:         s.eng.model,
+		LinkDependent: !s.eng.prop.DistancePure(),
+		Pos:           append([]Point(nil), s.pos...),
+		Nodes:         make([]core.NodeResult, len(s.pos)),
 	}
 	for u := range exec.Nodes {
 		exec.Nodes[u] = core.NodeResult{
@@ -1178,7 +1157,8 @@ type recomputed struct {
 // pairwise removal on, the kernel then re-decides the edges around the
 // patched and moved nodes. Phase 1 reads only positions and G_R, which
 // phase 2 never writes, so a serial repair runs the two phases node by
-// node, and its runner stages one node's rows at a time.
+// node: its runner then stages one node's rows at a time, where a
+// batch-wide stage would keep room for every row of the largest batch.
 func (s *Session) recompute(ids []int) []int {
 	s.newMarkEpoch()
 	out := make([]int, 0, len(ids))
@@ -1200,8 +1180,17 @@ func (s *Session) recompute(ids []int) []int {
 	if len(s.runners) < workers {
 		s.runners = append(s.runners, make([]core.NodeRunner, workers-len(s.runners))...)
 	}
+	// Both phases run over the whole set when the repair fans out, and
+	// node by node when it is serial.
+	step := len(live)
+	if workers == 1 {
+		step = 1
+	}
+	results := slices.Grow(s.results[:0], step)[:step]
 	prop, alpha := s.eng.prop, s.eng.cfg.Alpha
-	regrow := func(r *core.NodeRunner, u int) recomputed {
+	var chunk []int
+	regrow := func(w, i int) {
+		u, r := chunk[i], &s.runners[w]
 		nr := r.RunNodeRow(s.pos, prop, alpha, u, s.gr.Row(u))
 		if s.eng.schedule != nil {
 			core.QuantizeNeighbors(nr.Neighbors, s.eng.schedule)
@@ -1210,31 +1199,22 @@ func (s *Session) recompute(ids []int) []int {
 		if s.eng.opts.ShrinkBack {
 			pruned = r.ShrinkGrown(nr, alpha)
 		}
-		return recomputed{nr: nr, pruned: pruned}
+		results[i] = recomputed{nr: nr, pruned: pruned}
 	}
-	if workers == 1 {
-		r := &s.runners[0]
-		for _, u := range live {
-			r.ResetStage()
-			res := regrow(r, u)
-			s.installRows(u, &res)
+	for lo := 0; lo < len(live); lo += step {
+		chunk = live[lo:min(lo+step, len(live))]
+		for i := range s.runners[:workers] {
+			s.runners[i].ResetStage() // the rows staged before are installed
 		}
-	} else {
-		for i := range s.runners {
-			s.runners[i].ResetStage() // the last batch installed copies of its rows
-		}
-		results := slices.Grow(s.results[:0], len(live))[:len(live)]
 		// ctx is inert: repairs are short, lock-held critical sections
 		// with no caller-supplied context to honor.
-		_ = core.ParallelRange(context.Background(), len(live), workers, func(w, i int) {
-			results[i] = regrow(&s.runners[w], live[i])
-		})
-		for i, u := range live {
+		_ = core.ParallelRange(context.Background(), len(chunk), workers, regrow)
+		for i, u := range chunk {
 			s.installRows(u, &results[i])
 		}
-		clear(results) // keep no outgrown staging array reachable from the buffer
-		s.results = results[:0]
 	}
+	clear(results) // keep no outgrown staging array reachable from the buffer
+	s.results = results[:0]
 	for _, u := range out {
 		if s.alive[u] {
 			continue

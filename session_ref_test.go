@@ -22,10 +22,11 @@ func referenceSnapshot(tb testing.TB, s *Session) *Result {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	exec := &core.Execution{
-		Alpha: s.eng.cfg.Alpha,
-		Model: s.eng.model,
-		Pos:   append([]Point(nil), s.pos...),
-		Nodes: append([]core.NodeResult(nil), s.nodes...),
+		Alpha:         s.eng.cfg.Alpha,
+		Model:         s.eng.model,
+		LinkDependent: !s.eng.prop.DistancePure(),
+		Pos:           append([]Point(nil), s.pos...),
+		Nodes:         append([]core.NodeResult(nil), s.nodes...),
 	}
 	topo, err := core.BuildTopology(exec, s.eng.opts)
 	if err != nil {

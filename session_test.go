@@ -103,10 +103,11 @@ func requireSessionMatchesKeyedRun(t *testing.T, s *Session) {
 	defer s.mu.Unlock()
 	eng := s.eng
 	exec := &core.Execution{
-		Alpha: eng.cfg.Alpha,
-		Model: eng.model,
-		Pos:   append([]Point(nil), s.pos...),
-		Nodes: make([]core.NodeResult, len(s.pos)),
+		Alpha:         eng.cfg.Alpha,
+		Model:         eng.model,
+		LinkDependent: !eng.prop.DistancePure(),
+		Pos:           append([]Point(nil), s.pos...),
+		Nodes:         make([]core.NodeResult, len(s.pos)),
 	}
 	grid := spatial.New(s.pos, eng.prop.MaxLinkRadius())
 	for u, alive := range s.alive {
